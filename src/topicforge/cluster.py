@@ -25,6 +25,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
+
 LINKAGES = ("average", "single", "complete")
 
 
@@ -36,12 +38,11 @@ class ProductTypeIndex:
     vectors: np.ndarray
 
     @classmethod
-    def build(cls, names: Iterable[str],
-              embed_fn: Callable[[str], np.ndarray]) -> "ProductTypeIndex":
+    def build(cls, names: Iterable[str], encode: Encoder) -> "ProductTypeIndex":
         labels = sorted(set(names))
         if not labels:
             raise ValueError("product type index needs at least one label")
-        vecs = np.stack([embed_fn(label) for label in labels])
+        vecs = encode(labels)
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         return cls(labels, vecs)
 
@@ -72,14 +73,16 @@ class ClusterResult:
         return out
 
 
-def classify_product_type(query_vec: np.ndarray, index: ProductTypeIndex) -> str:
-    """Label whose embedding has the highest cosine with the query vector.
+def classify_product_type(query_vecs: np.ndarray,
+                          index: ProductTypeIndex) -> list[str]:
+    """Per row of ``query_vecs``, the label with the highest cosine.
 
     Ties resolve to the lexicographically smallest label (rows are sorted
     and argmax takes the first maximum).
     """
-    sims = index.vectors @ (query_vec / np.linalg.norm(query_vec))
-    return index.labels[int(np.argmax(sims))]
+    unit = query_vecs / np.linalg.norm(query_vecs, axis=1, keepdims=True)
+    best = np.argmax(unit @ index.vectors.T, axis=1)
+    return [index.labels[int(b)] for b in best]
 
 
 def agglomerate(
@@ -156,7 +159,7 @@ def agglomerate(
 
 def cluster_topics(
     queries: Sequence,
-    encoder: Callable[[str], np.ndarray],
+    encode: Encoder,
     index: ProductTypeIndex,
     threshold: float,
     linkage: str = "average",
@@ -178,10 +181,10 @@ def cluster_topics(
     if not texts:
         return result
 
+    texts.sort()
+    vecs = encode(texts)
     by_type: dict[str, dict[str, np.ndarray]] = {}
-    for text in sorted(texts):
-        vec = encoder(text)
-        ptype = classify_product_type(vec, index)
+    for text, vec, ptype in zip(texts, vecs, classify_product_type(vecs, index)):
         by_type.setdefault(ptype, {})[text] = vec
     result.distance_evaluations += len(texts) * len(index)
 

@@ -1,27 +1,22 @@
 """Deduplication of candidate topics against existing shelf and facet pages.
 
-Shelf pages are few, so their title embeddings are precomputed and every
-query is compared against all of them exactly. Facet pages are too many for
-that; candidates are narrowed to the pages under the query's classified
-shelf product type that share at least one extracted facet pair, and their
-embeddings are computed on demand through a bounded least-recently-used
-cache. A query counts as a duplicate when its best cosine similarity over
-(all shelves, narrowed facet pages) reaches the threshold.
+Shelf pages are few, so every query is compared exactly against all shelf
+title embeddings, in one matrix product. Facet pages are too many for that;
+candidates are narrowed to the pages under the query's classified shelf
+product type that share at least one extracted facet pair, and only the
+union of the narrowed pages is encoded, in one batch. A query counts as a
+duplicate when its best cosine similarity over (all shelves, narrowed facet
+pages) reaches the threshold.
 
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that
-risk is visible rather than silent.
-
-Indexes are immutable after build. Per-query decisions are independent; the
-facet cache serializes access with a lock so concurrent callers are safe.
+risk is visible rather than silent. Indexes are immutable after build.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -34,7 +29,12 @@ from .tokenizer import extract_facets
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.86  # midpoint of the 0.85-0.88 similarity band
-DEFAULT_CACHE_CAPACITY = 10_000
+
+Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -50,74 +50,57 @@ class DedupDecision:
                 f"{self.best_similarity:.6f}", self.path]
 
 
+@dataclass
 class ShelfIndex:
     """Precomputed unit-norm title embeddings for every shelf page."""
 
-    def __init__(self, page_ids: list[str], vectors: np.ndarray,
-                 product_types: dict[str, str]):
-        self.page_ids = page_ids
-        self.vectors = vectors
-        self.product_types = product_types
+    page_ids: list[str]
+    vectors: np.ndarray
+    product_types: dict[str, str]
 
     def __len__(self) -> int:
         return len(self.page_ids)
 
 
 def build_shelf_index(catalog: Sequence[PageRecord],
-                      embed_fn: Callable[[str], np.ndarray]) -> ShelfIndex:
+                      encode: Encoder) -> ShelfIndex:
     shelves = sorted((p for p in catalog if p.page_type == "shelf"),
                      key=lambda p: p.page_id)
     if not shelves:
         logger.warning("catalog contains no shelf pages; shelf index is empty")
         return ShelfIndex([], np.zeros((0, 1)), {})
-    vectors = np.stack([embed_fn(p.title) for p in shelves])
-    vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors = _unit_rows(encode([p.title for p in shelves]))
     return ShelfIndex([p.page_id for p in shelves], vectors,
                       {p.page_id: p.product_type for p in shelves})
 
 
-def dedup_against_shelves(query_vec: np.ndarray,
-                          index: ShelfIndex) -> tuple[str | None, float]:
-    """Exhaustive best shelf match: exact max over every shelf vector."""
+def dedup_against_shelves(query_vecs: np.ndarray,
+                          index: ShelfIndex) -> list[tuple[str | None, float]]:
+    """Exhaustive best shelf match per unit-norm row of ``query_vecs``.
+
+    An exact max over every shelf vector; ties go to the first page id.
+    """
     if len(index) == 0:
-        return None, float("-inf")
-    sims = index.vectors @ (query_vec / np.linalg.norm(query_vec))
-    best = int(np.argmax(sims))
-    return index.page_ids[best], float(sims[best])
+        return [(None, float("-inf"))] * len(query_vecs)
+    sims = query_vecs @ index.vectors.T
+    best = np.argmax(sims, axis=1)
+    return [(index.page_ids[b], float(sims[i, b])) for i, b in enumerate(best)]
 
 
 class FacetIndex:
-    """Facet pages keyed by (product_type, facet_name, facet_value).
+    """Facet page ids keyed by (product_type, facet_name, facet_value), and
+    their titles; :class:`Deduper` encodes only the pages queries narrow to."""
 
-    Embeddings are computed lazily via ``embed_fn`` and held in an LRU
-    cache of ``cache_capacity`` entries.
-    """
-
-    def __init__(self, catalog: Sequence[PageRecord],
-                 embed_fn: Callable[[str], np.ndarray],
-                 cache_capacity: int = DEFAULT_CACHE_CAPACITY):
-        if cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
-        self._embed_fn = embed_fn
-        self._capacity = cache_capacity
-        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, catalog: Sequence[PageRecord]):
         self.titles: dict[str, str] = {}
         self.by_facet: dict[tuple[str, str, str], list[str]] = {}
         for page in catalog:
             if page.page_type != "facet":
                 continue
             self.titles[page.page_id] = page.title
-            for name, value in sorted(page.facets):
+            for name, value in page.facets:
                 key = (page.product_type, name, value)
                 self.by_facet.setdefault(key, []).append(page.page_id)
-        for ids in self.by_facet.values():
-            ids.sort()
-
-    def __len__(self) -> int:
-        return len(self.titles)
 
     def pages_for(self, product_type: str,
                   facets: Mapping[str, str]) -> list[str]:
@@ -126,28 +109,6 @@ class FacetIndex:
         for name, value in facets.items():
             found.update(self.by_facet.get((product_type, name, value), ()))
         return sorted(found)
-
-    def vector(self, page_id: str) -> np.ndarray:
-        with self._lock:
-            vec = self._cache.get(page_id)
-            if vec is not None:
-                self.hits += 1
-                self._cache.move_to_end(page_id)
-                return vec
-            self.misses += 1
-        computed = self._embed_fn(self.titles[page_id])
-        computed = computed / np.linalg.norm(computed)
-        with self._lock:
-            self._cache[page_id] = computed
-            self._cache.move_to_end(page_id)
-            while len(self._cache) > self._capacity:
-                self._cache.popitem(last=False)
-        return computed
-
-    def cache_info(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "size": len(self._cache), "capacity": self._capacity}
 
 
 def narrow_facet_candidates(
@@ -170,13 +131,13 @@ def narrow_facet_candidates(
 
 
 class Deduper:
-    """Binds indexes, embedder and threshold into per-query decisions."""
+    """Binds indexes, encoder and threshold into batched decisions."""
 
     def __init__(
         self,
         shelf_index: ShelfIndex,
         facet_index: FacetIndex | None,
-        embed_fn: Callable[[str], np.ndarray],
+        encode: Encoder,
         threshold: float = DEFAULT_THRESHOLD,
         facet_lexicon: Mapping[str, set[str]] | None = None,
     ):
@@ -184,44 +145,53 @@ class Deduper:
             raise ValueError("threshold must be in [0, 1]")
         self.shelf_index = shelf_index
         self.facet_index = facet_index
-        self.embed_fn = embed_fn
+        self.encode = encode
         self.threshold = threshold
         self.facet_lexicon = facet_lexicon
         self.facet_path_skipped = 0
 
-    def decide(self, query: str) -> DedupDecision:
-        query_vec = self.embed_fn(query)
-        query_vec = query_vec / np.linalg.norm(query_vec)
-        best_page, best_sim = dedup_against_shelves(query_vec, self.shelf_index)
-        path = "shelf"
+    def decide(self, queries: Sequence[str]) -> list[DedupDecision]:
+        """One decision per query, in order.
 
-        candidates: list[str] = []
-        if self.facet_index is not None and best_page is not None:
-            product_type = self.shelf_index.product_types[best_page]
-            candidates = narrow_facet_candidates(
-                query, self.facet_index, product_type, self.facet_lexicon)
-        if not candidates:
-            self.facet_path_skipped += 1
-        for page_id in candidates:
-            sim = float(self.facet_index.vector(page_id) @ query_vec)
-            if sim > best_sim:
-                best_page, best_sim, path = page_id, sim, "facet"
+        Facet candidates are scored in page-id order and replace the best
+        match only when strictly more similar, so an exact shelf hit keeps
+        its shelf attribution.
+        """
+        if not queries:
+            return []
+        query_vecs = _unit_rows(self.encode(queries))
+        shelf_best = dedup_against_shelves(query_vecs, self.shelf_index)
+        narrowed: list[list[str]] = []
+        for query, (page, _) in zip(queries, shelf_best):
+            candidates: list[str] = []
+            if self.facet_index is not None and page is not None:
+                candidates = narrow_facet_candidates(
+                    query, self.facet_index,
+                    self.shelf_index.product_types[page], self.facet_lexicon)
+            if not candidates:
+                self.facet_path_skipped += 1
+            narrowed.append(candidates)
 
-        verdict = "duplicate" if best_sim >= self.threshold else "kept"
-        return DedupDecision(query, verdict, best_page, best_sim, path)
+        pages = sorted(set().union(*narrowed))
+        row = {page_id: i for i, page_id in enumerate(pages)}
+        if pages:
+            facet_vecs = _unit_rows(
+                self.encode([self.facet_index.titles[p] for p in pages]))
 
-
-def dedup(
-    query: str,
-    shelf_index: ShelfIndex,
-    facet_index: FacetIndex | None,
-    embed_fn: Callable[[str], np.ndarray],
-    threshold: float = DEFAULT_THRESHOLD,
-    facet_lexicon: Mapping[str, set[str]] | None = None,
-) -> DedupDecision:
-    """One-query convenience wrapper around :class:`Deduper`."""
-    return Deduper(shelf_index, facet_index, embed_fn,
-                   threshold, facet_lexicon).decide(query)
+        decisions = []
+        for query, query_vec, (best_page, best_sim), candidates in zip(
+                queries, query_vecs, shelf_best, narrowed):
+            path = "shelf"
+            if candidates:
+                sims = facet_vecs[[row[p] for p in candidates]] @ query_vec
+                top = int(np.argmax(sims))
+                if sims[top] > best_sim:
+                    best_page, best_sim, path = (candidates[top],
+                                                 float(sims[top]), "facet")
+            verdict = "duplicate" if best_sim >= self.threshold else "kept"
+            decisions.append(DedupDecision(query, verdict, best_page,
+                                           best_sim, path))
+        return decisions
 
 
 def dedup_all(
@@ -235,15 +205,13 @@ def dedup_all(
     traffic exposed to the known lexicon-coverage blind spot.
     """
     deduper.facet_path_skipped = 0
-    decisions = [deduper.decide(q) for q in queries]
+    decisions = deduper.decide(queries)
     stats = {
         "total": len(decisions),
         "kept": sum(d.verdict == "kept" for d in decisions),
         "duplicate": sum(d.verdict == "duplicate" for d in decisions),
         "facet_path_skipped": deduper.facet_path_skipped,
     }
-    if deduper.facet_index is not None:
-        stats["facet_cache"] = deduper.facet_index.cache_info()
     return decisions, stats
 
 

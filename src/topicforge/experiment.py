@@ -56,12 +56,6 @@ class ExperimentPlan:
         return [e.date for e in self.entries
                 if e.period == period and e.arm == arm]
 
-    def entry_for(self, date: str) -> PlanEntry:
-        for e in self.entries:
-            if e.date == date:
-                return e
-        raise KeyError(date)
-
     def to_json(self, path: str | Path) -> None:
         rows = [{"date": e.date, "period": e.period, "arm": e.arm,
                  "page_group_action": e.page_group_action}
@@ -191,17 +185,27 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
+def student_t_sf(t: float, df: float) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom.
+
+    The tail beyond |t| is computed directly as 0.5 * I_x(df/2, 1/2) with
+    x = df / (df + t^2), so far tails keep their relative precision instead
+    of cancelling to 0 in 1 - cdf.
+    """
     if df <= 0:
         raise ValueError("df must be > 0")
     if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
+        return 0.0 if t > 0 else 1.0
     if t == 0.0:
         return 0.5
     x = df / (df + t * t)
     tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    return tail if t > 0 else 1.0 - tail
+
+
+def student_t_cdf(t: float, df: float) -> float:
+    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
+    return student_t_sf(-t, df)
 
 
 @dataclass(frozen=True)
@@ -257,9 +261,9 @@ def two_sample_t(
     else:
         t = diff / se
     if alternative == "two-sided":
-        p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
+        p = 2.0 * student_t_sf(abs(t), df)
     else:
-        p = 1.0 - student_t_cdf(t, df)
+        p = student_t_sf(t, df)
     return TTestResult(t, p, df, alternative)
 
 

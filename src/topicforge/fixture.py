@@ -202,7 +202,6 @@ cluster:
   linkage: average
 dedup:
   threshold: 0.86
-  cache_capacity: 10000
 select:
   quota: 10
   strategy: pipeline

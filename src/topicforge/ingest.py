@@ -13,10 +13,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
-CANDIDATE_SOURCES = ("search_log", "sem_report", "trending", "file")
 
 _PUNCT_RE = re.compile(r"[^\w\s-]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
@@ -197,7 +196,11 @@ def parse_click_log(path: str | Path,
 
 
 def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]:
-    """Parse a JSONL page catalog; facet pages must carry at least one facet."""
+    """Parse a JSONL page catalog into PageRecords plus a ParseReport.
+
+    Facet pages must carry at least one facet; shelf and facet pages need a
+    title, and shelf pages a product type, that survive normalization.
+    """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -236,11 +239,21 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
         if page_type == "facet" and not facets:
             report.add_error(line_no, "facet page without facet pairs")
             continue
+        title = normalize_query(str(fields.get("title", "")))
+        product_type = normalize_query(str(fields.get("product_type", "")))
+        # shelf and facet text is encoded downstream, and a text that
+        # normalizes to "" has no token to encode
+        if page_type in ("shelf", "facet") and not title:
+            report.add_error(line_no, f"{page_type} page title is empty")
+            continue
+        if page_type == "shelf" and not product_type:
+            report.add_error(line_no, "shelf page product_type is empty")
+            continue
         pages.append(PageRecord(
             page_id=page_id,
             page_type=page_type,
-            title=normalize_query(str(fields.get("title", ""))),
-            product_type=normalize_query(str(fields.get("product_type", ""))),
+            title=title,
+            product_type=product_type,
             facets=frozenset(facets),
         ))
         seen_ids.add(page_id)
@@ -264,55 +277,12 @@ def load_blocklist(path: str | Path) -> set[str]:
     return terms
 
 
-def load_candidate_file(path: str | Path, source: str = "file") -> list[CandidateQuery]:
-    """Load candidate queries from JSONL ({query, clicks_total}) or plain text."""
-    if source not in CANDIDATE_SOURCES:
-        raise IngestError(f"unknown candidate source: {source}")
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read candidate file {path}: {exc}") from exc
-    out: list[CandidateQuery] = []
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("{"):
-            fields = json.loads(line)
-            query = normalize_query(str(fields.get("query", "")))
-            clicks = int(fields.get("clicks_total", 0))
-        else:
-            query = normalize_query(line)
-            clicks = 0
-        if query:
-            out.append(CandidateQuery(query, source, clicks))
-    return out
-
-
 def candidates_from_click_log(records: Sequence[ClickRecord]) -> list[CandidateQuery]:
     """One candidate per distinct query, with total clicks summed."""
     totals: dict[str, int] = {}
     for rec in records:
         totals[rec.query] = totals.get(rec.query, 0) + rec.clicks
     return [CandidateQuery(q, "search_log", c) for q, c in sorted(totals.items())]
-
-
-def merge_candidates(*batches: Iterable[CandidateQuery]) -> list[CandidateQuery]:
-    """Merge candidate batches, summing clicks_total per normalized query.
-
-    The source of the first occurrence wins. Output is sorted by query text
-    so downstream stages see a stable order.
-    """
-    merged: dict[str, CandidateQuery] = {}
-    for batch in batches:
-        for cand in batch:
-            prev = merged.get(cand.query)
-            if prev is None:
-                merged[cand.query] = cand
-            else:
-                merged[cand.query] = CandidateQuery(
-                    prev.query, prev.source, prev.clicks_total + cand.clicks_total)
-    return [merged[q] for q in sorted(merged)]
 
 
 def filter_negative_queries(

@@ -13,7 +13,8 @@ where e_a, e_b are the unit-norm encoder outputs, so the dot product is the
 cosine similarity. Batch loss is the sum over pairs. A classification head
 (for the category-page fine-tuning task) applies a linear layer to the
 pre-normalization output vector; that pre-normalization vector is the
-"penultimate" representation reused by downstream deduplication.
+"penultimate" representation, and ``embed_batch`` on a fine-tuned checkpoint
+returns it L2-normalized for downstream deduplication.
 
 Backpropagation is hand-derived for every block and verified against
 central finite differences in the test suite. All computation is float64;
@@ -357,11 +358,6 @@ def embed_batch(params, cfg: ModelConfig, seqs: Sequence[TokenSequence]) -> np.n
     return e
 
 
-def embed(params, cfg: ModelConfig, tokens: TokenSequence) -> np.ndarray:
-    """Unit-norm intention embedding of one token sequence."""
-    return embed_batch(params, cfg, [tokens])[0]
-
-
 def _pair_losses(e_a, e_b, interactive, mode: str):
     dots = (e_a * e_b).sum(axis=1)
     interactive = np.asarray(interactive, dtype=np.float64)
@@ -412,14 +408,8 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     return loss, grads
 
 
-def classify_logits(params, cfg: ModelConfig,
-                    tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Head logits and the penultimate (pre-normalization) vector."""
-    logits, z = classify_batch_logits(params, cfg, [tokens])
-    return logits[0], z[0]
-
-
 def classify_batch_logits(params, cfg: ModelConfig, seqs: Sequence[TokenSequence]):
+    """Head logits and the penultimate (pre-normalization) vectors."""
     if cfg.num_classes < 1 or "head.w" not in params:
         raise ValueError("model has no classification head")
     ids, mask = _stack(seqs)

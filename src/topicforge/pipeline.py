@@ -21,6 +21,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -296,7 +297,8 @@ def _stage_train(ctx: PipelineContext, out: Path):
     train_mod.write_training_curve(history, out / "curve.csv")
     counts = {"samples": len(samples), "vocab_size": vocab.size,
               "epochs": tcfg.epochs,
-              "final_loss": history[-1]["mean_loss"] if history else None}
+              "final_loss": history[-1]["mean_loss"] if history else None,
+              "final_eval_loss": history[-1].get("eval_loss") if history else None}
     return counts, [], ["vocab.jsonl", "intention.ckpt", "intention.ckpt.json",
                         "curve.csv"]
 
@@ -354,14 +356,14 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     ccfg = ctx.section("cluster")
     threshold = float(ccfg.get("threshold", 0.15))
     linkage = str(ccfg.get("linkage", "average"))
-    encoder = train_mod.make_embed_fn(params, cfg, vocab, lexicon,
-                                      task_specific=False)
+    encode = partial(train_mod.encode_texts, params, cfg, vocab,
+                     facet_lexicon=lexicon)
     ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
-    index = cluster_mod.ProductTypeIndex.build(ptypes, encoder)
+    index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
     try:
-        result = cluster_mod.cluster_topics(candidates, encoder, index,
+        result = cluster_mod.cluster_topics(candidates, encode, index,
                                             threshold, linkage)
     except ValueError as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
@@ -388,16 +390,14 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     pages, _ = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
     reps = _read_jsonl(ctx.artifact("cluster", "representatives.jsonl"))
     dcfg = ctx.section("dedup")
-    embed_fn = train_mod.make_embed_fn(params, cfg, vocab, lexicon,
-                                       task_specific=True)
-    shelf_index = dedup_mod.build_shelf_index(pages, embed_fn)
-    facet_index = dedup_mod.FacetIndex(
-        pages, embed_fn,
-        cache_capacity=int(dcfg.get("cache_capacity",
-                                    dedup_mod.DEFAULT_CACHE_CAPACITY)))
+    # the fine-tuned checkpoint: rows are the task-specific embedding
+    encode = partial(train_mod.encode_texts, params, cfg, vocab,
+                     facet_lexicon=lexicon)
+    shelf_index = dedup_mod.build_shelf_index(pages, encode)
+    facet_index = dedup_mod.FacetIndex(pages)
     try:
         deduper = dedup_mod.Deduper(
-            shelf_index, facet_index, embed_fn,
+            shelf_index, facet_index, encode,
             threshold=float(dcfg.get("threshold", dedup_mod.DEFAULT_THRESHOLD)),
             facet_lexicon=lexicon)
     except ValueError as exc:

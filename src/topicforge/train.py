@@ -2,9 +2,11 @@
 
 Pretraining minimizes the summed pair loss over co-click samples; fine-tuning
 continues from pretrained encoder weights and minimizes mean cross-entropy of
-a linear head over the penultimate vector. The task-specific embedding used
-downstream is the L2-normalized penultimate vector of the fine-tuned model,
-and the same extraction applies to queries and page titles alike.
+a linear head over the penultimate vector. Training and :func:`encode_texts`
+share one tokenization path, :func:`tokenize_texts`. On the fine-tuned
+checkpoint ``encode_texts`` returns the task-specific embedding used
+downstream, the L2-normalized penultimate vector, for queries and page titles
+alike.
 
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
@@ -19,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ENCODE_BATCH = 256  # texts per forward pass in encode_texts
 
 
 class TrainingDiverged(RuntimeError):
@@ -115,23 +118,38 @@ def split_eval(keys: Sequence[str], eval_fraction: float) -> list[bool]:
     return [_stable_hash_fraction(k) < eval_fraction for k in keys]
 
 
-class _TokenCache:
-    """Queries repeat heavily across pair samples; tokenize each text once."""
+def tokenize_texts(texts: Sequence[str], vocab: Vocabulary, seq_len: int,
+                   facet_lexicon: Mapping[str, set[str]] | None = None,
+                   ) -> list[TokenSequence]:
+    """One token sequence per text; each distinct text is normalized, has its
+    facets extracted and is tokenized once."""
+    memo: dict[str, TokenSequence] = {}
+    for text in texts:
+        if text not in memo:
+            normalized = normalize_query(text)
+            facets = extract_facets(normalized, facet_lexicon) if facet_lexicon else {}
+            memo[text] = tokenize_query(normalized, facets, vocab, seq_len)
+    return [memo[text] for text in texts]
 
-    def __init__(self, vocab: Vocabulary, seq_len: int,
-                 facet_lexicon: Mapping[str, set[str]] | None):
-        self.vocab = vocab
-        self.seq_len = seq_len
-        self.facet_lexicon = facet_lexicon
-        self._cache: dict[str, TokenSequence] = {}
 
-    def get(self, text: str) -> TokenSequence:
-        seq = self._cache.get(text)
-        if seq is None:
-            facets = extract_facets(text, self.facet_lexicon) if self.facet_lexicon else {}
-            seq = tokenize_query(text, facets, self.vocab, self.seq_len)
-            self._cache[text] = seq
-        return seq
+def encode_texts(
+    params: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    vocab: Vocabulary,
+    texts: Sequence[str],
+    facet_lexicon: Mapping[str, set[str]] | None = None,
+) -> np.ndarray:
+    """Unit-norm embeddings, one row per text, shape ``(len(texts), output_dim)``.
+
+    Forward passes take at most ``ENCODE_BATCH`` texts; an empty list runs
+    none.
+    """
+    seqs = tokenize_texts(texts, vocab, cfg.seq_len, facet_lexicon)
+    if not seqs:
+        return np.zeros((0, cfg.output_dim))
+    return np.concatenate([
+        model.embed_batch(params, cfg, seqs[start:start + ENCODE_BATCH])
+        for start in range(0, len(seqs), ENCODE_BATCH)])
 
 
 def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
@@ -166,9 +184,10 @@ def train_intention_model(
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
-    cache = _TokenCache(vocab, cfg.seq_len, facet_lexicon)
-    tokenized = [(cache.get(s.query_a), cache.get(s.query_b), s.interactive)
-                 for s in samples]
+    seqs = tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
+                          vocab, cfg.seq_len, facet_lexicon)
+    tokenized = [(seqs[2 * i], seqs[2 * i + 1], s.interactive)
+                 for i, s in enumerate(samples)]
     is_eval = split_eval([f"{s.query_a}\x1f{s.query_b}" for s in samples],
                          train_cfg.eval_fraction)
     train_set = [t for t, ev in zip(tokenized, is_eval) if not ev]
@@ -232,8 +251,8 @@ def finetune_classifier(
     if missing:
         logger.warning("classes absent from training data: %s", missing)
 
-    cache = _TokenCache(vocab, cfg.seq_len, facet_lexicon)
-    seqs = [cache.get(s.query) for s in labeled]
+    seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len,
+                          facet_lexicon)
     labels = [s.label for s in labeled]
     params = model.init_head(pretrained, cfg, seed=train_cfg.seed)
     opt = Optimizer(train_cfg)
@@ -266,69 +285,13 @@ def finetune_classifier(
     return params, history
 
 
-def extract_task_embedding(
-    finetuned: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    vocab: Vocabulary,
-    text: str,
-    facet_lexicon: Mapping[str, set[str]] | None = None,
-) -> np.ndarray:
-    """L2-normalized penultimate vector of the fine-tuned model for any text.
-
-    Applies the same normalization and tokenization to queries and page
-    titles, so both live in one comparable space.
-    """
-    if "head.w" not in finetuned:
-        raise ValueError("expected fine-tuned parameters with a classification head")
-    normalized = normalize_query(text)
-    facets = extract_facets(normalized, facet_lexicon) if facet_lexicon else {}
-    seq = tokenize_query(normalized, facets, vocab, cfg.seq_len)
-    _, z = model.classify_logits(finetuned, cfg, seq)
-    return z / np.linalg.norm(z)
-
-
-def make_embed_fn(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    vocab: Vocabulary,
-    facet_lexicon: Mapping[str, set[str]] | None = None,
-    task_specific: bool = True,
-) -> Callable[[str], np.ndarray]:
-    """Bind model and vocabulary into a text -> unit vector callable.
-
-    ``task_specific`` selects the fine-tuned penultimate extraction; with it
-    off the pretrained intention embedding is used instead (no head needed).
-    """
-    if task_specific:
-        return lambda text: extract_task_embedding(
-            params, cfg, vocab, text, facet_lexicon)
-
-    def intention(text: str) -> np.ndarray:
-        normalized = normalize_query(text)
-        facets = extract_facets(normalized, facet_lexicon) if facet_lexicon else {}
-        seq = tokenize_query(normalized, facets, vocab, cfg.seq_len)
-        return model.embed(params, cfg, seq)
-
-    return intention
-
-
 def write_training_curve(history: Sequence[Mapping], path: str | Path) -> None:
-    """CSV curve: epoch,mean_loss plus accuracy when recorded."""
-    with_acc = any("accuracy" in row for row in history)
-    fields = ["epoch", "mean_loss"] + (["accuracy"] if with_acc else [])
+    """CSV curve: epoch,mean_loss plus eval_loss and accuracy when recorded."""
+    fields = ["epoch", "mean_loss"] + [
+        key for key in ("eval_loss", "accuracy")
+        if any(key in row for row in history)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         for row in history:
             writer.writerow({k: row.get(k) for k in fields})
-
-
-def mean_pairwise_cosine(vectors: Sequence[np.ndarray]) -> float:
-    """Mean cosine over all unordered pairs; NaN for fewer than 2 vectors."""
-    n = len(vectors)
-    if n < 2:
-        return float("nan")
-    stacked = np.stack(vectors)
-    gram = stacked @ stacked.T
-    upper = gram[np.triu_indices(n, k=1)]
-    return float(upper.mean())

@@ -9,7 +9,7 @@ obviously correct, so the fast implementations can be checked against them.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,3 +103,9 @@ def hash_embed_fn(dim: int = 16) -> Callable[[str], np.ndarray]:
         v = rng.standard_normal(dim)
         return v / np.linalg.norm(v)
     return embed
+
+
+def batch_encoder(embed: Callable[[str], np.ndarray]
+                  ) -> Callable[[Sequence[str]], np.ndarray]:
+    """Batch encoder (texts -> one row per text) over a per-text oracle."""
+    return lambda texts: np.stack([embed(text) for text in texts])

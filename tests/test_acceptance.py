@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from oracles import (finite_difference_grads, hash_embed_fn,
+from oracles import (batch_encoder, finite_difference_grads, hash_embed_fn,
                      max_relative_error, naive_agglomerate)
 from topicforge import cli, model, train
 from topicforge.cluster import ProductTypeIndex, cluster_topics
@@ -115,8 +115,8 @@ def test_criterion_3_embedding_unit_norm_and_pad_invariance():
         junk_ids = seq.ids.copy()
         pad = seq.attention_mask == 0.0
         junk_ids[pad] = rng.integers(0, cfg.vocab_size, size=int(pad.sum()))
-        perturbed = model.embed(
-            params, cfg, TokenSequence(junk_ids, seq.attention_mask))
+        perturbed = model.embed_batch(
+            params, cfg, [TokenSequence(junk_ids, seq.attention_mask)])[0]
         worst = max(worst, float(np.max(np.abs(perturbed - e))))
     assert worst <= 1e-9
 
@@ -133,9 +133,8 @@ def test_criterion_4_two_cluster_separation_margin():
     tc = TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=32,
                      epochs=4, seed=2, eval_fraction=0.0)
     params, _ = train.train_intention_model(samples, vocab, cfg, tc)
-    cache = train._TokenCache(vocab, cfg.seq_len, None)
-    group_embs = [np.stack([model.embed(params, cfg, cache.get(q))
-                            for q in qs]) for qs in groups.values()]
+    group_embs = [train.encode_texts(params, cfg, vocab, qs)
+                  for qs in groups.values()]
     intra = []
     for emb in group_embs:
         gram = emb @ emb.T
@@ -174,8 +173,9 @@ def two_stage_partitions(vectors, n_types, threshold):
     labels = [f"ptype{t}" for t in range(n_types)]
     embed = lambda text: (vectors[text] if text in vectors
                           else type_axis(text, n_types))
-    index = ProductTypeIndex.build(labels, embed)
-    result = cluster_topics(sorted(vectors), embed, index, threshold)
+    index = ProductTypeIndex.build(labels, batch_encoder(embed))
+    result = cluster_topics(sorted(vectors), batch_encoder(embed), index,
+                            threshold)
     parts: dict[str, set[frozenset]] = {lbl: set() for lbl in labels}
     for cid, members in result.clusters().items():
         parts[cid.split("#")[0]].add(frozenset(members))
@@ -225,12 +225,12 @@ def test_criterion_6_dedup_exactness_and_recall():
     embed = hash_embed_fn(dim=16)
     shelves = [PageRecord(f"s{i:03d}", "shelf", f"aisle {i} dept {i % 13}",
                           f"type{i % 9}") for i in range(150)]
-    index = build_shelf_index(shelves, embed)
+    index = build_shelf_index(shelves, batch_encoder(embed))
     rng = np.random.default_rng(6)
     for _ in range(500):
         qv = rng.standard_normal(16)
         qv /= np.linalg.norm(qv)
-        page, sim = dedup_against_shelves(qv, index)
+        [(page, sim)] = dedup_against_shelves(qv[None, :], index)
         brute = {p.page_id: float(embed(p.title) @ qv) for p in shelves}
         assert page == max(brute, key=brute.get)
         assert abs(sim - max(brute.values())) < 1e-12
@@ -253,14 +253,14 @@ def test_criterion_6_dedup_exactness_and_recall():
                 # 4/sqrt(20) = 0.894 dup, 4/sqrt(24) = 0.816 kept
                 planted.append((f"{title} promo{k}", page_id))
                 kept_controls.append(f"{title} promo{k} extra{k}")
-    deduper = Deduper(build_shelf_index(catalog, embed),
-                      FacetIndex(catalog, embed), embed,
+    deduper = Deduper(build_shelf_index(catalog, batch_encoder(embed)),
+                      FacetIndex(catalog), batch_encoder(embed),
                       threshold=0.86, facet_lexicon=lexicon)
 
     facet_pages = [p for p in catalog if p.page_type == "facet"]
     detected = 0
-    for query, source_page in planted:
-        decision = deduper.decide(query)
+    decisions = deduper.decide([query for query, _ in planted])
+    for (query, source_page), decision in zip(planted, decisions):
         qv = embed(query)
         exhaustive = {p.page_id: float(embed(p.title) @ qv)
                       for p in facet_pages}
@@ -271,8 +271,8 @@ def test_criterion_6_dedup_exactness_and_recall():
         if decision.verdict == "duplicate":
             detected += 1
     assert detected / len(planted) >= 0.95  # measured recall, threshold 0.86
-    for query in kept_controls:
-        assert deduper.decide(query).verdict == "kept"
+    for decision in deduper.decide(kept_controls):
+        assert decision.verdict == "kept"
 
 
 def test_criterion_7_t_test_fixtures():

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import hash_embed_fn, naive_agglomerate
+from oracles import batch_encoder, hash_embed_fn, naive_agglomerate
 from topicforge.cluster import (ClusterResult, ProductTypeIndex, agglomerate,
                                 classify_product_type, cluster_topics,
                                 write_cluster_report)
@@ -118,19 +118,21 @@ def test_agglomerate_validation():
 
 def test_product_type_index_and_classification():
     embed = hash_embed_fn(dim=8)
-    index = ProductTypeIndex.build(["boots", "anorak", "boots"], embed)
+    index = ProductTypeIndex.build(["boots", "anorak", "boots"],
+                                   batch_encoder(embed))
     assert index.labels == ["anorak", "boots"]
     assert np.allclose(np.linalg.norm(index.vectors, axis=1), 1.0)
-    assert classify_product_type(embed("boots") * 3.0, index) == "boots"
-    assert classify_product_type(embed("anorak"), index) == "anorak"
+    queries = np.stack([embed("boots") * 3.0, embed("anorak")])
+    assert classify_product_type(queries, index) == ["boots", "anorak"]
     with pytest.raises(ValueError):
-        ProductTypeIndex.build([], embed)
+        ProductTypeIndex.build([], batch_encoder(embed))
 
 
 def test_classification_tie_takes_smallest_label():
     same = np.array([1.0, 0.0, 0.0])
-    index = ProductTypeIndex.build(["zzz", "mmm"], lambda text: same)
-    assert classify_product_type(same, index) == "mmm"
+    index = ProductTypeIndex.build(["zzz", "mmm"],
+                                   batch_encoder(lambda text: same))
+    assert classify_product_type(same[None, :], index) == ["mmm"]
 
 
 def test_cluster_topics_partitions_by_type():
@@ -142,10 +144,19 @@ def test_cluster_topics_partitions_by_type():
         v[axis + 1] = 0.1 * (len(text) % 7)
         return v / np.linalg.norm(v)
 
-    index = ProductTypeIndex.build(["shoe", "tent"], embed)
+    calls = []
+
+    def encode(texts):
+        calls.append(list(texts))
+        return np.stack([embed(t) for t in texts])
+
+    index = ProductTypeIndex.build(["shoe", "tent"], encode)
     queries = [Cand("red shoe", 5), Cand("blue shoe", 2), Cand("red shoe", 9),
                "green tent", Cand("blue tent", 1)]
-    result = cluster_topics(queries, embed, index, threshold=1.0)
+    result = cluster_topics(queries, encode, index, threshold=1.0)
+    # one encoder call for the labels, one for the distinct queries
+    assert calls == [["shoe", "tent"],
+                     ["blue shoe", "blue tent", "green tent", "red shoe"]]
     types = {q: pt for q, (pt, _) in result.assignments.items()}
     assert types == {"red shoe": "shoe", "blue shoe": "shoe",
                      "green tent": "tent", "blue tent": "tent"}
@@ -160,8 +171,13 @@ def test_cluster_topics_partitions_by_type():
 
 
 def test_cluster_topics_empty_input():
-    index = ProductTypeIndex.build(["x"], hash_embed_fn(4))
-    result = cluster_topics([], hash_embed_fn(4), index, 0.5)
+    encode = batch_encoder(hash_embed_fn(4))
+    index = ProductTypeIndex.build(["x"], encode)
+
+    def no_encode(texts):
+        raise AssertionError("empty input must not be encoded")
+
+    result = cluster_topics([], no_encode, index, 0.5)
     assert result.assignments == {}
     assert result.distance_evaluations == 0
 

@@ -1,16 +1,14 @@
 """Dedup: the shelf path must equal brute force exactly, the facet path must
 equal an exhaustive scan whenever narrowing retains the true best page, and
-the lazy embedding cache must stay correct under eviction and threads."""
+batched decisions must match deciding one query at a time."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
 
-from oracles import hash_embed_fn
-from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index, dedup,
+from oracles import batch_encoder, hash_embed_fn
+from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index,
                               dedup_all, dedup_against_shelves,
                               narrow_facet_candidates, write_dedup_report)
 from topicforge.ingest import PageRecord
@@ -43,12 +41,12 @@ def test_shelf_search_equals_brute_force():
     embed = hash_embed_fn(dim=12)
     catalog = [shelf(f"s{i:03d}", f"aisle {i} gadgets", f"type{i % 7}")
                for i in range(60)]
-    index = build_shelf_index(catalog, embed)
+    index = build_shelf_index(catalog, batch_encoder(embed))
     rng = np.random.default_rng(11)
     for _ in range(200):
         v = rng.standard_normal(12)
         v /= np.linalg.norm(v)
-        page, sim = dedup_against_shelves(v, index)
+        [(page, sim)] = dedup_against_shelves(v[None, :], index)
         sims = {p.page_id: float(embed(p.title) @ v) for p in catalog}
         want = max(sims, key=sims.get)
         assert page == want
@@ -56,9 +54,9 @@ def test_shelf_search_equals_brute_force():
 
 
 def test_empty_shelf_catalog():
-    index = build_shelf_index([], hash_embed_fn(4))
+    index = build_shelf_index([], batch_encoder(hash_embed_fn(4)))
     assert len(index) == 0
-    page, sim = dedup_against_shelves(np.array([1.0, 0, 0, 0]), index)
+    [(page, sim)] = dedup_against_shelves(np.array([[1.0, 0, 0, 0]]), index)
     assert page is None and sim == float("-inf")
 
 
@@ -66,14 +64,13 @@ def test_shelf_index_sorted_and_typed():
     embed = hash_embed_fn(dim=6)
     catalog = [shelf("s-b", "b title", "tb"), shelf("s-a", "a title", "ta"),
                facet("f-x", "x", "ta", color="red")]
-    index = build_shelf_index(catalog, embed)
+    index = build_shelf_index(catalog, batch_encoder(embed))
     assert index.page_ids == ["s-a", "s-b"]
     assert index.product_types == {"s-a": "ta", "s-b": "tb"}
 
 
 def test_narrowing_selects_same_type_shared_facet():
-    embed = hash_embed_fn(dim=8)
-    fi = FacetIndex(small_catalog(), embed)
+    fi = FacetIndex(small_catalog())
     got = narrow_facet_candidates("red running shoes", fi, "shoes", LEXICON)
     assert got == ["f-shoe-red"]
     got = narrow_facet_candidates("red mens running shoes", fi, "shoes",
@@ -88,12 +85,12 @@ def test_narrowing_selects_same_type_shared_facet():
 
 
 def test_exact_title_match_is_a_facet_duplicate():
-    embed = hash_embed_fn(dim=16)
+    encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = small_catalog()
-    deduper = Deduper(build_shelf_index(catalog, embed),
-                      FacetIndex(catalog, embed), embed,
+    deduper = Deduper(build_shelf_index(catalog, encode),
+                      FacetIndex(catalog), encode,
                       threshold=0.86, facet_lexicon=LEXICON)
-    decision = deduper.decide("red running shoes")
+    [decision] = deduper.decide(["red running shoes"])
     assert decision.verdict == "duplicate"
     assert decision.best_match == "f-shoe-red"
     assert decision.path == "facet"
@@ -103,13 +100,13 @@ def test_exact_title_match_is_a_facet_duplicate():
 def test_exact_shelf_match_stays_on_shelf_path():
     # facet candidates exist but cannot beat similarity 1.0: strict greater
     # keeps the shelf attribution
-    embed = hash_embed_fn(dim=16)
+    encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = small_catalog() + [facet("f-shoe-red2", "running shoes", "shoes",
                                        color="red")]
-    deduper = Deduper(build_shelf_index(catalog, embed),
-                      FacetIndex(catalog, embed), embed,
+    deduper = Deduper(build_shelf_index(catalog, encode),
+                      FacetIndex(catalog), encode,
                       threshold=0.86, facet_lexicon=LEXICON)
-    decision = deduper.decide("red running shoes")
+    [decision] = deduper.decide(["red running shoes"])
     # the duplicated-title facet page ties the true facet page at 1.0; the
     # first exact hit wins and later ties cannot displace it
     assert decision.verdict == "duplicate"
@@ -129,25 +126,26 @@ def bow_embed(text: str) -> np.ndarray:
 
 def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
     catalog = small_catalog()
-    shelf_index = build_shelf_index(catalog, bow_embed)
-    fi = FacetIndex(catalog, bow_embed)
-    deduper = Deduper(shelf_index, fi, bow_embed, threshold=0.86,
+    encode = batch_encoder(bow_embed)
+    shelf_index = build_shelf_index(catalog, encode)
+    fi = FacetIndex(catalog)
+    deduper = Deduper(shelf_index, fi, encode, threshold=0.86,
                       facet_lexicon=LEXICON)
     facet_pages = [p for p in catalog if p.page_type == "facet"]
+    queries = ["red running shoes", "blue running shoes",
+               "mens running shoes", "red phone case",
+               "blue suede shoes", "red wagon"]
     checked = 0
-    for query in ["red running shoes", "blue running shoes",
-                  "mens running shoes", "red phone case",
-                  "blue suede shoes", "red wagon"]:
-        decision = deduper.decide(query)
+    for query, decision in zip(queries, deduper.decide(queries)):
         qv = bow_embed(query)
         exhaustive = {p.page_id: float(bow_embed(p.title) @ qv)
                       for p in facet_pages}
         best_facet = max(exhaustive, key=exhaustive.get)
         shelf_best = max(float(bow_embed(p.title) @ qv)
                          for p in catalog if p.page_type == "shelf")
+        [(shelf_page, _)] = dedup_against_shelves(qv[None, :], shelf_index)
         narrowed = narrow_facet_candidates(
-            query, fi, shelf_index.product_types[
-                dedup_against_shelves(qv, shelf_index)[0]], LEXICON)
+            query, fi, shelf_index.product_types[shelf_page], LEXICON)
         if best_facet in narrowed and exhaustive[best_facet] > shelf_best:
             assert decision.best_match == best_facet
             assert decision.best_similarity == pytest.approx(
@@ -157,85 +155,29 @@ def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
 
 
 def test_threshold_boundary_is_inclusive():
-    embed = hash_embed_fn(dim=16)
+    encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = [shelf("s1", "alpha", "t")]
-    index = build_shelf_index(catalog, embed)
-    _, sim = dedup_against_shelves(embed("alpha"), index)
-    deduper = Deduper(index, None, embed, threshold=sim)
-    assert deduper.decide("alpha").verdict == "duplicate"
-    deduper = Deduper(index, None, embed, threshold=min(sim + 1e-9, 1.0))
-    assert deduper.decide("alpha").verdict == "duplicate"  # sim == 1 exactly
+    index = build_shelf_index(catalog, encode)
+    [(_, sim)] = dedup_against_shelves(encode(["alpha"]), index)
+    deduper = Deduper(index, None, encode, threshold=sim)
+    assert deduper.decide(["alpha"])[0].verdict == "duplicate"
+    deduper = Deduper(index, None, encode, threshold=min(sim + 1e-9, 1.0))
+    assert deduper.decide(["alpha"])[0].verdict == "duplicate"  # sim == 1 exactly
 
 
 def test_threshold_validation():
-    embed = hash_embed_fn(4)
-    index = build_shelf_index([shelf("s", "t", "p")], embed)
+    encode = batch_encoder(hash_embed_fn(4))
+    index = build_shelf_index([shelf("s", "t", "p")], encode)
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="threshold"):
-            Deduper(index, None, embed, threshold=bad)
-
-
-def test_facet_cache_lru_eviction():
-    calls = []
-    base = hash_embed_fn(8)
-
-    def counting(text):
-        calls.append(text)
-        return base(text)
-
-    catalog = [facet(f"f{i}", f"title {i}", "t", color="red")
-               for i in range(4)]
-    fi = FacetIndex(catalog, counting, cache_capacity=2)
-    for pid in ("f0", "f1", "f0", "f1"):
-        fi.vector(pid)
-    assert len(calls) == 2  # both cached
-    fi.vector("f2")  # evicts f0 (least recent)
-    fi.vector("f1")
-    assert len(calls) == 3
-    fi.vector("f0")  # miss again
-    assert len(calls) == 4
-    info = fi.cache_info()
-    assert info["capacity"] == 2 and info["size"] == 2
-    assert info["hits"] == 3 and info["misses"] == 4
-    with pytest.raises(ValueError):
-        FacetIndex(catalog, counting, cache_capacity=0)
-
-
-def test_facet_cache_thread_safety():
-    base = hash_embed_fn(8)
-    catalog = [facet(f"f{i}", f"title {i}", "t", color="red")
-               for i in range(16)]
-    fi = FacetIndex(catalog, base, cache_capacity=4)
-    errors = []
-
-    def worker(offset):
-        try:
-            for k in range(200):
-                pid = f"f{(k + offset) % 16}"
-                v = fi.vector(pid)
-                if abs(float(v @ v) - 1.0) > 1e-9:
-                    errors.append("non-unit vector")
-                if not np.array_equal(v, base(f"title {pid[1:]}")
-                                      / np.linalg.norm(base(f"title {pid[1:]}"))):
-                    errors.append("wrong vector")
-        except Exception as exc:  # noqa: BLE001
-            errors.append(repr(exc))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    info = fi.cache_info()
-    assert info["size"] <= 4
+            Deduper(index, None, encode, threshold=bad)
 
 
 def test_dedup_all_stats_and_skip_counter():
-    embed = hash_embed_fn(dim=16)
+    encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = small_catalog()
-    deduper = Deduper(build_shelf_index(catalog, embed),
-                      FacetIndex(catalog, embed), embed,
+    deduper = Deduper(build_shelf_index(catalog, encode),
+                      FacetIndex(catalog), encode,
                       threshold=0.86, facet_lexicon=LEXICON)
     queries = ["red running shoes", "running shoes", "quantum flux manifold"]
     decisions, stats = dedup_all(queries, deduper)
@@ -244,17 +186,69 @@ def test_dedup_all_stats_and_skip_counter():
     assert stats["kept"] + stats["duplicate"] == 3
     # "running shoes" and the nonsense query extract no facets
     assert stats["facet_path_skipped"] == 2
-    assert "facet_cache" in stats
     # rerunning resets the counter instead of accumulating
     _, stats2 = dedup_all(queries, deduper)
     assert stats2["facet_path_skipped"] == 2
 
 
-def test_single_query_wrapper_and_report(tmp_path):
-    embed = hash_embed_fn(dim=16)
+def test_batched_decisions_match_single_query_decisions():
+    # counts encoder calls: one for the queries, one for the narrowed pages
+    calls = []
+    base = batch_encoder(hash_embed_fn(dim=16))
+
+    def encode(texts):
+        calls.append(list(texts))
+        return base(texts)
+
+    catalog = small_catalog() + [
+        facet("f-shoe-red-mens", "red mens running shoes", "shoes",
+              color="red", gender="mens")]
+    deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
+                      encode, threshold=0.86, facet_lexicon=LEXICON)
+    queries = ["red running shoes", "mens running shoes", "blue running shoes",
+               "red mens running shoes", "running shoes", "red phone case",
+               "quantum flux manifold"]
+    calls.clear()
+    batched = deduper.decide(queries)
+    assert len(calls) == 2
+    assert calls[0] == queries
+    # the union of narrowed facet pages, each encoded once
+    facet_titles = {p.title for p in catalog if p.page_type == "facet"}
+    assert calls[1] and set(calls[1]) <= facet_titles
+    assert len(calls[1]) == len(set(calls[1]))
+    single = [deduper.decide([q])[0] for q in queries]
+    for got, want in zip(batched, single):
+        assert (got.query, got.verdict, got.best_match, got.path) == (
+            want.query, want.verdict, want.best_match, want.path)
+        assert got.best_similarity == pytest.approx(want.best_similarity,
+                                                    abs=1e-12)
+    assert deduper.decide([]) == []
+
+
+def test_empty_shelf_index_and_no_facet_index():
+    encode = batch_encoder(hash_embed_fn(dim=16))
+    catalog = [p for p in small_catalog() if p.page_type == "facet"]
+    deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
+                      encode, threshold=0.86, facet_lexicon=LEXICON)
+    decisions, stats = dedup_all(["red running shoes", "phone case"], deduper)
+    assert [(d.verdict, d.best_match, d.best_similarity, d.path)
+            for d in decisions] == [("kept", None, float("-inf"), "shelf")] * 2
+    assert stats["facet_path_skipped"] == 2
+
     catalog = small_catalog()
-    decision = dedup("running shoes", build_shelf_index(catalog, embed),
-                     None, embed, threshold=0.86)
+    deduper = Deduper(build_shelf_index(catalog, encode), None, encode,
+                      threshold=0.86, facet_lexicon=LEXICON)
+    [decision] = deduper.decide(["red running shoes"])
+    assert decision.path == "shelf" and decision.best_match == "s-shoe"
+    assert deduper.facet_path_skipped == 1
+
+
+def test_dedup_report_csv(tmp_path):
+    encode = batch_encoder(hash_embed_fn(dim=16))
+    catalog = small_catalog()
+    deduper = Deduper(build_shelf_index(catalog, encode), None, encode,
+                      threshold=0.86)
+    [decision] = deduper.decide(["running shoes"])
     assert decision.verdict == "duplicate"
     assert decision.best_match == "s-shoe"
     assert decision.path == "shelf"

@@ -15,7 +15,7 @@ from topicforge.experiment import (ConfigurationError, ExperimentPlan,
                                    format_report_table, power_estimate,
                                    regularized_incomplete_beta, run_experiment,
                                    simulate_traffic, split_dates,
-                                   student_t_cdf, two_sample_t)
+                                   student_t_cdf, student_t_sf, two_sample_t)
 
 # one-tail critical values t(alpha, df) from standard published t tables
 T_TABLE = {
@@ -164,6 +164,27 @@ def test_two_sample_t_against_scipy():
                 assert got.t == pytest.approx(float(want.statistic), abs=1e-10)
                 assert got.p == pytest.approx(float(want.pvalue), abs=1e-10)
                 assert got.df == pytest.approx(float(want.df), abs=1e-8)
+
+
+def test_far_tail_p_values_against_scipy():
+    # the desk fixture's AB period: t = 12.349 at df = 58, where 1 - cdf
+    # rounds to exactly 0 but the tail is about 3.5e-18
+    assert 1.0 - student_t_cdf(12.349, 58) == 0.0
+    for t in (8.0, 12.349, 20.0, 40.0):
+        for df in (5.0, 30.0, 58.0, 120.0):
+            want = float(stats.t.sf(t, df))
+            assert want > 0.0
+            assert student_t_sf(t, df) == pytest.approx(want, rel=1e-12)
+            assert student_t_cdf(-t, df) == pytest.approx(want, rel=1e-12)
+
+    control = [1000.0 + 30.0 * math.sin(i) for i in range(30)]
+    test = [1110.0 + 30.0 * math.cos(i) for i in range(30)]
+    for alternative in ("two-sided", "greater"):
+        got = two_sample_t(control, test, alternative=alternative)
+        want = stats.ttest_ind(test, control, alternative=alternative)
+        assert got.t == pytest.approx(float(want.statistic), rel=1e-12)
+        assert 0.0 < got.p < 1e-20
+        assert got.p == pytest.approx(float(want.pvalue), rel=1e-12)
 
 
 def test_one_sided_p_near_published_value():

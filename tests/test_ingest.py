@@ -88,6 +88,30 @@ def test_parse_page_catalog(tmp_path):
     assert any("duplicate page_id" in m for m in messages)
 
 
+def test_parse_page_catalog_rejects_empty_page_text(tmp_path):
+    cat = tmp_path / "pages.jsonl"
+    rows = [
+        {"page_id": "s1", "page_type": "shelf", "title": "yoga mats",
+         "product_type": "yoga mat"},
+        {"page_id": "s2", "page_type": "shelf", "title": "camp stoves",
+         "product_type": "???"},
+        {"page_id": "s3", "page_type": "shelf", "title": "!!!",
+         "product_type": "tent"},
+        {"page_id": "f1", "page_type": "facet", "title": "!!!",
+         "product_type": "yoga mat",
+         "facets": [{"name": "color", "value": "blue"}]},
+        # only shelf and facet text is encoded; other pages may be untitled
+        {"page_id": "i1", "page_type": "item", "title": "???",
+         "product_type": ""},
+    ]
+    cat.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [p.page_id for p in pages] == ["s1", "i1"]
+    assert report.errors == [(2, "shelf page product_type is empty"),
+                             (3, "shelf page title is empty"),
+                             (4, "facet page title is empty")]
+
+
 def test_blocklist_and_filtering(tmp_path):
     bl = tmp_path / "block.txt"
     bl.write_text("# junk sellers\nreplica\nFAKE Brand\n\n", encoding="utf-8")
@@ -116,21 +140,3 @@ def test_candidates_from_click_log_and_merge():
     from_log = ingest.candidates_from_click_log(records)
     assert [(c.query, c.clicks_total) for c in from_log] == [
         ("a query", 3), ("b query", 6)]
-
-    extra = [ingest.CandidateQuery("b query", "file", 1),
-             ingest.CandidateQuery("c query", "file", 9)]
-    merged = ingest.merge_candidates(from_log, extra)
-    assert [(c.query, c.source, c.clicks_total) for c in merged] == [
-        ("a query", "search_log", 3),
-        ("b query", "search_log", 7),
-        ("c query", "file", 9)]
-
-
-def test_load_candidate_file_mixed_format(tmp_path):
-    path = tmp_path / "cands.jsonl"
-    path.write_text(
-        '{"query": "Topic One", "clicks_total": 5}\n'
-        "plain text query\n\n", encoding="utf-8")
-    cands = ingest.load_candidate_file(path, source="file")
-    assert [(c.query, c.clicks_total) for c in cands] == [
-        ("topic one", 5), ("plain text query", 0)]

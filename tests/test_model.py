@@ -109,11 +109,11 @@ def test_pad_positions_do_not_leak():
     params = generic_params(TOY, seed=8)
     ids = np.array([3, 4, 0, 0, 0], dtype=np.int64)
     mask = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    base = model.embed(params, TOY, TokenSequence(ids, mask))
+    base = model.embed_batch(params, TOY, [TokenSequence(ids, mask)])[0]
     for junk in (1, 5, 9):
         poked = ids.copy()
         poked[2:] = junk
-        out = model.embed(params, TOY, TokenSequence(poked, mask))
+        out = model.embed_batch(params, TOY, [TokenSequence(poked, mask)])[0]
         assert np.max(np.abs(out - base)) <= 1e-9
 
 
@@ -121,7 +121,7 @@ def test_fully_masked_sequence_rejected():
     params = model.init_params(TOY)
     seq = TokenSequence(np.zeros(5, dtype=np.int64), np.zeros(5))
     with pytest.raises(ValueError, match="fully masked"):
-        model.embed(params, TOY, seq)
+        model.embed_batch(params, TOY, [seq])
 
 
 def test_token_id_out_of_range_rejected():
@@ -129,7 +129,7 @@ def test_token_id_out_of_range_rejected():
     ids = np.array([3, 99, 0, 0, 0], dtype=np.int64)
     mask = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        model.embed(params, TOY, TokenSequence(ids, mask))
+        model.embed_batch(params, TOY, [TokenSequence(ids, mask)])
 
 
 def test_init_params_match_declared_shapes():

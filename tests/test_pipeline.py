@@ -156,6 +156,35 @@ def test_unknown_exclude_page_type(fixture_dir, tmp_path):
         run_stage(ctx, "metric")
 
 
+def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    write_fixture(inputs)
+    catalog = inputs / "pages.jsonl"
+    good_lines = len(catalog.read_text(encoding="utf-8").splitlines())
+    bad_rows = [
+        {"page_id": "shelf-stoves", "page_type": "shelf",
+         "title": "camp stoves", "product_type": "???"},
+        {"page_id": "facet-blank", "page_type": "facet", "title": "!!!",
+         "product_type": "running shoes",
+         "facets": [{"name": "color", "value": "red"}]},
+    ]
+    with open(catalog, "a", encoding="utf-8") as fh:
+        for row in bad_rows:
+            fh.write(json.dumps(row) + "\n")
+    workdir = tmp_path / "w"
+    assert cli.main(["all", "--config", str(inputs / "config.yaml"),
+                     "--workdir", str(workdir)]) == 0
+    capsys.readouterr()
+    warnings = json.loads(
+        (workdir / "ingest" / "report.json").read_text())["warnings"]
+    assert (f"page catalog line {good_lines + 1}: "
+            "shelf page product_type is empty") in warnings
+    assert (f"page catalog line {good_lines + 2}: "
+            "facet page title is empty") in warnings
+    classes = json.loads((workdir / "finetune" / "classes.json").read_text())
+    assert "shelf-stoves" not in classes and classes
+
+
 def test_experiment_stage_seed_sensitivity(fixture_dir, tmp_path):
     # same seed: byte-identical artifacts; different seed: different traffic
     runs = {}

@@ -1,5 +1,5 @@
 """Training loop: determinism, optimizer conventions, divergence handling,
-fine-tuning and task-embedding extraction."""
+fine-tuning, and the one tokenize-and-encode path for text."""
 
 from __future__ import annotations
 
@@ -39,10 +39,11 @@ def build_vocab():
 
 
 def total_loss(params, cfg, vocab, samples) -> float:
-    cache = train._TokenCache(vocab, cfg.seq_len, None)
-    return sum(model.pair_loss(params, cfg, cache.get(s.query_a),
-                               cache.get(s.query_b), s.interactive)
-               for s in samples)
+    seqs = train.tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
+                                vocab, cfg.seq_len)
+    return sum(model.pair_loss(params, cfg, seqs[2 * i], seqs[2 * i + 1],
+                               s.interactive)
+               for i, s in enumerate(samples))
 
 
 def test_zero_epochs_is_a_no_op():
@@ -114,9 +115,8 @@ def test_adam_separates_disjoint_groups():
                      epochs=30, seed=2, eval_fraction=0.0)
     params, history = train.train_intention_model(samples, vocab, cfg, tc)
     assert history[-1]["mean_loss"] < history[0]["mean_loss"]
-    cache = train._TokenCache(vocab, cfg.seq_len, None)
-    e_a = [model.embed(params, cfg, cache.get(q)) for q in GROUP_A]
-    e_b = [model.embed(params, cfg, cache.get(q)) for q in GROUP_B]
+    e_a = train.encode_texts(params, cfg, vocab, GROUP_A)
+    e_b = train.encode_texts(params, cfg, vocab, GROUP_B)
     intra = [float(x @ y) for grp in (e_a, e_b)
              for i, x in enumerate(grp) for y in grp[i + 1:]]
     cross = [float(x @ y) for x in e_a for y in e_b]
@@ -238,26 +238,58 @@ def test_task_embedding_unit_norm_and_distinct():
     tc = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=20,
                      seed=0, eval_fraction=0.0)
     params, _ = train.finetune_classifier(pretrained, labeled, vocab, cfg, tc)
-    e_a = train.extract_task_embedding(params, cfg, vocab, "alpha bravo")
-    e_b = train.extract_task_embedding(params, cfg, vocab, "xray zulu")
+    e_a, e_b = train.encode_texts(params, cfg, vocab, ["alpha bravo", "xray zulu"])
     assert np.linalg.norm(e_a) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(e_b) == pytest.approx(1.0, abs=1e-9)
     assert float(e_a @ e_b) < 0.99
 
 
-def test_make_embed_fn_matches_direct_calls():
+def test_encode_texts_matches_single_text_batches(monkeypatch):
     vocab, cfg, labeled, pretrained = finetune_setup()
     tc = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=3,
                      seed=0, eval_fraction=0.0)
     params, _ = train.finetune_classifier(pretrained, labeled, vocab, cfg, tc)
-    task_fn = train.make_embed_fn(params, cfg, vocab, None, task_specific=True)
-    assert np.array_equal(
-        task_fn("alpha bravo"),
-        train.extract_task_embedding(params, cfg, vocab, "alpha bravo"))
-    plain_fn = train.make_embed_fn(params, cfg, vocab, None,
-                                   task_specific=False)
-    out = plain_fn("alpha bravo")
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
+    forwards = []
+    embed_batch = model.embed_batch
+
+    def counting(params, cfg, seqs):
+        forwards.append(len(seqs))
+        return embed_batch(params, cfg, seqs)
+
+    monkeypatch.setattr(model, "embed_batch", counting)
+    monkeypatch.setattr(train, "ENCODE_BATCH", 3)
+    texts = GROUP_A + ["Alpha  BRAVO!"] + GROUP_B + ["alpha bravo"]
+    out = train.encode_texts(params, cfg, vocab, texts)
+    assert out.shape == (len(texts), cfg.output_dim)
+    assert forwards == [3, 3, 3, 1]  # passes of at most ENCODE_BATCH texts
+    for text, row in zip(texts, out):
+        [seq] = train.tokenize_texts([text], vocab, cfg.seq_len)
+        single = embed_batch(params, cfg, [seq])[0]
+        assert np.max(np.abs(row - single)) < 1e-12
+    # normalization is part of the path: raw and normalized text agree
+    assert np.max(np.abs(out[len(GROUP_A)] - out[0])) < 1e-12
+    assert np.max(np.abs(out[-1] - out[0])) < 1e-12
+    # on a fine-tuned checkpoint the rows are the task embedding: the
+    # L2-normalized penultimate vector the classification head reads
+    _, z = model.classify_batch_logits(
+        params, cfg, train.tokenize_texts(texts, vocab, cfg.seq_len))
+    assert np.max(np.abs(out - z / np.linalg.norm(z, axis=1, keepdims=True))) < 1e-12
+
+    forwards.clear()
+    empty = train.encode_texts(params, cfg, vocab, [])
+    assert empty.shape == (0, cfg.output_dim)
+    assert forwards == []
+
+
+def test_tokenize_texts_normalizes_and_extracts_facets():
+    vocab = build_vocabulary(GROUP_A, facet_lexicon={"letter": {"delta"}})
+    lexicon = {"letter": {"delta"}}
+    plain, raw, faceted = train.tokenize_texts(
+        ["alpha bravo", "ALPHA, bravo!", "alpha delta"], vocab, 6, lexicon)
+    assert np.array_equal(plain.ids, raw.ids)
+    assert np.array_equal(plain.attention_mask, raw.attention_mask)
+    assert faceted.attention_mask.sum() == 3  # two words plus the facet token
+    assert vocab.id_for("FACET:letter=delta") in faceted.ids
 
 
 def test_training_curve_csv(tmp_path):
@@ -270,10 +302,16 @@ def test_training_curve_csv(tmp_path):
     assert lines[1].startswith("0,0.5")
     assert len(lines) == 3
 
-
-def test_mean_pairwise_cosine():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert train.mean_pairwise_cosine([e1, e1]) == pytest.approx(1.0)
-    assert train.mean_pairwise_cosine([e1, e2]) == pytest.approx(0.0)
-    assert train.mean_pairwise_cosine([e1, e1, e2]) == pytest.approx(1.0 / 3)
+    # pretraining records the eval loss per epoch; the curve keeps it
+    vocab = build_vocab()
+    _, history = train.train_intention_model(
+        pair_corpus(), vocab, small_cfg(),
+        TrainConfig(epochs=2, seed=0, eval_fraction=0.4))
+    train.write_training_curve(history, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,mean_loss,eval_loss"
+    assert len(lines) == 3
+    for line, row in zip(lines[1:], history):
+        epoch, mean_loss, eval_loss = line.split(",")
+        assert (int(epoch), float(mean_loss), float(eval_loss)) == (
+            row["epoch"], row["mean_loss"], row["eval_loss"])
