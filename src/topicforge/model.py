@@ -23,8 +23,12 @@ checkpoints are stored as float32 blobs with a JSON sidecar manifest.
 Masking guarantees: positions with attention_mask == 0 receive exactly zero
 attention weight (scores are set to -inf before the softmax) and are
 excluded from mean pooling, so PAD positions can never influence the
-output. Forward passes are read-only over the parameters and safe to run
-concurrently; gradient dicts from shards may be merged by plain summation.
+output. Each forward pass is trimmed to the batch's longest unmasked length,
+so no work is spent on columns that are PAD in every row. Reductions then
+run over fewer zero terms, and a text's embedding agrees across batch
+compositions to about 1e-15, not bit for bit. Forward passes are read-only
+over the parameters and safe to run concurrently; gradient dicts from shards
+may be merged by plain summation.
 """
 
 from __future__ import annotations
@@ -173,14 +177,15 @@ def sigmoid(x):
 
 
 def _gelu(x):
-    s = _GELU_C * (x + _GELU_K * x ** 3)
-    return 0.5 * x * (1.0 + np.tanh(s))
+    """Tanh-approximate gelu and the (tanh, x*x) pair ``_gelu_grad`` reuses."""
+    x2 = x * x
+    th = np.tanh(_GELU_C * x * (1.0 + _GELU_K * x2))
+    return 0.5 * x * (1.0 + th), (th, x2)
 
 
-def _gelu_grad(x):
-    s = _GELU_C * (x + _GELU_K * x ** 3)
-    th = np.tanh(s)
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * _GELU_C * (1.0 + 3.0 * _GELU_K * x ** 2)
+def _gelu_grad(x, cache):
+    th, x2 = cache
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * _GELU_C * (1.0 + 3.0 * _GELU_K * x2)
 
 
 def _layer_norm(x, g, b):
@@ -246,7 +251,11 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
     if (denom == 0).any():
         raise ValueError("cannot encode a fully masked (empty) token sequence")
 
-    h = params["tok_emb"][ids] + params["pos_emb"][None, :, :]
+    # columns past the last one any row leaves unmasked hold only PAD, which
+    # reaches no output; the last column, not the mask sum, keeps gaps exact
+    length = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    ids, mask = ids[:, :length], mask[:, :length]
+    h = params["tok_emb"][ids] + params["pos_emb"][:length]
     key_mask = mask[:, None, None, :] > 0
     scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
@@ -266,11 +275,11 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
 
         f, ln2_cache = _layer_norm(h_attn, params[p + "ln2.g"], params[p + "ln2.b"])
         pre = _linear(f, params[p + "ffn.w1"], params[p + "ffn.b1"])
-        act = _gelu(pre)
+        act, gelu_cache = _gelu(pre)
         ffn_out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
         h = h_attn + ffn_out
         layer_caches.append((a, ln1_cache, q, k, v, attn_w, ctx,
-                             f, ln2_cache, pre, act))
+                             f, ln2_cache, pre, act, gelu_cache))
 
     hf, final_cache = _layer_norm(h, params["final_ln.g"], params["final_ln.b"])
     pooled = (mask[:, :, None] * hf).sum(axis=1) / denom[:, None]
@@ -304,12 +313,13 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
 
     for i in reversed(range(cfg.num_layers)):
         p = f"L{i}."
-        (a, ln1_cache, q, k, v, attn_w, ctx, f, ln2_cache, pre, act) = layer_caches[i]
+        (a, ln1_cache, q, k, v, attn_w, ctx, f, ln2_cache, pre, act,
+         gelu_cache) = layer_caches[i]
 
         dffn_out = dh
         dact, grads[p + "ffn.w2"], grads[p + "ffn.b2"] = _linear_back(
             dffn_out, act, params[p + "ffn.w2"])
-        dpre = dact * _gelu_grad(pre)
+        dpre = dact * _gelu_grad(pre, gelu_cache)
         df, grads[p + "ffn.w1"], grads[p + "ffn.b1"] = _linear_back(
             dpre, f, params[p + "ffn.w1"])
         dh_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_back(
@@ -337,7 +347,7 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
         dh = dh_in + dh_attn  # residual
 
     np.add.at(grads["tok_emb"], ids, dh)
-    grads["pos_emb"] = dh.sum(axis=0)
+    grads["pos_emb"][:dh.shape[1]] = dh.sum(axis=0)
     return grads
 
 
@@ -369,15 +379,6 @@ def _pair_losses(e_a, e_b, interactive, mode: str):
         losses = np.where(neg, -log_sigmoid(-dots), -interactive * log_sigmoid(dots))
         ddots = np.where(neg, sigmoid(dots), -interactive * (1.0 - sigmoid(dots)))
     return dots, losses, ddots
-
-
-def pair_loss(params, cfg: ModelConfig, seq_a: TokenSequence,
-              seq_b: TokenSequence, interactive: float) -> float:
-    """Loss of a single query pair: -interactive * log(sigmoid(cosine))."""
-    ids, mask = _stack([seq_a, seq_b])
-    _, e, _ = _forward(params, cfg, ids, mask)
-    _, losses, _ = _pair_losses(e[:1], e[1:], [interactive], cfg.negative_loss)
-    return float(losses[0])
 
 
 def batch_loss_and_grad(params, cfg: ModelConfig,

@@ -147,7 +147,12 @@ def tokenize_query(
     vocab: Vocabulary,
     seq_len: int = 16,
 ) -> TokenSequence:
-    """Word-token ids followed by facet-token ids, padded/truncated to seq_len."""
+    """Word-token ids followed by facet-token ids, padded/truncated to seq_len.
+
+    Truncation runs after the facet tokens are appended, so a query longer
+    than ``seq_len`` loses its facet tokens first; that order is intended,
+    since each facet token restates words the query already holds.
+    """
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")
     tokens = tokenize_text(query)

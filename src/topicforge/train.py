@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ENCODE_BATCH = 256  # texts per forward pass in encode_texts
+ENCODE_BATCH = 256  # rows per forward pass outside the training batches
 
 
 class TrainingDiverged(RuntimeError):
@@ -156,8 +156,8 @@ def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
     if not pairs:
         return float("nan")
     total = 0.0
-    for start in range(0, len(pairs), 256):
-        chunk = pairs[start:start + 256]
+    for start in range(0, len(pairs), ENCODE_BATCH // 2):
+        chunk = pairs[start:start + ENCODE_BATCH // 2]
         seqs = [s for p in chunk for s in (p[0], p[1])]
         e = model.embed_batch(params, cfg, seqs)
         _, losses, _ = model._pair_losses(e[0::2], e[1::2],
@@ -275,7 +275,9 @@ def finetune_classifier(
         except model.NonFiniteLossError as exc:
             raise TrainingDiverged(
                 f"diverged during epoch {epoch}: {exc}", last_good, epoch) from exc
-        logits, _ = model.classify_batch_logits(params, cfg, seqs)
+        logits = np.concatenate([
+            model.classify_batch_logits(params, cfg, seqs[start:start + ENCODE_BATCH])[0]
+            for start in range(0, len(seqs), ENCODE_BATCH)])
         accuracy = float((logits.argmax(axis=1) == np.asarray(labels)).mean())
         history.append({"epoch": epoch, "mean_loss": loss_sum / n_batches,
                         "accuracy": accuracy})

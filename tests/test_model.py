@@ -26,12 +26,13 @@ def generic_params(cfg: model.ModelConfig, seed: int) -> dict[str, np.ndarray]:
             for name, w in params.items()}
 
 
-def random_pairs(cfg: model.ModelConfig, rng, n_pairs: int = 3):
+def random_pairs(cfg: model.ModelConfig, rng, n_pairs: int = 3,
+                 max_len: int | None = None):
     batch = []
     for k in range(n_pairs):
         seqs = []
         for _ in range(2):
-            length = int(rng.integers(2, cfg.seq_len + 1))
+            length = int(rng.integers(2, (max_len or cfg.seq_len) + 1))
             ids = np.zeros(cfg.seq_len, dtype=np.int64)
             ids[:length] = rng.integers(2, cfg.vocab_size, size=length)
             mask = np.zeros(cfg.seq_len)
@@ -115,6 +116,55 @@ def test_pad_positions_do_not_leak():
         poked[2:] = junk
         out = model.embed_batch(params, TOY, [TokenSequence(poked, mask)])[0]
         assert np.max(np.abs(out - base)) <= 1e-9
+
+
+def test_trimmed_forward_matches_full_length_batch():
+    params = generic_params(TOY, seed=12)
+    rng = np.random.default_rng(12)
+    short = [s for pair in random_pairs(TOY, rng, n_pairs=3, max_len=3)
+             for s in pair[:2]]
+    # a mask gap: the token after it must survive trimming
+    short.append(TokenSequence(np.array([3, 0, 7, 0, 0], dtype=np.int64),
+                               np.array([1.0, 0.0, 1.0, 0.0, 0.0])))
+    full = TokenSequence(rng.integers(2, TOY.vocab_size, size=TOY.seq_len),
+                         np.ones(TOY.seq_len))
+    trimmed = model.embed_batch(params, TOY, short)
+    untrimmed = model.embed_batch(params, TOY, short + [full])[:-1]
+    assert np.max(np.abs(trimmed - untrimmed)) <= 1e-12
+    alone = model.embed_batch(params, TOY, short[-1:])[0]
+    assert np.max(np.abs(alone - untrimmed[-1])) <= 1e-12
+
+
+def test_pos_emb_gradient_is_zero_past_longest_row():
+    params = generic_params(TOY, seed=13)
+    batch = random_pairs(TOY, np.random.default_rng(13), max_len=3)
+    longest = max(int(s.attention_mask.sum()) for pair in batch for s in pair[:2])
+    assert longest < TOY.seq_len
+    _, grads = model.batch_loss_and_grad(params, TOY, batch)
+    assert grads["pos_emb"].shape == (TOY.seq_len, TOY.model_dim)
+    assert grads["pos_emb"][longest - 1].any()
+    assert not grads["pos_emb"][longest:].any()
+
+
+def test_trimmed_backward_matches_finite_differences():
+    params = generic_params(TOY, seed=14)
+    batch = random_pairs(TOY, np.random.default_rng(14), max_len=3)
+    assert all(s.attention_mask[3:].sum() == 0 for pair in batch for s in pair[:2])
+    _, grads = model.batch_loss_and_grad(params, TOY, batch)
+    numeric = finite_difference_grads(
+        lambda: model.batch_loss_and_grad(params, TOY, batch)[0], params)
+    assert max_relative_error(grads, numeric) < 1e-4
+
+
+def test_gelu_matches_reference_formula_and_differences():
+    x = np.linspace(-10.0, 10.0, 20001)
+    act, cache = model._gelu(x)
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    reference = 0.5 * x * (1.0 + np.tanh(c * (x + k * x ** 3)))
+    assert np.max(np.abs(act - reference)) <= 1e-15
+    step = 1e-6
+    numeric = (model._gelu(x + step)[0] - model._gelu(x - step)[0]) / (2.0 * step)
+    assert np.max(np.abs(model._gelu_grad(x, cache) - numeric)) <= 1e-8
 
 
 def test_fully_masked_sequence_rejected():

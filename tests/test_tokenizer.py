@@ -77,6 +77,20 @@ def test_tokenize_query_truncation():
         tokenize_query("a", {}, vocab, seq_len=1)
 
 
+def test_truncation_drops_facet_tokens_before_words():
+    vocab = build_vocabulary(["large red shoes"], LEXICON)
+    facets = extract_facets("large red shoes", LEXICON)
+    words = [vocab.id_for(w) for w in ("large", "red", "shoes")]
+    color = vocab.id_for(facet_token("color", "red"))
+    size = vocab.id_for(facet_token("size", "large"))
+    ids = {n: tokenize_query("large red shoes", facets, vocab, seq_len=n).ids.tolist()
+           for n in (5, 4, 3, 2)}
+    assert ids[5] == words + [color, size]
+    assert ids[4] == words + [color]
+    assert ids[3] == words
+    assert ids[2] == words[:2]
+
+
 def test_facet_value_changes_tokenization():
     vocab = build_vocabulary(["red mat", "blue mat"], LEXICON)
     red = tokenize_query("red mat", extract_facets("red mat", LEXICON),

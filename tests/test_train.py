@@ -41,9 +41,9 @@ def build_vocab():
 def total_loss(params, cfg, vocab, samples) -> float:
     seqs = train.tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
                                 vocab, cfg.seq_len)
-    return sum(model.pair_loss(params, cfg, seqs[2 * i], seqs[2 * i + 1],
-                               s.interactive)
-               for i, s in enumerate(samples))
+    batch = [(seqs[2 * i], seqs[2 * i + 1], s.interactive)
+             for i, s in enumerate(samples)]
+    return model.batch_loss_and_grad(params, cfg, batch)[0]
 
 
 def test_zero_epochs_is_a_no_op():
