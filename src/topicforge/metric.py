@@ -10,6 +10,19 @@ mean of the two co-click fractions:
 which lands in (0, 1] for co-clicked pairs and is 0 when nothing is shared.
 Training sets pair every co-clicked pair (its metric as the label) with
 uniformly sampled never-co-clicked pairs labeled -1.
+
+Negatives are drawn without building the pool of never-co-clicked pairs.
+With the n clicked queries sorted, pair (i, j > i) has the upper-triangle
+index ``t = row_start[i] + j - i - 1``, where ``row_start[i]`` counts the
+pairs in rows before i (a running sum of n-1, n-2, ...). The co-clicked
+pairs' indices, sorted, are ``taken``; a rank r among the free pairs maps
+to ``t = r + #{k : taken[k] - k <= r}``, and ``t`` back to its row by a
+binary search of ``row_start``. ``rng.choice`` depends only on the
+population size, so the draws are the same as those indexing a full pool
+of free pairs in (i, j) order, at O(P log P + k) time and memory for P
+co-clicked pairs and k negatives instead of O(n^2). (``rng.choice`` itself
+permutes all N free ranks, 8 bytes each, when k > N / 50; below that it
+draws k of them with a hash set.)
 """
 
 from __future__ import annotations
@@ -118,6 +131,25 @@ def positive_pairs(stats: CoClickStats) -> list[QueryPairSample]:
     return out
 
 
+def parse_negative_ratio(value: object) -> float | str:
+    """``"auto"`` or a finite number >= 0; a numeric string counts as its number.
+
+    Raises ValueError for anything else (booleans included).
+    """
+    if value == "auto":
+        return "auto"
+    ratio = None
+    if not isinstance(value, bool):
+        try:
+            ratio = float(value)
+        except (TypeError, ValueError):
+            pass
+    if ratio is None or not math.isfinite(ratio) or ratio < 0:
+        raise ValueError("negative_ratio must be 'auto' or a finite number "
+                         f">= 0, got {value!r}")
+    return ratio
+
+
 def build_training_set(
     stats: CoClickStats,
     negative_ratio: float | str = "auto",
@@ -126,45 +158,63 @@ def build_training_set(
 ) -> list[QueryPairSample]:
     """Positives (co-clicked pairs) plus uniformly sampled -1 negatives.
 
-    ``negative_ratio`` is the target positives:negatives ratio; "auto" uses
-    the mean positive interactive metric, and 0 disables negative sampling.
-    Negatives are drawn uniformly, without replacement, from pairs of
-    clicked queries that share no page. Deterministic under ``seed``.
-    ``min_interactive`` > 0 drops positives below that floor.
+    ``negative_ratio`` is the target positives:negatives ratio (see
+    ``parse_negative_ratio``); "auto" uses the mean positive interactive
+    metric, and 0 disables negative sampling. Negatives are drawn uniformly,
+    without replacement, from pairs of clicked queries that share no page.
+    Deterministic under ``seed``. ``min_interactive`` > 0 drops positives
+    below that floor.
+
+    The free pairs are never listed: ``rng.choice`` draws ranks among them
+    and each rank is mapped to its pair by the rank arithmetic in the module
+    docstring. The result is the same list a full pool of free pairs in
+    (i, j) order indexed by the same draws would give, in O(P log P + k)
+    time and memory (P co-clicked pairs, k negatives).
     """
+    ratio = parse_negative_ratio(negative_ratio)
     positives = positive_pairs(stats)
     if min_interactive > 0:
         positives = [s for s in positives if s.interactive >= min_interactive]
-    if negative_ratio == 0 or not positives:
+    if ratio == 0 or not positives:
         return positives
 
-    if negative_ratio == "auto":
+    if ratio == "auto":
         mean_pos = sum(s.interactive for s in positives) / len(positives)
         n_neg = round(len(positives) / mean_pos)
     else:
-        ratio = float(negative_ratio)
-        if ratio < 0:
-            raise ValueError(f"negative_ratio must be >= 0, got {ratio}")
         n_neg = round(len(positives) / ratio)
 
     clicked = [q for q in stats.queries() if stats.totals[q] > 0]
-    candidates = []
-    for i in range(len(clicked)):
-        for j in range(i + 1, len(clicked)):
-            key = (clicked[i], clicked[j])
-            if key not in stats.pairs:
-                candidates.append(key)
-    if not candidates:
+    n = len(clicked)
+    position = {q: i for i, q in enumerate(clicked)}
+    # row_start[i] is the index of pair (i, i + 1)
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    taken_list = []
+    for qa, qb in stats.pairs:
+        i, j = position.get(qa), position.get(qb)
+        if i is not None and j is not None and i < j:
+            taken_list.append(row_start[i] + (j - i - 1))
+    taken = np.sort(np.array(taken_list, dtype=np.int64))
+    n_free = n * (n - 1) // 2 - len(taken)
+    if n_free == 0:
         logger.warning("co-click graph too dense: no negative pairs available")
         return positives
-    if n_neg > len(candidates):
+    if n_neg > n_free:
         logger.warning("only %d negative pairs available (wanted %d)",
-                       len(candidates), n_neg)
-        n_neg = len(candidates)
+                       n_free, n_neg)
+        n_neg = n_free
 
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(candidates), size=n_neg, replace=False)
-    negatives = [QueryPairSample(*candidates[int(i)], -1.0) for i in chosen]
+    ranks = rng.choice(n_free, size=n_neg, replace=False)
+    # taken[k] - k free pairs precede taken[k], so rank r skips every k
+    # whose count is <= r
+    t = ranks + np.searchsorted(taken - np.arange(len(taken)), ranks,
+                                side="right")
+    rows = np.searchsorted(row_start, t, side="right") - 1
+    cols = t - row_start[rows] + rows + 1
+    negatives = [QueryPairSample(clicked[i], clicked[j], -1.0)
+                 for i, j in zip(rows.tolist(), cols.tolist())]
     return positives + negatives
 
 

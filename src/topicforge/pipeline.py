@@ -226,12 +226,17 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     if unknown:
         raise ConfigError(
             f"metric.exclude_page_types has unknown page types: {sorted(unknown)}")
+    try:
+        negative_ratio = metric_mod.parse_negative_ratio(
+            mcfg.get("negative_ratio", "auto"))
+    except ValueError as exc:
+        raise ConfigError(f"metric.{exc}") from exc
     if excluded:
         records = [r for r in records if r.page_type not in excluded]
     stats = metric_mod.aggregate_clicks(records)
     samples = metric_mod.build_training_set(
         stats,
-        negative_ratio=mcfg.get("negative_ratio", "auto"),
+        negative_ratio=negative_ratio,
         seed=ctx.seed + SEED_METRIC,
         min_interactive=float(mcfg.get("min_interactive", 0.0)))
     metric_mod.training_set_to_jsonl(samples, out / "training_set.jsonl")

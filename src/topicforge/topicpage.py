@@ -73,12 +73,13 @@ def select_topics(representatives: Sequence[tuple[str, int]],
 class TokenOverlapRetriever:
     """Mock item retrieval: rank catalog items by shared normalized tokens.
 
-    Items with zero overlap never match; ties rank by item id.
+    Items with zero overlap never match; ties rank by item id. Titles are
+    tokenized on the first call, so a run that retrieves nothing skips it.
     """
 
     def __init__(self, items: Sequence[tuple[str, str]]):
-        self.items = [(item_id, frozenset(tokenize_text(normalize_query(title))))
-                      for item_id, title in items]
+        self._titles = list(items)
+        self._index: list[tuple[str, frozenset[str]]] | None = None
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
@@ -93,9 +94,13 @@ class TokenOverlapRetriever:
         return cls(items)
 
     def __call__(self, keyword: str, k: int) -> list[str]:
+        if self._index is None:
+            self._index = [
+                (item_id, frozenset(tokenize_text(normalize_query(title))))
+                for item_id, title in self._titles]
         tokens = set(tokenize_text(normalize_query(keyword)))
         scored = []
-        for item_id, title_tokens in self.items:
+        for item_id, title_tokens in self._index:
             overlap = len(tokens & title_tokens)
             if overlap > 0:
                 scored.append((-overlap, item_id))

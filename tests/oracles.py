@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: central finite differences instead
 of backprop, from-scratch O(n^3) agglomeration instead of Lance-Williams,
-hash-seeded random projections instead of a trained encoder. Slow and
+hash-seeded random projections instead of a trained encoder, a listed pool
+of every free query pair instead of rank arithmetic. Slow and
 obviously correct, so the fast implementations can be checked against them.
 """
 
@@ -12,6 +13,8 @@ import hashlib
 from typing import Callable, Sequence
 
 import numpy as np
+
+from topicforge.metric import CoClickStats, QueryPairSample
 
 
 def finite_difference_grads(loss_fn: Callable[[], float],
@@ -109,3 +112,26 @@ def batch_encoder(embed: Callable[[str], np.ndarray]
                   ) -> Callable[[Sequence[str]], np.ndarray]:
     """Batch encoder (texts -> one row per text) over a per-text oracle."""
     return lambda texts: np.stack([embed(text) for text in texts])
+
+
+def materialized_negatives(stats: CoClickStats, n_neg: int,
+                           seed: int) -> list[QueryPairSample]:
+    """Negatives drawn by indexing a listed pool of every free pair.
+
+    The pool holds each pair of clicked queries (sorted, i < j) that is not
+    a key of ``stats.pairs``, in (i, j) order; ``n_neg`` is capped at its
+    size and an empty pool gives no negatives. O(Q^2) time and memory.
+    """
+    clicked = [q for q in stats.queries() if stats.totals[q] > 0]
+    candidates = []
+    for i in range(len(clicked)):
+        for j in range(i + 1, len(clicked)):
+            key = (clicked[i], clicked[j])
+            if key not in stats.pairs:
+                candidates.append(key)
+    if not candidates:
+        return []
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(candidates), size=min(n_neg, len(candidates)),
+                        replace=False)
+    return [QueryPairSample(*candidates[int(i)], -1.0) for i in chosen]

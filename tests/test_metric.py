@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import materialized_negatives
 from topicforge import metric
 from topicforge.ingest import ClickRecord
 
@@ -143,3 +146,110 @@ def test_training_set_jsonl_round_trip(tmp_path):
     path = tmp_path / "set.jsonl"
     metric.training_set_to_jsonl(samples, path)
     assert metric.training_set_from_jsonl(path) == samples
+
+
+def expected_training_set(stats, negative_ratio, seed, min_interactive=0.0):
+    """``build_training_set`` by its definition, negatives from a listed pool."""
+    positives = [s for s in metric.positive_pairs(stats)
+                 if s.interactive >= min_interactive]
+    if negative_ratio == 0 or not positives:
+        return positives
+    if negative_ratio == "auto":
+        ratio = sum(s.interactive for s in positives) / len(positives)
+    else:
+        ratio = float(negative_ratio)
+    n_neg = round(len(positives) / ratio)
+    return positives + materialized_negatives(stats, n_neg, seed)
+
+
+def random_coclick_stats(seed, n_queries, n_pages, pages_per_query):
+    """Seeded random co-click graph: each query clicks a few shared pages."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for q in range(n_queries):
+        for page in rng.choice(n_pages, size=pages_per_query, replace=False):
+            records.append(rec(f"q{q:03d}", f"p{page}", int(rng.integers(1, 9))))
+    return metric.aggregate_clicks(records)
+
+
+@pytest.mark.parametrize("seed,n_queries,n_pages,pages_per_query", [
+    (1, 120, 400, 1),  # sparse: ~20 co-clicked pairs among 7,140
+    (2, 40, 30, 2),    # medium
+    (3, 30, 4, 2),     # dense: most pairs co-clicked
+    (4, 25, 3, 3),     # every query on every page: no free pair
+])
+@pytest.mark.parametrize("negative_ratio", ["auto", 2.0, 0.05])
+def test_build_training_set_matches_materialized_pool(
+        seed, n_queries, n_pages, pages_per_query, negative_ratio):
+    stats = random_coclick_stats(seed, n_queries, n_pages, pages_per_query)
+    for draw_seed in (0, 7):
+        got = metric.build_training_set(stats, negative_ratio, draw_seed)
+        assert got == expected_training_set(stats, negative_ratio, draw_seed)
+
+
+def test_build_training_set_min_interactive_matches_materialized_pool():
+    stats = random_coclick_stats(5, 50, 40, 2)
+    floor = 0.5
+    got = metric.build_training_set(stats, "auto", 3, min_interactive=floor)
+    assert got == expected_training_set(stats, "auto", 3, floor)
+    assert 0 < sum(s.interactive > 0 for s in got) < len(stats.pairs)
+
+
+def test_complete_graph_returns_positives_with_warning(caplog):
+    stats = random_coclick_stats(4, 25, 3, 3)
+    assert len(stats.pairs) == 25 * 24 // 2
+    with caplog.at_level(logging.WARNING, logger="topicforge.metric"):
+        got = metric.build_training_set(stats, "auto", 0)
+    assert got == metric.positive_pairs(stats)
+    assert "no negative pairs available" in caplog.text
+
+
+def test_negative_count_capped_at_free_pairs(caplog):
+    # a co-clicks with b and c, d clicks alone: 3 free pairs, 400 wanted
+    records = [rec(q, "shared", 5) for q in "abc"] + [rec("d", "own", 5)]
+    stats = metric.aggregate_clicks(records)
+    with caplog.at_level(logging.WARNING, logger="topicforge.metric"):
+        got = metric.build_training_set(stats, 0.0075, 1)
+    assert "only 3 negative pairs available (wanted 400)" in caplog.text
+    assert got == expected_training_set(stats, 0.0075, 1)
+    negatives = {(s.query_a, s.query_b) for s in got if s.interactive < 0}
+    assert negatives == {("a", "d"), ("b", "d"), ("c", "d")}
+
+
+def test_only_free_pair_in_last_row_is_drawn():
+    # a, b, c, d all co-click except the last pair (c, d) = (n-2, n-1)
+    records = [rec("a", "p1", 3), rec("b", "p1", 3), rec("c", "p1", 3),
+               rec("a", "p2", 2), rec("b", "p2", 2), rec("d", "p2", 2)]
+    stats = metric.aggregate_clicks(records)
+    assert ("c", "d") not in stats.pairs and len(stats.pairs) == 5
+    got = metric.build_training_set(stats, 1.0, 0)
+    assert [s for s in got if s.interactive < 0] == [
+        metric.QueryPairSample("c", "d", -1.0)]
+    assert got == expected_training_set(stats, 1.0, 0)
+
+
+def test_zero_click_query_is_never_a_negative():
+    records = [rec("a", "p", 4), rec("b", "p", 4), rec("c", "q", 4),
+               rec("d", "r", 4), rec("idle", "p", 0)]
+    stats = metric.aggregate_clicks(records)
+    assert stats.totals["idle"] == 0
+    for seed in range(5):
+        got = metric.build_training_set(stats, 0.2, seed)
+        assert got == expected_training_set(stats, 0.2, seed)
+        assert all("idle" not in (s.query_a, s.query_b) for s in got)
+
+
+def test_negative_sampling_memory_stays_flat():
+    # 3,000 clicked queries: a listed pool would hold 4.5M tuples (~300 MB)
+    stats = metric.CoClickStats()
+    stats.totals = {f"q{k:04d}": 3 for k in range(3000)}
+    for k in range(0, 600, 2):
+        stats.pairs[(f"q{k:04d}", f"q{k + 1:04d}")] = (1, 1)
+    tracemalloc.start()
+    try:
+        samples = metric.build_training_set(stats, "auto", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.interactive < 0 for s in samples) == 900
+    assert peak < 20 * 2**20

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -154,6 +155,39 @@ def test_unknown_exclude_page_type(fixture_dir, tmp_path):
     run_stage(ctx, "ingest")
     with pytest.raises(ConfigError, match="unknown page types"):
         run_stage(ctx, "metric")
+
+
+def test_desk_training_set_is_unchanged(full_run):
+    # the fixture's training set as written by the listed-pool sampler
+    _, workdir, _ = full_run
+    expected = Path(__file__).with_name("data") / "desk_training_set.jsonl"
+    assert ((workdir / "metric" / "training_set.jsonl").read_bytes()
+            == expected.read_bytes())
+
+
+@pytest.mark.parametrize("value", [0, "0"])
+def test_zero_negative_ratio_disables_sampling(fixture_dir, tmp_path, value):
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"metric.negative_ratio": value})
+    ctx = load_context(config, tmp_path / "w")
+    run_stage(ctx, "ingest")
+    report = run_stage(ctx, "metric")
+    assert report.counts["positives"] > 0
+    assert report.counts["negatives"] == 0
+
+
+@pytest.mark.parametrize("value", ["lots", -1, ".nan", True])
+def test_bad_negative_ratio_is_config_error(fixture_dir, tmp_path, capsys,
+                                            value):
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"metric.negative_ratio": value})
+    workdir = tmp_path / "w"
+    run_stage(load_context(config, workdir), "ingest")
+    with pytest.raises(ConfigError, match="^metric.negative_ratio must be"):
+        run_stage(load_context(config, workdir), "metric")
+    assert cli.main(["metric", "--config", str(config),
+                     "--workdir", str(workdir)]) == 2
+    capsys.readouterr()
 
 
 def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):

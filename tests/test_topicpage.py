@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from topicforge import topicpage
+from topicforge.ingest import normalize_query, tokenize_text
 from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
                                   emit_pages, page_id_for, read_page_specs,
                                   select_topics, write_page_specs)
@@ -46,6 +48,41 @@ def test_retriever_from_jsonl(tmp_path):
                     + json.dumps({"item_id": "b", "title": "blue hat"}) + "\n")
     retriever = TokenOverlapRetriever.from_jsonl(path)
     assert retriever("hat", 5) == ["a", "b"]
+
+
+def eager_ranking(items, keyword, k):
+    """Reference ranking: tokenize every title up front, as a plain loop."""
+    tokens = set(tokenize_text(normalize_query(keyword)))
+    scored = sorted((-len(tokens & set(tokenize_text(normalize_query(title)))),
+                     item_id) for item_id, title in items)
+    return [item_id for overlap, item_id in scored if overlap < 0][:k]
+
+
+def test_retriever_tokenizes_titles_once_on_first_call(monkeypatch):
+    items = [(f"i{n}", title) for n, title in enumerate(
+        ["Red Running Shoes", "running shoes", "blue shoes for marathons",
+         "garden hose", "RED hat", "red, red shoes!"])]
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize_text(text)
+
+    monkeypatch.setattr(topicpage, "tokenize_text", counting_tokenize)
+    retriever = TokenOverlapRetriever(items)
+    assert calls == []  # nothing tokenized until a keyword arrives
+    for n, keyword in enumerate(["red shoes", "running", "hose", "submarine",
+                                 "Red Hat", "shoes"]):
+        assert retriever(keyword, 3) == eager_ranking(items, keyword, 3)
+        assert len(calls) == len(items) + n + 1  # titles once, then the keyword
+
+
+def test_retriever_from_jsonl_rejects_bad_row_at_load(tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_text(json.dumps({"item_id": "a", "title": "red hat"}) + "\n"
+                    + json.dumps({"item_id": "b"}) + "\n")
+    with pytest.raises(KeyError, match="title"):
+        TokenOverlapRetriever.from_jsonl(path)
 
 
 def test_emit_pages_flags_and_truncates():
