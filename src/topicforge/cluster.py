@@ -1,5 +1,5 @@
 """Two-stage topic clustering: product-type classification, then per-type
-agglomerative clustering under cosine linkage.
+average-linkage agglomerative clustering under cosine distance.
 
 Classifying every query to its nearest product type first confines the
 quadratic clustering work to within-type groups, which cuts pairwise
@@ -26,8 +26,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
-
-LINKAGES = ("average", "single", "complete")
 
 
 @dataclass
@@ -88,7 +86,6 @@ def classify_product_type(query_vecs: np.ndarray,
 def agglomerate(
     vectors: Mapping[str, np.ndarray],
     threshold: float,
-    linkage: str = "average",
     clicks: Mapping[str, int] | None = None,
     product_type: str = "",
 ) -> ClusterResult:
@@ -96,14 +93,12 @@ def agglomerate(
 
     Each step merges the closest active pair (ties: lexicographically
     smallest members). Cluster-to-cluster distances follow the
-    Lance-Williams recurrence for the chosen linkage, so only the initial
+    Lance-Williams recurrence for average linkage, so only the initial
     n(n-1)/2 pairwise distances touch the vectors. The representative of a
     final cluster is its highest-click member, ties lexicographic.
     """
     if not 0.0 < threshold < 2.0:
         raise ValueError("threshold must be in (0, 2)")
-    if linkage not in LINKAGES:
-        raise ValueError(f"unknown linkage {linkage!r}")
     if not vectors:
         raise ValueError("need at least one query")
     clicks = clicks or {}
@@ -132,13 +127,8 @@ def agglomerate(
         result.merge_log.append((order[i], order[j], float(dmin)))
         others = active.copy()
         others[i] = others[j] = False
-        if linkage == "average":
-            merged = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (
-                sizes[i] + sizes[j])
-        elif linkage == "single":
-            merged = np.minimum(dist[i, others], dist[j, others])
-        else:
-            merged = np.maximum(dist[i, others], dist[j, others])
+        merged = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (
+            sizes[i] + sizes[j])
         dist[i, others] = merged
         dist[others, i] = merged
         dist[j, :] = np.inf
@@ -162,7 +152,6 @@ def cluster_topics(
     encode: Encoder,
     index: ProductTypeIndex,
     threshold: float,
-    linkage: str = "average",
 ) -> ClusterResult:
     """Classify queries to product types, then agglomerate within each type.
 
@@ -189,8 +178,8 @@ def cluster_topics(
     result.distance_evaluations += len(texts) * len(index)
 
     for ptype in sorted(by_type):
-        fragment = agglomerate(by_type[ptype], threshold, linkage,
-                               clicks=clicks, product_type=ptype)
+        fragment = agglomerate(by_type[ptype], threshold, clicks=clicks,
+                               product_type=ptype)
         result.assignments.update(fragment.assignments)
         result.representatives.update(fragment.representatives)
         result.merge_log.extend(fragment.merge_log)

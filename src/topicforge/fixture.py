@@ -173,7 +173,6 @@ paths:
   workdir: work
 metric:
   negative_ratio: auto
-  min_interactive: 0.0
   exclude_page_types: [shelf]
 model:
   seq_len: 12
@@ -184,22 +183,16 @@ model:
   output_dim: 32
   negative_loss: complement
 train:
-  optimizer: adam
   learning_rate: 0.001
   batch_size: 32
   epochs: 4
-  weight_decay: 0.0
   eval_fraction: 0.1
 finetune:
-  optimizer: adam
   learning_rate: 0.001
   batch_size: 32
   epochs: 8
-  eval_fraction: 0.0
-  freeze_encoder: false
 cluster:
   threshold: 0.15
-  linkage: average
 dedup:
   threshold: 0.86
 select:

@@ -154,7 +154,6 @@ def build_training_set(
     stats: CoClickStats,
     negative_ratio: float | str = "auto",
     seed: int = 0,
-    min_interactive: float = 0.0,
 ) -> list[QueryPairSample]:
     """Positives (co-clicked pairs) plus uniformly sampled -1 negatives.
 
@@ -162,8 +161,8 @@ def build_training_set(
     ``parse_negative_ratio``); "auto" uses the mean positive interactive
     metric, and 0 disables negative sampling. Negatives are drawn uniformly,
     without replacement, from pairs of clicked queries that share no page.
-    Deterministic under ``seed``. ``min_interactive`` > 0 drops positives
-    below that floor.
+    Deterministic under ``seed``. Wanting more negatives than there are free
+    pairs, even infinitely many from a tiny ratio, takes every free pair.
 
     The free pairs are never listed: ``rng.choice`` draws ranks among them
     and each rank is mapped to its pair by the rank arithmetic in the module
@@ -173,16 +172,11 @@ def build_training_set(
     """
     ratio = parse_negative_ratio(negative_ratio)
     positives = positive_pairs(stats)
-    if min_interactive > 0:
-        positives = [s for s in positives if s.interactive >= min_interactive]
     if ratio == 0 or not positives:
         return positives
-
     if ratio == "auto":
-        mean_pos = sum(s.interactive for s in positives) / len(positives)
-        n_neg = round(len(positives) / mean_pos)
-    else:
-        n_neg = round(len(positives) / ratio)
+        ratio = sum(s.interactive for s in positives) / len(positives)
+    wanted = len(positives) / ratio  # inf when a tiny ratio overflows it
 
     clicked = [q for q in stats.queries() if stats.totals[q] > 0]
     n = len(clicked)
@@ -200,9 +194,11 @@ def build_training_set(
     if n_free == 0:
         logger.warning("co-click graph too dense: no negative pairs available")
         return positives
+    # capped before rounding: round() of an infinite count raises
+    n_neg = round(min(wanted, n_free + 1))
     if n_neg > n_free:
-        logger.warning("only %d negative pairs available (wanted %d)",
-                       n_free, n_neg)
+        logger.warning("only %d negative pairs available (wanted %.0f)",
+                       n_free, wanted)
         n_neg = n_free
 
     rng = np.random.default_rng(seed)

@@ -425,12 +425,8 @@ def _log_softmax(logits):
 
 def classify_batch_loss_and_grad(params, cfg: ModelConfig,
                                  seqs: Sequence[TokenSequence],
-                                 labels: Sequence[int],
-                                 freeze_encoder: bool = False):
-    """Mean cross-entropy over the batch and its exact gradient.
-
-    With ``freeze_encoder`` only head gradients are returned non-zero.
-    """
+                                 labels: Sequence[int]):
+    """Mean cross-entropy over the batch and its exact gradient."""
     if cfg.num_classes < 1 or "head.w" not in params:
         raise ValueError("model has no classification head")
     labels = np.asarray(labels, dtype=np.int64)
@@ -448,15 +444,9 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    head_w_grad = z.T @ dlogits
-    head_b_grad = dlogits.sum(axis=0)
-    if freeze_encoder:
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-    else:
-        dz = dlogits @ params["head.w"].T
-        grads = _backward(params, cfg, cache, dz)
-    grads["head.w"] = head_w_grad
-    grads["head.b"] = head_b_grad
+    grads = _backward(params, cfg, cache, dlogits @ params["head.w"].T)
+    grads["head.w"] = z.T @ dlogits
+    grads["head.b"] = dlogits.sum(axis=0)
     return loss, grads
 
 

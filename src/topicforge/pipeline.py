@@ -237,8 +237,7 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     samples = metric_mod.build_training_set(
         stats,
         negative_ratio=negative_ratio,
-        seed=ctx.seed + SEED_METRIC,
-        min_interactive=float(mcfg.get("min_interactive", 0.0)))
+        seed=ctx.seed + SEED_METRIC)
     metric_mod.training_set_to_jsonl(samples, out / "training_set.jsonl")
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,
@@ -268,12 +267,10 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
     t = ctx.section(section)
     try:
         return train_mod.TrainConfig(
-            optimizer=str(t.get("optimizer", "adam")),
             learning_rate=float(t.get("learning_rate", 1e-3)),
             batch_size=int(t.get("batch_size", 32)),
             epochs=int(t.get("epochs", 10)),
             seed=seed,
-            weight_decay=float(t.get("weight_decay", 0.0)),
             eval_fraction=float(t.get("eval_fraction", 0.1)))
     except ValueError as exc:
         raise ConfigError(f"bad {section} config: {exc}") from exc
@@ -334,12 +331,10 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     labeled, classes = _derive_labels(records, pages)
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
-    fcfg_section = ctx.section("finetune")
     cfg = model_mod.ModelConfig(**{**cfg.to_dict(), "num_classes": len(classes)})
     tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
     params, history = train_mod.finetune_classifier(
-        pretrained, labeled, vocab, cfg, tcfg, facet_lexicon=lexicon,
-        freeze_encoder=bool(fcfg_section.get("freeze_encoder", False)))
+        pretrained, labeled, vocab, cfg, tcfg, facet_lexicon=lexicon)
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
     (out / "classes.json").write_text(
         json.dumps(classes, indent=2) + "\n", encoding="utf-8")
@@ -358,9 +353,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     rows = _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))
     candidates = [ingest_mod.CandidateQuery(r["query"], r["source"],
                                             r["clicks_total"]) for r in rows]
-    ccfg = ctx.section("cluster")
-    threshold = float(ccfg.get("threshold", 0.15))
-    linkage = str(ccfg.get("linkage", "average"))
+    threshold = float(ctx.section("cluster").get("threshold", 0.15))
     encode = partial(train_mod.encode_texts, params, cfg, vocab,
                      facet_lexicon=lexicon)
     ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
@@ -369,7 +362,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
     try:
         result = cluster_mod.cluster_topics(candidates, encode, index,
-                                            threshold, linkage)
+                                            threshold)
     except ValueError as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
     cluster_mod.write_cluster_report(result, out / "clusters.csv")
@@ -534,7 +527,3 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         logger.warning("%s: %s", stage, w)
     logger.info("stage %s done in %.2fs: %s", stage, duration, counts)
     return report
-
-
-def run_all(ctx: PipelineContext) -> list[StageReport]:
-    return [run_stage(ctx, stage) for stage in STAGES]

@@ -50,19 +50,15 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"  # or "sgd"
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    weight_decay: float = 0.0
     eval_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be a finite number > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.eval_fraction < 1.0:
@@ -77,7 +73,7 @@ class LabeledQuery:
 
 @dataclass
 class Optimizer:
-    """Constant-rate sgd or adam with decoupled weight decay."""
+    """Adam at a constant learning rate."""
 
     cfg: TrainConfig
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -87,24 +83,17 @@ class Optimizer:
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
         lr = self.cfg.learning_rate
-        if self.cfg.optimizer == "sgd":
-            for name, g in grads.items():
-                params[name] -= lr * g
-        else:
-            self.t += 1
-            bc1 = 1.0 - ADAM_BETA1 ** self.t
-            bc2 = 1.0 - ADAM_BETA2 ** self.t
-            for name, g in grads.items():
-                if name not in self.m:
-                    self.m[name] = np.zeros_like(g)
-                    self.v[name] = np.zeros_like(g)
-                self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-                self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g ** 2
-                params[name] -= lr * (self.m[name] / bc1) / (
-                    np.sqrt(self.v[name] / bc2) + ADAM_EPS)
-        if self.cfg.weight_decay:
-            for name in grads:
-                params[name] -= lr * self.cfg.weight_decay * params[name]
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for name, g in grads.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g ** 2
+            params[name] -= lr * (self.m[name] / bc1) / (
+                np.sqrt(self.v[name] / bc2) + ADAM_EPS)
 
 
 def _stable_hash_fraction(text: str) -> float:
@@ -167,20 +156,57 @@ def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
     return total / len(pairs)
 
 
+def _run_epochs(params, n_rows: int, train_cfg: TrainConfig, batch_step,
+                epoch_row) -> list[dict]:
+    """The epoch loop of both trainings; updates ``params`` in place.
+
+    Each epoch takes the ``n_rows`` rows in a seeded permutation, one Adam
+    step per ``batch_step(params, rows) -> (loss, grads)``, then appends
+    ``epoch_row(params, loss_sum, n_batches)`` to the returned history. A
+    non-finite loss or parameter raises :class:`TrainingDiverged` holding
+    the parameters after the last completed epoch.
+    """
+    opt = Optimizer(train_cfg)
+    rng = np.random.default_rng(train_cfg.seed)
+    history: list[dict] = []
+    last_good = {k: v.copy() for k, v in params.items()}
+    for epoch in range(train_cfg.epochs):
+        order = rng.permutation(n_rows)
+        loss_sum = 0.0
+        n_batches = 0
+        try:
+            for start in range(0, n_rows, train_cfg.batch_size):
+                loss, grads = batch_step(
+                    params, order[start:start + train_cfg.batch_size])
+                loss_sum += loss
+                n_batches += 1
+                opt.step(params, grads)
+        except model.NonFiniteLossError as exc:
+            raise TrainingDiverged(
+                f"diverged during epoch {epoch}: {exc}", last_good, epoch) from exc
+        if not model.check_finite(params):
+            raise TrainingDiverged(
+                f"parameters went non-finite during epoch {epoch}", last_good, epoch)
+        row = {"epoch": epoch, **epoch_row(params, loss_sum, n_batches)}
+        history.append(row)
+        last_good = {k: v.copy() for k, v in params.items()}
+        logger.info("trained %s", row)
+    return history
+
+
 def train_intention_model(
     samples: Sequence[QueryPairSample],
     vocab: Vocabulary,
     cfg: ModelConfig,
     train_cfg: TrainConfig,
     facet_lexicon: Mapping[str, set[str]] | None = None,
-    init: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Pretrain on pair samples; returns (params, per-epoch history).
 
     History rows carry ``epoch``, ``mean_loss`` (train) and, when the stable
-    hash split leaves any eval pairs, ``eval_loss``. On a non-finite loss the
-    run aborts with :class:`TrainingDiverged` holding the last parameters
-    that still produced finite losses.
+    hash split leaves any eval pairs, ``eval_loss``. On a non-finite loss or
+    parameter the run aborts with :class:`TrainingDiverged` holding the last
+    parameters that still produced finite losses.
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
@@ -195,34 +221,19 @@ def train_intention_model(
     if not train_set:
         raise ValueError("eval split consumed every sample")
 
-    params = ({k: v.copy() for k, v in init.items()} if init is not None
-              else model.init_params(cfg, seed=train_cfg.seed))
-    opt = Optimizer(train_cfg)
-    rng = np.random.default_rng(train_cfg.seed)
-    history: list[dict] = []
-    last_good = {k: v.copy() for k, v in params.items()}
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(train_set))
-        loss_sum = 0.0
-        try:
-            for start in range(0, len(order), train_cfg.batch_size):
-                batch = [train_set[i] for i in order[start:start + train_cfg.batch_size]]
-                loss, grads = model.batch_loss_and_grad(params, cfg, batch)
-                loss_sum += loss
-                opt.step(params, grads)
-        except model.NonFiniteLossError as exc:
-            raise TrainingDiverged(
-                f"diverged during epoch {epoch}: {exc}", last_good, epoch) from exc
-        if not model.check_finite(params):
-            raise TrainingDiverged(
-                f"parameters went non-finite during epoch {epoch}", last_good, epoch)
-        row = {"epoch": epoch, "mean_loss": loss_sum / len(train_set)}
+    def batch_step(params, rows):
+        return model.batch_loss_and_grad(params, cfg,
+                                         [train_set[i] for i in rows])
+
+    def epoch_row(params, loss_sum, n_batches):
+        row = {"mean_loss": loss_sum / len(train_set)}
         if eval_set:
             row["eval_loss"] = _mean_pair_loss(params, cfg, eval_set)
-        history.append(row)
-        last_good = {k: v.copy() for k, v in params.items()}
-        logger.info("epoch %d mean_loss %.6f", epoch, row["mean_loss"])
-    return params, history
+        return row
+
+    params = model.init_params(cfg, seed=train_cfg.seed)
+    return params, _run_epochs(params, len(train_set), train_cfg, batch_step,
+                               epoch_row)
 
 
 def finetune_classifier(
@@ -232,13 +243,13 @@ def finetune_classifier(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
     facet_lexicon: Mapping[str, set[str]] | None = None,
-    freeze_encoder: bool = False,
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """Fine-tune a classification head (and, unless frozen, the encoder).
+    """Fine-tune a classification head together with the encoder.
 
     ``cfg.num_classes`` must be set; the encoder starts from ``pretrained``
     and the head is freshly initialized. History rows carry ``epoch``,
-    ``mean_loss`` and training ``accuracy``.
+    ``mean_loss`` and training ``accuracy``. Divergence raises
+    :class:`TrainingDiverged` as in pretraining.
     """
     if cfg.num_classes < 2:
         raise ValueError("need num_classes >= 2")
@@ -254,37 +265,21 @@ def finetune_classifier(
     seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len,
                           facet_lexicon)
     labels = [s.label for s in labeled]
-    params = model.init_head(pretrained, cfg, seed=train_cfg.seed)
-    opt = Optimizer(train_cfg)
-    rng = np.random.default_rng(train_cfg.seed)
-    history: list[dict] = []
-    last_good = {k: v.copy() for k, v in params.items()}
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(seqs))
-        loss_sum = 0.0
-        n_batches = 0
-        try:
-            for start in range(0, len(order), train_cfg.batch_size):
-                idx = order[start:start + train_cfg.batch_size]
-                loss, grads = model.classify_batch_loss_and_grad(
-                    params, cfg, [seqs[i] for i in idx], [labels[i] for i in idx],
-                    freeze_encoder=freeze_encoder)
-                loss_sum += loss
-                n_batches += 1
-                opt.step(params, grads)
-        except model.NonFiniteLossError as exc:
-            raise TrainingDiverged(
-                f"diverged during epoch {epoch}: {exc}", last_good, epoch) from exc
+
+    def batch_step(params, rows):
+        return model.classify_batch_loss_and_grad(
+            params, cfg, [seqs[i] for i in rows], [labels[i] for i in rows])
+
+    def epoch_row(params, loss_sum, n_batches):
         logits = np.concatenate([
             model.classify_batch_logits(params, cfg, seqs[start:start + ENCODE_BATCH])[0]
             for start in range(0, len(seqs), ENCODE_BATCH)])
         accuracy = float((logits.argmax(axis=1) == np.asarray(labels)).mean())
-        history.append({"epoch": epoch, "mean_loss": loss_sum / n_batches,
-                        "accuracy": accuracy})
-        last_good = {k: v.copy() for k, v in params.items()}
-        logger.info("epoch %d mean_loss %.6f accuracy %.3f",
-                    epoch, history[-1]["mean_loss"], accuracy)
-    return params, history
+        return {"mean_loss": loss_sum / n_batches, "accuracy": accuracy}
+
+    params = model.init_head(pretrained, cfg, seed=train_cfg.seed)
+    return params, _run_epochs(params, len(seqs), train_cfg, batch_step,
+                               epoch_row)
 
 
 def write_training_curve(history: Sequence[Mapping], path: str | Path) -> None:

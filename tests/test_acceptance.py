@@ -130,7 +130,7 @@ def test_criterion_4_two_cluster_separation_margin():
     cfg = model.ModelConfig(vocab_size=vocab.size, seq_len=12, model_dim=32,
                             num_layers=2, num_heads=2, ffn_dim=64,
                             output_dim=32, negative_loss="complement")
-    tc = TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=32,
+    tc = TrainConfig(learning_rate=1e-3, batch_size=32,
                      epochs=4, seed=2, eval_fraction=0.0)
     params, _ = train.train_intention_model(samples, vocab, cfg, tc)
     group_embs = [train.encode_texts(params, cfg, vocab, qs)

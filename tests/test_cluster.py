@@ -35,32 +35,30 @@ def partition(result: ClusterResult) -> set[frozenset[str]]:
     return {frozenset(group) for group in result.clusters().values()}
 
 
-@pytest.mark.parametrize("linkage", ["average", "single", "complete"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_partition_matches_naive_oracle(linkage, seed):
+def test_partition_matches_naive_oracle(seed):
     rng = np.random.default_rng(seed)
     vectors = blob_vectors(rng, 4, 8)
     for threshold in (0.05, 0.3, 0.8):
-        got = partition(agglomerate(vectors, threshold, linkage))
-        want = naive_agglomerate(vectors, threshold, linkage)
+        got = partition(agglomerate(vectors, threshold))
+        want = naive_agglomerate(vectors, threshold)
         assert got == want
 
 
-@pytest.mark.parametrize("linkage", ["average", "single", "complete"])
-def test_unstructured_vectors_match_oracle(linkage):
+def test_unstructured_vectors_match_oracle():
     # no planted blobs, heavy merging: exercises a long nontrivial merge order
     rng = np.random.default_rng(9)
     raw = rng.standard_normal((30, 6))
     vectors = {f"r{i:02d}": v for i, v in enumerate(raw)}
-    got = partition(agglomerate(vectors, 1.1, linkage))
-    assert got == naive_agglomerate(vectors, 1.1, linkage)
+    got = partition(agglomerate(vectors, 1.1))
+    assert got == naive_agglomerate(vectors, 1.1)
 
 
 def test_identical_vectors_merge_in_name_order():
     v = np.array([0.6, 0.8, 0.0])
     vectors = {"a0": v.copy(), "a1": v.copy(), "a2": v.copy(),
                "far": np.array([-0.8, 0.6, 0.0])}
-    result = agglomerate(vectors, 0.5, "average")
+    result = agglomerate(vectors, 0.5)
     assert [(a, b) for a, b, _ in result.merge_log] == [("a0", "a1"),
                                                         ("a0", "a2")]
     for _, _, d in result.merge_log:
@@ -71,7 +69,7 @@ def test_identical_vectors_merge_in_name_order():
 def test_tiny_threshold_keeps_singletons():
     rng = np.random.default_rng(3)
     vectors = blob_vectors(rng, 3, 4)
-    result = agglomerate(vectors, 1e-9, "average")
+    result = agglomerate(vectors, 1e-9)
     assert len(result.representatives) == len(vectors)
     assert result.merge_log == []
 
@@ -80,8 +78,8 @@ def test_insertion_order_is_irrelevant():
     rng = np.random.default_rng(5)
     vectors = blob_vectors(rng, 3, 6)
     shuffled = {k: vectors[k] for k in reversed(sorted(vectors))}
-    a = agglomerate(vectors, 0.4, "average")
-    b = agglomerate(shuffled, 0.4, "average")
+    a = agglomerate(vectors, 0.4)
+    b = agglomerate(shuffled, 0.4)
     assert partition(a) == partition(b)
     assert a.merge_log == b.merge_log
 
@@ -91,16 +89,16 @@ def test_distance_evaluation_count():
     vectors = blob_vectors(rng, 4, 8)
     n = len(vectors)
     for threshold in (1e-9, 0.5, 1.5):
-        result = agglomerate(vectors, threshold, "average")
+        result = agglomerate(vectors, threshold)
         assert result.distance_evaluations == n * (n - 1) // 2
 
 
 def test_representative_prefers_clicks_then_name():
     v = np.array([1.0, 0.0])
     vectors = {"a0": v, "a1": v, "a2": v}
-    result = agglomerate(vectors, 0.5, "average", clicks={"a2": 9, "a1": 3})
+    result = agglomerate(vectors, 0.5, clicks={"a2": 9, "a1": 3})
     assert result.representatives == {"c0": "a2"}
-    result = agglomerate(vectors, 0.5, "average", clicks={})
+    result = agglomerate(vectors, 0.5, clicks={})
     assert result.representatives == {"c0": "a0"}
 
 
@@ -110,8 +108,6 @@ def test_agglomerate_validation():
         agglomerate(v, 0.0)
     with pytest.raises(ValueError, match="threshold"):
         agglomerate(v, 2.0)
-    with pytest.raises(ValueError, match="linkage"):
-        agglomerate(v, 0.5, "centroid")
     with pytest.raises(ValueError, match="at least one"):
         agglomerate({}, 0.5)
 
@@ -184,7 +180,7 @@ def test_cluster_topics_empty_input():
 
 def test_cluster_report_csv(tmp_path):
     v = np.array([1.0, 0.0])
-    result = agglomerate({"a0": v, "a1": v}, 0.5, "average",
+    result = agglomerate({"a0": v, "a1": v}, 0.5,
                          clicks={"a1": 2}, product_type="shoe")
     path = tmp_path / "clusters.csv"
     write_cluster_report(result, path)

@@ -104,7 +104,7 @@ def test_build_training_set_auto_ratio_counts():
         assert (s.query_a, s.query_b) not in pos_keys
 
 
-def test_build_training_set_ratio_and_floor():
+def test_build_training_set_ratio():
     stats = make_blob_stats()
     samples = metric.build_training_set(stats, negative_ratio=2.0, seed=1)
     positives = [s for s in samples if s.interactive > 0]
@@ -113,11 +113,6 @@ def test_build_training_set_ratio_and_floor():
 
     no_neg = metric.build_training_set(stats, negative_ratio=0, seed=1)
     assert all(s.interactive > 0 for s in no_neg)
-
-    floored = metric.build_training_set(stats, negative_ratio=0,
-                                        min_interactive=0.99)
-    assert all(s.interactive >= 0.99 for s in floored)
-    assert len(floored) < len(no_neg)
 
     with pytest.raises(ValueError):
         metric.build_training_set(stats, negative_ratio=-1)
@@ -148,10 +143,9 @@ def test_training_set_jsonl_round_trip(tmp_path):
     assert metric.training_set_from_jsonl(path) == samples
 
 
-def expected_training_set(stats, negative_ratio, seed, min_interactive=0.0):
+def expected_training_set(stats, negative_ratio, seed):
     """``build_training_set`` by its definition, negatives from a listed pool."""
-    positives = [s for s in metric.positive_pairs(stats)
-                 if s.interactive >= min_interactive]
+    positives = metric.positive_pairs(stats)
     if negative_ratio == 0 or not positives:
         return positives
     if negative_ratio == "auto":
@@ -187,14 +181,6 @@ def test_build_training_set_matches_materialized_pool(
         assert got == expected_training_set(stats, negative_ratio, draw_seed)
 
 
-def test_build_training_set_min_interactive_matches_materialized_pool():
-    stats = random_coclick_stats(5, 50, 40, 2)
-    floor = 0.5
-    got = metric.build_training_set(stats, "auto", 3, min_interactive=floor)
-    assert got == expected_training_set(stats, "auto", 3, floor)
-    assert 0 < sum(s.interactive > 0 for s in got) < len(stats.pairs)
-
-
 def test_complete_graph_returns_positives_with_warning(caplog):
     stats = random_coclick_stats(4, 25, 3, 3)
     assert len(stats.pairs) == 25 * 24 // 2
@@ -214,6 +200,17 @@ def test_negative_count_capped_at_free_pairs(caplog):
     assert got == expected_training_set(stats, 0.0075, 1)
     negatives = {(s.query_a, s.query_b) for s in got if s.interactive < 0}
     assert negatives == {("a", "d"), ("b", "d"), ("c", "d")}
+
+
+def test_tiny_negative_ratio_draws_every_free_pair(caplog):
+    # 3 positives / 1e-320 overflows to an infinite wanted count
+    records = [rec(q, "shared", 5) for q in "abc"] + [rec("d", "own", 5)]
+    stats = metric.aggregate_clicks(records)
+    with caplog.at_level(logging.WARNING, logger="topicforge.metric"):
+        got = metric.build_training_set(stats, 1e-320, 1)
+    assert "only 3 negative pairs available (wanted inf)" in caplog.text
+    assert got == (metric.positive_pairs(stats)
+                   + materialized_negatives(stats, 3, 1))
 
 
 def test_only_free_pair_in_last_row_is_drawn():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import yaml
 from topicforge import cli, pipeline
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
-                                 run_all, run_stage, stage_dependencies)
+                                 run_stage, stage_dependencies)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def fixture_dir(tmp_path_factory):
 def full_run(fixture_dir, tmp_path_factory):
     workdir = tmp_path_factory.mktemp("run")
     ctx = load_context(fixture_dir / "config.yaml", workdir)
-    reports = run_all(ctx)
+    reports = [run_stage(ctx, stage) for stage in pipeline.STAGES]
     return ctx, workdir, reports
 
 
@@ -188,6 +189,58 @@ def test_bad_negative_ratio_is_config_error(fixture_dir, tmp_path, capsys,
     assert cli.main(["metric", "--config", str(config),
                      "--workdir", str(workdir)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("section", ["train", "finetune"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_learning_rate_is_config_error(fixture_dir, full_run,
+                                                  tmp_path, capsys, section,
+                                                  value):
+    config = variant_config(fixture_dir, tmp_path,
+                            **{f"{section}.learning_rate": value})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    with pytest.raises(ConfigError,
+                       match=f"^bad {section} config: learning_rate must be"):
+        run_stage(load_context(config, workdir), section)
+    assert cli.main([section, "--config", str(config),
+                     "--workdir", str(workdir)]) == 2
+    capsys.readouterr()
+
+
+# keys the pipeline no longer reads, at the values perfbench/gen.py writes
+RETIRED_KEYS = {
+    "metric.min_interactive": 0.0,
+    "train.optimizer": "adam",
+    "train.weight_decay": 0.0,
+    "finetune.optimizer": "adam",
+    "finetune.eval_fraction": 0.0,
+    "finetune.freeze_encoder": False,
+    "cluster.linkage": "average",
+    "dedup.cache_capacity": 10000,
+}
+
+
+def test_retired_config_keys_change_no_artifact(fixture_dir, full_run,
+                                                tmp_path, capsys):
+    config = variant_config(fixture_dir, tmp_path, **RETIRED_KEYS)
+    workdir = tmp_path / "w"
+    assert cli.main(["all", "--config", str(config),
+                     "--workdir", str(workdir)]) == 0
+    capsys.readouterr()
+    trimmed = full_run[1]
+    names = sorted(p.relative_to(trimmed) for p in trimmed.rglob("*")
+                   if p.is_file() and p.name != "report.json")
+    assert names == sorted(p.relative_to(workdir) for p in workdir.rglob("*")
+                           if p.is_file() and p.name != "report.json")
+    for name in names:
+        if name.name == "MANIFEST.json":
+            want, got = (json.loads((root / name).read_text())
+                         for root in (trimmed, workdir))
+            assert want.pop("config_hash") != got.pop("config_hash")
+            assert got == want, name
+        else:
+            assert (workdir / name).read_bytes() == (trimmed / name).read_bytes(), name
 
 
 def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
