@@ -63,13 +63,6 @@ class ExperimentPlan:
         Path(path).write_text(json.dumps({"entries": rows}, indent=2) + "\n",
                               encoding="utf-8")
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentPlan":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(tuple(PlanEntry(r["date"], r["period"], r["arm"],
-                                   r["page_group_action"])
-                         for r in data["entries"]))
-
 
 def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:
     """Assign the window's first half to AA, second to AB, and within each

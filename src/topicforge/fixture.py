@@ -56,17 +56,6 @@ def _query_text(mod: str, base: str) -> str:
     return f"{mod} {base}".strip()
 
 
-def group_queries() -> dict[str, list[str]]:
-    """Family base phrase -> its queries in modifier order."""
-    return {base: [_query_text(mod, base) for mod in mods]
-            for _, base, _, mods in FAMILIES}
-
-
-def planted_representatives() -> dict[str, str]:
-    """Family base phrase -> the query arranged to win representative."""
-    return {base: _query_text(mods[0], base) for _, base, _, mods in FAMILIES}
-
-
 def build_click_records() -> list[ClickRecord]:
     records: list[ClickRecord] = []
 

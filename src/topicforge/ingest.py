@@ -219,6 +219,9 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
         except json.JSONDecodeError:
             report.add_error(line_no, "invalid JSON")
             continue
+        if not isinstance(fields, dict):
+            report.add_error(line_no, "JSONL row is not an object")
+            continue
         page_id = str(fields.get("page_id", "")).strip()
         if not page_id:
             report.add_error(line_no, "missing page_id")
@@ -230,8 +233,13 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
         if page_type not in PAGE_TYPES:
             report.add_error(line_no, f"unknown page_type {page_type!r}")
             continue
+        pairs = fields.get("facets") or []
+        if not (isinstance(pairs, list)
+                and all(isinstance(pair, dict) for pair in pairs)):
+            report.add_error(line_no, "facets is not a list of objects")
+            continue
         facets = []
-        for pair in fields.get("facets", []) or []:
+        for pair in pairs:
             name = normalize_query(str(pair.get("name", "")))
             value = normalize_query(str(pair.get("value", "")))
             if name and value:

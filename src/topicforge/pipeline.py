@@ -1,4 +1,4 @@
-"""Staged batch pipeline with resumable, hash-manifested artifacts.
+"""Staged batch pipeline with hash-manifested artifacts.
 
 Each stage reads the shared YAML config plus earlier stages' artifacts from
 ``workdir/<stage>/``, writes its own outputs there, and records a
@@ -10,8 +10,8 @@ the one legitimately non-reproducible artifact).
 Every random choice derives from the single master seed via fixed per-stage
 offsets; `--seed` swaps the master without touching the config file.
 
-Stage dependencies are declared up front; a missing artifact fails fast
-with its name rather than a confusing downstream error.
+Stage dependencies and raw inputs are declared up front; a missing file
+fails fast with its name rather than a confusing downstream error.
 """
 
 from __future__ import annotations
@@ -130,20 +130,30 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+# ingest's normalized copies of the raw page catalog and facet lexicon
+_CATALOG = [("ingest", "page_catalog.jsonl"), ("ingest", "facet_lexicon.jsonl")]
+
 # dependency artifacts per stage: (producer stage, filename)
 DEPENDENCIES: dict[str, list[tuple[str, str]]] = {
     "ingest": [],
     "metric": [("ingest", "click_records.csv")],
-    "train": [("metric", "training_set.jsonl")],
+    "train": [("metric", "training_set.jsonl"), *_CATALOG],
     "finetune": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                 ("ingest", "click_records.csv")],
+                 ("ingest", "click_records.csv"), *_CATALOG],
     "cluster": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                ("ingest", "candidates.jsonl")],
+                ("ingest", "candidates.jsonl"), *_CATALOG],
     "dedup": [("finetune", "finetuned.ckpt"), ("train", "vocab.jsonl"),
-              ("cluster", "representatives.jsonl")],
+              ("cluster", "representatives.jsonl"), *_CATALOG],
     "select": [("dedup", "kept.jsonl")],
     "emit": [("select", "topics.jsonl")],
     "experiment": [],
+}
+
+# raw files per stage, by config ``paths`` key; ingest alone reads the page
+# catalog and facet lexicon, so the manifests hash every byte a stage reads
+RAW_INPUTS: dict[str, tuple[str, ...]] = {
+    "ingest": ("click_log", "page_catalog", "facet_lexicon", "blocklist"),
+    "emit": ("item_catalog",),
 }
 
 
@@ -183,19 +193,11 @@ def _read_jsonl(path: Path) -> list[dict]:
 # stage bodies; each returns (counts, warnings, output file names)
 # ---------------------------------------------------------------------------
 
-def _require_file(path: Path, what: str) -> Path:
-    if not path.is_file():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
 def _stage_ingest(ctx: PipelineContext, out: Path):
-    records, rep = ingest_mod.parse_click_log(
-        _require_file(ctx.path("click_log"), "click log"))
-    pages, prep = ingest_mod.parse_page_catalog(
-        _require_file(ctx.path("page_catalog"), "page catalog"))
-    blocklist = ingest_mod.load_blocklist(
-        _require_file(ctx.path("blocklist"), "blocklist"))
+    records, rep = ingest_mod.parse_click_log(ctx.path("click_log"))
+    pages, prep = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
+    lexicon = load_facet_lexicon(ctx.path("facet_lexicon"))
+    blocklist = ingest_mod.load_blocklist(ctx.path("blocklist"))
     candidates = ingest_mod.candidates_from_click_log(records)
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
 
@@ -206,13 +208,19 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
         for r in records:
             writer.writerow(r.to_csv_row())
     _write_jsonl(out / "candidates.jsonl", (c.to_dict() for c in kept))
+    # normalized copies in the raw formats; parsing them again is the identity
+    _write_jsonl(out / "page_catalog.jsonl", (p.to_dict() for p in pages))
+    _write_jsonl(out / "facet_lexicon.jsonl",
+                 ({"facet_name": name, "values": sorted(values)}
+                  for name, values in sorted(lexicon.items())))
 
     warnings = [f"click log line {ln}: {msg}" for ln, msg in rep.errors]
     warnings += [f"page catalog line {ln}: {msg}" for ln, msg in prep.errors]
     counts = {"click_rows": rep.rows_ok, "click_row_errors": rep.error_count,
               "pages": len(pages), "candidates": len(kept),
               "blocked": len(removed)}
-    return counts, warnings, ["click_records.csv", "candidates.jsonl"]
+    return counts, warnings, ["click_records.csv", "candidates.jsonl",
+                              "page_catalog.jsonl", "facet_lexicon.jsonl"]
 
 
 def _stage_metric(ctx: PipelineContext, out: Path):
@@ -271,24 +279,26 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
             batch_size=int(t.get("batch_size", 32)),
             epochs=int(t.get("epochs", 10)),
             seed=seed,
-            eval_fraction=float(t.get("eval_fraction", 0.1)))
+            # fine-tuning splits off no eval set
+            eval_fraction=(float(t.get("eval_fraction", 0.1))
+                           if section == "train" else 0.0))
     except ValueError as exc:
         raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
-def _load_lexicon(ctx: PipelineContext):
-    return load_facet_lexicon(_require_file(ctx.path("facet_lexicon"),
-                                            "facet lexicon"))
+def _load_catalog(ctx: PipelineContext):
+    """Ingest's normalized pages and facet lexicon."""
+    pages, _ = ingest_mod.parse_page_catalog(
+        ctx.artifact("ingest", "page_catalog.jsonl"))
+    return pages, load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
     samples = metric_mod.training_set_from_jsonl(
         ctx.artifact("metric", "training_set.jsonl"))
-    lexicon = _load_lexicon(ctx)
-    pages, _ = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
+    pages, lexicon = _load_catalog(ctx)
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
-    texts += [ingest_mod.normalize_query(p.title) for p in pages]
-    texts += [ingest_mod.normalize_query(p.product_type) for p in pages]
+    texts += [p.title for p in pages] + [p.product_type for p in pages]
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = _model_config(ctx, vocab.size)
     tcfg = _train_config(ctx, "train", ctx.seed + SEED_TRAIN)
@@ -326,8 +336,7 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     pretrained, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
     records, _ = ingest_mod.parse_click_log(ctx.artifact("ingest", "click_records.csv"))
-    pages, _ = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
-    lexicon = _load_lexicon(ctx)
+    pages, lexicon = _load_catalog(ctx)
     labeled, classes = _derive_labels(records, pages)
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
@@ -348,8 +357,7 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 def _stage_cluster(ctx: PipelineContext, out: Path):
     params, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
-    lexicon = _load_lexicon(ctx)
-    pages, _ = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
+    pages, lexicon = _load_catalog(ctx)
     rows = _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))
     candidates = [ingest_mod.CandidateQuery(r["query"], r["source"],
                                             r["clicks_total"]) for r in rows]
@@ -384,8 +392,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 def _stage_dedup(ctx: PipelineContext, out: Path):
     params, cfg = model_mod.load_params(ctx.artifact("finetune", "finetuned.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
-    lexicon = _load_lexicon(ctx)
-    pages, _ = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
+    pages, lexicon = _load_catalog(ctx)
     reps = _read_jsonl(ctx.artifact("cluster", "representatives.jsonl"))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
@@ -442,8 +449,7 @@ def _stage_emit(ctx: PipelineContext, out: Path):
                                       r.get("source_cluster", ""),
                                       r.get("product_type", ""))
               for r in rows]
-    retriever = topic_mod.TokenOverlapRetriever.from_jsonl(
-        _require_file(ctx.path("item_catalog"), "item catalog"))
+    retriever = topic_mod.TokenOverlapRetriever.from_jsonl(ctx.path("item_catalog"))
     k = int(ctx.section("emit").get("items_per_page",
                                     topic_mod.DEFAULT_ITEMS_PER_PAGE))
     specs, flagged = topic_mod.emit_pages(topics, retriever, k)
@@ -503,6 +509,10 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     if stage not in _STAGE_FNS:
         raise ConfigError(f"unknown stage {stage!r}")
     dep_paths = check_dependencies(ctx, stage)
+    raw_paths = {key: ctx.path(key) for key in RAW_INPUTS.get(stage, ())}
+    for key, path in raw_paths.items():
+        if not path.is_file():
+            raise ConfigError(f"paths.{key} not found: {path}")
     out = ctx.stage_dir(stage)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
@@ -515,6 +525,7 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         "seed": ctx.seed,
         "inputs": {str(p.relative_to(ctx.workdir)): _sha256(p)
                    for p in dep_paths},
+        "raw_inputs": {key: _sha256(p) for key, p in raw_paths.items()},
         "outputs": {name: _sha256(out / name) for name in outputs},
     }
     (out / "MANIFEST.json").write_text(

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import normalize_query, tokenize_text
+from .ingest import IngestError, normalize_query, tokenize_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -74,15 +74,28 @@ class TokenSequence:
 
 
 def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
-    """JSONL rows {facet_name, values: [...]}; values are normalized."""
+    """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
+    raises IngestError naming its line."""
     lexicon: dict[str, set[str]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        name = normalize_query(str(d["facet_name"]))
-        values = {normalize_query(str(v)) for v in d.get("values", [])}
-        lexicon.setdefault(name, set()).update(v for v in values if v)
+        where = f"facet lexicon line {line_no}"
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{where}: invalid JSON") from exc
+        if not isinstance(d, dict):
+            raise IngestError(f"{where}: JSONL row is not an object")
+        name = normalize_query(str(d.get("facet_name") or ""))
+        if not name:
+            raise IngestError(f"{where}: facet_name is missing or empty")
+        values = d.get("values", [])
+        if not isinstance(values, list):
+            raise IngestError(f"{where}: values is not a list")
+        normalized = {normalize_query(str(v)) for v in values}
+        lexicon.setdefault(name, set()).update(v for v in normalized if v)
     return lexicon
 
 

@@ -147,18 +147,3 @@ def write_page_specs(specs: Sequence[TopicPageSpec], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for spec in specs:
             fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
-
-
-def read_page_specs(path: str | Path) -> list[TopicPageSpec]:
-    specs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            specs.append(TopicPageSpec(row["topic"], row["page_id"],
-                                       tuple(row["item_ids"]),
-                                       row.get("source_cluster", ""),
-                                       row.get("product_type", "")))
-    return specs

@@ -112,6 +112,31 @@ def test_parse_page_catalog_rejects_empty_page_text(tmp_path):
                              (4, "facet page title is empty")]
 
 
+def test_parse_page_catalog_reports_malformed_rows(tmp_path):
+    cat = tmp_path / "pages.jsonl"
+    shelf = {"page_id": "s1", "page_type": "shelf", "title": "yoga mats",
+             "product_type": "yoga mat"}
+    lines = [
+        json.dumps(shelf),
+        "[1, 2]",
+        json.dumps({"page_id": "f1", "page_type": "facet", "title": "red mat",
+                    "product_type": "yoga mat", "facets": ["color=red"]}),
+        json.dumps({"page_id": "f2", "page_type": "facet", "title": "red mat",
+                    "product_type": "yoga mat",
+                    "facets": {"name": "color", "value": "red"}}),
+        json.dumps({"page_id": "f3", "page_type": "facet", "title": "red mat",
+                    "product_type": "yoga mat", "facets": "color"}),
+    ]
+    cat.write_text("\n".join(lines), encoding="utf-8")
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [p.page_id for p in pages] == ["s1"]
+    assert report.rows_total == 5 and report.rows_ok == 1
+    assert report.errors == [(2, "JSONL row is not an object"),
+                             (3, "facets is not a list of objects"),
+                             (4, "facets is not a list of objects"),
+                             (5, "facets is not a list of objects")]
+
+
 def test_blocklist_and_filtering(tmp_path):
     bl = tmp_path / "block.txt"
     bl.write_text("# junk sellers\nreplica\nFAKE Brand\n\n", encoding="utf-8")

@@ -12,9 +12,11 @@ import pytest
 import yaml
 
 from topicforge import cli, pipeline
+from topicforge import ingest as ingest_mod
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
                                  run_stage, stage_dependencies)
+from topicforge.tokenizer import load_facet_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,11 @@ def test_expected_artifacts_exist(full_run):
             assert (workdir / stage / name).is_file(), f"{stage}/{name}"
 
 
+# the raw files each stage reads, by config ``paths`` key
+RAW_KEYS = {"ingest": ["click_log", "page_catalog", "facet_lexicon", "blocklist"],
+            "emit": ["item_catalog"]}
+
+
 def test_manifests_hash_real_files(full_run):
     ctx, workdir, _ = full_run
     for stage in pipeline.STAGES:
@@ -84,12 +91,43 @@ def test_manifests_hash_real_files(full_run):
             assert sha256(workdir / stage / name) == digest
         for rel, digest in manifest["inputs"].items():
             assert sha256(workdir / rel) == digest
+        assert sorted(manifest["raw_inputs"]) == sorted(RAW_KEYS.get(stage, []))
+        for key, digest in manifest["raw_inputs"].items():
+            assert sha256(ctx.path(key)) == digest
+        if stage in ("train", "finetune", "cluster", "dedup"):
+            assert {"ingest/page_catalog.jsonl",
+                    "ingest/facet_lexicon.jsonl"} <= set(manifest["inputs"])
         # manifests must stay duration-free so reruns compare byte-identical
         assert "duration" not in json.dumps(manifest)
         report = json.loads((workdir / stage / "report.json").read_text())
         assert report["stage"] == stage
         assert report["duration_seconds"] >= 0.0
         assert isinstance(report["counts"], dict) and report["counts"]
+
+
+def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
+    inputs = tmp_path / "inputs"
+    config = write_fixture(inputs)["config"]
+    workdir = tmp_path / "w"
+    run_stage(load_context(config, workdir), "ingest")
+    # the copies parse to what the raw files parse to
+    copies = workdir / "ingest"
+    assert (ingest_mod.parse_page_catalog(copies / "page_catalog.jsonl")
+            == ingest_mod.parse_page_catalog(inputs / "pages.jsonl"))
+    assert (load_facet_lexicon(copies / "facet_lexicon.jsonl")
+            == load_facet_lexicon(inputs / "facet_lexicon.jsonl"))
+    (inputs / "pages.jsonl").unlink()
+    (inputs / "facet_lexicon.jsonl").unlink()
+    ctx = load_context(config, workdir)
+    for stage in pipeline.STAGES[1:]:
+        run_stage(ctx, stage)
+    full = full_run[1]
+    names = sorted(p.relative_to(full) for p in full.rglob("*")
+                   if p.is_file() and p.name != "report.json")
+    assert names == sorted(p.relative_to(workdir) for p in workdir.rglob("*")
+                           if p.is_file() and p.name != "report.json")
+    for name in names:
+        assert (workdir / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_fixture_run_produces_pages(full_run):
@@ -241,6 +279,52 @@ def test_retired_config_keys_change_no_artifact(fixture_dir, full_run,
             assert got == want, name
         else:
             assert (workdir / name).read_bytes() == (trimmed / name).read_bytes(), name
+
+
+def test_finetune_ignores_eval_fraction(fixture_dir, full_run, tmp_path):
+    # fine-tuning splits off no eval set, so the key is not read at all
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"finetune.eval_fraction": 5})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    run_stage(load_context(config, workdir), "finetune")
+    for name in ("finetuned.ckpt", "classes.json", "finetune_curve.csv"):
+        assert ((workdir / "finetune" / name).read_bytes()
+                == (full_run[1] / "finetune" / name).read_bytes()), name
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"train.eval_fraction": 5})
+    with pytest.raises(ConfigError,
+                       match="^bad train config: eval_fraction must be"):
+        run_stage(load_context(config, workdir), "train")
+
+
+@pytest.mark.parametrize("key, stage", [
+    ("click_log", "ingest"), ("page_catalog", "ingest"),
+    ("facet_lexicon", "ingest"), ("blocklist", "ingest"),
+    ("item_catalog", "emit")])
+def test_missing_raw_input_is_config_error(fixture_dir, full_run, tmp_path,
+                                           caplog, capsys, key, stage):
+    config = variant_config(fixture_dir, tmp_path,
+                            **{f"paths.{key}": str(tmp_path / "absent")})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    assert cli.main([stage, "--config", str(config),
+                     "--workdir", str(workdir)]) == 2
+    assert f"paths.{key} not found: " in caplog.text
+    capsys.readouterr()
+
+
+def test_bad_facet_lexicon_fails_ingest(tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    config = write_fixture(inputs)["config"]
+    with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"facet_name": "color", "values": "red"}\n')
+    with pytest.raises(ingest_mod.IngestError,
+                       match="^facet lexicon line 4: values is not a list$"):
+        run_stage(load_context(config, tmp_path / "w"), "ingest")
+    assert cli.main(["ingest", "--config", str(config),
+                     "--workdir", str(tmp_path / "w")]) == 1
+    capsys.readouterr()
 
 
 def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):

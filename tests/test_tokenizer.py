@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topicforge import tokenizer
+from topicforge.ingest import IngestError
 from topicforge.tokenizer import (PAD_ID, UNK_ID, TokenSequence, Vocabulary,
                                   build_vocabulary, extract_facets,
                                   facet_token, tokenize_query)
@@ -107,6 +108,23 @@ def test_load_facet_lexicon(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     lex = tokenizer.load_facet_lexicon(path)
     assert lex == {"color": {"red", "navy blue", "green"}}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "JSONL row is not an object"),
+    ("color: red", "invalid JSON"),
+    ('{"values": ["red"]}', "facet_name is missing or empty"),
+    ('{"facet_name": "!!!", "values": ["red"]}',
+     "facet_name is missing or empty"),
+    ('{"facet_name": "color", "values": "red"}', "values is not a list"),
+], ids=["array", "not-json", "no-name", "empty-name", "string-values"])
+def test_load_facet_lexicon_names_the_bad_line(tmp_path, line, message):
+    path = tmp_path / "lex.jsonl"
+    good = json.dumps({"facet_name": "size", "values": ["large"]})
+    path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(IngestError,
+                       match=f"^facet lexicon line 3: {message}$"):
+        tokenizer.load_facet_lexicon(path)
 
 
 def test_token_sequence_shape_check():

@@ -9,8 +9,8 @@ import pytest
 from topicforge import topicpage
 from topicforge.ingest import normalize_query, tokenize_text
 from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
-                                  emit_pages, page_id_for, read_page_specs,
-                                  select_topics, write_page_specs)
+                                  emit_pages, page_id_for, select_topics,
+                                  write_page_specs)
 
 
 def test_select_top_k_by_clicks_then_name():
@@ -119,6 +119,12 @@ def test_spec_round_trip(tmp_path):
                           retriever, k=2)
     path = tmp_path / "pages.jsonl"
     write_page_specs(specs, path)
-    assert read_page_specs(path) == specs
+    written = path.read_bytes()
+    rows = [json.loads(line) for line in written.decode("utf-8").splitlines()]
+    assert rows == [{"topic": s.topic, "page_id": s.page_id,
+                     "item_ids": list(s.item_ids),
+                     "source_cluster": s.source_cluster,
+                     "product_type": s.product_type} for s in specs]
+    assert all(list(row) == sorted(row) for row in rows)
     write_page_specs(specs, path)
-    assert read_page_specs(path) == specs  # rewrite is stable
+    assert path.read_bytes() == written  # rewrite is stable
