@@ -148,29 +148,21 @@ def agglomerate(
 
 
 def cluster_topics(
-    queries: Sequence,
+    clicks: Mapping[str, int],
     encode: Encoder,
     index: ProductTypeIndex,
     threshold: float,
 ) -> ClusterResult:
     """Classify queries to product types, then agglomerate within each type.
 
-    ``queries`` may be plain strings or objects with ``query`` and
-    ``clicks_total`` attributes (click counts drive representative choice).
+    ``clicks`` maps each query to its click total, which drives the choice
+    of each cluster's representative.
     """
-    texts: list[str] = []
-    clicks: dict[str, int] = {}
-    for q in queries:
-        text = q if isinstance(q, str) else q.query
-        if text not in clicks:
-            texts.append(text)
-        clicks[text] = max(clicks.get(text, 0),
-                           0 if isinstance(q, str) else q.clicks_total)
     result = ClusterResult()
-    if not texts:
+    if not clicks:
         return result
 
-    texts.sort()
+    texts = sorted(clicks)
     vecs = encode(texts)
     by_type: dict[str, dict[str, np.ndarray]] = {}
     for text, vec, ptype in zip(texts, vecs, classify_product_type(vecs, index)):

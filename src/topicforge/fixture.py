@@ -186,7 +186,6 @@ dedup:
   threshold: 0.86
 select:
   quota: 10
-  strategy: pipeline
 emit:
   items_per_page: 24
 experiment:

@@ -1,4 +1,4 @@
-"""Input parsing: click logs, page catalogs, candidate queries, blocklists.
+"""Input parsing: CSV click logs, page catalogs, candidate queries, blocklists.
 
 All query text is normalized once, at the boundary (lowercase, punctuation
 stripped except hyphens, whitespace collapsed) so that later joins on query
@@ -39,6 +39,11 @@ def tokenize_text(text: str) -> list[str]:
     return text.split()
 
 
+def field_text(value) -> str:
+    """A JSON field as text; ``null`` counts as missing, like an absent key."""
+    return "" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class ClickRecord:
     query: str
@@ -46,15 +51,6 @@ class ClickRecord:
     page_type: str
     clicks: int
     impressions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "page_id": self.page_id,
-            "page_type": self.page_type,
-            "clicks": self.clicks,
-            "impressions": self.impressions,
-        }
 
     def to_csv_row(self) -> list[str]:
         return [self.query, self.page_id, self.page_type,
@@ -106,24 +102,24 @@ class ParseReport:
         self.errors.append((line_no, message))
 
 
-def _click_record_from_fields(fields: dict, line_no: int,
+def _click_record_from_fields(fields: dict[str, str], line_no: int,
                               report: ParseReport) -> ClickRecord | None:
-    query = normalize_query(str(fields.get("query", "")))
+    query = normalize_query(fields["query"])
     if not query:
         report.add_error(line_no, "empty query after normalization")
         return None
-    page_id = str(fields.get("page_id", "")).strip()
+    page_id = fields["page_id"].strip()
     if not page_id:
         report.add_error(line_no, "missing page_id")
         return None
-    page_type = str(fields.get("page_type", "")).strip().lower()
+    page_type = fields["page_type"].strip().lower()
     if page_type not in PAGE_TYPES:
         report.add_error(line_no, f"unknown page_type {page_type!r}")
         return None
     try:
         clicks = int(fields["clicks"])
         impressions = int(fields["impressions"])
-    except (KeyError, TypeError, ValueError):
+    except ValueError:
         report.add_error(line_no, "clicks/impressions not integers")
         return None
     if clicks < 0 or impressions < 0:
@@ -135,63 +131,38 @@ def _click_record_from_fields(fields: dict, line_no: int,
     return ClickRecord(query, page_id, page_type, clicks, impressions)
 
 
-def parse_click_log(path: str | Path,
-                    format: str | None = None) -> tuple[list[ClickRecord], ParseReport]:
-    """Parse a click log file into ClickRecords plus a ParseReport.
+def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
+    """Parse a CSV click log into ClickRecords plus a ParseReport.
 
-    ``format`` is "csv" or "jsonl"; when None it is inferred from the file
-    suffix. Raises IngestError if the file is unreadable or the CSV header
-    does not match the documented schema.
+    Raises IngestError if the file is unreadable or the CSV header does not
+    match the documented schema.
     """
     path = Path(path)
-    if format is None:
-        format = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if format not in ("csv", "jsonl"):
-        raise IngestError(f"unsupported click log format: {format}")
     try:
-        raw = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IngestError(f"cannot read click log {path}: {exc}") from exc
 
     records: list[ClickRecord] = []
     report = ParseReport()
-    if format == "csv":
-        lines = raw.splitlines()
-        if not lines:
-            return records, report
-        reader = csv.reader(lines)
-        header = next(reader)
-        if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
-            raise IngestError(
-                f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.rows_total += 1
-            if len(row) != len(CLICK_LOG_FIELDS):
-                report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
-                continue
-            rec = _click_record_from_fields(dict(zip(CLICK_LOG_FIELDS, row)), line_no, report)
-            if rec is not None:
-                records.append(rec)
-                report.rows_ok += 1
-    else:
-        for line_no, line in enumerate(raw.splitlines(), start=1):
-            if not line.strip():
-                continue
-            report.rows_total += 1
-            try:
-                fields = json.loads(line)
-            except json.JSONDecodeError:
-                report.add_error(line_no, "invalid JSON")
-                continue
-            if not isinstance(fields, dict):
-                report.add_error(line_no, "JSONL row is not an object")
-                continue
-            rec = _click_record_from_fields(fields, line_no, report)
-            if rec is not None:
-                records.append(rec)
-                report.rows_ok += 1
+    if not lines:
+        return records, report
+    reader = csv.reader(lines)
+    header = next(reader)
+    if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
+        raise IngestError(
+            f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        report.rows_total += 1
+        if len(row) != len(CLICK_LOG_FIELDS):
+            report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
+            continue
+        rec = _click_record_from_fields(dict(zip(CLICK_LOG_FIELDS, row)), line_no, report)
+        if rec is not None:
+            records.append(rec)
+            report.rows_ok += 1
     return records, report
 
 
@@ -222,14 +193,14 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
         if not isinstance(fields, dict):
             report.add_error(line_no, "JSONL row is not an object")
             continue
-        page_id = str(fields.get("page_id", "")).strip()
+        page_id = field_text(fields.get("page_id")).strip()
         if not page_id:
             report.add_error(line_no, "missing page_id")
             continue
         if page_id in seen_ids:
             report.add_error(line_no, f"duplicate page_id {page_id!r}")
             continue
-        page_type = str(fields.get("page_type", "")).strip().lower()
+        page_type = field_text(fields.get("page_type")).strip().lower()
         if page_type not in PAGE_TYPES:
             report.add_error(line_no, f"unknown page_type {page_type!r}")
             continue
@@ -240,15 +211,15 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
             continue
         facets = []
         for pair in pairs:
-            name = normalize_query(str(pair.get("name", "")))
-            value = normalize_query(str(pair.get("value", "")))
+            name = normalize_query(field_text(pair.get("name")))
+            value = normalize_query(field_text(pair.get("value")))
             if name and value:
                 facets.append((name, value))
         if page_type == "facet" and not facets:
             report.add_error(line_no, "facet page without facet pairs")
             continue
-        title = normalize_query(str(fields.get("title", "")))
-        product_type = normalize_query(str(fields.get("product_type", "")))
+        title = normalize_query(field_text(fields.get("title")))
+        product_type = normalize_query(field_text(fields.get("product_type")))
         # shelf and facet text is encoded downstream, and a text that
         # normalizes to "" has no token to encode
         if page_type in ("shelf", "facet") and not title:

@@ -130,20 +130,22 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-# ingest's normalized copies of the raw page catalog and facet lexicon
-_CATALOG = [("ingest", "page_catalog.jsonl"), ("ingest", "facet_lexicon.jsonl")]
+# ingest's normalized copy of the raw page catalog
+_PAGES = ("ingest", "page_catalog.jsonl")
 
-# dependency artifacts per stage: (producer stage, filename)
+# dependency artifacts per stage: (producer stage, filename); train alone
+# reads the facet lexicon copy, later stages take it from vocab.jsonl
 DEPENDENCIES: dict[str, list[tuple[str, str]]] = {
     "ingest": [],
     "metric": [("ingest", "click_records.csv")],
-    "train": [("metric", "training_set.jsonl"), *_CATALOG],
+    "train": [("metric", "training_set.jsonl"), _PAGES,
+              ("ingest", "facet_lexicon.jsonl")],
     "finetune": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                 ("ingest", "click_records.csv"), *_CATALOG],
+                 ("ingest", "click_records.csv"), _PAGES],
     "cluster": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                ("ingest", "candidates.jsonl"), *_CATALOG],
+                ("ingest", "candidates.jsonl"), _PAGES],
     "dedup": [("finetune", "finetuned.ckpt"), ("train", "vocab.jsonl"),
-              ("cluster", "representatives.jsonl"), *_CATALOG],
+              ("cluster", "representatives.jsonl"), _PAGES],
     "select": [("dedup", "kept.jsonl")],
     "emit": [("select", "topics.jsonl")],
     "experiment": [],
@@ -157,17 +159,9 @@ RAW_INPUTS: dict[str, tuple[str, ...]] = {
 }
 
 
-def stage_dependencies(ctx: PipelineContext, stage: str) -> list[tuple[str, str]]:
-    if stage == "select":
-        # the baseline arm selects straight from raw candidates
-        if ctx.section("select").get("strategy", "pipeline") == "top-clicks":
-            return [("ingest", "candidates.jsonl")]
-    return DEPENDENCIES[stage]
-
-
 def check_dependencies(ctx: PipelineContext, stage: str) -> list[Path]:
     found = []
-    for dep_stage, name in stage_dependencies(ctx, stage):
+    for dep_stage, name in DEPENDENCIES[stage]:
         path = ctx.artifact(dep_stage, name)
         if not path.is_file():
             raise PipelineError(f"missing artifact: {name}")
@@ -286,24 +280,23 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
         raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
-def _load_catalog(ctx: PipelineContext):
-    """Ingest's normalized pages and facet lexicon."""
-    pages, _ = ingest_mod.parse_page_catalog(
-        ctx.artifact("ingest", "page_catalog.jsonl"))
-    return pages, load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
+def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
+    """Ingest's normalized pages."""
+    pages, _ = ingest_mod.parse_page_catalog(ctx.artifact(*_PAGES))
+    return pages
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
     samples = metric_mod.training_set_from_jsonl(
         ctx.artifact("metric", "training_set.jsonl"))
-    pages, lexicon = _load_catalog(ctx)
+    pages = _load_pages(ctx)
+    lexicon = load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
     texts += [p.title for p in pages] + [p.product_type for p in pages]
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = _model_config(ctx, vocab.size)
     tcfg = _train_config(ctx, "train", ctx.seed + SEED_TRAIN)
-    params, history = train_mod.train_intention_model(
-        samples, vocab, cfg, tcfg, facet_lexicon=lexicon)
+    params, history = train_mod.train_intention_model(samples, vocab, cfg, tcfg)
     vocab.save(out / "vocab.jsonl")
     model_mod.save_params(params, cfg, out / "intention.ckpt")
     train_mod.write_training_curve(history, out / "curve.csv")
@@ -336,14 +329,13 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     pretrained, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
     records, _ = ingest_mod.parse_click_log(ctx.artifact("ingest", "click_records.csv"))
-    pages, lexicon = _load_catalog(ctx)
-    labeled, classes = _derive_labels(records, pages)
+    labeled, classes = _derive_labels(records, _load_pages(ctx))
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = model_mod.ModelConfig(**{**cfg.to_dict(), "num_classes": len(classes)})
     tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
     params, history = train_mod.finetune_classifier(
-        pretrained, labeled, vocab, cfg, tcfg, facet_lexicon=lexicon)
+        pretrained, labeled, vocab, cfg, tcfg)
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
     (out / "classes.json").write_text(
         json.dumps(classes, indent=2) + "\n", encoding="utf-8")
@@ -357,26 +349,21 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 def _stage_cluster(ctx: PipelineContext, out: Path):
     params, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
-    pages, lexicon = _load_catalog(ctx)
-    rows = _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))
-    candidates = [ingest_mod.CandidateQuery(r["query"], r["source"],
-                                            r["clicks_total"]) for r in rows]
+    clicks = {r["query"]: r["clicks_total"]
+              for r in _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))}
     threshold = float(ctx.section("cluster").get("threshold", 0.15))
-    encode = partial(train_mod.encode_texts, params, cfg, vocab,
-                     facet_lexicon=lexicon)
-    ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
+    encode = partial(train_mod.encode_texts, params, cfg, vocab)
+    ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
     index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
     try:
-        result = cluster_mod.cluster_topics(candidates, encode, index,
-                                            threshold)
+        result = cluster_mod.cluster_topics(clicks, encode, index, threshold)
     except ValueError as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
     cluster_mod.write_cluster_report(result, out / "clusters.csv")
-    clicks = {c.query: c.clicks_total for c in candidates}
     reps = [{"query": q, "cluster_id": cid, "product_type": ptype,
-             "clicks_total": clicks.get(q, 0)}
+             "clicks_total": clicks[q]}
             for cid, q in sorted(result.representatives.items())
             for ptype in [result.assignments[q][0]]]
     _write_jsonl(out / "representatives.jsonl", reps)
@@ -392,19 +379,18 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 def _stage_dedup(ctx: PipelineContext, out: Path):
     params, cfg = model_mod.load_params(ctx.artifact("finetune", "finetuned.ckpt"))
     vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
-    pages, lexicon = _load_catalog(ctx)
+    pages = _load_pages(ctx)
     reps = _read_jsonl(ctx.artifact("cluster", "representatives.jsonl"))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
-    encode = partial(train_mod.encode_texts, params, cfg, vocab,
-                     facet_lexicon=lexicon)
+    encode = partial(train_mod.encode_texts, params, cfg, vocab)
     shelf_index = dedup_mod.build_shelf_index(pages, encode)
     facet_index = dedup_mod.FacetIndex(pages)
     try:
         deduper = dedup_mod.Deduper(
             shelf_index, facet_index, encode,
             threshold=float(dcfg.get("threshold", dedup_mod.DEFAULT_THRESHOLD)),
-            facet_lexicon=lexicon)
+            facet_lexicon=vocab.facet_lexicon)
     except ValueError as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
     decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)
@@ -416,30 +402,19 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    scfg = ctx.section("select")
-    quota = int(scfg.get("quota", 10))
-    strategy = str(scfg.get("strategy", "pipeline"))
-    if strategy == "pipeline":
-        rows = _read_jsonl(ctx.artifact("dedup", "kept.jsonl"))
-        meta = {r["query"]: r for r in rows}
-    elif strategy == "top-clicks":
-        # baseline arm: raw candidates by clicks, no clustering or dedup
-        rows = [{"query": r["query"], "clicks_total": r["clicks_total"],
-                 "cluster_id": "", "product_type": ""}
-                for r in _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))]
-        meta = {r["query"]: r for r in rows}
-    else:
-        raise ConfigError(f"unknown select strategy {strategy!r}")
+    quota = int(ctx.section("select").get("quota", 10))
     if quota < 0:
         raise ConfigError("select quota must be >= 0")
+    rows = _read_jsonl(ctx.artifact("dedup", "kept.jsonl"))
+    meta = {r["query"]: r for r in rows}
     chosen = topic_mod.select_topics(
         [(r["query"], r["clicks_total"]) for r in rows], quota)
     topics = [topic_mod.SelectedTopic(q, meta[q]["clicks_total"],
-                                      meta[q].get("cluster_id", ""),
-                                      meta[q].get("product_type", ""))
+                                      meta[q]["cluster_id"],
+                                      meta[q]["product_type"])
               for q in chosen]
     _write_jsonl(out / "topics.jsonl", (t.to_dict() for t in topics))
-    counts = {"quota": quota, "selected": len(topics), "strategy": strategy}
+    counts = {"quota": quota, "selected": len(topics)}
     return counts, [], ["topics.jsonl"]
 
 
@@ -450,9 +425,12 @@ def _stage_emit(ctx: PipelineContext, out: Path):
                                       r.get("product_type", ""))
               for r in rows]
     retriever = topic_mod.TokenOverlapRetriever.from_jsonl(ctx.path("item_catalog"))
-    k = int(ctx.section("emit").get("items_per_page",
-                                    topic_mod.DEFAULT_ITEMS_PER_PAGE))
-    specs, flagged = topic_mod.emit_pages(topics, retriever, k)
+    try:
+        k = int(ctx.section("emit").get("items_per_page",
+                                        topic_mod.DEFAULT_ITEMS_PER_PAGE))
+        specs, flagged = topic_mod.emit_pages(topics, retriever, k)
+    except ValueError as exc:
+        raise ConfigError(f"bad emit config: {exc}") from exc
     topic_mod.write_page_specs(specs, out / "pages.jsonl")
     _write_jsonl(out / "flagged.jsonl",
                  ({"topic": t, "reason": r} for t, r in flagged))
@@ -463,20 +441,20 @@ def _stage_emit(ctx: PipelineContext, out: Path):
 
 def _stage_experiment(ctx: PipelineContext, out: Path):
     ecfg = ctx.section("experiment")
-    n_days = int(ecfg.get("n_days", 120))
-    window = exp_mod.date_window(str(ecfg.get("start_date", "2025-01-01")),
-                                 n_days)
     try:
-        plan = exp_mod.split_dates(window, ctx.seed + SEED_SPLIT)
-    except exp_mod.ConfigurationError as exc:
-        raise ConfigError(str(exc)) from exc
-    clicks = exp_mod.simulate_traffic(
-        plan,
-        base_mean=float(ecfg.get("base_mean", 1000.0)),
-        noise_sd=float(ecfg.get("noise_sd", 30.0)),
-        lift_fraction=float(ecfg.get("lift_fraction", 0.0)),
-        seed=ctx.seed + SEED_TRAFFIC)
-    report = exp_mod.analyze(plan, clicks, str(ecfg.get("variant", "pooled")))
+        n_days = int(ecfg.get("n_days", 120))
+        window = exp_mod.date_window(
+            str(ecfg.get("start_date", "2025-01-01")), n_days)
+        plan, clicks, report = exp_mod.run_experiment(
+            window,
+            base_mean=float(ecfg.get("base_mean", 1000.0)),
+            noise_sd=float(ecfg.get("noise_sd", 30.0)),
+            lift_fraction=float(ecfg.get("lift_fraction", 0.0)),
+            split_seed=ctx.seed + SEED_SPLIT,
+            traffic_seed=ctx.seed + SEED_TRAFFIC,
+            variant=str(ecfg.get("variant", "pooled")))
+    except ValueError as exc:  # ConfigurationError included
+        raise ConfigError(f"bad experiment config: {exc}") from exc
     plan.to_json(out / "plan.json")
     (out / "daily_clicks.json").write_text(
         json.dumps(clicks, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -10,14 +10,14 @@ differently.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import IngestError, normalize_query, tokenize_text
+from .ingest import IngestError, field_text, normalize_query, tokenize_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -42,6 +42,25 @@ class Vocabulary:
 
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
+
+    @cached_property
+    def facet_lexicon(self) -> dict[str, set[str]]:
+        """Facet name -> values, read back from the facet tokens (normalized
+        text holds no ``:`` or ``=``); a name without values made no token."""
+        lo, hi = self.facet_id_range
+        lexicon: dict[str, set[str]] = {}
+        for token, idx in self.token_to_id.items():
+            if lo <= idx < hi:
+                name, _, value = token.partition(":")[2].partition("=")
+                lexicon.setdefault(name, set()).add(value)
+        return lexicon
+
+    def tokenize(self, query: str, seq_len: int) -> TokenSequence:
+        """A normalized query's word tokens plus the facets this vocabulary
+        holds, as :func:`tokenize_query` lays them out."""
+        lexicon = self.facet_lexicon
+        facets = extract_facets(query, lexicon) if lexicon else {}
+        return tokenize_query(query, facets, self, seq_len)
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
@@ -94,7 +113,7 @@ def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
         values = d.get("values", [])
         if not isinstance(values, list):
             raise IngestError(f"{where}: values is not a list")
-        normalized = {normalize_query(str(v)) for v in values}
+        normalized = {normalize_query(field_text(v)) for v in values}
         lexicon.setdefault(name, set()).update(v for v in normalized if v)
     return lexicon
 
@@ -102,16 +121,15 @@ def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
 def build_vocabulary(
     queries: Iterable[str],
     facet_lexicon: Mapping[str, Iterable[str]] | None = None,
-    min_count: int = 1,
 ) -> Vocabulary:
-    """Vocabulary over query word tokens (freq >= min_count) plus facet tokens.
+    """Vocabulary over query word tokens plus facet tokens.
 
     Layout is stable for a given input: [PAD, UNK], facet tokens sorted,
     then word tokens sorted.
     """
-    counts: Counter[str] = Counter()
+    words: set[str] = set()
     for query in queries:
-        counts.update(tokenize_text(query))
+        words.update(tokenize_text(query))
     facet_tokens = []
     if facet_lexicon:
         for name in sorted(facet_lexicon):
@@ -122,7 +140,7 @@ def build_vocabulary(
     for tok in facet_tokens:
         mapping[tok] = len(mapping)
     facet_range = (2, len(mapping))
-    for tok in sorted(t for t, c in counts.items() if c >= min_count):
+    for tok in sorted(words):
         if tok not in mapping:
             mapping[tok] = len(mapping)
     return Vocabulary(mapping, facet_range)

@@ -1,10 +1,9 @@
 """Topic keyword selection under the page quota and topic-page emission.
 
-Selection is a plain top-k by clicks (ties lexicographic), which doubles as
-the baseline strategy when applied to raw candidates instead of cluster
-representatives. Emission asks a pluggable retriever for the top items per
-keyword; the bundled retriever ranks a JSONL item catalog by token overlap
-with the keyword. Topics that retrieve nothing are flagged and skipped, a
+Selection is a plain top-k by clicks (ties lexicographic) over the cluster
+representatives that dedup kept. Emission asks a pluggable retriever for the
+top items per keyword; the bundled retriever ranks a JSONL item catalog by
+token overlap with the keyword. Topics that retrieve nothing are flagged and skipped, a
 retriever failure flags that topic and the run continues.
 
 Page identity is a 64-bit blake2b hash of the normalized keyword, so

@@ -29,7 +29,7 @@ from . import model
 from .ingest import normalize_query
 from .metric import QueryPairSample
 from .model import ModelConfig
-from .tokenizer import TokenSequence, Vocabulary, extract_facets, tokenize_query
+from .tokenizer import TokenSequence, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -107,17 +107,14 @@ def split_eval(keys: Sequence[str], eval_fraction: float) -> list[bool]:
     return [_stable_hash_fraction(k) < eval_fraction for k in keys]
 
 
-def tokenize_texts(texts: Sequence[str], vocab: Vocabulary, seq_len: int,
-                   facet_lexicon: Mapping[str, set[str]] | None = None,
-                   ) -> list[TokenSequence]:
-    """One token sequence per text; each distinct text is normalized, has its
-    facets extracted and is tokenized once."""
+def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
+                   seq_len: int) -> list[TokenSequence]:
+    """One token sequence per text; each distinct text is normalized and
+    tokenized, facets included, once."""
     memo: dict[str, TokenSequence] = {}
     for text in texts:
         if text not in memo:
-            normalized = normalize_query(text)
-            facets = extract_facets(normalized, facet_lexicon) if facet_lexicon else {}
-            memo[text] = tokenize_query(normalized, facets, vocab, seq_len)
+            memo[text] = vocab.tokenize(normalize_query(text), seq_len)
     return [memo[text] for text in texts]
 
 
@@ -126,14 +123,13 @@ def encode_texts(
     cfg: ModelConfig,
     vocab: Vocabulary,
     texts: Sequence[str],
-    facet_lexicon: Mapping[str, set[str]] | None = None,
 ) -> np.ndarray:
     """Unit-norm embeddings, one row per text, shape ``(len(texts), output_dim)``.
 
     Forward passes take at most ``ENCODE_BATCH`` texts; an empty list runs
     none.
     """
-    seqs = tokenize_texts(texts, vocab, cfg.seq_len, facet_lexicon)
+    seqs = tokenize_texts(texts, vocab, cfg.seq_len)
     if not seqs:
         return np.zeros((0, cfg.output_dim))
     return np.concatenate([
@@ -199,7 +195,6 @@ def train_intention_model(
     vocab: Vocabulary,
     cfg: ModelConfig,
     train_cfg: TrainConfig,
-    facet_lexicon: Mapping[str, set[str]] | None = None,
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Pretrain on pair samples; returns (params, per-epoch history).
 
@@ -211,7 +206,7 @@ def train_intention_model(
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
     seqs = tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
-                          vocab, cfg.seq_len, facet_lexicon)
+                          vocab, cfg.seq_len)
     tokenized = [(seqs[2 * i], seqs[2 * i + 1], s.interactive)
                  for i, s in enumerate(samples)]
     is_eval = split_eval([f"{s.query_a}\x1f{s.query_b}" for s in samples],
@@ -242,7 +237,6 @@ def finetune_classifier(
     vocab: Vocabulary,
     cfg: ModelConfig,
     train_cfg: TrainConfig,
-    facet_lexicon: Mapping[str, set[str]] | None = None,
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Fine-tune a classification head together with the encoder.
 
@@ -262,8 +256,7 @@ def finetune_classifier(
     if missing:
         logger.warning("classes absent from training data: %s", missing)
 
-    seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len,
-                          facet_lexicon)
+    seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len)
     labels = [s.label for s in labeled]
 
     def batch_step(params, rows):

@@ -174,8 +174,8 @@ def two_stage_partitions(vectors, n_types, threshold):
     embed = lambda text: (vectors[text] if text in vectors
                           else type_axis(text, n_types))
     index = ProductTypeIndex.build(labels, batch_encoder(embed))
-    result = cluster_topics(sorted(vectors), batch_encoder(embed), index,
-                            threshold)
+    result = cluster_topics(dict.fromkeys(vectors, 0), batch_encoder(embed),
+                            index, threshold)
     parts: dict[str, set[frozenset]] = {lbl: set() for lbl in labels}
     for cid, members in result.clusters().items():
         parts[cid.split("#")[0]].add(frozenset(members))

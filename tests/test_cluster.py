@@ -3,8 +3,6 @@ classification and report output."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,6 @@ from oracles import batch_encoder, hash_embed_fn, naive_agglomerate
 from topicforge.cluster import (ClusterResult, ProductTypeIndex, agglomerate,
                                 classify_product_type, cluster_topics,
                                 write_cluster_report)
-
-
-@dataclass
-class Cand:
-    query: str
-    clicks_total: int
 
 
 def blob_vectors(rng, n_blobs, per_blob, dim=8, noise=0.2):
@@ -147,10 +139,9 @@ def test_cluster_topics_partitions_by_type():
         return np.stack([embed(t) for t in texts])
 
     index = ProductTypeIndex.build(["shoe", "tent"], encode)
-    queries = [Cand("red shoe", 5), Cand("blue shoe", 2), Cand("red shoe", 9),
-               "green tent", Cand("blue tent", 1)]
-    result = cluster_topics(queries, encode, index, threshold=1.0)
-    # one encoder call for the labels, one for the distinct queries
+    clicks = {"red shoe": 9, "blue shoe": 2, "green tent": 0, "blue tent": 1}
+    result = cluster_topics(clicks, encode, index, threshold=1.0)
+    # one encoder call for the labels, one for the sorted queries
     assert calls == [["shoe", "tent"],
                      ["blue shoe", "blue tent", "green tent", "red shoe"]]
     types = {q: pt for q, (pt, _) in result.assignments.items()}
@@ -160,7 +151,7 @@ def test_cluster_topics_partitions_by_type():
                for _, cid in result.assignments.values())
     # 4 unique queries x 2 type comparisons + C(2,2) pairwise per type
     assert result.distance_evaluations == 4 * 2 + 1 + 1
-    # duplicate "red shoe" keeps the max click count for rep choice
+    # the higher click count beats the smaller name for rep choice
     shoe_cluster = [cid for q, (pt, cid) in result.assignments.items()
                     if pt == "shoe"]
     assert result.representatives[shoe_cluster[0]] == "red shoe"
@@ -173,7 +164,7 @@ def test_cluster_topics_empty_input():
     def no_encode(texts):
         raise AssertionError("empty input must not be encoded")
 
-    result = cluster_topics([], no_encode, index, 0.5)
+    result = cluster_topics({}, no_encode, index, 0.5)
     assert result.assignments == {}
     assert result.distance_evaluations == 0
 

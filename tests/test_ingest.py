@@ -48,23 +48,6 @@ def test_parse_click_log_bad_header(tmp_path):
         ingest.parse_click_log(log)
 
 
-def test_parse_click_log_jsonl(tmp_path):
-    log = tmp_path / "log.jsonl"
-    rows = [
-        {"query": "red mat", "page_id": "p1", "page_type": "item",
-         "clicks": 3, "impressions": 9},
-        "not json at all",
-        {"query": "blue mat", "page_id": "p2", "page_type": "facet",
-         "clicks": 1, "impressions": 1},
-    ]
-    log.write_text("\n".join(
-        r if isinstance(r, str) else json.dumps(r) for r in rows),
-        encoding="utf-8")
-    records, report = ingest.parse_click_log(log)
-    assert len(records) == 2
-    assert report.error_count == 1
-
-
 def test_parse_page_catalog(tmp_path):
     cat = tmp_path / "pages.jsonl"
     rows = [
@@ -110,6 +93,35 @@ def test_parse_page_catalog_rejects_empty_page_text(tmp_path):
     assert report.errors == [(2, "shelf page product_type is empty"),
                              (3, "shelf page title is empty"),
                              (4, "facet page title is empty")]
+
+
+def test_parse_page_catalog_treats_null_as_missing(tmp_path):
+    cat = tmp_path / "pages.jsonl"
+    rows = [
+        {"page_id": None, "page_type": "shelf", "title": None,
+         "product_type": "tents"},
+        {"page_id": "s1", "page_type": "shelf", "title": None,
+         "product_type": "tents"},
+        {"page_id": "s2", "page_type": "shelf", "title": "tents",
+         "product_type": None},
+        {"page_id": "f1", "page_type": "facet", "title": "red tents",
+         "product_type": "tents", "facets": [{"name": "color", "value": None}]},
+        {"page_id": "f2", "page_type": "facet", "title": "red tents",
+         "product_type": "tents",
+         "facets": [{"name": None, "value": "blue"},
+                    {"name": "color", "value": "red"}]},
+        {"page_id": "i1", "page_type": "item", "title": None,
+         "product_type": None},
+    ]
+    cat.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    pages, report = ingest.parse_page_catalog(cat)
+    assert report.errors == [(1, "missing page_id"),
+                             (2, "shelf page title is empty"),
+                             (3, "shelf page product_type is empty"),
+                             (4, "facet page without facet pairs")]
+    assert [p.page_id for p in pages] == ["f2", "i1"]
+    assert pages[0].facets == frozenset([("color", "red")])
+    assert (pages[1].title, pages[1].product_type) == ("", "")
 
 
 def test_parse_page_catalog_reports_malformed_rows(tmp_path):

@@ -15,7 +15,7 @@ from topicforge import cli, pipeline
 from topicforge import ingest as ingest_mod
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
-                                 run_stage, stage_dependencies)
+                                 run_stage)
 from topicforge.tokenizer import load_facet_lexicon
 
 
@@ -79,6 +79,23 @@ def test_expected_artifacts_exist(full_run):
 RAW_KEYS = {"ingest": ["click_log", "page_catalog", "facet_lexicon", "blocklist"],
             "emit": ["item_catalog"]}
 
+# the artifacts each stage reads; train alone reads the facet lexicon copy
+INPUTS = {
+    "ingest": [],
+    "metric": ["ingest/click_records.csv"],
+    "train": ["metric/training_set.jsonl", "ingest/page_catalog.jsonl",
+              "ingest/facet_lexicon.jsonl"],
+    "finetune": ["train/intention.ckpt", "train/vocab.jsonl",
+                 "ingest/click_records.csv", "ingest/page_catalog.jsonl"],
+    "cluster": ["train/intention.ckpt", "train/vocab.jsonl",
+                "ingest/candidates.jsonl", "ingest/page_catalog.jsonl"],
+    "dedup": ["finetune/finetuned.ckpt", "train/vocab.jsonl",
+              "cluster/representatives.jsonl", "ingest/page_catalog.jsonl"],
+    "select": ["dedup/kept.jsonl"],
+    "emit": ["select/topics.jsonl"],
+    "experiment": [],
+}
+
 
 def test_manifests_hash_real_files(full_run):
     ctx, workdir, _ = full_run
@@ -89,14 +106,12 @@ def test_manifests_hash_real_files(full_run):
         assert len(manifest["config_hash"]) == 64
         for name, digest in manifest["outputs"].items():
             assert sha256(workdir / stage / name) == digest
+        assert sorted(manifest["inputs"]) == sorted(INPUTS[stage])
         for rel, digest in manifest["inputs"].items():
             assert sha256(workdir / rel) == digest
         assert sorted(manifest["raw_inputs"]) == sorted(RAW_KEYS.get(stage, []))
         for key, digest in manifest["raw_inputs"].items():
             assert sha256(ctx.path(key)) == digest
-        if stage in ("train", "finetune", "cluster", "dedup"):
-            assert {"ingest/page_catalog.jsonl",
-                    "ingest/facet_lexicon.jsonl"} <= set(manifest["inputs"])
         # manifests must stay duration-free so reruns compare byte-identical
         assert "duration" not in json.dumps(manifest)
         report = json.loads((workdir / stage / "report.json").read_text())
@@ -130,6 +145,25 @@ def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
         assert (workdir / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def test_stale_raw_lexicon_changes_no_cluster_or_dedup_output(full_run,
+                                                             tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    config = str(write_fixture(inputs)["config"])
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    # a facet the checkpoint never saw, added after train
+    with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"facet_name": "activity",
+                             "values": ["running", "trail"]}) + "\n")
+    for stage in ("ingest", "cluster", "dedup"):
+        assert cli.main([stage, "--config", config,
+                         "--workdir", str(workdir)]) == 0
+    capsys.readouterr()
+    assert "activity" in (workdir / "ingest" / "facet_lexicon.jsonl").read_text()
+    for name in ("cluster/merge_log.jsonl", "dedup/decisions.csv"):
+        assert (workdir / name).read_bytes() == (full_run[1] / name).read_bytes(), name
+
+
 def test_fixture_run_produces_pages(full_run):
     _, workdir, reports = full_run
     by_stage = {r.stage: r for r in reports}
@@ -156,35 +190,6 @@ def test_unknown_stage_is_config_error(fixture_dir, tmp_path):
     ctx = load_context(fixture_dir / "config.yaml", tmp_path / "w")
     with pytest.raises(ConfigError, match="unknown stage"):
         run_stage(ctx, "compile")
-
-
-def test_select_baseline_reads_raw_candidates(fixture_dir, tmp_path):
-    config = variant_config(fixture_dir, tmp_path,
-                            **{"select.strategy": "top-clicks",
-                               "select.quota": 3})
-    workdir = tmp_path / "baseline"
-    ctx = load_context(config, workdir)
-    assert stage_dependencies(ctx, "select") == [("ingest", "candidates.jsonl")]
-    run_stage(ctx, "ingest")
-    report = run_stage(ctx, "select")  # no train/cluster/dedup needed
-    assert report.counts == {"quota": 3, "selected": 3,
-                             "strategy": "top-clicks"}
-    topics = [json.loads(line) for line in
-              (workdir / "select" / "topics.jsonl").read_text().splitlines()]
-    assert len(topics) == 3
-    clicks = [t["clicks"] for t in topics]
-    assert clicks == sorted(clicks, reverse=True)
-
-
-def test_unknown_select_strategy(fixture_dir, tmp_path):
-    config = variant_config(fixture_dir, tmp_path,
-                            **{"select.strategy": "roulette"})
-    ctx = load_context(config, tmp_path / "w")
-    # satisfy the dependency check so the strategy validation is reached
-    ctx.stage_dir("dedup").mkdir(parents=True)
-    ctx.artifact("dedup", "kept.jsonl").touch()
-    with pytest.raises(ConfigError, match="strategy"):
-        run_stage(ctx, "select")
 
 
 def test_unknown_exclude_page_type(fixture_dir, tmp_path):
@@ -256,6 +261,7 @@ RETIRED_KEYS = {
     "finetune.freeze_encoder": False,
     "cluster.linkage": "average",
     "dedup.cache_capacity": 10000,
+    "select.strategy": "pipeline",
 }
 
 
@@ -354,6 +360,22 @@ def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
             "facet page title is empty") in warnings
     classes = json.loads((workdir / "finetune" / "classes.json").read_text())
     assert "shelf-stoves" not in classes and classes
+
+
+@pytest.mark.parametrize("key, value", [
+    ("emit.items_per_page", 0), ("experiment.noise_sd", -1),
+    ("experiment.base_mean", 0), ("experiment.variant", "bogus"),
+    ("experiment.n_days", 4), ("experiment.start_date", "soon")])
+def test_bad_emit_or_experiment_value_is_config_error(
+        fixture_dir, full_run, tmp_path, caplog, capsys, key, value):
+    stage = key.split(".")[0]
+    config = variant_config(fixture_dir, tmp_path, **{key: value})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    assert cli.main([stage, "--config", str(config),
+                     "--workdir", str(workdir)]) == 2
+    assert f"bad {stage} config: " in caplog.text
+    capsys.readouterr()
 
 
 def test_experiment_stage_seed_sensitivity(fixture_dir, tmp_path):

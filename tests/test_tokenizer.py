@@ -30,18 +30,27 @@ def test_vocabulary_layout():
     assert vocab.id_for("never seen") == UNK_ID
 
 
-def test_vocabulary_min_count():
-    vocab = build_vocabulary(["rare common", "common"], min_count=2)
-    assert vocab.id_for("common") != UNK_ID
-    assert vocab.id_for("rare") == UNK_ID
-
-
 def test_vocabulary_save_load_round_trip(tmp_path):
     vocab = build_vocabulary(["red shoes"], LEXICON)
     path = tmp_path / "vocab.jsonl"
     vocab.save(path)
     loaded = Vocabulary.load(path)
     assert loaded == vocab
+
+
+def test_vocabulary_facet_lexicon_survives_save_load(tmp_path):
+    lexicon = {"color": {"navy blue", "red"}, "style": {"v-neck"},
+               "material": set()}
+    vocab = build_vocabulary(["navy blue v-neck shirt", "red mat"], lexicon)
+    path = tmp_path / "vocab.jsonl"
+    vocab.save(path)
+    loaded = Vocabulary.load(path)
+    # a name without values made no token, so the vocabulary cannot hold it;
+    # word tokens such as "navy" or "shirt" never enter the lexicon
+    assert loaded.facet_lexicon == {"color": {"navy blue", "red"},
+                                    "style": {"v-neck"}}
+    assert vocab.facet_lexicon == loaded.facet_lexicon
+    assert build_vocabulary(["red mat"]).facet_lexicon == {}
 
 
 def test_extract_facets_longest_leftmost_smallest():
@@ -103,7 +112,7 @@ def test_facet_value_changes_tokenization():
 
 def test_load_facet_lexicon(tmp_path):
     path = tmp_path / "lex.jsonl"
-    rows = [{"facet_name": "Color", "values": ["Red", "Navy Blue", ""]},
+    rows = [{"facet_name": "Color", "values": ["Red", "Navy Blue", "", None]},
             {"facet_name": "color", "values": ["green"]}]
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     lex = tokenizer.load_facet_lexicon(path)

@@ -273,9 +273,8 @@ def test_encode_texts_matches_single_text_batches(monkeypatch):
 
 def test_tokenize_texts_normalizes_and_extracts_facets():
     vocab = build_vocabulary(GROUP_A, facet_lexicon={"letter": {"delta"}})
-    lexicon = {"letter": {"delta"}}
     plain, raw, faceted = train.tokenize_texts(
-        ["alpha bravo", "ALPHA, bravo!", "alpha delta"], vocab, 6, lexicon)
+        ["alpha bravo", "ALPHA, bravo!", "alpha delta"], vocab, 6)
     assert np.array_equal(plain.ids, raw.ids)
     assert np.array_equal(plain.attention_mask, raw.attention_mask)
     assert faceted.attention_mask.sum() == 3  # two words plus the facet token
