@@ -91,19 +91,19 @@ def main(argv: list[str] | None = None) -> int:
             print(str(paths["config"]))
             return 0
         if args.command == "power":
-            lifts = [float(x) for x in args.lifts.split(",") if x.strip()]
-            rows = exp_mod.power_curve(lifts, args.base_mean, args.noise_sd,
-                                       args.days, args.seeds, args.alpha,
-                                       args.variant)
+            try:
+                lifts = [float(x) for x in args.lifts.split(",") if x.strip()]
+                rows = exp_mod.power_curve(lifts, args.base_mean,
+                                           args.noise_sd, args.days,
+                                           args.seeds, args.alpha, args.variant)
+            except ValueError as exc:  # ConfigurationError included
+                raise ConfigError(str(exc)) from exc
             print(f"{'lift':>8}  {'power':>7}")
             for lift, power in rows:
                 print(f"{lift:>8.3f}  {power:>7.3f}")
             return 0
         return _run_stages(args)
     except ConfigError as exc:
-        logger.error("config error: %s", exc)
-        return 2
-    except exp_mod.ConfigurationError as exc:
         logger.error("config error: %s", exc)
         return 2
     except PipelineError as exc:

@@ -372,6 +372,8 @@ def power_estimate(
     seed0: int = 0,
 ) -> float:
     """Fraction of seeded simulations whose AB period is significant."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     window = [f"d{i:04d}" for i in range(n_days)]
     hits = 0
     for s in range(n_seeds):

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
 
@@ -42,6 +42,23 @@ def tokenize_text(text: str) -> list[str]:
 def field_text(value) -> str:
     """A JSON field as text; ``null`` counts as missing, like an absent key."""
     return "" if value is None else str(value)
+
+
+def jsonl_objects(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
+    """(``"<what> line N"``, row) for each non-blank JSONL line; invalid JSON
+    or a row that is not an object raises IngestError naming its line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{what} line {line_no}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{where}: invalid JSON") from exc
+            if not isinstance(row, dict):
+                raise IngestError(f"{where}: JSONL row is not an object")
+            yield where, row
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ the one legitimately non-reproducible artifact).
 Every random choice derives from the single master seed via fixed per-stage
 offsets; `--seed` swaps the master without touching the config file.
 
-Stage dependencies and raw inputs are declared up front; a missing file
-fails fast with its name rather than a confusing downstream error.
+A stage reads every file through its context (``ctx.artifact`` for an
+earlier stage's output, ``ctx.path`` for a raw input), which records the read
+as it happens, so the manifest lists exactly the files the stage read. A
+missing file fails with its name rather than a confusing downstream error.
 """
 
 from __future__ import annotations
@@ -77,13 +79,23 @@ class PipelineContext:
     config_dir: Path
     workdir: Path
     seed: int
+    # files the running stage has read, by manifest key; run_stage clears them
+    inputs: dict[str, Path] = field(default_factory=dict)
+    raw_inputs: dict[str, Path] = field(default_factory=dict)
 
     def path(self, key: str) -> Path:
-        paths = self.config.get("paths", {})
+        """The raw input file at config ``paths.<key>``, recorded as read."""
+        paths = self.section("paths")
         if key not in paths:
             raise ConfigError(f"config paths.{key} is required")
+        if not isinstance(paths[key], str):
+            raise ConfigError(f"config paths.{key} must be a string")
         p = Path(paths[key])
-        return p if p.is_absolute() else self.config_dir / p
+        p = p if p.is_absolute() else self.config_dir / p
+        if not p.is_file():
+            raise ConfigError(f"paths.{key} not found: {p}")
+        self.raw_inputs[key] = p
+        return p
 
     def section(self, name: str) -> dict:
         value = self.config.get(name, {})
@@ -91,11 +103,13 @@ class PipelineContext:
             raise ConfigError(f"config section {name!r} must be a mapping")
         return value
 
-    def stage_dir(self, stage: str) -> Path:
-        return self.workdir / stage
-
     def artifact(self, stage: str, name: str) -> Path:
-        return self.stage_dir(stage) / name
+        """An earlier stage's output file, recorded as read."""
+        p = self.workdir / stage / name
+        if not p.is_file():
+            raise PipelineError(f"missing artifact: {name}")
+        self.inputs[f"{stage}/{name}"] = p
+        return p
 
 
 def load_context(config_path: str | Path, workdir: str | Path | None = None,
@@ -110,10 +124,17 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     if not isinstance(config, dict):
         raise ConfigError("config root must be a mapping")
     config_dir = config_path.parent.resolve()
+    paths = config.get("paths", {})
+    if not isinstance(paths, dict):
+        raise ConfigError("config section 'paths' must be a mapping")
     if workdir is None:
-        wd = config.get("paths", {}).get("workdir", "work")
+        wd = paths.get("workdir", "work")
+        if not isinstance(wd, str):
+            raise ConfigError("config paths.workdir must be a string")
         workdir = Path(wd) if Path(wd).is_absolute() else config_dir / wd
-    master = seed if seed is not None else int(config.get("seed", 0))
+    master = seed if seed is not None else config.get("seed", 0)
+    if isinstance(master, bool) or not isinstance(master, int):
+        raise ConfigError(f"config seed must be an integer, got {master!r}")
     return PipelineContext(config, config_dir, Path(workdir), master)
 
 
@@ -128,45 +149,6 @@ def _sha256(path: Path) -> str:
 def _config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-# ingest's normalized copy of the raw page catalog
-_PAGES = ("ingest", "page_catalog.jsonl")
-
-# dependency artifacts per stage: (producer stage, filename); train alone
-# reads the facet lexicon copy, later stages take it from vocab.jsonl
-DEPENDENCIES: dict[str, list[tuple[str, str]]] = {
-    "ingest": [],
-    "metric": [("ingest", "click_records.csv")],
-    "train": [("metric", "training_set.jsonl"), _PAGES,
-              ("ingest", "facet_lexicon.jsonl")],
-    "finetune": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                 ("ingest", "click_records.csv"), _PAGES],
-    "cluster": [("train", "intention.ckpt"), ("train", "vocab.jsonl"),
-                ("ingest", "candidates.jsonl"), _PAGES],
-    "dedup": [("finetune", "finetuned.ckpt"), ("train", "vocab.jsonl"),
-              ("cluster", "representatives.jsonl"), _PAGES],
-    "select": [("dedup", "kept.jsonl")],
-    "emit": [("select", "topics.jsonl")],
-    "experiment": [],
-}
-
-# raw files per stage, by config ``paths`` key; ingest alone reads the page
-# catalog and facet lexicon, so the manifests hash every byte a stage reads
-RAW_INPUTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("click_log", "page_catalog", "facet_lexicon", "blocklist"),
-    "emit": ("item_catalog",),
-}
-
-
-def check_dependencies(ctx: PipelineContext, stage: str) -> list[Path]:
-    found = []
-    for dep_stage, name in DEPENDENCIES[stage]:
-        path = ctx.artifact(dep_stage, name)
-        if not path.is_file():
-            raise PipelineError(f"missing artifact: {name}")
-        found.append(path)
-    return found
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -223,7 +205,10 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     # co-click aggregation can skip navigational page types (shelf clicks say
     # "browsed the category", not "wanted the same thing"); the classifier
     # stage still reads them from the raw click records
-    excluded = {str(t) for t in mcfg.get("exclude_page_types", [])}
+    excluded = mcfg.get("exclude_page_types", [])
+    if not isinstance(excluded, list):
+        raise ConfigError("metric.exclude_page_types must be a list")
+    excluded = {str(t) for t in excluded}
     unknown = excluded - set(ingest_mod.PAGE_TYPES)
     if unknown:
         raise ConfigError(
@@ -261,7 +246,7 @@ def _model_config(ctx: PipelineContext, vocab_size: int,
             output_dim=int(m.get("output_dim", 32)),
             num_classes=num_classes,
             negative_loss=str(m.get("negative_loss", "literal")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
@@ -276,14 +261,24 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
             # fine-tuning splits off no eval set
             eval_fraction=(float(t.get("eval_fraction", 0.1))
                            if section == "train" else 0.0))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
 def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
     """Ingest's normalized pages."""
-    pages, _ = ingest_mod.parse_page_catalog(ctx.artifact(*_PAGES))
+    pages, _ = ingest_mod.parse_page_catalog(
+        ctx.artifact("ingest", "page_catalog.jsonl"))
     return pages
+
+
+def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
+                     ) -> tuple[dict, model_mod.ModelConfig, Vocabulary]:
+    """A checkpoint with its sidecar, and the vocabulary it was trained on."""
+    path = ctx.artifact(stage, name)
+    ctx.artifact(stage, name + ".json")
+    params, cfg = model_mod.load_params(path)
+    return params, cfg, Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
@@ -326,8 +321,7 @@ def _derive_labels(records, pages) -> tuple[list[train_mod.LabeledQuery], list[s
 
 
 def _stage_finetune(ctx: PipelineContext, out: Path):
-    pretrained, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
-    vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+    pretrained, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     records, _ = ingest_mod.parse_click_log(ctx.artifact("ingest", "click_records.csv"))
     labeled, classes = _derive_labels(records, _load_pages(ctx))
     if len(classes) < 2:
@@ -347,19 +341,19 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 
 
 def _stage_cluster(ctx: PipelineContext, out: Path):
-    params, cfg = model_mod.load_params(ctx.artifact("train", "intention.ckpt"))
-    vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+    params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     clicks = {r["query"]: r["clicks_total"]
               for r in _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))}
-    threshold = float(ctx.section("cluster").get("threshold", 0.15))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
     index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
     try:
-        result = cluster_mod.cluster_topics(clicks, encode, index, threshold)
-    except ValueError as exc:
+        result = cluster_mod.cluster_topics(
+            clicks, encode, index,
+            float(ctx.section("cluster").get("threshold", 0.15)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
     cluster_mod.write_cluster_report(result, out / "clusters.csv")
     reps = [{"query": q, "cluster_id": cid, "product_type": ptype,
@@ -377,8 +371,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 
 
 def _stage_dedup(ctx: PipelineContext, out: Path):
-    params, cfg = model_mod.load_params(ctx.artifact("finetune", "finetuned.ckpt"))
-    vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+    params, cfg, vocab = _load_checkpoint(ctx, "finetune", "finetuned.ckpt")
     pages = _load_pages(ctx)
     reps = _read_jsonl(ctx.artifact("cluster", "representatives.jsonl"))
     dcfg = ctx.section("dedup")
@@ -391,7 +384,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
             shelf_index, facet_index, encode,
             threshold=float(dcfg.get("threshold", dedup_mod.DEFAULT_THRESHOLD)),
             facet_lexicon=vocab.facet_lexicon)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
     decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)
     dedup_mod.write_dedup_report(decisions, out / "decisions.csv")
@@ -402,13 +395,14 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    quota = int(ctx.section("select").get("quota", 10))
-    if quota < 0:
-        raise ConfigError("select quota must be >= 0")
     rows = _read_jsonl(ctx.artifact("dedup", "kept.jsonl"))
     meta = {r["query"]: r for r in rows}
-    chosen = topic_mod.select_topics(
-        [(r["query"], r["clicks_total"]) for r in rows], quota)
+    try:
+        quota = int(ctx.section("select").get("quota", 10))
+        chosen = topic_mod.select_topics(
+            [(r["query"], r["clicks_total"]) for r in rows], quota)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad select config: {exc}") from exc
     topics = [topic_mod.SelectedTopic(q, meta[q]["clicks_total"],
                                       meta[q]["cluster_id"],
                                       meta[q]["product_type"])
@@ -429,7 +423,7 @@ def _stage_emit(ctx: PipelineContext, out: Path):
         k = int(ctx.section("emit").get("items_per_page",
                                         topic_mod.DEFAULT_ITEMS_PER_PAGE))
         specs, flagged = topic_mod.emit_pages(topics, retriever, k)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad emit config: {exc}") from exc
     topic_mod.write_page_specs(specs, out / "pages.jsonl")
     _write_jsonl(out / "flagged.jsonl",
@@ -453,7 +447,7 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
             split_seed=ctx.seed + SEED_SPLIT,
             traffic_seed=ctx.seed + SEED_TRAFFIC,
             variant=str(ecfg.get("variant", "pooled")))
-    except ValueError as exc:  # ConfigurationError included
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ConfigError(f"bad experiment config: {exc}") from exc
     plan.to_json(out / "plan.json")
     (out / "daily_clicks.json").write_text(
@@ -483,15 +477,12 @@ _STAGE_FNS: dict[str, Callable] = {
 
 
 def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
-    """Run one stage: dependency check, body, manifest, report."""
+    """Run one stage: body, then a manifest of what it read and wrote."""
     if stage not in _STAGE_FNS:
         raise ConfigError(f"unknown stage {stage!r}")
-    dep_paths = check_dependencies(ctx, stage)
-    raw_paths = {key: ctx.path(key) for key in RAW_INPUTS.get(stage, ())}
-    for key, path in raw_paths.items():
-        if not path.is_file():
-            raise ConfigError(f"paths.{key} not found: {path}")
-    out = ctx.stage_dir(stage)
+    ctx.inputs.clear()
+    ctx.raw_inputs.clear()
+    out = ctx.workdir / stage
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
@@ -501,9 +492,8 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         "stage": stage,
         "config_hash": _config_hash(ctx.config),
         "seed": ctx.seed,
-        "inputs": {str(p.relative_to(ctx.workdir)): _sha256(p)
-                   for p in dep_paths},
-        "raw_inputs": {key: _sha256(p) for key, p in raw_paths.items()},
+        "inputs": {key: _sha256(p) for key, p in ctx.inputs.items()},
+        "raw_inputs": {key: _sha256(p) for key, p in ctx.raw_inputs.items()},
         "outputs": {name: _sha256(out / name) for name in outputs},
     }
     (out / "MANIFEST.json").write_text(

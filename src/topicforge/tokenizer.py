@@ -17,7 +17,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import IngestError, field_text, normalize_query, tokenize_text
+from .ingest import (IngestError, field_text, jsonl_objects, normalize_query,
+                     tokenize_text)
 
 PAD_ID = 0
 UNK_ID = 1
@@ -96,17 +97,7 @@ def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
     """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
     raises IngestError naming its line."""
     lexicon: dict[str, set[str]] = {}
-    for line_no, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"facet lexicon line {line_no}"
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{where}: invalid JSON") from exc
-        if not isinstance(d, dict):
-            raise IngestError(f"{where}: JSONL row is not an object")
+    for where, d in jsonl_objects(path, "facet lexicon"):
         name = normalize_query(str(d.get("facet_name") or ""))
         if not name:
             raise IngestError(f"{where}: facet_name is missing or empty")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .ingest import normalize_query, tokenize_text
+from .ingest import (IngestError, field_text, jsonl_objects, normalize_query,
+                     tokenize_text)
 
 logger = logging.getLogger(__name__)
 
@@ -82,14 +83,15 @@ class TokenOverlapRetriever:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
+        """JSONL rows {item_id, title}; a malformed row raises IngestError
+        naming its line."""
         items = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                items.append((str(row["item_id"]), str(row["title"])))
+        for where, row in jsonl_objects(path, "item catalog"):
+            item = (field_text(row.get("item_id")), field_text(row.get("title")))
+            for name, value in zip(("item_id", "title"), item):
+                if not value:
+                    raise IngestError(f"{where}: {name} is missing or empty")
+            items.append(item)
         return cls(items)
 
     def __call__(self, keyword: str, k: int) -> list[str]:

@@ -3,7 +3,9 @@ dependency errors and CLI exit codes."""
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -85,12 +87,15 @@ INPUTS = {
     "metric": ["ingest/click_records.csv"],
     "train": ["metric/training_set.jsonl", "ingest/page_catalog.jsonl",
               "ingest/facet_lexicon.jsonl"],
-    "finetune": ["train/intention.ckpt", "train/vocab.jsonl",
-                 "ingest/click_records.csv", "ingest/page_catalog.jsonl"],
-    "cluster": ["train/intention.ckpt", "train/vocab.jsonl",
-                "ingest/candidates.jsonl", "ingest/page_catalog.jsonl"],
-    "dedup": ["finetune/finetuned.ckpt", "train/vocab.jsonl",
-              "cluster/representatives.jsonl", "ingest/page_catalog.jsonl"],
+    "finetune": ["train/intention.ckpt", "train/intention.ckpt.json",
+                 "train/vocab.jsonl", "ingest/click_records.csv",
+                 "ingest/page_catalog.jsonl"],
+    "cluster": ["train/intention.ckpt", "train/intention.ckpt.json",
+                "train/vocab.jsonl", "ingest/candidates.jsonl",
+                "ingest/page_catalog.jsonl"],
+    "dedup": ["finetune/finetuned.ckpt", "finetune/finetuned.ckpt.json",
+              "train/vocab.jsonl", "cluster/representatives.jsonl",
+              "ingest/page_catalog.jsonl"],
     "select": ["dedup/kept.jsonl"],
     "emit": ["select/topics.jsonl"],
     "experiment": [],
@@ -118,6 +123,48 @@ def test_manifests_hash_real_files(full_run):
         assert report["stage"] == stage
         assert report["duration_seconds"] >= 0.0
         assert isinstance(report["counts"], dict) and report["counts"]
+
+
+def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
+                                                 monkeypatch):
+    workdir = (tmp_path / "w").resolve()
+    watched = (workdir, fixture_dir.resolve())
+    ctx = load_context(fixture_dir / "config.yaml", workdir)
+    opened: list[Path] = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+            opened.append(Path(file).resolve())
+        return real_open(file, mode, *args, **kwargs)
+
+    for stage in pipeline.STAGES:
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", recording_open)
+            patch.setattr(io, "open", recording_open)
+            run_stage(ctx, stage)
+        own = workdir / stage
+        manifest = json.loads((own / "MANIFEST.json").read_text())
+        listed = {workdir / key for key in manifest["inputs"]}
+        listed |= {ctx.path(key).resolve() for key in manifest["raw_inputs"]}
+        unlisted = sorted(str(p) for p in set(opened) - listed
+                          if any(p.is_relative_to(d) for d in watched)
+                          and not p.is_relative_to(own))
+        assert (stage, unlisted) == (stage, [])
+        written = {p.name for p in own.iterdir()} - {"MANIFEST.json",
+                                                     "report.json"}
+        assert (stage, sorted(written)) == (stage, sorted(manifest["outputs"]))
+
+
+def test_missing_checkpoint_sidecar_is_missing_artifact(fixture_dir, full_run,
+                                                        tmp_path):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    (workdir / "train" / "intention.ckpt.json").unlink()
+    with pytest.raises(PipelineError,
+                       match=r"^missing artifact: intention\.ckpt\.json$"):
+        run_stage(load_context(fixture_dir / "config.yaml", workdir), "cluster")
 
 
 def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
@@ -378,6 +425,64 @@ def test_bad_emit_or_experiment_value_is_config_error(
     capsys.readouterr()
 
 
+# (stage, dotted key, wrong-typed value, logged message)
+WRONG_TYPED_VALUES = [
+    ("train", "model.seq_len", None, "bad model config: "),
+    ("train", "train.learning_rate", None, "bad train config: "),
+    ("finetune", "finetune.epochs", None, "bad finetune config: "),
+    ("cluster", "cluster.threshold", "abc", "bad cluster config: "),
+    ("cluster", "cluster.threshold", None, "bad cluster config: "),
+    ("dedup", "dedup.threshold", None, "bad dedup config: "),
+    ("select", "select.quota", "abc", "bad select config: "),
+    ("emit", "emit.items_per_page", None, "bad emit config: "),
+    ("experiment", "experiment.n_days", None, "bad experiment config: "),
+    ("metric", "metric.exclude_page_types", 5,
+     "metric.exclude_page_types must be a list"),
+    ("metric", "metric.exclude_page_types", "shelf",
+     "metric.exclude_page_types must be a list"),
+    ("experiment", "seed", "abc", "config seed must be an integer"),
+    ("experiment", "seed", None, "config seed must be an integer"),
+    ("experiment", "paths", "foo", "config section 'paths' must be a mapping"),
+    ("experiment", "paths.workdir", None,
+     "config paths.workdir must be a string"),
+    ("ingest", "paths.click_log", None, "config paths.click_log must be a string"),
+]
+
+
+@pytest.mark.parametrize("stage, key, value, message", WRONG_TYPED_VALUES)
+def test_wrong_typed_config_value_is_config_error(
+        fixture_dir, full_run, tmp_path, caplog, capsys, stage, key, value,
+        message):
+    config_path = variant_config(fixture_dir, tmp_path)
+    config = yaml.safe_load(config_path.read_text())
+    *section, name = key.split(".")
+    (config.setdefault(section[0], {}) if section else config)[name] = value
+    config_path.write_text(yaml.safe_dump(config))
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    # ``paths`` is read for the workdir only when --workdir is absent
+    where = ([] if key in ("paths", "paths.workdir")
+             else ["--workdir", str(workdir)])
+    assert cli.main([stage, "--config", str(config_path), *where]) == 2
+    assert message in caplog.text
+    capsys.readouterr()
+
+
+def test_null_item_id_stops_emit(full_run, tmp_path, caplog, capsys):
+    inputs = tmp_path / "inputs"
+    config = write_fixture(inputs)["config"]
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    catalog = inputs / "items.jsonl"
+    line_no = len(catalog.read_text(encoding="utf-8").splitlines()) + 1
+    with open(catalog, "a", encoding="utf-8") as fh:
+        fh.write('{"item_id": null, "title": "hydration pack deluxe extra"}\n')
+    assert cli.main(["emit", "--config", str(config),
+                     "--workdir", str(workdir)]) == 1
+    assert f"item catalog line {line_no}: item_id is missing" in caplog.text
+    capsys.readouterr()
+
+
 def test_experiment_stage_seed_sensitivity(fixture_dir, tmp_path):
     # same seed: byte-identical artifacts; different seed: different traffic
     runs = {}
@@ -415,3 +520,14 @@ def test_cli_fixture_and_power(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "lift" in table and "power" in table
     assert "0.500" in table
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "0"], "n_seeds must be >= 1"),
+    (["--noise-sd", "-1"], "noise_sd must be >= 0"),
+    (["--base-mean", "0"], "base_mean must be > 0")])
+def test_power_bad_number_is_config_error(caplog, capsys, args, message):
+    assert cli.main(["power", "--lifts", "0.0,0.5", "--days", "8",
+                     "--seeds", "3", *args]) == 2
+    assert f"config error: {message}" in caplog.text
+    capsys.readouterr()

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from topicforge import topicpage
-from topicforge.ingest import normalize_query, tokenize_text
+from topicforge.ingest import IngestError, normalize_query, tokenize_text
 from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
                                   emit_pages, page_id_for, select_topics,
                                   write_page_specs)
@@ -81,7 +81,23 @@ def test_retriever_from_jsonl_rejects_bad_row_at_load(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_text(json.dumps({"item_id": "a", "title": "red hat"}) + "\n"
                     + json.dumps({"item_id": "b"}) + "\n")
-    with pytest.raises(KeyError, match="title"):
+    with pytest.raises(IngestError,
+                       match="^item catalog line 2: title is missing or empty$"):
+        TokenOverlapRetriever.from_jsonl(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"item_id": null, "title": "hydration pack deluxe extra"}',
+     "item_id is missing or empty"),
+    ('{"title": "x"}', "item_id is missing or empty"),
+    ('{"item_id": "b", "title": null}', "title is missing or empty"),
+    ("not json", "invalid JSON"),
+    ("[1, 2]", "JSONL row is not an object")])
+def test_retriever_from_jsonl_names_the_bad_line(tmp_path, row, message):
+    path = tmp_path / "items.jsonl"
+    path.write_text(json.dumps({"item_id": "a", "title": "red hat"})
+                    + "\n\n" + row + "\n")
+    with pytest.raises(IngestError, match=f"^item catalog line 3: {message}$"):
         TokenOverlapRetriever.from_jsonl(path)
 
 
