@@ -14,6 +14,7 @@ from pathlib import Path
 from . import experiment as exp_mod
 from . import fixture as fixture_mod
 from . import pipeline
+from .ingest import IngestError
 from .pipeline import ConfigError, PipelineError, STAGES
 
 logger = logging.getLogger("topicforge")
@@ -72,6 +73,11 @@ def _run_stages(args: argparse.Namespace) -> int:
     ctx = pipeline.load_context(args.config, args.workdir, args.seed)
     stages = STAGES if args.command == "all" else (args.command,)
     for stage in stages:
+        # only ``all`` skips; a stage named on its own always runs
+        if (args.command == "all"
+                and pipeline.skip_report(ctx, stage) is not None):
+            print(f"{stage}: skipped", file=sys.stderr)
+            continue
         report = pipeline.run_stage(ctx, stage)
         print(f"{stage}: ok {report.counts}", file=sys.stderr)
     return 0
@@ -106,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except PipelineError as exc:
+    except (PipelineError, IngestError) as exc:
         logger.error("%s", exc)
         return 1
     except Exception as exc:  # fatal but typed exit, not a traceback

@@ -11,9 +11,15 @@ Every random choice derives from the single master seed via fixed per-stage
 offsets; `--seed` swaps the master without touching the config file.
 
 A stage reads every file through its context (``ctx.artifact`` for an
-earlier stage's output, ``ctx.path`` for a raw input), which records the read
-as it happens, so the manifest lists exactly the files the stage read. A
-missing file fails with its name rather than a confusing downstream error.
+earlier stage's output, ``ctx.path`` for a raw input) and every config
+section through ``ctx.section``, which record each read as it happens. So
+the manifest lists exactly the files the stage read, and its ``config_hash``
+covers only the sections it read (``config_sections``). A missing file fails
+with its name rather than a confusing downstream error. The manifest's
+``code`` is one digest of the package's sources.
+
+``skip_report`` reads a manifest back as a verifying trace: when nothing the
+stage read or wrote has changed, ``topicforge all`` skips the stage.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -66,11 +72,13 @@ class StageReport:
     counts: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
+    skipped: bool = False
 
     def to_dict(self) -> dict:
         return {"stage": self.stage, "counts": self.counts,
                 "warnings": self.warnings,
-                "duration_seconds": self.duration_seconds}
+                "duration_seconds": self.duration_seconds,
+                "skipped": self.skipped}
 
 
 @dataclass
@@ -79,13 +87,18 @@ class PipelineContext:
     config_dir: Path
     workdir: Path
     seed: int
-    # files the running stage has read, by manifest key; run_stage clears them
+    # files and config sections the running stage has read, files by
+    # manifest key; run_stage clears them
     inputs: dict[str, Path] = field(default_factory=dict)
     raw_inputs: dict[str, Path] = field(default_factory=dict)
+    sections: set[str] = field(default_factory=set)
 
     def path(self, key: str) -> Path:
-        """The raw input file at config ``paths.<key>``, recorded as read."""
-        paths = self.section("paths")
+        """The raw input file at config ``paths.<key>``, recorded as read.
+
+        Only the file's bytes are recorded, not ``paths`` itself, so a path
+        that moves to an identical file changes no manifest."""
+        paths = _section(self.config, "paths")
         if key not in paths:
             raise ConfigError(f"config paths.{key} is required")
         if not isinstance(paths[key], str):
@@ -98,9 +111,9 @@ class PipelineContext:
         return p
 
     def section(self, name: str) -> dict:
-        value = self.config.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
+        """Config section ``name``, recorded as read."""
+        value = _section(self.config, name)
+        self.sections.add(name)
         return value
 
     def artifact(self, stage: str, name: str) -> Path:
@@ -124,9 +137,7 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     if not isinstance(config, dict):
         raise ConfigError("config root must be a mapping")
     config_dir = config_path.parent.resolve()
-    paths = config.get("paths", {})
-    if not isinstance(paths, dict):
-        raise ConfigError("config section 'paths' must be a mapping")
+    paths = _section(config, "paths")
     if workdir is None:
         wd = paths.get("workdir", "work")
         if not isinstance(wd, str):
@@ -138,6 +149,37 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     return PipelineContext(config, config_dir, Path(workdir), master)
 
 
+def _section(config: dict, name: str) -> dict:
+    value = config.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    return value
+
+
+def _number(section: dict, key: str, default, kind: type = float):
+    """``section[key]`` as ``kind``, int or float.
+
+    YAML booleans are rejected rather than read as 0 or 1, and so, for an
+    integer, is a float with a fractional part rather than truncated. The
+    error is a ``ValueError`` naming the key."""
+    value = section.get(key, default)
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
+@cache
+def _code_digest() -> str:
+    """One sha256 over the package's Python sources, by file name."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0")
+        h.update(_sha256(path).encode("ascii"))
+    return h.hexdigest()
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -146,9 +188,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, default=str)
+def _config_hash(config: dict, sections) -> str:
+    """sha256 of the named sections of ``config``, canonical JSON."""
+    canon = json.dumps({name: config.get(name, {}) for name in sections},
+                       sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -238,12 +287,12 @@ def _model_config(ctx: PipelineContext, vocab_size: int,
     try:
         return model_mod.ModelConfig(
             vocab_size=vocab_size,
-            seq_len=int(m.get("seq_len", 16)),
-            model_dim=int(m.get("model_dim", 32)),
-            num_layers=int(m.get("num_layers", 2)),
-            num_heads=int(m.get("num_heads", 2)),
-            ffn_dim=int(m.get("ffn_dim", 64)),
-            output_dim=int(m.get("output_dim", 32)),
+            seq_len=_number(m, "seq_len", 16, int),
+            model_dim=_number(m, "model_dim", 32, int),
+            num_layers=_number(m, "num_layers", 2, int),
+            num_heads=_number(m, "num_heads", 2, int),
+            ffn_dim=_number(m, "ffn_dim", 64, int),
+            output_dim=_number(m, "output_dim", 32, int),
             num_classes=num_classes,
             negative_loss=str(m.get("negative_loss", "literal")))
     except (TypeError, ValueError) as exc:
@@ -254,12 +303,12 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
     t = ctx.section(section)
     try:
         return train_mod.TrainConfig(
-            learning_rate=float(t.get("learning_rate", 1e-3)),
-            batch_size=int(t.get("batch_size", 32)),
-            epochs=int(t.get("epochs", 10)),
+            learning_rate=_number(t, "learning_rate", 1e-3),
+            batch_size=_number(t, "batch_size", 32, int),
+            epochs=_number(t, "epochs", 10, int),
             seed=seed,
             # fine-tuning splits off no eval set
-            eval_fraction=(float(t.get("eval_fraction", 0.1))
+            eval_fraction=(_number(t, "eval_fraction", 0.1)
                            if section == "train" else 0.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} config: {exc}") from exc
@@ -352,7 +401,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     try:
         result = cluster_mod.cluster_topics(
             clicks, encode, index,
-            float(ctx.section("cluster").get("threshold", 0.15)))
+            _number(ctx.section("cluster"), "threshold", 0.15))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
     cluster_mod.write_cluster_report(result, out / "clusters.csv")
@@ -382,7 +431,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     try:
         deduper = dedup_mod.Deduper(
             shelf_index, facet_index, encode,
-            threshold=float(dcfg.get("threshold", dedup_mod.DEFAULT_THRESHOLD)),
+            threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD),
             facet_lexicon=vocab.facet_lexicon)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
@@ -398,7 +447,7 @@ def _stage_select(ctx: PipelineContext, out: Path):
     rows = _read_jsonl(ctx.artifact("dedup", "kept.jsonl"))
     meta = {r["query"]: r for r in rows}
     try:
-        quota = int(ctx.section("select").get("quota", 10))
+        quota = _number(ctx.section("select"), "quota", 10, int)
         chosen = topic_mod.select_topics(
             [(r["query"], r["clicks_total"]) for r in rows], quota)
     except (TypeError, ValueError) as exc:
@@ -420,8 +469,8 @@ def _stage_emit(ctx: PipelineContext, out: Path):
               for r in rows]
     retriever = topic_mod.TokenOverlapRetriever.from_jsonl(ctx.path("item_catalog"))
     try:
-        k = int(ctx.section("emit").get("items_per_page",
-                                        topic_mod.DEFAULT_ITEMS_PER_PAGE))
+        k = _number(ctx.section("emit"), "items_per_page",
+                    topic_mod.DEFAULT_ITEMS_PER_PAGE, int)
         specs, flagged = topic_mod.emit_pages(topics, retriever, k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad emit config: {exc}") from exc
@@ -436,14 +485,14 @@ def _stage_emit(ctx: PipelineContext, out: Path):
 def _stage_experiment(ctx: PipelineContext, out: Path):
     ecfg = ctx.section("experiment")
     try:
-        n_days = int(ecfg.get("n_days", 120))
+        n_days = _number(ecfg, "n_days", 120, int)
         window = exp_mod.date_window(
             str(ecfg.get("start_date", "2025-01-01")), n_days)
         plan, clicks, report = exp_mod.run_experiment(
             window,
-            base_mean=float(ecfg.get("base_mean", 1000.0)),
-            noise_sd=float(ecfg.get("noise_sd", 30.0)),
-            lift_fraction=float(ecfg.get("lift_fraction", 0.0)),
+            base_mean=_number(ecfg, "base_mean", 1000.0),
+            noise_sd=_number(ecfg, "noise_sd", 30.0),
+            lift_fraction=_number(ecfg, "lift_fraction", 0.0),
             split_seed=ctx.seed + SEED_SPLIT,
             traffic_seed=ctx.seed + SEED_TRAFFIC,
             variant=str(ecfg.get("variant", "pooled")))
@@ -482,27 +531,63 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         raise ConfigError(f"unknown stage {stage!r}")
     ctx.inputs.clear()
     ctx.raw_inputs.clear()
+    ctx.sections.clear()
     out = ctx.workdir / stage
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
     duration = time.monotonic() - started
 
+    sections = sorted(ctx.sections)
     manifest = {
         "stage": stage,
-        "config_hash": _config_hash(ctx.config),
+        "code": _code_digest(),
+        "config_hash": _config_hash(ctx.config, sections),
+        "config_sections": sections,
         "seed": ctx.seed,
         "inputs": {key: _sha256(p) for key, p in ctx.inputs.items()},
         "raw_inputs": {key: _sha256(p) for key, p in ctx.raw_inputs.items()},
         "outputs": {name: _sha256(out / name) for name in outputs},
     }
-    (out / "MANIFEST.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "MANIFEST.json", manifest)
     report = StageReport(stage, counts, warnings, duration)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_json(out / "report.json", report.to_dict())
     for w in warnings:
         logger.warning("%s: %s", stage, w)
     logger.info("stage %s done in %.2fs: %s", stage, duration, counts)
+    return report
+
+
+def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
+    """The previous report of ``stage``, rewritten as skipped, when its
+    manifest still holds: same seed, code digest and hash of the config
+    sections it read, and every listed input, raw input (at the current
+    ``paths.<key>``) and output rehashes to its recorded digest. Otherwise
+    None, and the stage must run. The manifest is left as it is."""
+    started = time.monotonic()
+    out = ctx.workdir / stage
+    try:
+        manifest = json.loads((out / "MANIFEST.json").read_text(encoding="utf-8"))
+        previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        if (manifest["seed"] != ctx.seed or manifest["code"] != _code_digest()
+                or manifest["config_hash"] != _config_hash(
+                    ctx.config, manifest["config_sections"])):
+            return None
+        files = [(ctx.workdir / key, digest)
+                 for key, digest in manifest["inputs"].items()]
+        files += [(ctx.path(key), digest)
+                  for key, digest in manifest["raw_inputs"].items()]
+        files += [(out / name, digest)
+                  for name, digest in manifest["outputs"].items()]
+        if any(_sha256(p) != digest for p, digest in files):
+            return None
+        report = StageReport(stage, previous["counts"], previous["warnings"],
+                             time.monotonic() - started, skipped=True)
+    # a missing or malformed manifest or report, or a listed file that is
+    # gone: the stage runs, and reports any real problem itself
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ConfigError):
+        return None
+    _write_json(out / "report.json", report.to_dict())
+    logger.info("stage %s skipped: nothing it read or wrote changed", stage)
     return report

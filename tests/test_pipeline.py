@@ -102,13 +102,25 @@ INPUTS = {
 }
 
 
+# the config sections each stage reads; ``paths`` is never recorded
+SECTIONS = {"ingest": [], "metric": ["metric"], "train": ["model", "train"],
+            "finetune": ["finetune"], "cluster": ["cluster"],
+            "dedup": ["dedup"], "select": ["select"], "emit": ["emit"],
+            "experiment": ["experiment"]}
+
+
 def test_manifests_hash_real_files(full_run):
     ctx, workdir, _ = full_run
     for stage in pipeline.STAGES:
         manifest = json.loads((workdir / stage / "MANIFEST.json").read_text())
         assert manifest["stage"] == stage
         assert manifest["seed"] == ctx.seed
-        assert len(manifest["config_hash"]) == 64
+        assert manifest["code"] == pipeline._code_digest()
+        assert manifest["config_sections"] == SECTIONS[stage]
+        canon = json.dumps({name: ctx.config[name] for name in SECTIONS[stage]},
+                           sort_keys=True)
+        assert manifest["config_hash"] == hashlib.sha256(
+            canon.encode()).hexdigest()
         for name, digest in manifest["outputs"].items():
             assert sha256(workdir / stage / name) == digest
         assert sorted(manifest["inputs"]) == sorted(INPUTS[stage])
@@ -121,6 +133,7 @@ def test_manifests_hash_real_files(full_run):
         assert "duration" not in json.dumps(manifest)
         report = json.loads((workdir / stage / "report.json").read_text())
         assert report["stage"] == stage
+        assert report["skipped"] is False
         assert report["duration_seconds"] >= 0.0
         assert isinstance(report["counts"], dict) and report["counts"]
 
@@ -312,6 +325,11 @@ RETIRED_KEYS = {
 }
 
 
+# the stages whose config sections carry a retired key
+RETIRED_KEY_STAGES = {"metric", "train", "finetune", "cluster", "dedup",
+                      "select"}
+
+
 def test_retired_config_keys_change_no_artifact(fixture_dir, full_run,
                                                 tmp_path, capsys):
     config = variant_config(fixture_dir, tmp_path, **RETIRED_KEYS)
@@ -328,7 +346,10 @@ def test_retired_config_keys_change_no_artifact(fixture_dir, full_run,
         if name.name == "MANIFEST.json":
             want, got = (json.loads((root / name).read_text())
                          for root in (trimmed, workdir))
-            assert want.pop("config_hash") != got.pop("config_hash")
+            # each manifest hashes only the sections its stage read
+            stage = name.parent.name
+            differs = want.pop("config_hash") != got.pop("config_hash")
+            assert (stage, differs) == (stage, stage in RETIRED_KEY_STAGES)
             assert got == want, name
         else:
             assert (workdir / name).read_bytes() == (trimmed / name).read_bytes(), name
@@ -367,7 +388,7 @@ def test_missing_raw_input_is_config_error(fixture_dir, full_run, tmp_path,
     capsys.readouterr()
 
 
-def test_bad_facet_lexicon_fails_ingest(tmp_path, capsys):
+def test_bad_facet_lexicon_fails_ingest(tmp_path, caplog, capsys):
     inputs = tmp_path / "inputs"
     config = write_fixture(inputs)["config"]
     with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
@@ -377,6 +398,8 @@ def test_bad_facet_lexicon_fails_ingest(tmp_path, capsys):
         run_stage(load_context(config, tmp_path / "w"), "ingest")
     assert cli.main(["ingest", "--config", str(config),
                      "--workdir", str(tmp_path / "w")]) == 1
+    assert "facet lexicon line 4: values is not a list" in caplog.text
+    assert "Traceback" not in caplog.text
     capsys.readouterr()
 
 
@@ -449,6 +472,36 @@ WRONG_TYPED_VALUES = [
 ]
 
 
+# (stage, dotted key, value): a YAML boolean, or a fractional number for an
+# integer key, each of which the stage would otherwise read as a valid value
+NOT_A_NUMBER = [
+    ("train", "model.seq_len", 12.5),
+    ("train", "model.model_dim", 32.5),
+    ("train", "model.num_layers", True),
+    ("train", "model.num_heads", 2.5),
+    ("train", "model.ffn_dim", 64.5),
+    ("train", "model.output_dim", 32.5),
+    ("train", "train.learning_rate", True),
+    ("train", "train.batch_size", 32.5),
+    ("train", "train.epochs", 2.7),
+    ("train", "train.eval_fraction", False),
+    ("finetune", "finetune.learning_rate", True),
+    ("finetune", "finetune.batch_size", True),
+    ("finetune", "finetune.epochs", 8.5),
+    ("cluster", "cluster.threshold", True),
+    ("dedup", "dedup.threshold", True),
+    ("select", "select.quota", True),
+    ("emit", "emit.items_per_page", 24.5),
+    ("experiment", "experiment.n_days", 120.5),
+    ("experiment", "experiment.base_mean", True),
+    ("experiment", "experiment.noise_sd", True),
+    ("experiment", "experiment.lift_fraction", True),
+]
+WRONG_TYPED_VALUES += [
+    (stage, key, value, "bad {} config: {} must be".format(*key.split(".")))
+    for stage, key, value in NOT_A_NUMBER]
+
+
 @pytest.mark.parametrize("stage, key, value, message", WRONG_TYPED_VALUES)
 def test_wrong_typed_config_value_is_config_error(
         fixture_dir, full_run, tmp_path, caplog, capsys, stage, key, value,
@@ -480,6 +533,8 @@ def test_null_item_id_stops_emit(full_run, tmp_path, caplog, capsys):
     assert cli.main(["emit", "--config", str(config),
                      "--workdir", str(workdir)]) == 1
     assert f"item catalog line {line_no}: item_id is missing" in caplog.text
+    # a bad data row is reported by its line, not with a stack trace
+    assert "Traceback" not in caplog.text
     capsys.readouterr()
 
 
@@ -531,3 +586,146 @@ def test_power_bad_number_is_config_error(caplog, capsys, args, message):
                      "--seeds", "3", *args]) == 2
     assert f"config error: {message}" in caplog.text
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# ``all`` skips a stage when nothing it read or wrote has changed
+# ---------------------------------------------------------------------------
+
+def record_runs(monkeypatch) -> list[str]:
+    """The stages ``run_stage`` is called for from now on, in order."""
+    ran = []
+    real = pipeline.run_stage
+    monkeypatch.setattr(pipeline, "run_stage",
+                        lambda ctx, stage: ran.append(stage) or real(ctx, stage))
+    return ran
+
+
+def run_all(monkeypatch, config, workdir, *args: str) -> list[str]:
+    """``topicforge all``; the stages that ran, in order."""
+    with monkeypatch.context() as patch:
+        ran = record_runs(patch)
+        assert cli.main(["all", "--config", str(config),
+                         "--workdir", str(workdir), *args]) == 0
+    return ran
+
+
+def tree(workdir: Path) -> dict:
+    """Every file of a workdir but the reports, by relative path."""
+    return {p.relative_to(workdir): p.read_bytes()
+            for p in sorted(workdir.rglob("*"))
+            if p.is_file() and p.name != "report.json"}
+
+
+def test_second_all_runs_no_stage(fixture_dir, full_run, tmp_path,
+                                  monkeypatch, capsys):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    before = tree(workdir)
+    reports = {stage: json.loads((workdir / stage / "report.json").read_text())
+               for stage in pipeline.STAGES}
+    assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == []
+    out, err = capsys.readouterr()
+    assert out == ""  # a skipped experiment prints no table
+    assert tree(workdir) == before
+    for stage in pipeline.STAGES:
+        assert f"{stage}: skipped" in err
+        report = json.loads((workdir / stage / "report.json").read_text())
+        assert report["skipped"] is True
+        assert report["counts"] == reports[stage]["counts"]
+        assert report["warnings"] == reports[stage]["warnings"]
+
+
+def test_retune_reruns_exactly_dedup(fixture_dir, full_run, tmp_path,
+                                     monkeypatch, capsys):
+    # the edited copy names every raw input by another (absolute) path to
+    # the same bytes, which reruns nothing either
+    config = variant_config(fixture_dir, tmp_path, **{"dedup.threshold": 0.88})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    assert run_all(monkeypatch, config, workdir) == ["dedup"]
+    cold = tmp_path / "cold"
+    assert run_all(monkeypatch, config, cold) == list(pipeline.STAGES)
+    capsys.readouterr()
+    assert tree(workdir) == tree(cold)
+
+
+def test_raw_input_edit_reruns_from_ingest(full_run, tmp_path, monkeypatch,
+                                           capsys):
+    inputs = tmp_path / "inputs"
+    config = write_fixture(inputs)["config"]
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    with open(inputs / "blocklist.txt", "a", encoding="utf-8") as fh:
+        fh.write("best\n")
+    ran = run_all(monkeypatch, config, workdir)
+    # a blocked term drops candidates but no click record: metric and
+    # the two training stages skip
+    assert ran[:2] == ["ingest", "cluster"]
+    cold = tmp_path / "cold"
+    assert run_all(monkeypatch, config, cold) == list(pipeline.STAGES)
+    capsys.readouterr()
+    assert tree(workdir) == tree(cold)
+
+
+@pytest.mark.parametrize("key, file_name, stage", [
+    ("click_log", "click_log.csv", "ingest"),
+    ("item_catalog", "items.jsonl", "emit")])
+def test_deleted_raw_input_stops_all(full_run, tmp_path, caplog, capsys, key,
+                                     file_name, stage):
+    inputs = tmp_path / "inputs"
+    config = write_fixture(inputs)["config"]
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    (inputs / file_name).unlink()
+    assert cli.main(["all", "--config", str(config),
+                     "--workdir", str(workdir)]) == 2
+    assert f"paths.{key} not found: " in caplog.text
+    # the stages before the one that reads the file skip
+    err = capsys.readouterr().err
+    before = pipeline.STAGES[:pipeline.STAGES.index(stage)]
+    assert [s for s in pipeline.STAGES if f"{s}: skipped" in err] == list(before)
+
+
+def test_hand_edited_output_reruns_its_stage(fixture_dir, full_run, tmp_path,
+                                             monkeypatch, capsys):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    topics = workdir / "select" / "topics.jsonl"
+    topics.write_text("", encoding="utf-8")
+    # emit's recorded input is the rewritten file again, so emit skips
+    assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == ["select"]
+    capsys.readouterr()
+    assert topics.read_bytes() == (full_run[1] / "select" / "topics.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("change", ["seed", "code"])
+def test_new_seed_or_code_reruns_every_stage(fixture_dir, full_run, tmp_path,
+                                             monkeypatch, capsys, change):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    args = []
+    if change == "seed":
+        args = ["--seed", str(full_run[0].seed + 1)]
+    else:
+        monkeypatch.setattr(pipeline, "_code_digest", lambda: "0" * 64)
+    assert (run_all(monkeypatch, fixture_dir / "config.yaml", workdir, *args)
+            == list(pipeline.STAGES))
+    capsys.readouterr()
+    for stage in pipeline.STAGES:
+        report = json.loads((workdir / stage / "report.json").read_text())
+        assert report["skipped"] is False
+
+
+def test_single_stage_commands_never_skip(fixture_dir, full_run, tmp_path,
+                                          monkeypatch, capsys):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    ran = record_runs(monkeypatch)
+    for stage in pipeline.STAGES:
+        assert cli.main([stage, "--config", str(fixture_dir / "config.yaml"),
+                         "--workdir", str(workdir)]) == 0
+        report = json.loads((workdir / stage / "report.json").read_text())
+        assert report["skipped"] is False
+    assert ran == list(pipeline.STAGES)
+    assert "Period" in capsys.readouterr().out  # the experiment's table
