@@ -17,8 +17,7 @@ case" duplicates a catalog page of the cases family, and "hydration pack"
 has no page to collide with, so it survives and becomes the topic page.
 
 Everything is arithmetic, no RNG: writing the fixture twice produces
-byte-identical files. The plain two-cluster corpus used by training tests
-is exposed separately via ``two_cluster_records``.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -80,36 +79,6 @@ def build_click_records() -> list[ClickRecord]:
     add("counterfeit running shoes", "item-junk-a", "item", 100)
     add("replica phone case", "item-junk-b", "item", 100)
     return records
-
-
-# modifiers for the plain two-cluster training corpus, 20 per group
-_TC_MODS = ["red", "blue", "black", "white", "green", "yellow", "pink",
-            "orange", "purple", "gray", "trail", "road", "track", "gym",
-            "treadmill", "marathon", "sprint", "jogging", "walking", "racing"]
-
-
-def two_cluster_records() -> tuple[list[ClickRecord], dict[str, list[str]]]:
-    """Plain two-cluster co-click corpus: two groups of 20 queries.
-
-    Queries click their group's three shared pages and one private page, so
-    intra-group interactive values land in [0.6, 0.9] and cross-group pairs
-    are negatives. Returns (records, group -> queries).
-    """
-    records: list[ClickRecord] = []
-    groups: dict[str, list[str]] = {}
-    for tag, base in (("shoes", "running shoes"), ("cases", "phone case")):
-        queries = [_query_text(mod, base) for mod in _TC_MODS]
-        groups[base] = queries
-        shared = [f"tc-{tag}-shared-{k}" for k in range(3)]
-        for i, query in enumerate(queries):
-            per_page = 8 + i % 5
-            private = 6 + (i * 3) % 9
-            for page_id in shared:
-                records.append(ClickRecord(query, page_id, "item",
-                                           per_page, per_page * 3))
-            records.append(ClickRecord(query, f"tc-{tag}-priv-{i}", "item",
-                                       private, private * 3))
-    return records, groups
 
 
 def build_pages() -> list[PageRecord]:

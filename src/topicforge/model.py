@@ -17,8 +17,11 @@ pre-normalization output vector; that pre-normalization vector is the
 returns it L2-normalized for downstream deduplication.
 
 Backpropagation is hand-derived for every block and verified against
-central finite differences in the test suite. All computation is float64;
-checkpoints are stored as float32 blobs with a JSON sidecar manifest.
+central finite differences in the test suite. Computation follows the
+parameters' dtype: float64 from ``init_params``, float32 from ``load_params``
+and from training. The output vector z, its L2 normalization and the losses
+always run in float64; they cost rows x output_dim. Checkpoints are stored as
+float32 blobs with a JSON sidecar manifest.
 
 Masking guarantees: positions with attention_mask == 0 receive exactly zero
 attention weight (scores are set to -inf before the softmax) and are
@@ -26,9 +29,9 @@ excluded from mean pooling, so PAD positions can never influence the
 output. Each forward pass is trimmed to the batch's longest unmasked length,
 so no work is spent on columns that are PAD in every row. Reductions then
 run over fewer zero terms, and a text's embedding agrees across batch
-compositions to about 1e-15, not bit for bit. Forward passes are read-only
-over the parameters and safe to run concurrently; gradient dicts from shards
-may be merged by plain summation.
+compositions to about 1e-15 in float64 and 2e-7 in float32, not bit for bit.
+Forward passes are read-only over the parameters and safe to run
+concurrently; gradient dicts from shards may be merged by plain summation.
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ def init_head(params: dict[str, np.ndarray], cfg: ModelConfig,
     return out
 
 
-def zero_grads(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(w) for name, w in params.items()}
 
 
 def check_finite(params: dict[str, np.ndarray]) -> bool:
@@ -169,7 +172,7 @@ def check_finite(params: dict[str, np.ndarray]) -> bool:
 
 def log_sigmoid(x):
     """log(sigmoid(x)) without an exp overflow path."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
+    return -np.logaddexp(0.0, -np.asarray(x))
 
 
 def sigmoid(x):
@@ -237,16 +240,16 @@ def _merge_heads(x):
 # ---------------------------------------------------------------------------
 
 def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
-    """Encode id/mask batches to pre-normalization vectors z and unit vectors e.
+    """Encode id/mask batches to pre-normalization vectors z.
 
-    Returns (z, e, cache); the cache carries every intermediate needed by
-    ``_backward``.
+    Returns (z, cache): z is float64 whatever the parameters' dtype, and the
+    cache carries every intermediate ``_backward`` needs, in that dtype.
     """
     if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
         raise ValueError(f"ids must be (batch, {cfg.seq_len}), got {ids.shape}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range for vocab_size")
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=params["tok_emb"].dtype)
     denom = mask.sum(axis=1)
     if (denom == 0).any():
         raise ValueError("cannot encode a fully masked (empty) token sequence")
@@ -285,20 +288,24 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
     pooled = (mask[:, :, None] * hf).sum(axis=1) / denom[:, None]
     u = np.tanh(_linear(pooled, params["pool.w"], params["pool.b"]))
     w = np.tanh(_linear(u, params["out1.w"], params["out1.b"]))
-    z = _linear(w, params["out2.w"], params["out2.b"])
+    z = _linear(w, params["out2.w"], params["out2.b"]).astype(np.float64)
+    return z, (ids, mask, denom, layer_caches, final_cache, pooled, u, w)
+
+
+def _unit(z):
+    """Rows of z scaled to unit L2 norm, and the norms."""
     norm = np.linalg.norm(z, axis=1, keepdims=True)
-    e = z / norm
-    cache = (ids, mask, denom, layer_caches, final_cache, pooled, u, w, z, norm, e)
-    return z, e, cache
+    return z / norm, norm
 
 
 def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
-    """Gradients of a scalar loss wrt every parameter, given dloss/dz."""
-    ids, mask, denom, layer_caches, final_cache, pooled, u, w, z, norm, e = cache
-    grads = zero_grads(cfg)
-    if cfg.num_classes < 1:
-        grads.pop("head.w", None)
-        grads.pop("head.b", None)
+    """Gradients of a scalar loss wrt every parameter, given dloss/dz.
+
+    The gradients take the parameters' dtype, whatever the dtype of dz.
+    """
+    ids, mask, denom, layer_caches, final_cache, pooled, u, w = cache
+    grads = zero_grads(params)
+    dz = dz.astype(w.dtype, copy=False)
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     dw_out, grads["out2.w"], grads["out2.b"] = _linear_back(dz, w, params["out2.w"])
@@ -353,7 +360,7 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
 
 def _stack(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs]).astype(np.float64)
+    mask = np.stack([s.attention_mask for s in seqs])
     return ids, mask
 
 
@@ -364,8 +371,8 @@ def _stack(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
 def embed_batch(params, cfg: ModelConfig, seqs: Sequence[TokenSequence]) -> np.ndarray:
     """Unit-norm intention embeddings for a batch, one row per sequence."""
     ids, mask = _stack(seqs)
-    _, e, _ = _forward(params, cfg, ids, mask)
-    return e
+    z, _ = _forward(params, cfg, ids, mask)
+    return _unit(z)[0]
 
 
 def _pair_losses(e_a, e_b, interactive, mode: str):
@@ -386,12 +393,12 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     """Summed pair loss over a batch and its exact parameter gradient."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    n = len(batch)
     seqs = [s for pair in batch for s in (pair[0], pair[1])]
     ids, mask = _stack(seqs)
-    labels = np.array([pair[2] for pair in batch], dtype=np.float64)
+    labels = [pair[2] for pair in batch]
     # interleaved layout: rows 2i / 2i+1 are the i-th pair
-    _, e, cache = _forward(params, cfg, ids, mask)
+    z, cache = _forward(params, cfg, ids, mask)
+    e, norm = _unit(z)
     e_a, e_b = e[0::2], e[1::2]
     dots, losses, ddots = _pair_losses(e_a, e_b, labels, cfg.negative_loss)
     if not np.isfinite(losses).all():
@@ -403,7 +410,6 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     de[0::2] = ddots[:, None] * e_b
     de[1::2] = ddots[:, None] * e_a
     # through L2 normalization: dz = (de - (de.e) e) / |z|
-    z, norm = cache[8], cache[9]
     dz = (de - (de * e).sum(axis=1, keepdims=True) * e) / norm
     grads = _backward(params, cfg, cache, dz)
     return loss, grads
@@ -414,7 +420,7 @@ def classify_batch_logits(params, cfg: ModelConfig, seqs: Sequence[TokenSequence
     if cfg.num_classes < 1 or "head.w" not in params:
         raise ValueError("model has no classification head")
     ids, mask = _stack(seqs)
-    z, _, _ = _forward(params, cfg, ids, mask)
+    z, _ = _forward(params, cfg, ids, mask)
     return z @ params["head.w"] + params["head.b"], z
 
 
@@ -433,7 +439,7 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     if labels.min() < 0 or labels.max() >= cfg.num_classes:
         raise ValueError("label out of range")
     ids, mask = _stack(seqs)
-    z, _, cache = _forward(params, cfg, ids, mask)
+    z, cache = _forward(params, cfg, ids, mask)
     logits = z @ params["head.w"] + params["head.b"]
     logp = _log_softmax(logits)
     n = len(seqs)
@@ -445,8 +451,9 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     grads = _backward(params, cfg, cache, dlogits @ params["head.w"].T)
-    grads["head.w"] = z.T @ dlogits
-    grads["head.b"] = dlogits.sum(axis=0)
+    dtype = params["head.w"].dtype
+    grads["head.w"] = (z.T @ dlogits).astype(dtype, copy=False)
+    grads["head.b"] = dlogits.sum(axis=0).astype(dtype, copy=False)
     return loss, grads
 
 
@@ -475,7 +482,8 @@ def save_params(params: dict[str, np.ndarray], cfg: ModelConfig,
 
 
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    """Read a checkpoint written by ``save_params``; tensors come back float64."""
+    """Read a checkpoint written by ``save_params``; tensors come back as the
+    float32 values stored, so the model computes on them in float32."""
     path = Path(path)
     manifest = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
     blob = path.read_bytes()
@@ -483,6 +491,6 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     for t in manifest["tensors"]:
         count = int(np.prod(t["shape"])) if t["shape"] else 1
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=t["offset"])
-        params[t["name"]] = arr.astype(np.float64).reshape(t["shape"])
+        params[t["name"]] = arr.astype(np.float32).reshape(t["shape"])
     cfg = ModelConfig.from_dict(manifest["config"])
     return params, cfg

@@ -535,7 +535,10 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     out = ctx.workdir / stage
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
+    try:
+        counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
+    except train_mod.TrainingDiverged as exc:
+        raise PipelineError(f"{stage}: {exc}") from exc
     duration = time.monotonic() - started
 
     sections = sorted(ctx.sections)

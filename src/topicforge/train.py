@@ -8,6 +8,11 @@ checkpoint ``encode_texts`` returns the task-specific embedding used
 downstream, the L2-normalized penultimate vector, for queries and page titles
 alike.
 
+Both trainings compute in float32 (``TRAIN_DTYPE``): the encoder follows
+the dtype of its parameters, and checkpoints store float32 anyway. Only the
+output vector, its normalization and the losses stay float64, inside
+:mod:`model`.
+
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
 from a seeded generator; two runs with one seed produce identical curves.
@@ -37,6 +42,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ENCODE_BATCH = 256  # rows per forward pass outside the training batches
+TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 
 
 class TrainingDiverged(RuntimeError):
@@ -152,16 +158,21 @@ def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
     return total / len(pairs)
 
 
-def _run_epochs(params, n_rows: int, train_cfg: TrainConfig, batch_step,
-                epoch_row) -> list[dict]:
-    """The epoch loop of both trainings; updates ``params`` in place.
+# the loop checks for non-finite losses and parameters itself, so numpy's
+# overflow and invalid-value warnings would only repeat what it reports
+@np.errstate(all="ignore")
+def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
+                epoch_row) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """The epoch loop of both trainings: (trained params, history).
 
-    Each epoch takes the ``n_rows`` rows in a seeded permutation, one Adam
-    step per ``batch_step(params, rows) -> (loss, grads)``, then appends
-    ``epoch_row(params, loss_sum, n_batches)`` to the returned history. A
-    non-finite loss or parameter raises :class:`TrainingDiverged` holding
-    the parameters after the last completed epoch.
+    Training starts from a ``TRAIN_DTYPE`` copy of ``init``. Each epoch
+    takes the ``n_rows`` rows in a seeded permutation, one Adam step per
+    ``batch_step(params, rows) -> (loss, grads)``, then appends
+    ``epoch_row(params, loss_sum, n_batches)`` to the history. A non-finite
+    loss or parameter raises :class:`TrainingDiverged` holding the
+    parameters after the last completed epoch.
     """
+    params = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
     opt = Optimizer(train_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[dict] = []
@@ -187,7 +198,7 @@ def _run_epochs(params, n_rows: int, train_cfg: TrainConfig, batch_step,
         history.append(row)
         last_good = {k: v.copy() for k, v in params.items()}
         logger.info("trained %s", row)
-    return history
+    return params, history
 
 
 def train_intention_model(
@@ -226,9 +237,8 @@ def train_intention_model(
             row["eval_loss"] = _mean_pair_loss(params, cfg, eval_set)
         return row
 
-    params = model.init_params(cfg, seed=train_cfg.seed)
-    return params, _run_epochs(params, len(train_set), train_cfg, batch_step,
-                               epoch_row)
+    return _run_epochs(model.init_params(cfg, seed=train_cfg.seed),
+                       len(train_set), train_cfg, batch_step, epoch_row)
 
 
 def finetune_classifier(
@@ -270,9 +280,8 @@ def finetune_classifier(
         accuracy = float((logits.argmax(axis=1) == np.asarray(labels)).mean())
         return {"mean_loss": loss_sum / n_batches, "accuracy": accuracy}
 
-    params = model.init_head(pretrained, cfg, seed=train_cfg.seed)
-    return params, _run_epochs(params, len(seqs), train_cfg, batch_step,
-                               epoch_row)
+    return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
+                       len(seqs), train_cfg, batch_step, epoch_row)
 
 
 def write_training_curve(history: Sequence[Mapping], path: str | Path) -> None:

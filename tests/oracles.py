@@ -5,6 +5,7 @@ of backprop, from-scratch O(n^3) agglomeration instead of Lance-Williams,
 hash-seeded random projections instead of a trained encoder, a listed pool
 of every free query pair instead of rank arithmetic. Slow and
 obviously correct, so the fast implementations can be checked against them.
+The plain two-cluster co-click corpus of criterion 4 lives here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from topicforge.ingest import ClickRecord
 from topicforge.metric import CoClickStats, QueryPairSample
 
 
@@ -135,3 +137,33 @@ def materialized_negatives(stats: CoClickStats, n_neg: int,
     chosen = rng.choice(len(candidates), size=min(n_neg, len(candidates)),
                         replace=False)
     return [QueryPairSample(*candidates[int(i)], -1.0) for i in chosen]
+
+
+# modifiers for the plain two-cluster training corpus, 20 per group
+_TC_MODS = ["red", "blue", "black", "white", "green", "yellow", "pink",
+            "orange", "purple", "gray", "trail", "road", "track", "gym",
+            "treadmill", "marathon", "sprint", "jogging", "walking", "racing"]
+
+
+def two_cluster_records() -> tuple[list[ClickRecord], dict[str, list[str]]]:
+    """Plain two-cluster co-click corpus: two groups of 20 queries.
+
+    Queries click their group's three shared pages and one private page, so
+    intra-group interactive values land in [0.6, 0.9] and cross-group pairs
+    are negatives. Returns (records, group -> queries).
+    """
+    records: list[ClickRecord] = []
+    groups: dict[str, list[str]] = {}
+    for tag, base in (("shoes", "running shoes"), ("cases", "phone case")):
+        queries = [f"{mod} {base}" for mod in _TC_MODS]
+        groups[base] = queries
+        shared = [f"tc-{tag}-shared-{k}" for k in range(3)]
+        for i, query in enumerate(queries):
+            per_page = 8 + i % 5
+            private = 6 + (i * 3) % 9
+            for page_id in shared:
+                records.append(ClickRecord(query, page_id, "item",
+                                           per_page, per_page * 3))
+            records.append(ClickRecord(query, f"tc-{tag}-priv-{i}", "item",
+                                       private, private * 3))
+    return records, groups

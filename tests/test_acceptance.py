@@ -13,14 +13,15 @@ import time
 import numpy as np
 
 from oracles import (batch_encoder, finite_difference_grads, hash_embed_fn,
-                     max_relative_error, naive_agglomerate)
+                     max_relative_error, naive_agglomerate,
+                     two_cluster_records)
 from topicforge import cli, model, train
 from topicforge.cluster import ProductTypeIndex, cluster_topics
 from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index,
                               dedup_against_shelves)
 from topicforge.experiment import (date_window, run_experiment, student_t_cdf,
                                    two_sample_t)
-from topicforge.fixture import two_cluster_records, write_fixture
+from topicforge.fixture import write_fixture
 from topicforge.ingest import ClickRecord, PageRecord
 from topicforge.metric import (aggregate_clicks, build_training_set,
                                interactive_metric)

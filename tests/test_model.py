@@ -221,7 +221,7 @@ def test_checkpoint_round_trip(tmp_path):
     model.save_params(params, cfg, first)
     loaded, loaded_cfg = model.load_params(first)
     assert loaded_cfg == cfg
-    assert all(v.dtype == np.float64 for v in loaded.values())
+    assert all(v.dtype == np.float32 for v in loaded.values())  # as stored
     model.save_params(loaded, loaded_cfg, second)
     assert first.read_bytes() == second.read_bytes()
     assert (first.with_suffix(".ckpt.json").read_bytes()
@@ -234,3 +234,81 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.allclose(before, after, atol=1e-5)
     for name, w in params.items():
         assert np.allclose(loaded[name], w, atol=1e-6, rtol=1e-6)
+
+
+# the dense benchmark workload's encoder, at a made-up vocabulary size
+DENSE = model.ModelConfig(vocab_size=400, seq_len=16, model_dim=64,
+                          num_layers=2, num_heads=2, ffn_dim=128, output_dim=32)
+
+
+def as_dtype(params, dtype):
+    return {name: w.astype(dtype) for name, w in params.items()}
+
+
+def arrays(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (tuple, list)):
+        for item in tree:
+            yield from arrays(item)
+
+
+def test_float32_parameters_compute_in_float32(monkeypatch):
+    cfg = model.ModelConfig(**{**TOY.to_dict(), "num_classes": 3})
+    params = as_dtype(generic_params(cfg, seed=5), np.float32)
+    caches = []
+    forward = model._forward
+
+    def recording(params, cfg, ids, mask):
+        z, cache = forward(params, cfg, ids, mask)
+        caches.append(cache)
+        return z, cache
+
+    monkeypatch.setattr(model, "_forward", recording)
+    batch = random_pairs(cfg, np.random.default_rng(5), n_pairs=4)
+    seqs = [s for pair in batch for s in pair[:2]]
+    _, pair_grads = model.batch_loss_and_grad(params, cfg, batch)
+    _, class_grads = model.classify_batch_loss_and_grad(
+        params, cfg, seqs, [0, 1, 2, 0, 1, 2, 0, 1])
+    for grads in (pair_grads, class_grads):
+        assert grads.keys() == params.keys()
+        assert all(g.dtype == np.float32 for g in grads.values())
+    # mask, pooled vectors and every layer intermediate: no silent upcast
+    cached = [a for cache in caches for a in arrays(cache)]
+    assert len(caches) == 2 and len(cached) > 20
+    assert all(a.dtype == np.float32 for a in cached if a.dtype.kind == "f")
+    # the output vector and its normalization stay float64
+    assert model.embed_batch(params, cfg, seqs).dtype == np.float64
+    assert model.classify_batch_logits(params, cfg, seqs)[1].dtype == np.float64
+
+
+def gradient_error(approx, exact) -> float:
+    """Worst per-tensor |approx - exact| / |exact| in the L2 norm. A tensor
+    whose exact gradient is near zero (attention's key bias: softmax ignores
+    a shift shared by all keys) is measured against 1e-3 of the whole
+    gradient's norm instead."""
+    floor = 1e-3 * math.sqrt(sum(float(np.sum(g ** 2)) for g in exact.values()))
+    return max(float(np.linalg.norm(approx[name] - g))
+               / max(float(np.linalg.norm(g)), floor)
+               for name, g in exact.items())
+
+
+@pytest.mark.parametrize("base", [TOY, DENSE], ids=["toy", "dense"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_matches_float64_on_the_same_parameters(base, seed):
+    # float32 keeps about 7 digits; on these configs the loss agrees to
+    # about 1e-7 and each gradient tensor to about 3e-6, relative
+    cfg = model.ModelConfig(**{**base.to_dict(), "num_classes": 5})
+    params32 = as_dtype(generic_params(cfg, seed), np.float32)
+    params64 = as_dtype(params32, np.float64)
+    rng = np.random.default_rng(seed)
+    batch = random_pairs(cfg, rng, n_pairs=16)
+    seqs = [s for pair in batch for s in pair[:2]]
+    labels = rng.integers(0, cfg.num_classes, size=len(seqs))
+    for loss_and_grad, args in ((model.batch_loss_and_grad, (batch,)),
+                                (model.classify_batch_loss_and_grad,
+                                 (seqs, labels))):
+        loss32, grads32 = loss_and_grad(params32, cfg, *args)
+        loss64, grads64 = loss_and_grad(params64, cfg, *args)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        assert gradient_error(grads32, grads64) < 1e-4

@@ -311,6 +311,26 @@ def test_non_finite_learning_rate_is_config_error(fixture_dir, full_run,
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("section", ["train", "finetune"])
+def test_diverged_training_is_one_line_error(fixture_dir, full_run, tmp_path,
+                                             caplog, capsys, section):
+    config = variant_config(fixture_dir, tmp_path,
+                            **{f"{section}.learning_rate": 1.0e+300})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    with pytest.raises(PipelineError, match=f"^{section}: .* epoch 0"):
+        run_stage(load_context(config, workdir), section)
+    caplog.clear()
+    assert cli.main(["all", "--config", str(config),
+                     "--workdir", str(workdir)]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage().startswith(f"{section}: ")
+    assert "epoch 0" in error.getMessage()
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
 # keys the pipeline no longer reads, at the values perfbench/gen.py writes
 RETIRED_KEYS = {
     "metric.min_interactive": 0.0,

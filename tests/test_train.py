@@ -53,7 +53,7 @@ def test_zero_epochs_is_a_no_op():
     assert history == []
     fresh = model.init_params(cfg, seed=3)
     for name, w in fresh.items():
-        assert np.array_equal(params[name], w)
+        assert np.array_equal(params[name], w.astype(train.TRAIN_DTYPE))
 
 
 def test_training_is_bit_deterministic():
@@ -75,7 +75,7 @@ def test_zero_gradient_step_changes_nothing():
     params = model.init_params(cfg, seed=0)
     before = {k: v.copy() for k, v in params.items()}
     opt = train.Optimizer(TrainConfig())
-    opt.step(params, model.zero_grads(cfg))
+    opt.step(params, model.zero_grads(params))
     for name, w in before.items():
         assert np.array_equal(params[name], w)
 
@@ -198,6 +198,38 @@ def test_non_finite_parameter_raises_with_last_epoch_params(monkeypatch, loop):
     assert model.check_finite(info.value.params)
     for name, w in after_epoch_0.items():
         assert np.array_equal(info.value.params[name], w)
+
+
+def test_trainings_run_in_float32(monkeypatch):
+    vocab, cfg, labeled, _ = finetune_setup()
+    optimizers = []
+    step = train.Optimizer.step
+
+    def recording(self, params, grads):
+        assert all(g.dtype == np.float32 for g in grads.values())
+        step(self, params, grads)
+        optimizers.append(self)
+
+    monkeypatch.setattr(train.Optimizer, "step", recording)
+    tc = TrainConfig(batch_size=8, epochs=2, seed=1, eval_fraction=0.2)
+    pretrained, history = train.train_intention_model(
+        pair_corpus(), vocab, small_cfg(), tc)
+    tc = TrainConfig(batch_size=4, epochs=2, seed=1, eval_fraction=0.0)
+    runs = [train.finetune_classifier(pretrained, labeled, vocab, cfg, tc)
+            for _ in range(2)]
+    assert optimizers
+    for opt in optimizers:
+        assert all(m.dtype == np.float32 for m in opt.m.values())
+        assert all(v.dtype == np.float32 for v in opt.v.values())
+    for params in (pretrained, runs[0][0]):
+        assert all(w.dtype == np.float32 for w in params.values())
+    # history values are plain floats, ready for the JSON stage reports
+    assert all(type(x) is float for row in history for x in row.values()
+               if not isinstance(x, int))
+    # one seed, bit-identical fine-tuning
+    assert runs[0][1] == runs[1][1]
+    for name, w in runs[0][0].items():
+        assert np.array_equal(runs[1][0][name], w)
 
 
 def test_finetune_validation():
