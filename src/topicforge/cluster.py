@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .train import best_match
+
 logger = logging.getLogger(__name__)
 
 Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
@@ -76,10 +78,10 @@ def classify_product_type(query_vecs: np.ndarray,
     """Per row of ``query_vecs``, the label with the highest cosine.
 
     Ties resolve to the lexicographically smallest label (rows are sorted
-    and argmax takes the first maximum).
+    and ``best_match`` takes the first maximum).
     """
     unit = query_vecs / np.linalg.norm(query_vecs, axis=1, keepdims=True)
-    best = np.argmax(unit @ index.vectors.T, axis=1)
+    best, _ = best_match(unit, index.vectors)
     return [index.labels[int(b)] for b in best]
 
 

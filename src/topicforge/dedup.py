@@ -1,12 +1,12 @@
 """Deduplication of candidate topics against existing shelf and facet pages.
 
 Shelf pages are few, so every query is compared exactly against all shelf
-title embeddings, in one matrix product. Facet pages are too many for that;
-candidates are narrowed to the pages under the query's classified shelf
-product type that share at least one extracted facet pair, and only the
-union of the narrowed pages is encoded, in one batch. A query counts as a
-duplicate when its best cosine similarity over (all shelves, narrowed facet
-pages) reaches the threshold.
+title embeddings, one matrix product per block of queries. Facet pages are
+too many for that; candidates are narrowed to the pages under the query's
+classified shelf product type that share at least one extracted facet pair,
+and only the union of the narrowed pages is encoded, in one batch. A query
+counts as a duplicate when its best cosine similarity over (all shelves,
+narrowed facet pages) reaches the threshold.
 
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that
@@ -25,6 +25,7 @@ import numpy as np
 
 from .ingest import PageRecord, normalize_query
 from .tokenizer import extract_facets
+from .train import best_match
 
 logger = logging.getLogger(__name__)
 
@@ -82,9 +83,8 @@ def dedup_against_shelves(query_vecs: np.ndarray,
     """
     if len(index) == 0:
         return [(None, float("-inf"))] * len(query_vecs)
-    sims = query_vecs @ index.vectors.T
-    best = np.argmax(sims, axis=1)
-    return [(index.page_ids[b], float(sims[i, b])) for i, b in enumerate(best)]
+    best, sims = best_match(query_vecs, index.vectors)
+    return [(index.page_ids[b], float(s)) for b, s in zip(best, sims)]
 
 
 class FacetIndex:

@@ -16,6 +16,13 @@ pre-normalization output vector; that pre-normalization vector is the
 "penultimate" representation, and ``embed_batch`` on a fine-tuned checkpoint
 returns it L2-normalized for downstream deduplication.
 
+Each transformer layer is two blocks, ``_attention`` and ``_ffn``, each
+returning its output and the intermediates its backward (``_attention_back``,
+``_ffn_back``) reads. Only the two loss functions keep those caches; an
+inference pass (``embed_batch``, ``classify_batch_logits``) frees each
+block's intermediates before the next block runs, so its memory grows with
+one block of one batch, not with the whole backward cache.
+
 Backpropagation is hand-derived for every block and verified against
 central finite differences in the test suite. Computation follows the
 parameters' dtype: float64 from ``init_params``, float32 from ``load_params``
@@ -239,11 +246,39 @@ def _merge_heads(x):
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
+def _attention(params, cfg: ModelConfig, p: str, h, key_mask):
+    """Pre-norm multi-head self-attention with its residual: (h, cache)."""
+    a, ln1_cache = _layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"])
+    q = _split_heads(_linear(a, params[p + "attn.wq"], params[p + "attn.bq"]), cfg.num_heads)
+    k = _split_heads(_linear(a, params[p + "attn.wk"], params[p + "attn.bk"]), cfg.num_heads)
+    v = _split_heads(_linear(a, params[p + "attn.wv"], params[p + "attn.bv"]), cfg.num_heads)
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    scores = np.where(key_mask, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
+    scores_max = scores.max(axis=-1, keepdims=True)
+    ex = np.exp(scores - scores_max)  # exact 0.0 at masked keys
+    attn_w = ex / ex.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(attn_w @ v)
+    attn_out = _linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
+    return h + attn_out, (a, ln1_cache, q, k, v, attn_w, ctx)
+
+
+def _ffn(params, p: str, h):
+    """Pre-norm gelu feed-forward block with its residual: (h, cache)."""
+    f, ln2_cache = _layer_norm(h, params[p + "ln2.g"], params[p + "ln2.b"])
+    pre = _linear(f, params[p + "ffn.w1"], params[p + "ffn.b1"])
+    act, gelu_cache = _gelu(pre)
+    ffn_out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
+    return h + ffn_out, (f, ln2_cache, pre, act, gelu_cache)
+
+
+def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
+             keep_cache: bool = False):
     """Encode id/mask batches to pre-normalization vectors z.
 
-    Returns (z, cache): z is float64 whatever the parameters' dtype, and the
-    cache carries every intermediate ``_backward`` needs, in that dtype.
+    Returns (z, cache): z is float64 whatever the parameters' dtype. With
+    ``keep_cache`` the cache carries every intermediate ``_backward`` needs,
+    in that dtype; without it the cache is None and each block's
+    intermediates are freed before the next block runs.
     """
     if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
         raise ValueError(f"ids must be (batch, {cfg.seq_len}), got {ids.shape}")
@@ -260,42 +295,68 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray):
     ids, mask = ids[:, :length], mask[:, :length]
     h = params["tok_emb"][ids] + params["pos_emb"][:length]
     key_mask = mask[:, None, None, :] > 0
-    scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"L{i}."
-        a, ln1_cache = _layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = _split_heads(_linear(a, params[p + "attn.wq"], params[p + "attn.bq"]), cfg.num_heads)
-        k = _split_heads(_linear(a, params[p + "attn.wk"], params[p + "attn.bk"]), cfg.num_heads)
-        v = _split_heads(_linear(a, params[p + "attn.wv"], params[p + "attn.bv"]), cfg.num_heads)
-        scores = np.where(key_mask, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
-        scores_max = scores.max(axis=-1, keepdims=True)
-        ex = np.exp(scores - scores_max)  # exact 0.0 at masked keys
-        attn_w = ex / ex.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(attn_w @ v)
-        attn_out = _linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
-        h_attn = h + attn_out
-
-        f, ln2_cache = _layer_norm(h_attn, params[p + "ln2.g"], params[p + "ln2.b"])
-        pre = _linear(f, params[p + "ffn.w1"], params[p + "ffn.b1"])
-        act, gelu_cache = _gelu(pre)
-        ffn_out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
-        h = h_attn + ffn_out
-        layer_caches.append((a, ln1_cache, q, k, v, attn_w, ctx,
-                             f, ln2_cache, pre, act, gelu_cache))
+        # unless kept, a block's cache is dropped before the next block runs
+        h, attn_cache = _attention(params, cfg, p, h, key_mask)
+        if not keep_cache:
+            attn_cache = None
+        h, ffn_cache = _ffn(params, p, h)
+        if keep_cache:
+            layer_caches.append((attn_cache, ffn_cache))
+        ffn_cache = None
 
     hf, final_cache = _layer_norm(h, params["final_ln.g"], params["final_ln.b"])
     pooled = (mask[:, :, None] * hf).sum(axis=1) / denom[:, None]
     u = np.tanh(_linear(pooled, params["pool.w"], params["pool.b"]))
     w = np.tanh(_linear(u, params["out1.w"], params["out1.b"]))
     z = _linear(w, params["out2.w"], params["out2.b"]).astype(np.float64)
-    return z, (ids, mask, denom, layer_caches, final_cache, pooled, u, w)
+    return z, ((ids, mask, denom, layer_caches, final_cache, pooled, u, w)
+               if keep_cache else None)
 
 
 def _unit(z):
     """Rows of z scaled to unit L2 norm, and the norms."""
     norm = np.linalg.norm(z, axis=1, keepdims=True)
     return z / norm, norm
+
+
+def _ffn_back(params, p: str, cache, dh, grads):
+    """Backward of ``_ffn``: fills its gradients, returns d(block input)."""
+    f, ln2_cache, pre, act, gelu_cache = cache
+    dact, grads[p + "ffn.w2"], grads[p + "ffn.b2"] = _linear_back(
+        dh, act, params[p + "ffn.w2"])
+    dpre = dact * _gelu_grad(pre, gelu_cache)
+    df, grads[p + "ffn.w1"], grads[p + "ffn.b1"] = _linear_back(
+        dpre, f, params[p + "ffn.w1"])
+    dh_in, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_back(
+        df, params[p + "ln2.g"], ln2_cache)
+    return dh_in + dh  # residual
+
+
+def _attention_back(params, cfg: ModelConfig, p: str, cache, dh, grads):
+    """Backward of ``_attention``: fills its gradients, returns d(block input)."""
+    a, ln1_cache, q, k, v, attn_w, ctx = cache
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    dctx, grads[p + "attn.wo"], grads[p + "attn.bo"] = _linear_back(
+        dh, ctx, params[p + "attn.wo"])
+    dctx = _split_heads(dctx, cfg.num_heads)
+    dattn_w = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn_w.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn_w * (dattn_w - (dattn_w * attn_w).sum(axis=-1, keepdims=True))
+    dq = (dscores @ k) * scale
+    dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
+
+    da = np.zeros_like(a)
+    for name, grad_h in (("wq", dq), ("wk", dk), ("wv", dv)):
+        gm = _merge_heads(grad_h)
+        dxx, grads[p + "attn." + name], grads[p + "attn.b" + name[1]] = _linear_back(
+            gm, a, params[p + "attn." + name])
+        da += dxx
+    dh_in, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_back(
+        da, params[p + "ln1.g"], ln1_cache)
+    return dh_in + dh  # residual
 
 
 def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
@@ -306,7 +367,6 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
     ids, mask, denom, layer_caches, final_cache, pooled, u, w = cache
     grads = zero_grads(params)
     dz = dz.astype(w.dtype, copy=False)
-    scale = 1.0 / math.sqrt(cfg.head_dim)
 
     dw_out, grads["out2.w"], grads["out2.b"] = _linear_back(dz, w, params["out2.w"])
     dw_out = dw_out * (1.0 - w ** 2)  # tanh
@@ -319,39 +379,9 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
         dhf, params["final_ln.g"], final_cache)
 
     for i in reversed(range(cfg.num_layers)):
-        p = f"L{i}."
-        (a, ln1_cache, q, k, v, attn_w, ctx, f, ln2_cache, pre, act,
-         gelu_cache) = layer_caches[i]
-
-        dffn_out = dh
-        dact, grads[p + "ffn.w2"], grads[p + "ffn.b2"] = _linear_back(
-            dffn_out, act, params[p + "ffn.w2"])
-        dpre = dact * _gelu_grad(pre, gelu_cache)
-        df, grads[p + "ffn.w1"], grads[p + "ffn.b1"] = _linear_back(
-            dpre, f, params[p + "ffn.w1"])
-        dh_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_back(
-            df, params[p + "ln2.g"], ln2_cache)
-        dh_attn = dh_attn + dh  # residual
-
-        dattn_out = dh_attn
-        dctx, grads[p + "attn.wo"], grads[p + "attn.bo"] = _linear_back(
-            dattn_out, ctx, params[p + "attn.wo"])
-        dctx = _split_heads(dctx, cfg.num_heads)
-        dattn_w = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn_w.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn_w * (dattn_w - (dattn_w * attn_w).sum(axis=-1, keepdims=True))
-        dq = (dscores @ k) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-
-        da = np.zeros_like(a)
-        for name, grad_h in (("wq", dq), ("wk", dk), ("wv", dv)):
-            gm = _merge_heads(grad_h)
-            dxx, grads[p + "attn." + name], grads[p + "attn.b" + name[1]] = _linear_back(
-                gm, a, params[p + "attn." + name])
-            da += dxx
-        dh_in, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_back(
-            da, params[p + "ln1.g"], ln1_cache)
-        dh = dh_in + dh_attn  # residual
+        attn_cache, ffn_cache = layer_caches[i]
+        dh = _ffn_back(params, f"L{i}.", ffn_cache, dh, grads)
+        dh = _attention_back(params, cfg, f"L{i}.", attn_cache, dh, grads)
 
     np.add.at(grads["tok_emb"], ids, dh)
     grads["pos_emb"][:dh.shape[1]] = dh.sum(axis=0)
@@ -397,7 +427,7 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     ids, mask = _stack(seqs)
     labels = [pair[2] for pair in batch]
     # interleaved layout: rows 2i / 2i+1 are the i-th pair
-    z, cache = _forward(params, cfg, ids, mask)
+    z, cache = _forward(params, cfg, ids, mask, keep_cache=True)
     e, norm = _unit(z)
     e_a, e_b = e[0::2], e[1::2]
     dots, losses, ddots = _pair_losses(e_a, e_b, labels, cfg.negative_loss)
@@ -439,7 +469,7 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     if labels.min() < 0 or labels.max() >= cfg.num_classes:
         raise ValueError("label out of range")
     ids, mask = _stack(seqs)
-    z, cache = _forward(params, cfg, ids, mask)
+    z, cache = _forward(params, cfg, ids, mask, keep_cache=True)
     logits = z @ params["head.w"] + params["head.b"]
     logp = _log_softmax(logits)
     n = len(seqs)

@@ -33,6 +33,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import yaml
 
 from . import cluster as cluster_mod
@@ -302,8 +303,16 @@ def _model_config(ctx: PipelineContext, vocab_size: int,
 def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.TrainConfig:
     t = ctx.section(section)
     try:
+        learning_rate = _number(t, "learning_rate", 1e-3)
+        # both trainings multiply the rate into TRAIN_DTYPE arrays, where a
+        # larger one is inf before the first step
+        dtype = np.dtype(train_mod.TRAIN_DTYPE)
+        limit = float(np.finfo(dtype).max)
+        if learning_rate > limit:
+            raise ValueError(f"learning_rate must be at most {limit:.8g}, the "
+                             f"largest {dtype}, got {learning_rate!r}")
         return train_mod.TrainConfig(
-            learning_rate=_number(t, "learning_rate", 1e-3),
+            learning_rate=learning_rate,
             batch_size=_number(t, "batch_size", 32, int),
             epochs=_number(t, "epochs", 10, int),
             seed=seed,

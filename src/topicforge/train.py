@@ -41,7 +41,11 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ENCODE_BATCH = 256  # rows per forward pass outside the training batches
+# rows per inference pass and per block of best-match scores. Inference
+# keeps no backward cache, so its memory grows with this block; from 128
+# rows down, a 32-pair training step sets the peak of a dense-sized encoder
+# (model_dim 64), so smaller blocks would save no memory there
+ENCODE_BATCH = 128
 TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 
 
@@ -141,6 +145,23 @@ def encode_texts(
     return np.concatenate([
         model.embed_batch(params, cfg, seqs[start:start + ENCODE_BATCH])
         for start in range(0, len(seqs), ENCODE_BATCH)])
+
+
+def best_match(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the index of the key row with the highest dot product, and
+    that product; ties go to the first key.
+
+    Scores ``ENCODE_BATCH`` rows at a time, so memory grows with a block of
+    rows times the keys, not with every row times the keys.
+    """
+    best = np.empty(len(rows), dtype=np.intp)
+    sims = np.empty(len(rows))
+    for start in range(0, len(rows), ENCODE_BATCH):
+        scores = rows[start:start + ENCODE_BATCH] @ keys.T
+        top = scores.argmax(axis=1)
+        best[start:start + len(top)] = top
+        sims[start:start + len(top)] = scores[np.arange(len(top)), top]
+    return best, sims
 
 
 def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
@@ -267,18 +288,20 @@ def finetune_classifier(
         logger.warning("classes absent from training data: %s", missing)
 
     seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len)
-    labels = [s.label for s in labeled]
+    labels = np.asarray([s.label for s in labeled])
 
     def batch_step(params, rows):
         return model.classify_batch_loss_and_grad(
-            params, cfg, [seqs[i] for i in rows], [labels[i] for i in rows])
+            params, cfg, [seqs[i] for i in rows], labels[rows])
 
     def epoch_row(params, loss_sum, n_batches):
-        logits = np.concatenate([
-            model.classify_batch_logits(params, cfg, seqs[start:start + ENCODE_BATCH])[0]
-            for start in range(0, len(seqs), ENCODE_BATCH)])
-        accuracy = float((logits.argmax(axis=1) == np.asarray(labels)).mean())
-        return {"mean_loss": loss_sum / n_batches, "accuracy": accuracy}
+        correct = 0
+        for start in range(0, len(seqs), ENCODE_BATCH):
+            logits, _ = model.classify_batch_logits(
+                params, cfg, seqs[start:start + ENCODE_BATCH])
+            correct += int((logits.argmax(axis=1)
+                            == labels[start:start + ENCODE_BATCH]).sum())
+        return {"mean_loss": loss_sum / n_batches, "accuracy": correct / len(seqs)}
 
     return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
                        len(seqs), train_cfg, batch_step, epoch_row)

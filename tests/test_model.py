@@ -4,6 +4,7 @@ closed-form loss values and checkpoint round-trips."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,8 +260,8 @@ def test_float32_parameters_compute_in_float32(monkeypatch):
     caches = []
     forward = model._forward
 
-    def recording(params, cfg, ids, mask):
-        z, cache = forward(params, cfg, ids, mask)
+    def recording(params, cfg, ids, mask, keep_cache=False):
+        z, cache = forward(params, cfg, ids, mask, keep_cache=keep_cache)
         caches.append(cache)
         return z, cache
 
@@ -312,3 +313,37 @@ def test_float32_matches_float64_on_the_same_parameters(base, seed):
         loss64, grads64 = loss_and_grad(params64, cfg, *args)
         assert loss32 == pytest.approx(loss64, rel=1e-5)
         assert gradient_error(grads32, grads64) < 1e-4
+
+
+@pytest.mark.parametrize("base", [TOY, DENSE], ids=["toy", "dense"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_forward_equals_cached_forward(base, dtype):
+    params = as_dtype(generic_params(base, seed=3), dtype)
+    batch = random_pairs(base, np.random.default_rng(3), n_pairs=12)
+    ids, mask = model._stack([s for pair in batch for s in pair[:2]])
+    z, cache = model._forward(params, base, ids, mask)
+    z_kept, kept = model._forward(params, base, ids, mask, keep_cache=True)
+    assert cache is None and kept is not None
+    assert np.array_equal(z, z_kept)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_pass_holds_under_half_the_cached_peak():
+    # a cached pass holds every layer's intermediates until it returns; an
+    # inference pass holds one block's at a time
+    params = as_dtype(model.init_params(DENSE, seed=0), np.float32)
+    batch = random_pairs(DENSE, np.random.default_rng(0), n_pairs=128)
+    seqs = [s for pair in batch for s in pair[:2]]
+    ids, mask = model._stack(seqs)
+    assert ids.shape == (256, DENSE.seq_len) and mask[:, -1].any()
+    cached = traced_peak(
+        lambda: model._forward(params, DENSE, ids, mask, keep_cache=True))
+    assert traced_peak(lambda: model.embed_batch(params, DENSE, seqs)) < 0.5 * cached

@@ -270,7 +270,7 @@ def test_task_embedding_unit_norm_and_distinct():
 def test_encode_texts_matches_single_text_batches(monkeypatch):
     vocab, cfg, labeled, pretrained = finetune_setup()
     tc = TrainConfig(learning_rate=1e-2, epochs=3, seed=0, eval_fraction=0.0)
-    params, _ = train.finetune_classifier(pretrained, labeled, vocab, cfg, tc)
+    trained, _ = train.finetune_classifier(pretrained, labeled, vocab, cfg, tc)
     forwards = []
     embed_batch = model.embed_batch
 
@@ -281,26 +281,66 @@ def test_encode_texts_matches_single_text_batches(monkeypatch):
     monkeypatch.setattr(model, "embed_batch", counting)
     monkeypatch.setattr(train, "ENCODE_BATCH", 3)
     texts = GROUP_A + ["Alpha  BRAVO!"] + GROUP_B + ["alpha bravo"]
-    out = train.encode_texts(params, cfg, vocab, texts)
-    assert out.shape == (len(texts), cfg.output_dim)
-    assert forwards == [3, 3, 3, 1]  # passes of at most ENCODE_BATCH texts
-    for text, row in zip(texts, out):
-        [seq] = train.tokenize_texts([text], vocab, cfg.seq_len)
-        single = embed_batch(params, cfg, [seq])[0]
-        assert np.max(np.abs(row - single)) < 1e-12
-    # normalization is part of the path: raw and normalized text agree
-    assert np.max(np.abs(out[len(GROUP_A)] - out[0])) < 1e-12
-    assert np.max(np.abs(out[-1] - out[0])) < 1e-12
-    # on a fine-tuned checkpoint the rows are the task embedding: the
-    # L2-normalized penultimate vector the classification head reads
-    _, z = model.classify_batch_logits(
-        params, cfg, train.tokenize_texts(texts, vocab, cfg.seq_len))
-    assert np.max(np.abs(out - z / np.linalg.norm(z, axis=1, keepdims=True))) < 1e-12
+    # a batch's shape picks the kernels and its longest row the reduction
+    # lengths, so rows agree across batch compositions only to rounding:
+    # about 1e-15 in float64 and 2e-7 in float32 (the model docstring)
+    as_float64 = {name: w.astype(np.float64) for name, w in trained.items()}
+    for params, tol in ((as_float64, 1e-12), (trained, 1e-6)):
+        forwards.clear()
+        out = train.encode_texts(params, cfg, vocab, texts)
+        assert out.shape == (len(texts), cfg.output_dim)
+        assert forwards == [3, 3, 3, 1]  # passes of at most ENCODE_BATCH texts
+        for text, row in zip(texts, out):
+            [seq] = train.tokenize_texts([text], vocab, cfg.seq_len)
+            single = embed_batch(params, cfg, [seq])[0]
+            assert np.max(np.abs(row - single)) < tol
+        # normalization is part of the path: raw and normalized text agree
+        assert np.max(np.abs(out[len(GROUP_A)] - out[0])) < tol
+        assert np.max(np.abs(out[-1] - out[0])) < tol
+        # on a fine-tuned checkpoint the rows are the task embedding: the
+        # L2-normalized penultimate vector the classification head reads
+        _, z = model.classify_batch_logits(
+            params, cfg, train.tokenize_texts(texts, vocab, cfg.seq_len))
+        assert np.max(np.abs(out - z / np.linalg.norm(z, axis=1, keepdims=True))) < tol
 
     forwards.clear()
-    empty = train.encode_texts(params, cfg, vocab, [])
+    empty = train.encode_texts(trained, cfg, vocab, [])
     assert empty.shape == (0, cfg.output_dim)
     assert forwards == []
+
+
+def test_best_match_in_blocks_equals_one_matrix():
+    # small integers make every product exact, so ties are exact too
+    rng = np.random.default_rng(0)
+    block = train.ENCODE_BATCH
+    keys = rng.integers(-3, 4, size=(6, 4)).astype(np.float64)
+    rows = rng.integers(-3, 4, size=(2 * block + 5, 4)).astype(np.float64)
+    # rows either side of the first block boundary tie on keys 1 and 4
+    keys[1] = keys[4] = 9.0
+    rows[block - 1] = rows[block] = 1.0
+    best, sims = train.best_match(rows, keys)
+    scores = rows @ keys.T
+    assert np.array_equal(best, scores.argmax(axis=1))
+    assert np.array_equal(sims, scores.max(axis=1))
+    assert best[block - 1] == best[block] == 1  # the first of the tied keys
+    best, sims = train.best_match(np.zeros((0, 4)), keys)
+    assert best.shape == sims.shape == (0,)
+
+
+def test_finetune_accuracy_counts_blocks_like_one_matrix(monkeypatch):
+    vocab, cfg, labeled, pretrained = finetune_setup()
+    monkeypatch.setattr(train, "ENCODE_BATCH", 3)
+    tc = TrainConfig(learning_rate=1e-2, epochs=1, seed=0, eval_fraction=0.0)
+    params, history = train.finetune_classifier(pretrained, labeled, vocab,
+                                                cfg, tc)
+    seqs = train.tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len)
+    logits = np.concatenate([model.classify_batch_logits(params, cfg, seqs[i:i + 3])[0]
+                             for i in range(0, len(seqs), 3)])
+    labels = np.asarray([s.label for s in labeled])
+    expected = float((logits.argmax(axis=1) == labels).mean())
+    assert 0.0 < expected < 1.0
+    assert history[-1]["accuracy"] == expected
+    assert type(history[-1]["accuracy"]) is float
 
 
 def test_tokenize_texts_normalizes_and_extracts_facets():
