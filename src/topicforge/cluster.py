@@ -109,7 +109,9 @@ def agglomerate(
     n = len(order)
     mat = np.stack([np.asarray(vectors[q], dtype=np.float64) for q in order])
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    dist = 1.0 - mat @ mat.T
+    # in place: one n x n matrix, not the product and a second for 1 - it
+    dist = mat @ mat.T
+    np.subtract(1.0, dist, out=dist)
     np.fill_diagonal(dist, np.inf)
     result = ClusterResult(distance_evaluations=n * (n - 1) // 2)
 

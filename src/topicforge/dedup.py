@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import PageRecord, normalize_query
-from .tokenizer import extract_facets
+from .ingest import PageRecord, normalize_query, tokenize_text
+from .tokenizer import FacetMatcher
 from .train import best_match
 
 logger = logging.getLogger(__name__)
@@ -115,16 +115,16 @@ def narrow_facet_candidates(
     query: str,
     facet_index: FacetIndex,
     product_type: str,
-    facet_lexicon: Mapping[str, set[str]] | None,
+    facet_matcher: FacetMatcher | None,
 ) -> list[str]:
     """Facet pages worth comparing: same product type, >= 1 shared facet.
 
     Queries with no extractable facets narrow to nothing (the facet path
     is skipped for them).
     """
-    if not facet_lexicon:
+    if facet_matcher is None:
         return []
-    facets = extract_facets(normalize_query(query), facet_lexicon)
+    facets = facet_matcher.match(tokenize_text(normalize_query(query)))
     if not facets:
         return []
     return facet_index.pages_for(product_type, facets)
@@ -139,7 +139,7 @@ class Deduper:
         facet_index: FacetIndex | None,
         encode: Encoder,
         threshold: float = DEFAULT_THRESHOLD,
-        facet_lexicon: Mapping[str, set[str]] | None = None,
+        facet_matcher: FacetMatcher | None = None,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
@@ -147,7 +147,7 @@ class Deduper:
         self.facet_index = facet_index
         self.encode = encode
         self.threshold = threshold
-        self.facet_lexicon = facet_lexicon
+        self.facet_matcher = facet_matcher
         self.facet_path_skipped = 0
 
     def decide(self, queries: Sequence[str]) -> list[DedupDecision]:
@@ -167,7 +167,7 @@ class Deduper:
             if self.facet_index is not None and page is not None:
                 candidates = narrow_facet_candidates(
                     query, self.facet_index,
-                    self.shelf_index.product_types[page], self.facet_lexicon)
+                    self.shelf_index.product_types[page], self.facet_matcher)
             if not candidates:
                 self.facet_path_skipped += 1
             narrowed.append(candidates)

@@ -73,6 +73,15 @@ class ClickRecord:
         return [self.query, self.page_id, self.page_type,
                 str(self.clicks), str(self.impressions)]
 
+    @classmethod
+    def from_csv_row(cls, row: list[str]) -> "ClickRecord":
+        """The record :meth:`to_csv_row` wrote, taken as it is; a row of
+        another shape raises ValueError."""
+        query, page_id, page_type, clicks, impressions = row
+        if page_type not in PAGE_TYPES:
+            raise ValueError(f"unknown page_type {page_type!r}")
+        return cls(query, page_id, page_type, int(clicks), int(impressions))
+
 
 @dataclass(frozen=True)
 class PageRecord:
@@ -90,6 +99,19 @@ class PageRecord:
             "product_type": self.product_type,
             "facets": [{"name": n, "value": v} for n, v in sorted(self.facets)],
         }
+
+    @classmethod
+    def from_dict(cls, row: dict) -> "PageRecord":
+        """The record :meth:`to_dict` wrote, taken as it is; a row of
+        another shape raises ValueError, KeyError or TypeError."""
+        texts = [row["page_id"], row["page_type"], row["title"],
+                 row["product_type"]]
+        facets = [(pair["name"], pair["value"]) for pair in row["facets"]]
+        # raises TypeError naming the first field that is not a string
+        "".join(texts + [t for pair in facets for t in pair])
+        if row["page_type"] not in PAGE_TYPES:
+            raise ValueError(f"unknown page_type {row['page_type']!r}")
+        return cls(*texts, frozenset(facets))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ stage read or wrote has changed, ``topicforge all`` skips the stage.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -202,9 +203,26 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _write_jsonl(path: Path, rows) -> None:
+    # the encoder json.dumps(row, sort_keys=True) would build for every row
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
+
+
+def _read_copy(name: str, rows, make) -> list:
+    """``make(row)`` for each ``(line number, row)`` of ingest's copy
+    ``name``. Later stages take the copies as ingest wrote them, so a row
+    that does not fit stops the stage with its line number."""
+    records = []
+    line_no = 0
+    try:
+        for line_no, row in rows:
+            records.append(make(row))
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise PipelineError(f"ingest/{name} line {line_no}: malformed row "
+                            f"({type(exc).__name__}: {exc})") from None
+    return records
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -227,14 +245,15 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     candidates = ingest_mod.candidates_from_click_log(records)
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
 
-    import csv as _csv
     with open(out / "click_records.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["query", "page_id", "page_type", "clicks", "impressions"])
+        writer = csv.writer(fh)
+        writer.writerow(ingest_mod.CLICK_LOG_FIELDS)
         for r in records:
             writer.writerow(r.to_csv_row())
     _write_jsonl(out / "candidates.jsonl", (c.to_dict() for c in kept))
-    # normalized copies in the raw formats; parsing them again is the identity
+    # normalized copies in the raw formats; parsing them again is the
+    # identity, so later stages take them as they are (_load_clicks,
+    # _load_pages)
     _write_jsonl(out / "page_catalog.jsonl", (p.to_dict() for p in pages))
     _write_jsonl(out / "facet_lexicon.jsonl",
                  ({"facet_name": name, "values": sorted(values)}
@@ -249,8 +268,21 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
                               "page_catalog.jsonl", "facet_lexicon.jsonl"]
 
 
+def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
+    """Ingest's normalized click records."""
+    with open(ctx.artifact("ingest", "click_records.csv"), newline="",
+              encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(ingest_mod.CLICK_LOG_FIELDS):
+            raise PipelineError("ingest/click_records.csv line 1: not the "
+                                f"header {','.join(ingest_mod.CLICK_LOG_FIELDS)}")
+        return _read_copy("click_records.csv",
+                          ((reader.line_num, row) for row in reader if row),
+                          ingest_mod.ClickRecord.from_csv_row)
+
+
 def _stage_metric(ctx: PipelineContext, out: Path):
-    records, _ = ingest_mod.parse_click_log(ctx.artifact("ingest", "click_records.csv"))
+    records = _load_clicks(ctx)
     mcfg = ctx.section("metric")
     # co-click aggregation can skip navigational page types (shelf clicks say
     # "browsed the category", not "wanted the same thing"); the classifier
@@ -325,9 +357,13 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
 
 def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
     """Ingest's normalized pages."""
-    pages, _ = ingest_mod.parse_page_catalog(
-        ctx.artifact("ingest", "page_catalog.jsonl"))
-    return pages
+    with open(ctx.artifact("ingest", "page_catalog.jsonl"),
+              encoding="utf-8") as fh:
+        return _read_copy("page_catalog.jsonl",
+                          ((n, line) for n, line in enumerate(fh, start=1)
+                           if line.strip()),
+                          lambda line: ingest_mod.PageRecord.from_dict(
+                              json.loads(line)))
 
 
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
@@ -380,8 +416,7 @@ def _derive_labels(records, pages) -> tuple[list[train_mod.LabeledQuery], list[s
 
 def _stage_finetune(ctx: PipelineContext, out: Path):
     pretrained, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
-    records, _ = ingest_mod.parse_click_log(ctx.artifact("ingest", "click_records.csv"))
-    labeled, classes = _derive_labels(records, _load_pages(ctx))
+    labeled, classes = _derive_labels(_load_clicks(ctx), _load_pages(ctx))
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = model_mod.ModelConfig(**{**cfg.to_dict(), "num_classes": len(classes)})
@@ -441,7 +476,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
         deduper = dedup_mod.Deduper(
             shelf_index, facet_index, encode,
             threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD),
-            facet_lexicon=vocab.facet_lexicon)
+            facet_matcher=vocab.facet_matcher)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
     decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)

@@ -5,6 +5,13 @@ lexicon-driven n-gram matching; each extracted facet contributes a single
 composite token "FACET:name=value" appended after the word tokens. Two
 queries that differ only in a facet value therefore always tokenize
 differently.
+
+Matching runs through a :class:`FacetMatcher`, which indexes every lexicon
+value under its first token once. A query is then scanned token by token,
+and only the values starting with that token are compared, so a match costs
+the query's length times the few values sharing a first token, not the
+whole lexicon. A :class:`Vocabulary` builds its matcher once, beside its
+facet lexicon; :func:`extract_facets` builds one per call.
 """
 
 from __future__ import annotations
@@ -56,12 +63,10 @@ class Vocabulary:
                 lexicon.setdefault(name, set()).add(value)
         return lexicon
 
-    def tokenize(self, query: str, seq_len: int) -> TokenSequence:
-        """A normalized query's word tokens plus the facets this vocabulary
-        holds, as :func:`tokenize_query` lays them out."""
-        lexicon = self.facet_lexicon
-        facets = extract_facets(query, lexicon) if lexicon else {}
-        return tokenize_query(query, facets, self, seq_len)
+    @cached_property
+    def facet_matcher(self) -> FacetMatcher:
+        """The matcher over :attr:`facet_lexicon`."""
+        return FacetMatcher(self.facet_lexicon)
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
@@ -137,30 +142,55 @@ def build_vocabulary(
     return Vocabulary(mapping, facet_range)
 
 
-def extract_facets(query: str, facet_lexicon: Mapping[str, Iterable[str]]) -> dict[str, str]:
-    """All (facet_name -> value) pairs whose value occurs as a token n-gram.
+class FacetMatcher:
+    """A facet lexicon indexed by each value's first token."""
 
-    Within a facet the longest match wins; ties go to the leftmost
-    occurrence, then the lexicographically smallest value.
-    """
-    tokens = tokenize_text(query)
-    found: dict[str, str] = {}
-    for name in sorted(facet_lexicon):
-        best: tuple[int, int, str] | None = None  # (-length, position, value)
-        for value in facet_lexicon[name]:
-            vtokens = tokenize_text(value)
-            n = len(vtokens)
-            if n == 0:
-                continue
-            for pos in range(len(tokens) - n + 1):
+    def __init__(self, facet_lexicon: Mapping[str, Iterable[str]]):
+        # first token -> (name, value tokens, value) of every value
+        self._by_first: dict[str, list[tuple[str, list[str], str]]] = {}
+        for name, values in facet_lexicon.items():
+            for value in values:
+                vtokens = tokenize_text(value)
+                if vtokens:
+                    self._by_first.setdefault(vtokens[0], []).append(
+                        (name, vtokens, value))
+
+    def match(self, tokens: list[str]) -> dict[str, str]:
+        """All (facet_name -> value) pairs whose value occurs in ``tokens``
+        as a token n-gram, names sorted.
+
+        Within a facet the longest match wins; ties go to the leftmost
+        occurrence, then the lexicographically smallest value.
+        """
+        best: dict[str, tuple[int, int, str]] = {}  # (-length, position, value)
+        for pos, token in enumerate(tokens):
+            for name, vtokens, value in self._by_first.get(token, ()):
+                n = len(vtokens)
                 if tokens[pos:pos + n] == vtokens:
                     key = (-n, pos, value)
-                    if best is None or key < best:
-                        best = key
-                    break
-        if best is not None:
-            found[name] = best[2]
-    return found
+                    if name not in best or key < best[name]:
+                        best[name] = key
+        return {name: best[name][2] for name in sorted(best)}
+
+
+def extract_facets(query: str, facet_lexicon: Mapping[str, Iterable[str]]) -> dict[str, str]:
+    """:meth:`FacetMatcher.match` over the tokens of ``query``."""
+    return FacetMatcher(facet_lexicon).match(tokenize_text(query))
+
+
+def token_ids(words: list[str], facets: Mapping[str, str], vocab: Vocabulary,
+              seq_len: int) -> list[int]:
+    """Ids of the word tokens ``words`` followed by facet-token ids, at most
+    ``seq_len``.
+
+    Truncation runs after the facet tokens are appended, so a query longer
+    than ``seq_len`` loses its facet tokens first; that order is intended,
+    since each facet token restates words the query already holds.
+    """
+    if seq_len < 2:
+        raise ValueError(f"seq_len must be >= 2, got {seq_len}")
+    tokens = words + [facet_token(n, facets[n]) for n in sorted(facets)]
+    return [vocab.id_for(t) for t in tokens[:seq_len]]
 
 
 def tokenize_query(
@@ -169,20 +199,9 @@ def tokenize_query(
     vocab: Vocabulary,
     seq_len: int = 16,
 ) -> TokenSequence:
-    """Word-token ids followed by facet-token ids, padded/truncated to seq_len.
-
-    Truncation runs after the facet tokens are appended, so a query longer
-    than ``seq_len`` loses its facet tokens first; that order is intended,
-    since each facet token restates words the query already holds.
-    """
-    if seq_len < 2:
-        raise ValueError(f"seq_len must be >= 2, got {seq_len}")
-    tokens = tokenize_text(query)
-    tokens += [facet_token(n, facets[n]) for n in sorted(facets)]
-    ids = [vocab.id_for(t) for t in tokens][:seq_len]
-    mask = [1] * len(ids)
-    while len(ids) < seq_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-    return TokenSequence(np.asarray(ids, dtype=np.int64),
-                         np.asarray(mask, dtype=np.float64))
+    """:func:`token_ids`, padded to ``seq_len``, with its attention mask."""
+    ids = token_ids(tokenize_text(query), facets, vocab, seq_len)
+    pad = seq_len - len(ids)
+    return TokenSequence(np.asarray(ids + [PAD_ID] * pad, dtype=np.int64),
+                         np.asarray([1] * len(ids) + [0] * pad,
+                                    dtype=np.float64))

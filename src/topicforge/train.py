@@ -31,10 +31,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import model
-from .ingest import normalize_query
+from .ingest import normalize_query, tokenize_text
 from .metric import QueryPairSample
 from .model import ModelConfig
-from .tokenizer import TokenSequence, Vocabulary
+from .tokenizer import PAD_ID, TokenSequence, Vocabulary, token_ids
 
 logger = logging.getLogger(__name__)
 
@@ -100,10 +100,13 @@ class Optimizer:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g ** 2
-            params[name] -= lr * (self.m[name] / bc1) / (
-                np.sqrt(self.v[name] / bc2) + ADAM_EPS)
+            # in place, with the same operations as m = b1 * m + (1 - b1) * g
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _stable_hash_fraction(text: str) -> float:
@@ -119,13 +122,23 @@ def split_eval(keys: Sequence[str], eval_fraction: float) -> list[bool]:
 
 def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
                    seq_len: int) -> list[TokenSequence]:
-    """One token sequence per text; each distinct text is normalized and
-    tokenized, facets included, once."""
-    memo: dict[str, TokenSequence] = {}
-    for text in texts:
-        if text not in memo:
-            memo[text] = vocab.tokenize(normalize_query(text), seq_len)
-    return [memo[text] for text in texts]
+    """One token sequence per text, laid out as :func:`tokenize_query` does.
+
+    Each distinct text is normalized and matched against the vocabulary's
+    facets once, into one row of a shared ids array and mask array; the
+    sequences are views of those rows, and a repeated text shares its row.
+    """
+    row_of = dict.fromkeys(texts)
+    ids = np.full((len(row_of), seq_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(row_of), seq_len))
+    matcher = vocab.facet_matcher
+    for row, text in enumerate(row_of):
+        words = tokenize_text(normalize_query(text))
+        found = token_ids(words, matcher.match(words), vocab, seq_len)
+        ids[row, :len(found)] = found
+        mask[row, :len(found)] = 1.0
+        row_of[text] = TokenSequence(ids[row], mask[row])
+    return [row_of[text] for text in texts]
 
 
 def encode_texts(

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: central finite differences instead
 of backprop, from-scratch O(n^3) agglomeration instead of Lance-Williams,
 hash-seeded random projections instead of a trained encoder, a listed pool
-of every free query pair instead of rank arithmetic. Slow and
+of every free query pair instead of rank arithmetic, a loop over the whole
+facet lexicon per query instead of a first-token index. Slow and
 obviously correct, so the fast implementations can be checked against them.
 The plain two-cluster co-click corpus of criterion 4 lives here too.
 """
@@ -11,7 +12,7 @@ The plain two-cluster co-click corpus of criterion 4 lives here too.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +94,34 @@ def naive_agglomerate(vectors: dict[str, np.ndarray], threshold: float,
         clusters[i] = sorted(clusters[i] + clusters[j])
         del clusters[j]
     return {frozenset(c) for c in clusters}
+
+
+def loop_extract_facets(query: str, facet_lexicon: Mapping[str, Iterable[str]]
+                        ) -> dict[str, str]:
+    """Facet extraction by looping the whole lexicon for every query.
+
+    Each value is split and its first occurrence found by sliding over the
+    query's tokens; within a facet the key (-length, position, value) is
+    minimized: longest, then leftmost, then smallest value.
+    """
+    tokens = query.split()
+    found: dict[str, str] = {}
+    for name in sorted(facet_lexicon):
+        best: tuple[int, int, str] | None = None
+        for value in facet_lexicon[name]:
+            vtokens = value.split()
+            n = len(vtokens)
+            if n == 0:
+                continue
+            for pos in range(len(tokens) - n + 1):
+                if tokens[pos:pos + n] == vtokens:
+                    key = (-n, pos, value)
+                    if best is None or key < best:
+                        best = key
+                    break
+        if best is not None:
+            found[name] = best[2]
+    return found
 
 
 def hash_embed_fn(dim: int = 16) -> Callable[[str], np.ndarray]:

@@ -25,7 +25,7 @@ from topicforge.fixture import write_fixture
 from topicforge.ingest import ClickRecord, PageRecord
 from topicforge.metric import (aggregate_clicks, build_training_set,
                                interactive_metric)
-from topicforge.tokenizer import TokenSequence, build_vocabulary
+from topicforge.tokenizer import FacetMatcher, TokenSequence, build_vocabulary
 from topicforge.train import TrainConfig
 
 TOY = model.ModelConfig(vocab_size=10, seq_len=5, model_dim=4, num_layers=1,
@@ -256,7 +256,7 @@ def test_criterion_6_dedup_exactness_and_recall():
                 kept_controls.append(f"{title} promo{k} extra{k}")
     deduper = Deduper(build_shelf_index(catalog, batch_encoder(embed)),
                       FacetIndex(catalog), batch_encoder(embed),
-                      threshold=0.86, facet_lexicon=lexicon)
+                      threshold=0.86, facet_matcher=FacetMatcher(lexicon))
 
     facet_pages = [p for p in catalog if p.page_type == "facet"]
     detected = 0

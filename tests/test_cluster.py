@@ -3,6 +3,8 @@ classification and report output."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,18 @@ def test_cluster_report_csv(tmp_path):
     assert lines[0] == "query,product_type,cluster_id,is_representative"
     assert lines[1] == "a0,shoe,shoe#0,0"
     assert lines[2] == "a1,shoe,shoe#0,1"
+
+
+def test_agglomerate_holds_one_distance_matrix():
+    n = 400
+    vectors = blob_vectors(np.random.default_rng(0), 20, 20)
+    assert len(vectors) == n
+    tracemalloc.start()
+    try:
+        result = agglomerate(vectors, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.merge_log
+    # one n x n float64 is 8 n^2 bytes; a second (1 - the product) is not
+    assert peak < 1.5 * 8 * n * n, peak

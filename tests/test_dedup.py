@@ -12,9 +12,10 @@ from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index,
                               dedup_all, dedup_against_shelves,
                               narrow_facet_candidates, write_dedup_report)
 from topicforge.ingest import PageRecord
+from topicforge.tokenizer import FacetMatcher
 
-LEXICON = {"color": {"red", "blue", "black"},
-           "gender": {"mens", "womens"}}
+MATCHER = FacetMatcher({"color": {"red", "blue", "black"},
+                        "gender": {"mens", "womens"}})
 
 
 def shelf(page_id, title, product_type):
@@ -71,16 +72,16 @@ def test_shelf_index_sorted_and_typed():
 
 def test_narrowing_selects_same_type_shared_facet():
     fi = FacetIndex(small_catalog())
-    got = narrow_facet_candidates("red running shoes", fi, "shoes", LEXICON)
+    got = narrow_facet_candidates("red running shoes", fi, "shoes", MATCHER)
     assert got == ["f-shoe-red"]
     got = narrow_facet_candidates("red mens running shoes", fi, "shoes",
-                                  LEXICON)
+                                  MATCHER)
     assert got == ["f-shoe-mens", "f-shoe-red"]
     # same facet, wrong product type: not a candidate
     assert narrow_facet_candidates("red phone case", fi, "shoes",
-                                   LEXICON) == ["f-shoe-red"]
+                                   MATCHER) == ["f-shoe-red"]
     assert narrow_facet_candidates("leather wallet", fi, "shoes",
-                                   LEXICON) == []
+                                   MATCHER) == []
     assert narrow_facet_candidates("red shoes", fi, "shoes", None) == []
 
 
@@ -89,7 +90,7 @@ def test_exact_title_match_is_a_facet_duplicate():
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_lexicon=LEXICON)
+                      threshold=0.86, facet_matcher=MATCHER)
     [decision] = deduper.decide(["red running shoes"])
     assert decision.verdict == "duplicate"
     assert decision.best_match == "f-shoe-red"
@@ -105,7 +106,7 @@ def test_exact_shelf_match_stays_on_shelf_path():
                                        color="red")]
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_lexicon=LEXICON)
+                      threshold=0.86, facet_matcher=MATCHER)
     [decision] = deduper.decide(["red running shoes"])
     # the duplicated-title facet page ties the true facet page at 1.0; the
     # first exact hit wins and later ties cannot displace it
@@ -130,7 +131,7 @@ def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
     shelf_index = build_shelf_index(catalog, encode)
     fi = FacetIndex(catalog)
     deduper = Deduper(shelf_index, fi, encode, threshold=0.86,
-                      facet_lexicon=LEXICON)
+                      facet_matcher=MATCHER)
     facet_pages = [p for p in catalog if p.page_type == "facet"]
     queries = ["red running shoes", "blue running shoes",
                "mens running shoes", "red phone case",
@@ -145,7 +146,7 @@ def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
                          for p in catalog if p.page_type == "shelf")
         [(shelf_page, _)] = dedup_against_shelves(qv[None, :], shelf_index)
         narrowed = narrow_facet_candidates(
-            query, fi, shelf_index.product_types[shelf_page], LEXICON)
+            query, fi, shelf_index.product_types[shelf_page], MATCHER)
         if best_facet in narrowed and exhaustive[best_facet] > shelf_best:
             assert decision.best_match == best_facet
             assert decision.best_similarity == pytest.approx(
@@ -178,7 +179,7 @@ def test_dedup_all_stats_and_skip_counter():
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_lexicon=LEXICON)
+                      threshold=0.86, facet_matcher=MATCHER)
     queries = ["red running shoes", "running shoes", "quantum flux manifold"]
     decisions, stats = dedup_all(queries, deduper)
     assert [d.query for d in decisions] == queries
@@ -204,7 +205,7 @@ def test_batched_decisions_match_single_query_decisions():
         facet("f-shoe-red-mens", "red mens running shoes", "shoes",
               color="red", gender="mens")]
     deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
-                      encode, threshold=0.86, facet_lexicon=LEXICON)
+                      encode, threshold=0.86, facet_matcher=MATCHER)
     queries = ["red running shoes", "mens running shoes", "blue running shoes",
                "red mens running shoes", "running shoes", "red phone case",
                "quantum flux manifold"]
@@ -229,7 +230,7 @@ def test_empty_shelf_index_and_no_facet_index():
     encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = [p for p in small_catalog() if p.page_type == "facet"]
     deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
-                      encode, threshold=0.86, facet_lexicon=LEXICON)
+                      encode, threshold=0.86, facet_matcher=MATCHER)
     decisions, stats = dedup_all(["red running shoes", "phone case"], deduper)
     assert [(d.verdict, d.best_match, d.best_similarity, d.path)
             for d in decisions] == [("kept", None, float("-inf"), "shelf")] * 2
@@ -237,7 +238,7 @@ def test_empty_shelf_index_and_no_facet_index():
 
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode), None, encode,
-                      threshold=0.86, facet_lexicon=LEXICON)
+                      threshold=0.86, facet_matcher=MATCHER)
     [decision] = deduper.decide(["red running shoes"])
     assert decision.path == "shelf" and decision.best_match == "s-shoe"
     assert deduper.facet_path_skipped == 1

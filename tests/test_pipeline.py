@@ -205,6 +205,77 @@ def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
         assert (workdir / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def test_all_parses_each_raw_input_once(fixture_dir, tmp_path, monkeypatch,
+                                       capsys):
+    calls = []
+    for name in ("parse_page_catalog", "parse_click_log"):
+        real = getattr(ingest_mod, name)
+        monkeypatch.setattr(ingest_mod, name,
+                            lambda path, real=real, name=name:
+                            calls.append(name) or real(path))
+    assert cli.main(["all", "--config", str(fixture_dir / "config.yaml"),
+                     "--workdir", str(tmp_path / "w")]) == 0
+    capsys.readouterr()
+    # later stages take ingest's copies as they are
+    assert sorted(calls) == ["parse_click_log", "parse_page_catalog"]
+
+
+def _field(index: int, value: str):
+    """An edit replacing one comma-separated field of a line."""
+    def edit(line: str) -> str:
+        fields = line.rstrip("\n").split(",")
+        fields[index] = value
+        return ",".join(fields) + "\n"
+    return edit
+
+
+COPY_EDITS = {
+    "truncated": ("page_catalog.jsonl", 3, lambda line: line[:40] + "\n"),
+    "null-title": ("page_catalog.jsonl", 2,
+                   lambda line: line.replace('"title": "phone case"',
+                                             '"title": null')),
+    "no-facets": ("page_catalog.jsonl", 4,
+                  lambda line: line.replace('"facets"', '"facet_pairs"')),
+    "bad-page-type": ("page_catalog.jsonl", 1,
+                      lambda line: line.replace('"shelf"', '"aisle"')),
+    "clicks-not-int": ("click_records.csv", 5, _field(3, "12.5")),
+    "short-row": ("click_records.csv", 7, lambda line: "running shoes,x\n"),
+    "header": ("click_records.csv", 1, _field(1, "page")),
+}
+
+
+@pytest.mark.parametrize("edit, stage", [
+    ("truncated", "train"), ("truncated", "finetune"), ("truncated", "cluster"),
+    ("truncated", "dedup"), ("null-title", "train"), ("no-facets", "cluster"),
+    ("bad-page-type", "dedup"), ("clicks-not-int", "metric"),
+    ("clicks-not-int", "finetune"), ("short-row", "metric"),
+    ("header", "metric")])
+def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
+                                               capsys, edit, stage):
+    ctx, workdir = full_run[0], tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    name, line_no, change = COPY_EDITS[edit]
+    path = workdir / "ingest" / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert change(lines[line_no - 1]) != lines[line_no - 1]
+    lines[line_no - 1] = change(lines[line_no - 1])
+    path.write_text("".join(lines), encoding="utf-8")
+    config = ctx.config_dir / "config.yaml"
+    assert cli.main([stage, "--config", str(config),
+                     "--workdir", str(workdir)]) == 1
+    assert f"ingest/{name} line {line_no}: " in caplog.text
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
+def test_write_jsonl_writes_json_dumps_lines(tmp_path):
+    rows = [{"b": 1, "a": "na\u00efve \u2603"}, {},
+            {"z": [1.5, None, True], "y": {"d": 1e-320, "c": float("nan")}}]
+    pipeline._write_jsonl(tmp_path / "rows.jsonl", iter(rows))
+    assert (tmp_path / "rows.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def test_stale_raw_lexicon_changes_no_cluster_or_dedup_output(full_run,
                                                              tmp_path, capsys):
     inputs = tmp_path / "inputs"

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from oracles import loop_extract_facets
 from topicforge import tokenizer
 from topicforge.ingest import IngestError
-from topicforge.tokenizer import (PAD_ID, UNK_ID, TokenSequence, Vocabulary,
-                                  build_vocabulary, extract_facets,
+from topicforge.tokenizer import (PAD_ID, UNK_ID, FacetMatcher, TokenSequence,
+                                  Vocabulary, build_vocabulary, extract_facets,
                                   facet_token, tokenize_query)
 
 LEXICON = {"color": {"red", "blue", "navy blue"}, "size": {"large"}}
@@ -65,6 +67,61 @@ def test_extract_facets_longest_leftmost_smallest():
     assert extract_facets("plain shoes", LEXICON) == {}
     # substring inside a token is not a match
     assert extract_facets("redwood table", LEXICON) == {}
+
+
+@pytest.mark.parametrize("lexicon, query, expected", [
+    # a longer value later in the query beats a shorter one before it
+    ({"c": {"b", "a b"}}, "b a b", {"c": "a b"}),
+    # equal lengths: leftmost wins, whatever the value order
+    ({"c": {"x", "y"}}, "y x", {"c": "y"}),
+    ({"c": {"x y", "y x"}}, "y x y", {"c": "y x"}),
+    # equal length and position: smallest value, here two spellings of
+    # the same tokens
+    ({"c": {"a b", "a  b"}}, "a b", {"c": "a  b"}),
+    # values sharing a first token, in one facet and across facets
+    ({"c": {"a", "a b", "a b c"}, "d": {"a c", "b"}}, "a b a c",
+     {"c": "a b", "d": "a c"}),
+    # repeated tokens: the first occurrence counts
+    ({"c": {"b b"}, "d": {"b"}}, "a b b b", {"c": "b b", "d": "b"}),
+    # a value longer than the query, an empty value and an empty query
+    ({"c": {"a b c d", "", " "}}, "a b c", {}),
+    ({"c": {"a"}}, "", {}),
+], ids=["longest", "leftmost", "leftmost-overlap", "smallest-value",
+        "shared-first-token", "repeated-tokens", "no-match", "empty-query"])
+def test_matcher_tie_rules(lexicon, query, expected):
+    assert loop_extract_facets(query, lexicon) == expected
+    assert extract_facets(query, lexicon) == expected
+    assert FacetMatcher(lexicon).match(query.split()) == expected
+
+
+def random_lexicon(rng: random.Random) -> dict[str, set[str]]:
+    """Up to four facets over a six-word alphabet, so values share first
+    tokens within and across facets and repeat tokens."""
+    words = [f"w{i}" for i in range(6)]
+    return {name: {" ".join(rng.choices(words, k=rng.randint(1, 3)))
+                   for _ in range(rng.randint(1, 6))}
+            for name in rng.sample(["brand", "color", "size", "style"],
+                                   k=rng.randint(1, 4))}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_indexed_matcher_equals_lexicon_loop(seed):
+    rng = random.Random(seed)
+    lexicon = random_lexicon(rng)
+    matcher = FacetMatcher(lexicon)
+    vocab_matcher = build_vocabulary([], lexicon).facet_matcher
+    matched = 0
+    for _ in range(60):
+        query = " ".join(rng.choices([f"w{i}" for i in range(7)],
+                                     k=rng.randint(0, 9)))
+        expected = loop_extract_facets(query, lexicon)
+        assert extract_facets(query, lexicon) == expected
+        assert matcher.match(query.split()) == expected
+        assert vocab_matcher.match(query.split()) == expected
+        # names come out sorted, as the loop inserts them
+        assert list(matcher.match(query.split())) == list(expected)
+        matched += bool(expected)
+    assert matched > 0
 
 
 def test_tokenize_query_layout_and_padding():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from topicforge import model, train
+from topicforge.ingest import normalize_query
 from topicforge.metric import QueryPairSample
-from topicforge.tokenizer import build_vocabulary
+from topicforge.tokenizer import build_vocabulary, extract_facets, tokenize_query
 from topicforge.train import LabeledQuery, TrainConfig
 
 GROUP_A = ["alpha bravo", "alpha charlie", "bravo charlie", "alpha delta"]
@@ -351,6 +352,54 @@ def test_tokenize_texts_normalizes_and_extracts_facets():
     assert np.array_equal(plain.attention_mask, raw.attention_mask)
     assert faceted.attention_mask.sum() == 3  # two words plus the facet token
     assert vocab.id_for("FACET:letter=delta") in faceted.ids
+
+
+def test_tokenize_texts_equals_tokenize_query_per_text():
+    lexicon = {"letter": {"delta", "alpha bravo"}, "call": {"charlie"}}
+    vocab = build_vocabulary(GROUP_A + GROUP_B, facet_lexicon=lexicon)
+    longer = "alpha bravo charlie delta xray yankee zulu"  # 7 words + 3 facets
+    texts = ["Alpha Bravo!", "alpha delta", longer, "xray  zulu", "",
+             "alpha delta", "unseen words", longer]
+    seqs = train.tokenize_texts(texts, vocab, 6)
+    assert len(seqs) == len(texts)
+    for text, seq in zip(texts, seqs):
+        query = normalize_query(text)
+        want = tokenize_query(query, extract_facets(query, lexicon), vocab, 6)
+        assert np.array_equal(seq.ids, want.ids), text
+        assert np.array_equal(seq.attention_mask, want.attention_mask), text
+        assert seq.ids.dtype == want.ids.dtype
+        assert seq.attention_mask.dtype == want.attention_mask.dtype
+    assert seqs[2].attention_mask.sum() == 6  # truncated to seq_len
+    # a repeated text is tokenized once and shares its row
+    assert seqs[1] is seqs[5] and seqs[2] is seqs[7]
+    assert train.tokenize_texts([], vocab, 6) == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_optimizer_step_equals_adam_formula(dtype):
+    rng = np.random.default_rng(0)
+    shapes = {"w": (5, 3), "b": (3,)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    lr = 0.01
+    opt = train.Optimizer(TrainConfig(learning_rate=lr))
+    b1, b2 = train.ADAM_BETA1, train.ADAM_BETA2
+    for t in (1, 2, 3):
+        grads = {k: rng.standard_normal(s).astype(dtype)
+                 for k, s in shapes.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g ** 2
+            want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[k] / (1.0 - b2 ** t)) + train.ADAM_EPS)
+        for k in shapes:
+            assert params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
+            assert np.array_equal(params[k], want[k]), (t, k)
+            assert np.array_equal(opt.m[k], m[k]), (t, k)
+            assert np.array_equal(opt.v[k], v[k]), (t, k)
 
 
 def test_training_curve_csv(tmp_path):
