@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--days", type=int, default=120)
     pw.add_argument("--seeds", type=int, default=200)
     pw.add_argument("--alpha", type=float, default=0.05)
-    pw.add_argument("--variant", choices=("pooled", "welch"), default="pooled")
     return parser
 
 
@@ -99,9 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "power":
             try:
                 lifts = [float(x) for x in args.lifts.split(",") if x.strip()]
-                rows = exp_mod.power_curve(lifts, args.base_mean,
-                                           args.noise_sd, args.days,
-                                           args.seeds, args.alpha, args.variant)
+                rows = [(lift, exp_mod.power_estimate(
+                            lift, args.base_mean, args.noise_sd, args.days,
+                            args.seeds, args.alpha))
+                        for lift in lifts]
             except ValueError as exc:  # ConfigurationError included
                 raise ConfigError(str(exc)) from exc
             print(f"{'lift':>8}  {'power':>7}")

@@ -16,7 +16,6 @@ risk is visible rather than silent. Indexes are immutable after build.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -26,8 +25,6 @@ import numpy as np
 from .ingest import PageRecord, normalize_query, tokenize_text
 from .tokenizer import FacetMatcher
 from .train import best_match
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.86  # midpoint of the 0.85-0.88 similarity band
 
@@ -42,12 +39,12 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
 class DedupDecision:
     query: str
     verdict: str  # "kept" | "duplicate"
-    best_match: str | None
+    best_match: str
     best_similarity: float
     path: str  # "shelf" | "facet"
 
     def to_csv_row(self) -> list[str]:
-        return [self.query, self.verdict, self.best_match or "",
+        return [self.query, self.verdict, self.best_match,
                 f"{self.best_similarity:.6f}", self.path]
 
 
@@ -68,21 +65,18 @@ def build_shelf_index(catalog: Sequence[PageRecord],
     shelves = sorted((p for p in catalog if p.page_type == "shelf"),
                      key=lambda p: p.page_id)
     if not shelves:
-        logger.warning("catalog contains no shelf pages; shelf index is empty")
-        return ShelfIndex([], np.zeros((0, 1)), {})
+        raise ValueError("catalog has no shelf pages to dedup against")
     vectors = _unit_rows(encode([p.title for p in shelves]))
     return ShelfIndex([p.page_id for p in shelves], vectors,
                       {p.page_id: p.product_type for p in shelves})
 
 
 def dedup_against_shelves(query_vecs: np.ndarray,
-                          index: ShelfIndex) -> list[tuple[str | None, float]]:
+                          index: ShelfIndex) -> list[tuple[str, float]]:
     """Exhaustive best shelf match per unit-norm row of ``query_vecs``.
 
     An exact max over every shelf vector; ties go to the first page id.
     """
-    if len(index) == 0:
-        return [(None, float("-inf"))] * len(query_vecs)
     best, sims = best_match(query_vecs, index.vectors)
     return [(index.page_ids[b], float(s)) for b, s in zip(best, sims)]
 
@@ -111,35 +105,16 @@ class FacetIndex:
         return sorted(found)
 
 
-def narrow_facet_candidates(
-    query: str,
-    facet_index: FacetIndex,
-    product_type: str,
-    facet_matcher: FacetMatcher | None,
-) -> list[str]:
-    """Facet pages worth comparing: same product type, >= 1 shared facet.
-
-    Queries with no extractable facets narrow to nothing (the facet path
-    is skipped for them).
-    """
-    if facet_matcher is None:
-        return []
-    facets = facet_matcher.match(tokenize_text(normalize_query(query)))
-    if not facets:
-        return []
-    return facet_index.pages_for(product_type, facets)
-
-
 class Deduper:
     """Binds indexes, encoder and threshold into batched decisions."""
 
     def __init__(
         self,
         shelf_index: ShelfIndex,
-        facet_index: FacetIndex | None,
+        facet_index: FacetIndex,
         encode: Encoder,
+        facet_matcher: FacetMatcher,
         threshold: float = DEFAULT_THRESHOLD,
-        facet_matcher: FacetMatcher | None = None,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
@@ -153,9 +128,11 @@ class Deduper:
     def decide(self, queries: Sequence[str]) -> list[DedupDecision]:
         """One decision per query, in order.
 
-        Facet candidates are scored in page-id order and replace the best
-        match only when strictly more similar, so an exact shelf hit keeps
-        its shelf attribution.
+        A query's facet candidates are the facet pages under its best
+        shelf's product type that share one of its extracted facet pairs.
+        They are scored in page-id order and replace the best match only
+        when strictly more similar, so an exact shelf hit keeps its shelf
+        attribution.
         """
         if not queries:
             return []
@@ -163,11 +140,10 @@ class Deduper:
         shelf_best = dedup_against_shelves(query_vecs, self.shelf_index)
         narrowed: list[list[str]] = []
         for query, (page, _) in zip(queries, shelf_best):
-            candidates: list[str] = []
-            if self.facet_index is not None and page is not None:
-                candidates = narrow_facet_candidates(
-                    query, self.facet_index,
-                    self.shelf_index.product_types[page], self.facet_matcher)
+            facets = self.facet_matcher.match(
+                tokenize_text(normalize_query(query)))
+            candidates = self.facet_index.pages_for(
+                self.shelf_index.product_types[page], facets)
             if not candidates:
                 self.facet_path_skipped += 1
             narrowed.append(candidates)

@@ -208,25 +208,20 @@ class TTestResult:
     df: float
     alternative: str
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "p": self.p, "df": self.df,
-                "alternative": self.alternative}
-
 
 def two_sample_t(
     control: Sequence[float],
     test: Sequence[float],
-    variant: str = "pooled",
     alternative: str = "two-sided",
 ) -> TTestResult:
-    """t statistic for mean(test) - mean(control), its p-value and df.
+    """Pooled-variance t statistic for mean(test) - mean(control), its
+    p-value and df.
 
-    ``variant`` selects pooled-variance (default) or Welch. ``alternative``
-    is "two-sided" or "greater" (test mean exceeds control). Two arms with
-    zero variance and equal means give t = 0 by convention.
+    ``alternative`` is "two-sided" or "greater" (test mean exceeds control).
+    Two arms with zero variance and equal means give t = 0 by convention.
+    ``split_dates`` gives both arms of a period the same size, where the
+    pooled and Welch statistics coincide and only the df differ.
     """
-    if variant not in ("pooled", "welch"):
-        raise ValueError(f"unknown variant {variant!r}")
     if alternative not in ("two-sided", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
     c = np.asarray(control, dtype=np.float64)
@@ -237,18 +232,9 @@ def two_sample_t(
     diff = float(x.mean() - c.mean())
     v1 = float(c.var(ddof=1))
     v2 = float(x.var(ddof=1))
-    if variant == "pooled":
-        df = float(n1 + n2 - 2)
-        pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
-        se = math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
-    else:
-        se = math.sqrt(v1 / n1 + v2 / n2)
-        if se == 0.0:
-            df = float(n1 + n2 - 2)
-        else:
-            df = (v1 / n1 + v2 / n2) ** 2 / (
-                (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-
+    df = float(n1 + n2 - 2)
+    pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
+    se = math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
     if se == 0.0:
         t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     else:
@@ -305,8 +291,7 @@ class MissingDatesError(ValueError):
         self.dates = list(dates)
 
 
-def analyze(plan: ExperimentPlan, clicks: Mapping[str, float],
-            variant: str = "pooled") -> TestReport:
+def analyze(plan: ExperimentPlan, clicks: Mapping[str, float]) -> TestReport:
     """Per-period relative clicks and t-test.
 
     AA uses a two-sided test (any difference is noise by construction); AB
@@ -320,7 +305,7 @@ def analyze(plan: ExperimentPlan, clicks: Mapping[str, float],
         control = [clicks[d] for d in plan.arm_dates(period, "control")]
         test = [clicks[d] for d in plan.arm_dates(period, "test")]
         alternative = "two-sided" if period == "AA" else "greater"
-        result = two_sample_t(control, test, variant, alternative)
+        result = two_sample_t(control, test, alternative)
         control_mean = float(np.mean(control))
         test_mean = float(np.mean(test))
         relative = 100.0 * test_mean / control_mean if control_mean else float("nan")
@@ -352,13 +337,12 @@ def run_experiment(
     lift_fraction: float,
     split_seed: int = 0,
     traffic_seed: int = 1,
-    variant: str = "pooled",
 ) -> tuple[ExperimentPlan, dict[str, float], TestReport]:
     """Plan, simulate and analyze one experiment window."""
     plan = split_dates(window, split_seed)
     clicks = simulate_traffic(plan, base_mean, noise_sd, lift_fraction,
                               traffic_seed)
-    return plan, clicks, analyze(plan, clicks, variant)
+    return plan, clicks, analyze(plan, clicks)
 
 
 def power_estimate(
@@ -368,7 +352,6 @@ def power_estimate(
     n_days: int = 120,
     n_seeds: int = 200,
     alpha: float = 0.05,
-    variant: str = "pooled",
     seed0: int = 0,
 ) -> float:
     """Fraction of seeded simulations whose AB period is significant."""
@@ -379,23 +362,7 @@ def power_estimate(
     for s in range(n_seeds):
         _, _, report = run_experiment(window, base_mean, noise_sd,
                                       lift_fraction, split_seed=seed0 + 2 * s,
-                                      traffic_seed=seed0 + 2 * s + 1,
-                                      variant=variant)
+                                      traffic_seed=seed0 + 2 * s + 1)
         if report.period("AB").p < alpha:
             hits += 1
     return hits / n_seeds
-
-
-def power_curve(
-    lifts: Sequence[float],
-    base_mean: float,
-    noise_sd: float,
-    n_days: int = 120,
-    n_seeds: int = 200,
-    alpha: float = 0.05,
-    variant: str = "pooled",
-    seed0: int = 0,
-) -> list[tuple[float, float]]:
-    return [(lift, power_estimate(lift, base_mean, noise_sd, n_days,
-                                  n_seeds, alpha, variant, seed0))
-            for lift in lifts]

@@ -9,8 +9,8 @@ collapses each family to a tight blob and pushes the blobs far apart, which
 is exactly what clustering needs: one cluster per family.
 
 Shelf clicks supply the classification labels for the two shelved families;
-the bundled config excludes them from co-click aggregation because they are
-navigational, not evidence of a shared purchase intention. Click counts
+co-click aggregation never counts them, because they are navigational, not
+evidence of a shared purchase intention. Click counts
 plant one representative per family, picked to demonstrate a different
 pipeline outcome: "running shoes" duplicates its shelf page, "black phone
 case" duplicates a catalog page of the cases family, and "hydration pack"
@@ -131,7 +131,6 @@ paths:
   workdir: work
 metric:
   negative_ratio: auto
-  exclude_page_types: [shelf]
 model:
   seq_len: 12
   model_dim: 32
@@ -163,7 +162,6 @@ experiment:
   base_mean: 1000.0
   noise_sd: 30.0
   lift_fraction: 0.11
-  variant: pooled
 """
 
 

@@ -214,12 +214,6 @@ def build_training_set(
     return positives + negatives
 
 
-def training_set_to_jsonl(samples: Sequence[QueryPairSample], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
-
-
 def training_set_from_jsonl(path: str | Path) -> list[QueryPairSample]:
     out = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():

@@ -283,31 +283,20 @@ def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
 
 def _stage_metric(ctx: PipelineContext, out: Path):
     records = _load_clicks(ctx)
-    mcfg = ctx.section("metric")
-    # co-click aggregation can skip navigational page types (shelf clicks say
-    # "browsed the category", not "wanted the same thing"); the classifier
-    # stage still reads them from the raw click records
-    excluded = mcfg.get("exclude_page_types", [])
-    if not isinstance(excluded, list):
-        raise ConfigError("metric.exclude_page_types must be a list")
-    excluded = {str(t) for t in excluded}
-    unknown = excluded - set(ingest_mod.PAGE_TYPES)
-    if unknown:
-        raise ConfigError(
-            f"metric.exclude_page_types has unknown page types: {sorted(unknown)}")
     try:
         negative_ratio = metric_mod.parse_negative_ratio(
-            mcfg.get("negative_ratio", "auto"))
+            ctx.section("metric").get("negative_ratio", "auto"))
     except ValueError as exc:
         raise ConfigError(f"metric.{exc}") from exc
-    if excluded:
-        records = [r for r in records if r.page_type not in excluded]
-    stats = metric_mod.aggregate_clicks(records)
+    # shelf clicks are navigational ("browsed the category", not "wanted the
+    # same thing"), so they never count as co-clicks; finetune labels by them
+    stats = metric_mod.aggregate_clicks(
+        [r for r in records if r.page_type != "shelf"])
     samples = metric_mod.build_training_set(
         stats,
         negative_ratio=negative_ratio,
         seed=ctx.seed + SEED_METRIC)
-    metric_mod.training_set_to_jsonl(samples, out / "training_set.jsonl")
+    _write_jsonl(out / "training_set.jsonl", (s.to_dict() for s in samples))
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,
               "negatives": len(samples) - n_pos}
@@ -474,9 +463,8 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     facet_index = dedup_mod.FacetIndex(pages)
     try:
         deduper = dedup_mod.Deduper(
-            shelf_index, facet_index, encode,
-            threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD),
-            facet_matcher=vocab.facet_matcher)
+            shelf_index, facet_index, encode, vocab.facet_matcher,
+            threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
     decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)
@@ -511,14 +499,19 @@ def _stage_emit(ctx: PipelineContext, out: Path):
                                       r.get("source_cluster", ""),
                                       r.get("product_type", ""))
               for r in rows]
-    retriever = topic_mod.TokenOverlapRetriever.from_jsonl(ctx.path("item_catalog"))
+    # with no topic there is nothing to retrieve, so the item catalog is
+    # neither parsed nor recorded as read
+    retriever = topic_mod.TokenOverlapRetriever([])
+    if topics:
+        retriever = topic_mod.TokenOverlapRetriever.from_jsonl(
+            ctx.path("item_catalog"))
     try:
         k = _number(ctx.section("emit"), "items_per_page",
                     topic_mod.DEFAULT_ITEMS_PER_PAGE, int)
         specs, flagged = topic_mod.emit_pages(topics, retriever, k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad emit config: {exc}") from exc
-    topic_mod.write_page_specs(specs, out / "pages.jsonl")
+    _write_jsonl(out / "pages.jsonl", (s.to_dict() for s in specs))
     _write_jsonl(out / "flagged.jsonl",
                  ({"topic": t, "reason": r} for t, r in flagged))
     warnings = [f"{t}: {r}" for t, r in flagged]
@@ -538,8 +531,7 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
             noise_sd=_number(ecfg, "noise_sd", 30.0),
             lift_fraction=_number(ecfg, "lift_fraction", 0.0),
             split_seed=ctx.seed + SEED_SPLIT,
-            traffic_seed=ctx.seed + SEED_TRAFFIC,
-            variant=str(ecfg.get("variant", "pooled")))
+            traffic_seed=ctx.seed + SEED_TRAFFIC)
     except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ConfigError(f"bad experiment config: {exc}") from exc
     plan.to_json(out / "plan.json")

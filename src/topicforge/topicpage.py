@@ -13,7 +13,6 @@ re-emitting the same inputs yields byte-identical spec files.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,13 +72,13 @@ def select_topics(representatives: Sequence[tuple[str, int]],
 class TokenOverlapRetriever:
     """Mock item retrieval: rank catalog items by shared normalized tokens.
 
-    Items with zero overlap never match; ties rank by item id. Titles are
-    tokenized on the first call, so a run that retrieves nothing skips it.
+    Items with zero overlap never match; ties rank by item id.
     """
 
     def __init__(self, items: Sequence[tuple[str, str]]):
-        self._titles = list(items)
-        self._index: list[tuple[str, frozenset[str]]] | None = None
+        self._index = [
+            (item_id, frozenset(tokenize_text(normalize_query(title))))
+            for item_id, title in items]
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
@@ -95,10 +94,6 @@ class TokenOverlapRetriever:
         return cls(items)
 
     def __call__(self, keyword: str, k: int) -> list[str]:
-        if self._index is None:
-            self._index = [
-                (item_id, frozenset(tokenize_text(normalize_query(title))))
-                for item_id, title in self._titles]
         tokens = set(tokenize_text(normalize_query(keyword)))
         scored = []
         for item_id, title_tokens in self._index:
@@ -142,9 +137,3 @@ def emit_pages(
         specs.append(TopicPageSpec(topic.topic, page_id, tuple(item_ids[:k]),
                                    topic.source_cluster, topic.product_type))
     return specs, flagged
-
-
-def write_page_specs(specs: Sequence[TopicPageSpec], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for spec in specs:
-            fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")

@@ -10,12 +10,13 @@ import pytest
 from oracles import batch_encoder, hash_embed_fn
 from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index,
                               dedup_all, dedup_against_shelves,
-                              narrow_facet_candidates, write_dedup_report)
+                              write_dedup_report)
 from topicforge.ingest import PageRecord
 from topicforge.tokenizer import FacetMatcher
 
 MATCHER = FacetMatcher({"color": {"red", "blue", "black"},
                         "gender": {"mens", "womens"}})
+NO_FACETS = FacetIndex([])
 
 
 def shelf(page_id, title, product_type):
@@ -55,10 +56,9 @@ def test_shelf_search_equals_brute_force():
 
 
 def test_empty_shelf_catalog():
-    index = build_shelf_index([], batch_encoder(hash_embed_fn(4)))
-    assert len(index) == 0
-    [(page, sim)] = dedup_against_shelves(np.array([[1.0, 0, 0, 0]]), index)
-    assert page is None and sim == float("-inf")
+    # like ProductTypeIndex.build: no shelf, nothing to dedup against
+    with pytest.raises(ValueError, match="no shelf pages"):
+        build_shelf_index([], batch_encoder(hash_embed_fn(4)))
 
 
 def test_shelf_index_sorted_and_typed():
@@ -70,19 +70,43 @@ def test_shelf_index_sorted_and_typed():
     assert index.product_types == {"s-a": "ta", "s-b": "tb"}
 
 
+def bow_embed(text: str) -> np.ndarray:
+    """Bag-of-words axes: similarity is exactly token overlap."""
+    axes = {"red": 0, "blue": 1, "black": 2, "mens": 3, "womens": 4,
+            "running": 5, "shoes": 6, "phone": 7, "case": 8, "suede": 9,
+            "wagon": 10, "aisle": 11, "gadgets": 12, "leather": 13,
+            "wallet": 14}
+    v = np.zeros(16)
+    for token in text.lower().split():
+        v[axes[token]] = 1.0
+    return v / np.linalg.norm(v)
+
+
+def narrowed_pages(catalog, query):
+    """The facet pages ``Deduper.decide`` scores for ``query``: the titles it
+    encodes after the query itself, by page id."""
+    calls = []
+
+    def encode(texts):
+        calls.append(list(texts))
+        return batch_encoder(bow_embed)(texts)
+
+    deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
+                      encode, MATCHER, threshold=0.86)
+    calls.clear()
+    deduper.decide([query])
+    by_title = {p.title: p.page_id for p in catalog if p.page_type == "facet"}
+    return [by_title[t] for t in calls[1]] if len(calls) > 1 else []
+
+
 def test_narrowing_selects_same_type_shared_facet():
-    fi = FacetIndex(small_catalog())
-    got = narrow_facet_candidates("red running shoes", fi, "shoes", MATCHER)
-    assert got == ["f-shoe-red"]
-    got = narrow_facet_candidates("red mens running shoes", fi, "shoes",
-                                  MATCHER)
-    assert got == ["f-shoe-mens", "f-shoe-red"]
-    # same facet, wrong product type: not a candidate
-    assert narrow_facet_candidates("red phone case", fi, "shoes",
-                                   MATCHER) == ["f-shoe-red"]
-    assert narrow_facet_candidates("leather wallet", fi, "shoes",
-                                   MATCHER) == []
-    assert narrow_facet_candidates("red shoes", fi, "shoes", None) == []
+    catalog = small_catalog()
+    assert narrowed_pages(catalog, "red running shoes") == ["f-shoe-red"]
+    assert narrowed_pages(catalog, "red mens running shoes") == [
+        "f-shoe-mens", "f-shoe-red"]
+    # same facet, other product type: the shoe page is not a candidate
+    assert narrowed_pages(catalog, "red phone case") == ["f-case-red"]
+    assert narrowed_pages(catalog, "leather wallet") == []
 
 
 def test_exact_title_match_is_a_facet_duplicate():
@@ -90,7 +114,7 @@ def test_exact_title_match_is_a_facet_duplicate():
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_matcher=MATCHER)
+                      MATCHER, threshold=0.86)
     [decision] = deduper.decide(["red running shoes"])
     assert decision.verdict == "duplicate"
     assert decision.best_match == "f-shoe-red"
@@ -106,7 +130,7 @@ def test_exact_shelf_match_stays_on_shelf_path():
                                        color="red")]
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_matcher=MATCHER)
+                      MATCHER, threshold=0.86)
     [decision] = deduper.decide(["red running shoes"])
     # the duplicated-title facet page ties the true facet page at 1.0; the
     # first exact hit wins and later ties cannot displace it
@@ -114,24 +138,12 @@ def test_exact_shelf_match_stays_on_shelf_path():
     assert decision.best_similarity == pytest.approx(1.0, abs=1e-12)
 
 
-def bow_embed(text: str) -> np.ndarray:
-    """Bag-of-words axes: similarity is exactly token overlap."""
-    axes = {"red": 0, "blue": 1, "black": 2, "mens": 3, "womens": 4,
-            "running": 5, "shoes": 6, "phone": 7, "case": 8, "suede": 9,
-            "wagon": 10, "aisle": 11, "gadgets": 12}
-    v = np.zeros(16)
-    for token in text.lower().split():
-        v[axes[token]] = 1.0
-    return v / np.linalg.norm(v)
-
-
 def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
     catalog = small_catalog()
     encode = batch_encoder(bow_embed)
     shelf_index = build_shelf_index(catalog, encode)
-    fi = FacetIndex(catalog)
-    deduper = Deduper(shelf_index, fi, encode, threshold=0.86,
-                      facet_matcher=MATCHER)
+    deduper = Deduper(shelf_index, FacetIndex(catalog), encode, MATCHER,
+                      threshold=0.86)
     facet_pages = [p for p in catalog if p.page_type == "facet"]
     queries = ["red running shoes", "blue running shoes",
                "mens running shoes", "red phone case",
@@ -144,9 +156,7 @@ def test_facet_path_equals_exhaustive_scan_when_narrowing_retains_max():
         best_facet = max(exhaustive, key=exhaustive.get)
         shelf_best = max(float(bow_embed(p.title) @ qv)
                          for p in catalog if p.page_type == "shelf")
-        [(shelf_page, _)] = dedup_against_shelves(qv[None, :], shelf_index)
-        narrowed = narrow_facet_candidates(
-            query, fi, shelf_index.product_types[shelf_page], MATCHER)
+        narrowed = narrowed_pages(catalog, query)
         if best_facet in narrowed and exhaustive[best_facet] > shelf_best:
             assert decision.best_match == best_facet
             assert decision.best_similarity == pytest.approx(
@@ -160,9 +170,10 @@ def test_threshold_boundary_is_inclusive():
     catalog = [shelf("s1", "alpha", "t")]
     index = build_shelf_index(catalog, encode)
     [(_, sim)] = dedup_against_shelves(encode(["alpha"]), index)
-    deduper = Deduper(index, None, encode, threshold=sim)
+    deduper = Deduper(index, NO_FACETS, encode, MATCHER, threshold=sim)
     assert deduper.decide(["alpha"])[0].verdict == "duplicate"
-    deduper = Deduper(index, None, encode, threshold=min(sim + 1e-9, 1.0))
+    deduper = Deduper(index, NO_FACETS, encode, MATCHER,
+                      threshold=min(sim + 1e-9, 1.0))
     assert deduper.decide(["alpha"])[0].verdict == "duplicate"  # sim == 1 exactly
 
 
@@ -171,7 +182,7 @@ def test_threshold_validation():
     index = build_shelf_index([shelf("s", "t", "p")], encode)
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="threshold"):
-            Deduper(index, None, encode, threshold=bad)
+            Deduper(index, NO_FACETS, encode, MATCHER, threshold=bad)
 
 
 def test_dedup_all_stats_and_skip_counter():
@@ -179,7 +190,7 @@ def test_dedup_all_stats_and_skip_counter():
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode),
                       FacetIndex(catalog), encode,
-                      threshold=0.86, facet_matcher=MATCHER)
+                      MATCHER, threshold=0.86)
     queries = ["red running shoes", "running shoes", "quantum flux manifold"]
     decisions, stats = dedup_all(queries, deduper)
     assert [d.query for d in decisions] == queries
@@ -205,7 +216,7 @@ def test_batched_decisions_match_single_query_decisions():
         facet("f-shoe-red-mens", "red mens running shoes", "shoes",
               color="red", gender="mens")]
     deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
-                      encode, threshold=0.86, facet_matcher=MATCHER)
+                      encode, MATCHER, threshold=0.86)
     queries = ["red running shoes", "mens running shoes", "blue running shoes",
                "red mens running shoes", "running shoes", "red phone case",
                "quantum flux manifold"]
@@ -227,18 +238,14 @@ def test_batched_decisions_match_single_query_decisions():
 
 
 def test_empty_shelf_index_and_no_facet_index():
+    # a facet-only catalog builds no shelf index; a catalog without facet
+    # pages leaves every decision on the shelf path
     encode = batch_encoder(hash_embed_fn(dim=16))
-    catalog = [p for p in small_catalog() if p.page_type == "facet"]
-    deduper = Deduper(build_shelf_index(catalog, encode), FacetIndex(catalog),
-                      encode, threshold=0.86, facet_matcher=MATCHER)
-    decisions, stats = dedup_all(["red running shoes", "phone case"], deduper)
-    assert [(d.verdict, d.best_match, d.best_similarity, d.path)
-            for d in decisions] == [("kept", None, float("-inf"), "shelf")] * 2
-    assert stats["facet_path_skipped"] == 2
-
-    catalog = small_catalog()
-    deduper = Deduper(build_shelf_index(catalog, encode), None, encode,
-                      threshold=0.86, facet_matcher=MATCHER)
+    facets = [p for p in small_catalog() if p.page_type == "facet"]
+    with pytest.raises(ValueError, match="no shelf pages"):
+        build_shelf_index(facets, encode)
+    deduper = Deduper(build_shelf_index(small_catalog(), encode), NO_FACETS,
+                      encode, MATCHER, threshold=0.86)
     [decision] = deduper.decide(["red running shoes"])
     assert decision.path == "shelf" and decision.best_match == "s-shoe"
     assert deduper.facet_path_skipped == 1
@@ -247,8 +254,8 @@ def test_empty_shelf_index_and_no_facet_index():
 def test_dedup_report_csv(tmp_path):
     encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = small_catalog()
-    deduper = Deduper(build_shelf_index(catalog, encode), None, encode,
-                      threshold=0.86)
+    deduper = Deduper(build_shelf_index(catalog, encode), NO_FACETS, encode,
+                      MATCHER, threshold=0.86)
     [decision] = deduper.decide(["running shoes"])
     assert decision.verdict == "duplicate"
     assert decision.best_match == "s-shoe"

@@ -12,6 +12,7 @@ import pytest
 from oracles import materialized_negatives
 from topicforge import metric
 from topicforge.ingest import ClickRecord
+from topicforge.pipeline import _write_jsonl
 
 
 def rec(query, page, clicks, page_type="item"):
@@ -139,7 +140,8 @@ def test_training_set_jsonl_round_trip(tmp_path):
     stats = make_blob_stats()
     samples = metric.build_training_set(stats, negative_ratio="auto", seed=5)
     path = tmp_path / "set.jsonl"
-    metric.training_set_to_jsonl(samples, path)
+    # as the metric stage writes it
+    _write_jsonl(path, (s.to_dict() for s in samples))
     assert metric.training_set_from_jsonl(path) == samples
 
 

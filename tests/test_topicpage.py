@@ -7,10 +7,10 @@ import json
 import pytest
 
 from topicforge import topicpage
+from topicforge.pipeline import _write_jsonl
 from topicforge.ingest import IngestError, normalize_query, tokenize_text
 from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
-                                  emit_pages, page_id_for, select_topics,
-                                  write_page_specs)
+                                  emit_pages, page_id_for, select_topics)
 
 
 def test_select_top_k_by_clicks_then_name():
@@ -58,7 +58,7 @@ def eager_ranking(items, keyword, k):
     return [item_id for overlap, item_id in scored if overlap < 0][:k]
 
 
-def test_retriever_tokenizes_titles_once_on_first_call(monkeypatch):
+def test_retriever_tokenizes_titles_once(monkeypatch):
     items = [(f"i{n}", title) for n, title in enumerate(
         ["Red Running Shoes", "running shoes", "blue shoes for marathons",
          "garden hose", "RED hat", "red, red shoes!"])]
@@ -70,7 +70,7 @@ def test_retriever_tokenizes_titles_once_on_first_call(monkeypatch):
 
     monkeypatch.setattr(topicpage, "tokenize_text", counting_tokenize)
     retriever = TokenOverlapRetriever(items)
-    assert calls == []  # nothing tokenized until a keyword arrives
+    assert len(calls) == len(items)  # every title, when built
     for n, keyword in enumerate(["red shoes", "running", "hose", "submarine",
                                  "Red Hat", "shoes"]):
         assert retriever(keyword, 3) == eager_ranking(items, keyword, 3)
@@ -134,7 +134,8 @@ def test_spec_round_trip(tmp_path):
                            SelectedTopic("blue shoes", 2, "c1", "shoes")],
                           retriever, k=2)
     path = tmp_path / "pages.jsonl"
-    write_page_specs(specs, path)
+    # as the emit stage writes them
+    _write_jsonl(path, (s.to_dict() for s in specs))
     written = path.read_bytes()
     rows = [json.loads(line) for line in written.decode("utf-8").splitlines()]
     assert rows == [{"topic": s.topic, "page_id": s.page_id,
@@ -142,5 +143,5 @@ def test_spec_round_trip(tmp_path):
                      "source_cluster": s.source_cluster,
                      "product_type": s.product_type} for s in specs]
     assert all(list(row) == sorted(row) for row in rows)
-    write_page_specs(specs, path)
+    _write_jsonl(path, (s.to_dict() for s in specs))
     assert path.read_bytes() == written  # rewrite is stable
