@@ -15,10 +15,8 @@ smallest member, so input order never changes the partition.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -185,15 +183,3 @@ def cluster_topics(
                 len(result.representatives), len(by_type),
                 result.distance_evaluations)
     return result
-
-
-def write_cluster_report(result: ClusterResult, path: str | Path) -> None:
-    """CSV report: query,product_type,cluster_id,is_representative."""
-    rep_set = set(result.representatives.items())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query", "product_type", "cluster_id", "is_representative"])
-        for query in sorted(result.assignments):
-            ptype, cid = result.assignments[query]
-            writer.writerow([query, ptype, cid,
-                             "1" if (cid, query) in rep_set else "0"])

@@ -15,9 +15,7 @@ risk is visible rather than silent. Indexes are immutable after build.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,10 +41,6 @@ class DedupDecision:
     best_similarity: float
     path: str  # "shelf" | "facet"
 
-    def to_csv_row(self) -> list[str]:
-        return [self.query, self.verdict, self.best_match,
-                f"{self.best_similarity:.6f}", self.path]
-
 
 @dataclass
 class ShelfIndex:
@@ -55,9 +49,6 @@ class ShelfIndex:
     page_ids: list[str]
     vectors: np.ndarray
     product_types: dict[str, str]
-
-    def __len__(self) -> int:
-        return len(self.page_ids)
 
 
 def build_shelf_index(catalog: Sequence[PageRecord],
@@ -189,14 +180,3 @@ def dedup_all(
         "facet_path_skipped": deduper.facet_path_skipped,
     }
     return decisions, stats
-
-
-def write_dedup_report(decisions: Sequence[DedupDecision],
-                       path: str | Path) -> None:
-    """CSV report: query,verdict,best_match,best_similarity,path."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query", "verdict", "best_match",
-                         "best_similarity", "path"])
-        for decision in decisions:
-            writer.writerow(decision.to_csv_row())

@@ -20,10 +20,8 @@ external dependency.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,13 +53,6 @@ class ExperimentPlan:
     def arm_dates(self, period: str, arm: str) -> list[str]:
         return [e.date for e in self.entries
                 if e.period == period and e.arm == arm]
-
-    def to_json(self, path: str | Path) -> None:
-        rows = [{"date": e.date, "period": e.period, "arm": e.arm,
-                 "page_group_action": e.page_group_action}
-                for e in self.entries]
-        Path(path).write_text(json.dumps({"entries": rows}, indent=2) + "\n",
-                              encoding="utf-8")
 
 
 def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:

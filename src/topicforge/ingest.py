@@ -129,7 +129,6 @@ class CandidateQuery:
 class ParseReport:
     """Per-file parse outcome; errors are (line_number, message) pairs."""
 
-    rows_total: int = 0
     rows_ok: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -194,7 +193,6 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        report.rows_total += 1
         if len(row) != len(CLICK_LOG_FIELDS):
             report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
             continue
@@ -223,7 +221,6 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
     for line_no, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
-        report.rows_total += 1
         try:
             fields = json.loads(line)
         except json.JSONDecodeError:

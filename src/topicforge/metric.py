@@ -27,11 +27,9 @@ draws k of them with a hash set.)
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -212,13 +210,3 @@ def build_training_set(
     negatives = [QueryPairSample(clicked[i], clicked[j], -1.0)
                  for i, j in zip(rows.tolist(), cols.tolist())]
     return positives + negatives
-
-
-def training_set_from_jsonl(path: str | Path) -> list[QueryPairSample]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            d = json.loads(line)
-            out.append(QueryPairSample(d["query_a"], d["query_b"],
-                                       float(d["interactive"])))
-    return out

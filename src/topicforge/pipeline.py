@@ -20,6 +20,13 @@ with its name rather than a confusing downstream error. The manifest's
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
 stage read or wrote has changed, ``topicforge all`` skips the stage.
+
+This module writes every stage artifact, through ``_write_csv``,
+``_write_json`` and ``_write_jsonl``, so the file formats are defined here.
+The exceptions are the checkpoint and vocabulary codecs,
+``model.save_params`` and ``Vocabulary.save``: the benchmark's quality
+scorer reads through their readers (``load_params``, ``Vocabulary.load``)
+too.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import yaml
@@ -197,9 +204,25 @@ def _config_hash(config: dict, sections) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+def _write_json(path: Path, data, sort_keys: bool = True) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=sort_keys) + "\n",
                     encoding="utf-8")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_curve(path: Path, history: list[dict]) -> None:
+    """A training history: epoch,mean_loss, plus eval_loss and accuracy
+    when any epoch recorded them."""
+    header = ["epoch", "mean_loss"] + [
+        key for key in ("eval_loss", "accuracy")
+        if any(key in row for row in history)]
+    _write_csv(path, header, ([row.get(k) for k in header] for row in history))
 
 
 def _write_jsonl(path: Path, rows) -> None:
@@ -225,12 +248,12 @@ def _read_copy(name: str, rows, make) -> list:
     return records
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
+def _read_jsonl(path: Path) -> Iterator[dict]:
+    """The rows of a JSONL artifact, decoded one at a time, so a caller that
+    builds its own records never holds every row's dict at once."""
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.strip():
-            rows.append(json.loads(line))
-    return rows
+            yield json.loads(line)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +268,8 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     candidates = ingest_mod.candidates_from_click_log(records)
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
 
-    with open(out / "click_records.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ingest_mod.CLICK_LOG_FIELDS)
-        for r in records:
-            writer.writerow(r.to_csv_row())
+    _write_csv(out / "click_records.csv", ingest_mod.CLICK_LOG_FIELDS,
+               (r.to_csv_row() for r in records))
     _write_jsonl(out / "candidates.jsonl", (c.to_dict() for c in kept))
     # normalized copies in the raw formats; parsing them again is the
     # identity, so later stages take them as they are (_load_clicks,
@@ -365,8 +385,8 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
-    samples = metric_mod.training_set_from_jsonl(
-        ctx.artifact("metric", "training_set.jsonl"))
+    samples = [metric_mod.QueryPairSample(**row) for row in
+               _read_jsonl(ctx.artifact("metric", "training_set.jsonl"))]
     pages = _load_pages(ctx)
     lexicon = load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
@@ -374,10 +394,14 @@ def _stage_train(ctx: PipelineContext, out: Path):
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = _model_config(ctx, vocab.size)
     tcfg = _train_config(ctx, "train", ctx.seed + SEED_TRAIN)
-    params, history = train_mod.train_intention_model(samples, vocab, cfg, tcfg)
+    try:
+        params, history = train_mod.train_intention_model(
+            samples, vocab, cfg, tcfg)
+    except ValueError as exc:  # a training set it cannot learn from
+        raise PipelineError(f"train: {exc}") from exc
     vocab.save(out / "vocab.jsonl")
     model_mod.save_params(params, cfg, out / "intention.ckpt")
-    train_mod.write_training_curve(history, out / "curve.csv")
+    _write_curve(out / "curve.csv", history)
     counts = {"samples": len(samples), "vocab_size": vocab.size,
               "epochs": tcfg.epochs,
               "final_loss": history[-1]["mean_loss"] if history else None,
@@ -410,12 +434,14 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = model_mod.ModelConfig(**{**cfg.to_dict(), "num_classes": len(classes)})
     tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
-    params, history = train_mod.finetune_classifier(
-        pretrained, labeled, vocab, cfg, tcfg)
+    try:
+        params, history = train_mod.finetune_classifier(
+            pretrained, labeled, vocab, cfg, tcfg)
+    except ValueError as exc:  # labels it cannot learn from
+        raise PipelineError(f"finetune: {exc}") from exc
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
-    (out / "classes.json").write_text(
-        json.dumps(classes, indent=2) + "\n", encoding="utf-8")
-    train_mod.write_training_curve(history, out / "finetune_curve.csv")
+    _write_json(out / "classes.json", classes)
+    _write_curve(out / "finetune_curve.csv", history)
     counts = {"labeled_queries": len(labeled), "classes": len(classes),
               "final_accuracy": history[-1]["accuracy"] if history else None}
     return counts, [], ["finetuned.ckpt", "finetuned.ckpt.json",
@@ -437,7 +463,10 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
             _number(ctx.section("cluster"), "threshold", 0.15))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
-    cluster_mod.write_cluster_report(result, out / "clusters.csv")
+    _write_csv(out / "clusters.csv",
+               ["query", "product_type", "cluster_id", "is_representative"],
+               ([q, ptype, cid, "1" if result.representatives[cid] == q else "0"]
+                for q, (ptype, cid) in sorted(result.assignments.items())))
     reps = [{"query": q, "cluster_id": cid, "product_type": ptype,
              "clicks_total": clicks[q]}
             for cid, q in sorted(result.representatives.items())
@@ -455,7 +484,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 def _stage_dedup(ctx: PipelineContext, out: Path):
     params, cfg, vocab = _load_checkpoint(ctx, "finetune", "finetuned.ckpt")
     pages = _load_pages(ctx)
-    reps = _read_jsonl(ctx.artifact("cluster", "representatives.jsonl"))
+    reps = list(_read_jsonl(ctx.artifact("cluster", "representatives.jsonl")))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
@@ -468,7 +497,10 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
     decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)
-    dedup_mod.write_dedup_report(decisions, out / "decisions.csv")
+    _write_csv(out / "decisions.csv",
+               ["query", "verdict", "best_match", "best_similarity", "path"],
+               ([d.query, d.verdict, d.best_match, f"{d.best_similarity:.6f}",
+                 d.path] for d in decisions))
     verdicts = {d.query: d.verdict for d in decisions}
     _write_jsonl(out / "kept.jsonl",
                  (r for r in reps if verdicts[r["query"]] == "kept"))
@@ -476,7 +508,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    rows = _read_jsonl(ctx.artifact("dedup", "kept.jsonl"))
+    rows = list(_read_jsonl(ctx.artifact("dedup", "kept.jsonl")))
     meta = {r["query"]: r for r in rows}
     try:
         quota = _number(ctx.section("select"), "quota", 10, int)
@@ -534,12 +566,10 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
             traffic_seed=ctx.seed + SEED_TRAFFIC)
     except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    plan.to_json(out / "plan.json")
-    (out / "daily_clicks.json").write_text(
-        json.dumps(clicks, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out / "results.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    # the plan's keys stay in field order
+    _write_json(out / "plan.json", asdict(plan), sort_keys=False)
+    _write_json(out / "daily_clicks.json", clicks)
+    _write_json(out / "results.json", report.to_dict())
     print(exp_mod.format_report_table(report))
     aa, ab = report.period("AA"), report.period("AB")
     counts = {"n_days": n_days, "aa_p": aa.p, "ab_p": ab.p,

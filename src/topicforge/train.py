@@ -20,13 +20,11 @@ from a seeded generator; two runs with one seed produce identical curves.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,12 +48,7 @@ TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries the last finite-loss parameters."""
-
-    def __init__(self, message: str, params: dict[str, np.ndarray], epoch: int):
-        super().__init__(message)
-        self.params = params
-        self.epoch = epoch
+    """Loss or parameters went non-finite; the message names the epoch."""
 
 
 @dataclass
@@ -71,6 +64,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be a finite number > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must be in [0, 1)")
 
@@ -203,14 +198,12 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
     takes the ``n_rows`` rows in a seeded permutation, one Adam step per
     ``batch_step(params, rows) -> (loss, grads)``, then appends
     ``epoch_row(params, loss_sum, n_batches)`` to the history. A non-finite
-    loss or parameter raises :class:`TrainingDiverged` holding the
-    parameters after the last completed epoch.
+    loss or parameter raises :class:`TrainingDiverged` naming the epoch.
     """
     params = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
     opt = Optimizer(train_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[dict] = []
-    last_good = {k: v.copy() for k, v in params.items()}
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n_rows)
         loss_sum = 0.0
@@ -224,13 +217,12 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
                 opt.step(params, grads)
         except model.NonFiniteLossError as exc:
             raise TrainingDiverged(
-                f"diverged during epoch {epoch}: {exc}", last_good, epoch) from exc
+                f"diverged during epoch {epoch}: {exc}") from exc
         if not model.check_finite(params):
             raise TrainingDiverged(
-                f"parameters went non-finite during epoch {epoch}", last_good, epoch)
+                f"parameters went non-finite during epoch {epoch}")
         row = {"epoch": epoch, **epoch_row(params, loss_sum, n_batches)}
         history.append(row)
-        last_good = {k: v.copy() for k, v in params.items()}
         logger.info("trained %s", row)
     return params, history
 
@@ -245,8 +237,7 @@ def train_intention_model(
 
     History rows carry ``epoch``, ``mean_loss`` (train) and, when the stable
     hash split leaves any eval pairs, ``eval_loss``. On a non-finite loss or
-    parameter the run aborts with :class:`TrainingDiverged` holding the last
-    parameters that still produced finite losses.
+    parameter the run aborts with :class:`TrainingDiverged`.
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
@@ -318,15 +309,3 @@ def finetune_classifier(
 
     return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
                        len(seqs), train_cfg, batch_step, epoch_row)
-
-
-def write_training_curve(history: Sequence[Mapping], path: str | Path) -> None:
-    """CSV curve: epoch,mean_loss plus eval_loss and accuracy when recorded."""
-    fields = ["epoch", "mean_loss"] + [
-        key for key in ("eval_loss", "accuracy")
-        if any(key in row for row in history)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: row.get(k) for k in fields})

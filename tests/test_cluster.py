@@ -1,5 +1,5 @@
 """Agglomerative clustering against a naive O(n^3) oracle, plus product-type
-classification and report output."""
+classification."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import pytest
 
 from oracles import batch_encoder, hash_embed_fn, naive_agglomerate
 from topicforge.cluster import (ClusterResult, ProductTypeIndex, agglomerate,
-                                classify_product_type, cluster_topics,
-                                write_cluster_report)
+                                classify_product_type, cluster_topics)
 
 
 def blob_vectors(rng, n_blobs, per_blob, dim=8, noise=0.2):
@@ -169,18 +168,6 @@ def test_cluster_topics_empty_input():
     result = cluster_topics({}, no_encode, index, 0.5)
     assert result.assignments == {}
     assert result.distance_evaluations == 0
-
-
-def test_cluster_report_csv(tmp_path):
-    v = np.array([1.0, 0.0])
-    result = agglomerate({"a0": v, "a1": v}, 0.5,
-                         clicks={"a1": 2}, product_type="shoe")
-    path = tmp_path / "clusters.csv"
-    write_cluster_report(result, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "query,product_type,cluster_id,is_representative"
-    assert lines[1] == "a0,shoe,shoe#0,0"
-    assert lines[2] == "a1,shoe,shoe#0,1"
 
 
 def test_agglomerate_holds_one_distance_matrix():

@@ -9,8 +9,7 @@ import pytest
 
 from oracles import batch_encoder, hash_embed_fn
 from topicforge.dedup import (Deduper, FacetIndex, build_shelf_index,
-                              dedup_all, dedup_against_shelves,
-                              write_dedup_report)
+                              dedup_all, dedup_against_shelves)
 from topicforge.ingest import PageRecord
 from topicforge.tokenizer import FacetMatcher
 
@@ -251,7 +250,7 @@ def test_empty_shelf_index_and_no_facet_index():
     assert deduper.facet_path_skipped == 1
 
 
-def test_dedup_report_csv(tmp_path):
+def test_dedup_report_csv():
     encode = batch_encoder(hash_embed_fn(dim=16))
     catalog = small_catalog()
     deduper = Deduper(build_shelf_index(catalog, encode), NO_FACETS, encode,
@@ -260,8 +259,4 @@ def test_dedup_report_csv(tmp_path):
     assert decision.verdict == "duplicate"
     assert decision.best_match == "s-shoe"
     assert decision.path == "shelf"
-    path = tmp_path / "dedup.csv"
-    write_dedup_report([decision], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "query,verdict,best_match,best_similarity,path"
-    assert lines[1] == "running shoes,duplicate,s-shoe,1.000000,shelf"
+    assert decision.best_similarity == pytest.approx(1.0, abs=5e-7)

@@ -4,7 +4,6 @@ and scipy."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -252,17 +251,6 @@ def test_report_table_format():
     assert len(lines) == 5
     assert "100.0%" in lines[1] and "100.0%" in lines[3]
     assert "117.1%" in lines[4]  # 12.3 / 10.5
-
-
-def test_plan_json_round_trip(tmp_path):
-    plan = split_dates(date_window("2025-03-01", 8), seed=3)
-    path = tmp_path / "plan.json"
-    plan.to_json(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert list(data) == ["entries"]
-    assert data["entries"] == [
-        {"date": e.date, "period": e.period, "arm": e.arm,
-         "page_group_action": e.page_group_action} for e in plan.entries]
 
 
 def test_run_experiment_wiring():

@@ -31,8 +31,8 @@ def test_parse_click_log_csv(tmp_path):
         encoding="utf-8")
     records, report = ingest.parse_click_log(log)
     assert [r.query for r in records] == ["running shoes", "running shoes", "socks"]
-    assert report.rows_total == 8
     assert report.rows_ok == 3
+    assert report.error_count == 5
     messages = [m for _, m in report.errors]
     assert "empty query after normalization" in messages
     assert any("unknown page_type" in m for m in messages)
@@ -142,7 +142,7 @@ def test_parse_page_catalog_reports_malformed_rows(tmp_path):
     cat.write_text("\n".join(lines), encoding="utf-8")
     pages, report = ingest.parse_page_catalog(cat)
     assert [p.page_id for p in pages] == ["s1"]
-    assert report.rows_total == 5 and report.rows_ok == 1
+    assert report.rows_ok == 1
     assert report.errors == [(2, "JSONL row is not an object"),
                              (3, "facets is not a list of objects"),
                              (4, "facets is not a list of objects"),

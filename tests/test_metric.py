@@ -12,7 +12,6 @@ import pytest
 from oracles import materialized_negatives
 from topicforge import metric
 from topicforge.ingest import ClickRecord
-from topicforge.pipeline import _write_jsonl
 
 
 def rec(query, page, clicks, page_type="item"):
@@ -134,15 +133,6 @@ def test_build_training_set_deterministic():
     other = metric.build_training_set(stats, negative_ratio="auto", seed=43)
     assert one == two
     assert one != other
-
-
-def test_training_set_jsonl_round_trip(tmp_path):
-    stats = make_blob_stats()
-    samples = metric.build_training_set(stats, negative_ratio="auto", seed=5)
-    path = tmp_path / "set.jsonl"
-    # as the metric stage writes it
-    _write_jsonl(path, (s.to_dict() for s in samples))
-    assert metric.training_set_from_jsonl(path) == samples
 
 
 def expected_training_set(stats, negative_ratio, seed):

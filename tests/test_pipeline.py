@@ -4,10 +4,14 @@ dependency errors and CLI exit codes."""
 from __future__ import annotations
 
 import builtins
+import csv
 import hashlib
 import io
 import json
+import re
 import shutil
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,21 +144,41 @@ def test_manifests_hash_real_files(full_run):
         assert isinstance(report["counts"], dict) and report["counts"]
 
 
+# the functions outside ``topicforge.pipeline`` that may write into the
+# workdir: the checkpoint and vocabulary codecs, which readers outside the
+# pipeline share
+OWN_WRITERS = {"topicforge.model.save_params",
+               "topicforge.tokenizer.Vocabulary.save"}
+
+
 def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
                                                  monkeypatch):
     workdir = (tmp_path / "w").resolve()
     watched = (workdir, fixture_dir.resolve())
     ctx = load_context(fixture_dir / "config.yaml", workdir)
+    package = Path(pipeline.__file__).parent
     opened: list[Path] = []
+    writers: set[str] = set()
     real_open = io.open
 
+    def innermost_package_function() -> str:
+        frame = sys._getframe(2)
+        while Path(frame.f_code.co_filename).parent != package:
+            frame = frame.f_back
+        return f"{frame.f_globals['__name__']}.{frame.f_code.co_qualname}"
+
     def recording_open(file, mode="r", *args, **kwargs):
-        if isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
-            opened.append(Path(file).resolve())
+        if isinstance(file, (str, Path)):
+            path = Path(file).resolve()
+            if not set(mode) & set("wax+"):
+                opened.append(path)
+            elif path.is_relative_to(workdir):
+                writers.add(innermost_package_function())
         return real_open(file, mode, *args, **kwargs)
 
     for stage in pipeline.STAGES:
         opened.clear()
+        writers.clear()
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "open", recording_open)
             patch.setattr(io, "open", recording_open)
@@ -167,6 +191,10 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
                           if any(p.is_relative_to(d) for d in watched)
                           and not p.is_relative_to(own))
         assert (stage, unlisted) == (stage, [])
+        # the pipeline writes every stage artifact
+        elsewhere = sorted(w for w in writers - OWN_WRITERS
+                           if not w.startswith("topicforge.pipeline."))
+        assert (stage, elsewhere) == (stage, [])
         written = {p.name for p in own.iterdir()} - {"MANIFEST.json",
                                                      "report.json"}
         assert (stage, sorted(written)) == (stage, sorted(manifest["outputs"]))
@@ -271,10 +299,13 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
 
 
 def test_jsonl_stage_outputs_round_trip(full_run, tmp_path):
-    # rows read back from the metric and emit outputs write the same bytes
+    # rows read back from the metric and emit outputs write the same bytes;
+    # the training set is read as the train stage reads it
     workdir = full_run[1]
     written = workdir / "metric" / "training_set.jsonl"
-    samples = metric_mod.training_set_from_jsonl(written)
+    samples = [metric_mod.QueryPairSample(**row)
+               for row in pipeline._read_jsonl(written)]
+    assert samples
     pipeline._write_jsonl(tmp_path / "set.jsonl",
                           (s.to_dict() for s in samples))
     assert (tmp_path / "set.jsonl").read_bytes() == written.read_bytes()
@@ -286,6 +317,51 @@ def test_jsonl_stage_outputs_round_trip(full_run, tmp_path):
     pipeline._write_jsonl(tmp_path / "pages.jsonl",
                           (s.to_dict() for s in specs))
     assert (tmp_path / "pages.jsonl").read_bytes() == written.read_bytes()
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_stage_csv_and_plan_formats(full_run):
+    workdir = full_run[1]
+    header = read_csv(workdir / "ingest" / "click_records.csv")[0]
+    assert header == list(ingest_mod.CLICK_LOG_FIELDS)
+
+    header, *clusters = read_csv(workdir / "cluster" / "clusters.csv")
+    assert header == ["query", "product_type", "cluster_id", "is_representative"]
+    assert [row[0] for row in clusters] == sorted(row[0] for row in clusters)
+    # exactly one representative per cluster, the one representatives.jsonl names
+    reps = Counter(cid for _, _, cid, flag in clusters if flag == "1")
+    assert set(reps.values()) == {1}
+    assert set(reps) == {cid for _, _, cid, _ in clusters}
+    assert sorted((row[2], row[0]) for row in clusters if row[3] == "1") == [
+        (r["cluster_id"], r["query"]) for r in pipeline._read_jsonl(
+            workdir / "cluster" / "representatives.jsonl")]
+    assert {row[3] for row in clusters} == {"0", "1"}
+
+    header, *decisions = read_csv(workdir / "dedup" / "decisions.csv")
+    assert header == ["query", "verdict", "best_match", "best_similarity",
+                      "path"]
+    assert decisions
+    for row in decisions:
+        assert re.fullmatch(r"-?\d\.\d{6}", row[3]), row
+
+    for stage, name, last, final in (
+            ("train", "curve.csv", "eval_loss", "final_eval_loss"),
+            ("finetune", "finetune_curve.csv", "accuracy", "final_accuracy")):
+        header, *epochs = read_csv(workdir / stage / name)
+        assert header == ["epoch", "mean_loss", last]
+        assert [int(row[0]) for row in epochs] == list(range(len(epochs)))
+        counts = json.loads((workdir / stage / "report.json").read_text())["counts"]
+        assert float(epochs[-1][2]) == counts[final]
+
+    # the plan keeps its keys in field order
+    plan = json.loads((workdir / "experiment" / "plan.json").read_text())
+    assert list(plan) == ["entries"] and plan["entries"]
+    for entry in plan["entries"]:
+        assert list(entry) == ["date", "period", "arm", "page_group_action"]
 
 
 def test_write_jsonl_writes_json_dumps_lines(tmp_path):
@@ -412,6 +488,39 @@ def test_diverged_training_is_one_line_error(fixture_dir, full_run, tmp_path,
     [error] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert error.getMessage().startswith(f"{section}: ")
     assert f"epoch {epoch}:" in error.getMessage()
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
+# (click log rows kept, the run's one error line): each log leaves a training
+# precondition unmet
+UNTRAINABLE_CLICK_LOGS = {
+    # each item click is on a page no other query clicked, and metric drops
+    # shelf clicks: no co-clicked pair, so no positive sample
+    "no-co-clicks": (lambda row: "-priv-" in row or ",shelf," in row,
+                     "train: need at least one positive sample"),
+    # every labeled query clicks the one shelf left
+    "one-shelf-clicked": (lambda row: ",shelf-cases," not in row,
+                          "finetune: labeled data must contain at least two "
+                          "classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTRAINABLE_CLICK_LOGS))
+def test_untrainable_click_log_is_one_line_error(tmp_path, caplog, capsys,
+                                                 case):
+    keep, message = UNTRAINABLE_CLICK_LOGS[case]
+    inputs = tmp_path / "inputs"
+    paths = write_fixture(inputs)
+    header, *rows = paths["click_log"].read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    kept = [row for row in rows if keep(row)]
+    assert 0 < len(kept) < len(rows)
+    paths["click_log"].write_text(header + "".join(kept), encoding="utf-8")
+    assert cli.main(["all", "--config", str(paths["config"]),
+                     "--workdir", str(tmp_path / "w")]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == message
     assert "Traceback" not in caplog.text
     capsys.readouterr()
 
@@ -561,6 +670,9 @@ WRONG_TYPED_VALUES = [
     ("train", "model.seq_len", None, "bad model config: "),
     ("train", "train.learning_rate", None, "bad train config: "),
     ("finetune", "finetune.epochs", None, "bad finetune config: "),
+    ("train", "train.epochs", -1, "bad train config: epochs must be >= 0"),
+    ("finetune", "finetune.epochs", -1,
+     "bad finetune config: epochs must be >= 0"),
     ("cluster", "cluster.threshold", "abc", "bad cluster config: "),
     ("cluster", "cluster.threshold", None, "bad cluster config: "),
     ("dedup", "dedup.threshold", None, "bad dedup config: "),
