@@ -254,13 +254,6 @@ class PeriodResult:
     df: float
     alternative: str
 
-    def to_dict(self) -> dict:
-        return {"period": self.period, "n_control": self.n_control,
-                "n_test": self.n_test, "control_mean": self.control_mean,
-                "test_mean": self.test_mean, "relative_pct": self.relative_pct,
-                "t": self.t, "p": self.p, "df": self.df,
-                "alternative": self.alternative}
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -271,9 +264,6 @@ class TestReport:
             if pr.period == name:
                 return pr
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"periods": [pr.to_dict() for pr in self.periods]}
 
 
 class MissingDatesError(ValueError):

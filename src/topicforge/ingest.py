@@ -120,10 +120,6 @@ class CandidateQuery:
     source: str
     clicks_total: int = 0
 
-    def to_dict(self) -> dict:
-        return {"query": self.query, "source": self.source,
-                "clicks_total": self.clicks_total}
-
 
 @dataclass
 class ParseReport:

@@ -49,10 +49,6 @@ class QueryPairSample:
     query_b: str
     interactive: float
 
-    def to_dict(self) -> dict:
-        return {"query_a": self.query_a, "query_b": self.query_b,
-                "interactive": self.interactive}
-
 
 @dataclass
 class CoClickStats:

@@ -91,10 +91,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -522,5 +518,5 @@ def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
         count = int(np.prod(t["shape"])) if t["shape"] else 1
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=t["offset"])
         params[t["name"]] = arr.astype(np.float32).reshape(t["shape"])
-    cfg = ModelConfig.from_dict(manifest["config"])
+    cfg = ModelConfig(**manifest["config"])
     return params, cfg

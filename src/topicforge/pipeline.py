@@ -22,11 +22,12 @@ with its name rather than a confusing downstream error. The manifest's
 stage read or wrote has changed, ``topicforge all`` skips the stage.
 
 This module writes every stage artifact, through ``_write_csv``,
-``_write_json`` and ``_write_jsonl``, so the file formats are defined here.
-The exceptions are the checkpoint and vocabulary codecs,
-``model.save_params`` and ``Vocabulary.save``: the benchmark's quality
-scorer reads through their readers (``load_params``, ``Vocabulary.load``)
-too.
+``_write_json`` and ``_write_jsonl``, and reads every row artifact back
+through ``_read_rows``, so the file formats are defined here. A row that
+does not fit stops the reading stage with the artifact's name and line.
+The exceptions are the checkpoint and vocabulary codecs
+(``model.save_params``/``load_params``, ``Vocabulary.save``/``load``): the
+benchmark's quality scorer reads through them too.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -82,12 +83,6 @@ class StageReport:
     warnings: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
     skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "counts": self.counts,
-                "warnings": self.warnings,
-                "duration_seconds": self.duration_seconds,
-                "skipped": self.skipped}
 
 
 @dataclass
@@ -233,27 +228,29 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(encode(row) + "\n")
 
 
-def _read_copy(name: str, rows, make) -> list:
-    """``make(row)`` for each ``(line number, row)`` of ingest's copy
-    ``name``. Later stages take the copies as ingest wrote them, so a row
-    that does not fit stops the stage with its line number."""
-    records = []
-    line_no = 0
-    try:
-        for line_no, row in rows:
-            records.append(make(row))
-    except (ValueError, KeyError, TypeError, csv.Error) as exc:
-        raise PipelineError(f"ingest/{name} line {line_no}: malformed row "
-                            f"({type(exc).__name__}: {exc})") from None
+def _read_rows(ctx: PipelineContext, stage: str, name: str, make,
+               header=()) -> list:
+    """``make(row)`` for each row of ``stage``'s artifact ``name``: each
+    non-blank JSONL line decoded, or each non-empty CSV row after ``header``.
+    A row that does not fit stops the stage with the file and line."""
+    records, line_no = [], 1
+    with open(ctx.artifact(stage, name), newline="", encoding="utf-8") as fh:
+        try:
+            if header:
+                reader = csv.reader(fh)
+                if next(reader, None) != list(header):
+                    raise ValueError(f"not the header {','.join(header)}")
+                for row in filter(None, reader):
+                    line_no = reader.line_num
+                    records.append(make(row))
+            else:
+                for line_no, line in enumerate(fh, start=1):
+                    if line.strip():
+                        records.append(make(json.loads(line)))
+        except (ValueError, KeyError, TypeError, csv.Error) as exc:
+            raise PipelineError(f"{stage}/{name} line {line_no}: malformed "
+                                f"row ({type(exc).__name__}: {exc})") from None
     return records
-
-
-def _read_jsonl(path: Path) -> Iterator[dict]:
-    """The rows of a JSONL artifact, decoded one at a time, so a caller that
-    builds its own records never holds every row's dict at once."""
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            yield json.loads(line)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
 
     _write_csv(out / "click_records.csv", ingest_mod.CLICK_LOG_FIELDS,
                (r.to_csv_row() for r in records))
-    _write_jsonl(out / "candidates.jsonl", (c.to_dict() for c in kept))
+    _write_jsonl(out / "candidates.jsonl", map(vars, kept))
     # normalized copies in the raw formats; parsing them again is the
     # identity, so later stages take them as they are (_load_clicks,
     # _load_pages)
@@ -290,15 +287,9 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
 
 def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
     """Ingest's normalized click records."""
-    with open(ctx.artifact("ingest", "click_records.csv"), newline="",
-              encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(ingest_mod.CLICK_LOG_FIELDS):
-            raise PipelineError("ingest/click_records.csv line 1: not the "
-                                f"header {','.join(ingest_mod.CLICK_LOG_FIELDS)}")
-        return _read_copy("click_records.csv",
-                          ((reader.line_num, row) for row in reader if row),
-                          ingest_mod.ClickRecord.from_csv_row)
+    return _read_rows(ctx, "ingest", "click_records.csv",
+                      ingest_mod.ClickRecord.from_csv_row,
+                      ingest_mod.CLICK_LOG_FIELDS)
 
 
 def _stage_metric(ctx: PipelineContext, out: Path):
@@ -316,7 +307,7 @@ def _stage_metric(ctx: PipelineContext, out: Path):
         stats,
         negative_ratio=negative_ratio,
         seed=ctx.seed + SEED_METRIC)
-    _write_jsonl(out / "training_set.jsonl", (s.to_dict() for s in samples))
+    _write_jsonl(out / "training_set.jsonl", map(vars, samples))
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,
               "negatives": len(samples) - n_pos}
@@ -366,27 +357,30 @@ def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.Tr
 
 def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
     """Ingest's normalized pages."""
-    with open(ctx.artifact("ingest", "page_catalog.jsonl"),
-              encoding="utf-8") as fh:
-        return _read_copy("page_catalog.jsonl",
-                          ((n, line) for n, line in enumerate(fh, start=1)
-                           if line.strip()),
-                          lambda line: ingest_mod.PageRecord.from_dict(
-                              json.loads(line)))
+    return _read_rows(ctx, "ingest", "page_catalog.jsonl",
+                      ingest_mod.PageRecord.from_dict)
 
 
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
                      ) -> tuple[dict, model_mod.ModelConfig, Vocabulary]:
-    """A checkpoint with its sidecar, and the vocabulary it was trained on."""
+    """A checkpoint with its sidecar, and the vocabulary it was trained on.
+    A file that does not decode stops the stage with its name."""
     path = ctx.artifact(stage, name)
     ctx.artifact(stage, name + ".json")
-    params, cfg = model_mod.load_params(path)
-    return params, cfg, Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+    key = f"{stage}/{name}"
+    try:
+        params, cfg = model_mod.load_params(path)
+        key = "train/vocab.jsonl"
+        vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise PipelineError(f"{key}: malformed "
+                            f"({type(exc).__name__}: {exc})") from None
+    return params, cfg, vocab
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
-    samples = [metric_mod.QueryPairSample(**row) for row in
-               _read_jsonl(ctx.artifact("metric", "training_set.jsonl"))]
+    samples = _read_rows(ctx, "metric", "training_set.jsonl",
+                         lambda row: metric_mod.QueryPairSample(**row))
     pages = _load_pages(ctx)
     lexicon = load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
@@ -432,7 +426,7 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     labeled, classes = _derive_labels(_load_clicks(ctx), _load_pages(ctx))
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
-    cfg = model_mod.ModelConfig(**{**cfg.to_dict(), "num_classes": len(classes)})
+    cfg = replace(cfg, num_classes=len(classes))
     tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
     try:
         params, history = train_mod.finetune_classifier(
@@ -450,8 +444,8 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 
 def _stage_cluster(ctx: PipelineContext, out: Path):
     params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
-    clicks = {r["query"]: r["clicks_total"]
-              for r in _read_jsonl(ctx.artifact("ingest", "candidates.jsonl"))}
+    clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl",
+                             lambda r: (r["query"], r["clicks_total"])))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
     if not ptypes:
@@ -484,7 +478,9 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 def _stage_dedup(ctx: PipelineContext, out: Path):
     params, cfg, vocab = _load_checkpoint(ctx, "finetune", "finetuned.ckpt")
     pages = _load_pages(ctx)
-    reps = list(_read_jsonl(ctx.artifact("cluster", "representatives.jsonl")))
+    # each row with its query; kept rows pass through as they are
+    reps = _read_rows(ctx, "cluster", "representatives.jsonl",
+                      lambda r: (r["query"], r))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
@@ -496,41 +492,38 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
             threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad dedup config: {exc}") from exc
-    decisions, stats = dedup_mod.dedup_all([r["query"] for r in reps], deduper)
+    decisions, stats = dedup_mod.dedup_all([q for q, _ in reps], deduper)
     _write_csv(out / "decisions.csv",
                ["query", "verdict", "best_match", "best_similarity", "path"],
                ([d.query, d.verdict, d.best_match, f"{d.best_similarity:.6f}",
                  d.path] for d in decisions))
     verdicts = {d.query: d.verdict for d in decisions}
     _write_jsonl(out / "kept.jsonl",
-                 (r for r in reps if verdicts[r["query"]] == "kept"))
+                 (r for q, r in reps if verdicts[q] == "kept"))
     return stats, [], ["decisions.csv", "kept.jsonl"]
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    rows = list(_read_jsonl(ctx.artifact("dedup", "kept.jsonl")))
-    meta = {r["query"]: r for r in rows}
+    kept = _read_rows(
+        ctx, "dedup", "kept.jsonl",
+        lambda r: topic_mod.SelectedTopic(r["query"], r["clicks_total"],
+                                          r["cluster_id"], r["product_type"]))
     try:
         quota = _number(ctx.section("select"), "quota", 10, int)
-        chosen = topic_mod.select_topics(
-            [(r["query"], r["clicks_total"]) for r in rows], quota)
+        chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept],
+                                         quota)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad select config: {exc}") from exc
-    topics = [topic_mod.SelectedTopic(q, meta[q]["clicks_total"],
-                                      meta[q]["cluster_id"],
-                                      meta[q]["product_type"])
-              for q in chosen]
-    _write_jsonl(out / "topics.jsonl", (t.to_dict() for t in topics))
+    by_topic = {t.topic: t for t in kept}
+    topics = [by_topic[q] for q in chosen]
+    _write_jsonl(out / "topics.jsonl", map(vars, topics))
     counts = {"quota": quota, "selected": len(topics)}
     return counts, [], ["topics.jsonl"]
 
 
 def _stage_emit(ctx: PipelineContext, out: Path):
-    rows = _read_jsonl(ctx.artifact("select", "topics.jsonl"))
-    topics = [topic_mod.SelectedTopic(r["topic"], r.get("clicks", 0),
-                                      r.get("source_cluster", ""),
-                                      r.get("product_type", ""))
-              for r in rows]
+    topics = _read_rows(ctx, "select", "topics.jsonl",
+                        lambda r: topic_mod.SelectedTopic(**r))
     # with no topic there is nothing to retrieve, so the item catalog is
     # neither parsed nor recorded as read
     retriever = topic_mod.TokenOverlapRetriever([])
@@ -543,7 +536,7 @@ def _stage_emit(ctx: PipelineContext, out: Path):
         specs, flagged = topic_mod.emit_pages(topics, retriever, k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad emit config: {exc}") from exc
-    _write_jsonl(out / "pages.jsonl", (s.to_dict() for s in specs))
+    _write_jsonl(out / "pages.jsonl", map(vars, specs))
     _write_jsonl(out / "flagged.jsonl",
                  ({"topic": t, "reason": r} for t, r in flagged))
     warnings = [f"{t}: {r}" for t, r in flagged]
@@ -569,7 +562,7 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
     # the plan's keys stay in field order
     _write_json(out / "plan.json", asdict(plan), sort_keys=False)
     _write_json(out / "daily_clicks.json", clicks)
-    _write_json(out / "results.json", report.to_dict())
+    _write_json(out / "results.json", asdict(report))
     print(exp_mod.format_report_table(report))
     aa, ab = report.period("AA"), report.period("AB")
     counts = {"n_days": n_days, "aa_p": aa.p, "ab_p": ab.p,
@@ -620,7 +613,7 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     }
     _write_json(out / "MANIFEST.json", manifest)
     report = StageReport(stage, counts, warnings, duration)
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", asdict(report))
     for w in warnings:
         logger.warning("%s: %s", stage, w)
     logger.info("stage %s done in %.2fs: %s", stage, duration, counts)
@@ -657,6 +650,6 @@ def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ConfigError):
         return None
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", asdict(report))
     logger.info("stage %s skipped: nothing it read or wrote changed", stage)
     return report

@@ -35,14 +35,9 @@ def page_id_for(keyword: str) -> str:
 @dataclass(frozen=True)
 class SelectedTopic:
     topic: str
-    clicks: int = 0
-    source_cluster: str = ""
-    product_type: str = ""
-
-    def to_dict(self) -> dict:
-        return {"topic": self.topic, "clicks": self.clicks,
-                "source_cluster": self.source_cluster,
-                "product_type": self.product_type}
+    clicks: int
+    source_cluster: str
+    product_type: str
 
 
 @dataclass(frozen=True)
@@ -50,14 +45,8 @@ class TopicPageSpec:
     topic: str
     page_id: str
     item_ids: tuple[str, ...]
-    source_cluster: str = ""
-    product_type: str = ""
-
-    def to_dict(self) -> dict:
-        return {"topic": self.topic, "page_id": self.page_id,
-                "item_ids": list(self.item_ids),
-                "source_cluster": self.source_cluster,
-                "product_type": self.product_type}
+    source_cluster: str
+    product_type: str
 
 
 def select_topics(representatives: Sequence[tuple[str, int]],

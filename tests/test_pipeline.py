@@ -19,7 +19,6 @@ import yaml
 
 from topicforge import cli, pipeline
 from topicforge import ingest as ingest_mod
-from topicforge import metric as metric_mod
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
                                  run_stage)
@@ -150,6 +149,14 @@ def test_manifests_hash_real_files(full_run):
 OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
+# the functions that may open a workdir file for reading: the pipeline's row
+# reader and hasher, the two codecs' readers, and the JSONL reader of the
+# facet lexicon, whose copy train reads
+OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
+               "topicforge.model.load_params",
+               "topicforge.tokenizer.Vocabulary.load",
+               "topicforge.ingest.jsonl_objects"}
+
 
 def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
                                                  monkeypatch):
@@ -159,6 +166,7 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
     package = Path(pipeline.__file__).parent
     opened: list[Path] = []
     writers: set[str] = set()
+    readers: set[str] = set()
     real_open = io.open
 
     def innermost_package_function() -> str:
@@ -172,6 +180,8 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
             path = Path(file).resolve()
             if not set(mode) & set("wax+"):
                 opened.append(path)
+                if path.is_relative_to(workdir):
+                    readers.add(innermost_package_function())
             elif path.is_relative_to(workdir):
                 writers.add(innermost_package_function())
         return real_open(file, mode, *args, **kwargs)
@@ -179,6 +189,7 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
     for stage in pipeline.STAGES:
         opened.clear()
         writers.clear()
+        readers.clear()
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "open", recording_open)
             patch.setattr(io, "open", recording_open)
@@ -195,6 +206,8 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
         elsewhere = sorted(w for w in writers - OWN_WRITERS
                            if not w.startswith("topicforge.pipeline."))
         assert (stage, elsewhere) == (stage, [])
+        # ... and reads every row artifact through one reader
+        assert (stage, sorted(readers - OWN_READERS)) == (stage, [])
         written = {p.name for p in own.iterdir()} - {"MANIFEST.json",
                                                      "report.json"}
         assert (stage, sorted(written)) == (stage, sorted(manifest["outputs"]))
@@ -259,18 +272,36 @@ def _field(index: int, value: str):
     return edit
 
 
+def _cut(line: str) -> str:
+    """A line truncated halfway, as a write cut short leaves it."""
+    return line[:len(line) // 2] + "\n"
+
+
+# edits of a finished run's artifacts: (artifact, line number, edit)
 COPY_EDITS = {
-    "truncated": ("page_catalog.jsonl", 3, lambda line: line[:40] + "\n"),
-    "null-title": ("page_catalog.jsonl", 2,
+    "truncated": ("ingest/page_catalog.jsonl", 3,
+                  lambda line: line[:40] + "\n"),
+    "null-title": ("ingest/page_catalog.jsonl", 2,
                    lambda line: line.replace('"title": "phone case"',
                                              '"title": null')),
-    "no-facets": ("page_catalog.jsonl", 4,
+    "no-facets": ("ingest/page_catalog.jsonl", 4,
                   lambda line: line.replace('"facets"', '"facet_pairs"')),
-    "bad-page-type": ("page_catalog.jsonl", 1,
+    "bad-page-type": ("ingest/page_catalog.jsonl", 1,
                       lambda line: line.replace('"shelf"', '"aisle"')),
-    "clicks-not-int": ("click_records.csv", 5, _field(3, "12.5")),
-    "short-row": ("click_records.csv", 7, lambda line: "running shoes,x\n"),
-    "header": ("click_records.csv", 1, _field(1, "page")),
+    "clicks-not-int": ("ingest/click_records.csv", 5, _field(3, "12.5")),
+    "short-row": ("ingest/click_records.csv", 7,
+                  lambda line: "running shoes,x\n"),
+    "header": ("ingest/click_records.csv", 1, _field(1, "page")),
+    "training-set-cut": ("metric/training_set.jsonl", 2, _cut),
+    "candidates-cut": ("ingest/candidates.jsonl", 2, _cut),
+    "representatives-cut": ("cluster/representatives.jsonl", 2, _cut),
+    "kept-cut": ("dedup/kept.jsonl", 2, _cut),
+    "topics-cut": ("select/topics.jsonl", 2, _cut),
+    "topic-without-clicks": ("select/topics.jsonl", 1,
+                             lambda line: re.sub(r'"clicks": \d+, ', "", line)),
+    # the codecs name the file, without a line
+    "vocab-cut": ("train/vocab.jsonl", 2, _cut),
+    "checkpoint-cut": ("finetune/finetuned.ckpt.json", 2, _cut),
 }
 
 
@@ -279,13 +310,17 @@ COPY_EDITS = {
     ("truncated", "dedup"), ("null-title", "train"), ("no-facets", "cluster"),
     ("bad-page-type", "dedup"), ("clicks-not-int", "metric"),
     ("clicks-not-int", "finetune"), ("short-row", "metric"),
-    ("header", "metric")])
+    ("header", "metric"), ("training-set-cut", "train"),
+    ("candidates-cut", "cluster"), ("representatives-cut", "dedup"),
+    ("kept-cut", "select"), ("topics-cut", "emit"),
+    ("topic-without-clicks", "emit"), ("vocab-cut", "cluster"),
+    ("checkpoint-cut", "dedup")])
 def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
     ctx, workdir = full_run[0], tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
-    name, line_no, change = COPY_EDITS[edit]
-    path = workdir / "ingest" / name
+    key, line_no, change = COPY_EDITS[edit]
+    path = workdir / key
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     assert change(lines[line_no - 1]) != lines[line_no - 1]
     lines[line_no - 1] = change(lines[line_no - 1])
@@ -293,30 +328,43 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
     config = ctx.config_dir / "config.yaml"
     assert cli.main([stage, "--config", str(config),
                      "--workdir", str(workdir)]) == 1
-    assert f"ingest/{name} line {line_no}: " in caplog.text
+    if edit.startswith(("vocab", "checkpoint")):
+        # a checkpoint is named without its ``.json`` sidecar
+        assert f"{key.removesuffix('.json')}: malformed (" in caplog.text
+    else:
+        assert f"{key} line {line_no}: " in caplog.text
     assert "Traceback" not in caplog.text
     capsys.readouterr()
 
 
-def test_jsonl_stage_outputs_round_trip(full_run, tmp_path):
-    # rows read back from the metric and emit outputs write the same bytes;
-    # the training set is read as the train stage reads it
-    workdir = full_run[1]
-    written = workdir / "metric" / "training_set.jsonl"
-    samples = [metric_mod.QueryPairSample(**row)
-               for row in pipeline._read_jsonl(written)]
-    assert samples
-    pipeline._write_jsonl(tmp_path / "set.jsonl",
-                          (s.to_dict() for s in samples))
-    assert (tmp_path / "set.jsonl").read_bytes() == written.read_bytes()
-    written = workdir / "emit" / "pages.jsonl"
-    specs = [TopicPageSpec(r["topic"], r["page_id"], tuple(r["item_ids"]),
-                           r["source_cluster"], r["product_type"])
-             for r in map(json.loads, written.read_text().splitlines())]
-    assert specs
-    pipeline._write_jsonl(tmp_path / "pages.jsonl",
-                          (s.to_dict() for s in specs))
-    assert (tmp_path / "pages.jsonl").read_bytes() == written.read_bytes()
+def test_jsonl_stage_outputs_round_trip(full_run, tmp_path, monkeypatch):
+    # the rows of each JSONL artifact written from row dataclasses, read as
+    # the stage that consumes it reads them, write the same bytes; cluster
+    # reads two fields of a candidate, so the candidates and emit's pages,
+    # which no stage reads, are read into their row types
+    ctx, workdir = full_run[0], tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    read = {}
+    real = pipeline._read_rows
+
+    def recording(ctx, stage, name, make, header=()):
+        read[f"{stage}/{name}"] = real(ctx, stage, name, make, header)
+        return read[f"{stage}/{name}"]
+
+    monkeypatch.setattr(pipeline, "_read_rows", recording)
+    ctx = load_context(ctx.config_dir / "config.yaml", workdir)
+    for stage in ("train", "emit"):
+        run_stage(ctx, stage)
+    for key, row_type in (("ingest/candidates.jsonl", ingest_mod.CandidateQuery),
+                          ("emit/pages.jsonl", TopicPageSpec)):
+        lines = (workdir / key).read_text(encoding="utf-8").splitlines()
+        read[key] = [row_type(**json.loads(line)) for line in lines]
+    for key in ("ingest/candidates.jsonl", "metric/training_set.jsonl",
+                "select/topics.jsonl", "emit/pages.jsonl"):
+        assert read[key], key
+        pipeline._write_jsonl(tmp_path / "rows.jsonl", map(vars, read[key]))
+        assert ((tmp_path / "rows.jsonl").read_bytes()
+                == (workdir / key).read_bytes()), key
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -336,9 +384,10 @@ def test_stage_csv_and_plan_formats(full_run):
     reps = Counter(cid for _, _, cid, flag in clusters if flag == "1")
     assert set(reps.values()) == {1}
     assert set(reps) == {cid for _, _, cid, _ in clusters}
+    named = (workdir / "cluster" / "representatives.jsonl").read_text(
+        encoding="utf-8").splitlines()
     assert sorted((row[2], row[0]) for row in clusters if row[3] == "1") == [
-        (r["cluster_id"], r["query"]) for r in pipeline._read_jsonl(
-            workdir / "cluster" / "representatives.jsonl")]
+        (r["cluster_id"], r["query"]) for r in map(json.loads, named)]
     assert {row[3] for row in clusters} == {"0", "1"}
 
     header, *decisions = read_csv(workdir / "dedup" / "decisions.csv")

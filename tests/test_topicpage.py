@@ -111,9 +111,9 @@ def test_emit_pages_flags_and_truncates():
         return retriever(keyword, k)
 
     topics = [SelectedTopic("red shoes", 9, "shoes#0", "shoes"),
-              SelectedTopic("boom", 5),
-              SelectedTopic("submarine", 4),
-              SelectedTopic("RED   SHOES", 1)]
+              SelectedTopic("boom", 5, "boom#0", "boom"),
+              SelectedTopic("submarine", 4, "sub#0", "sub"),
+              SelectedTopic("RED   SHOES", 1, "shoes#1", "shoes")]
     specs, flagged = emit_pages(topics, flaky, k=3)
     assert [s.topic for s in specs] == ["red shoes"]
     assert len(specs[0].item_ids) == 3
@@ -135,7 +135,7 @@ def test_spec_round_trip(tmp_path):
                           retriever, k=2)
     path = tmp_path / "pages.jsonl"
     # as the emit stage writes them
-    _write_jsonl(path, (s.to_dict() for s in specs))
+    _write_jsonl(path, map(vars, specs))
     written = path.read_bytes()
     rows = [json.loads(line) for line in written.decode("utf-8").splitlines()]
     assert rows == [{"topic": s.topic, "page_id": s.page_id,
@@ -143,5 +143,5 @@ def test_spec_round_trip(tmp_path):
                      "source_cluster": s.source_cluster,
                      "product_type": s.product_type} for s in specs]
     assert all(list(row) == sorted(row) for row in rows)
-    _write_jsonl(path, (s.to_dict() for s in specs))
+    _write_jsonl(path, map(vars, specs))
     assert path.read_bytes() == written  # rewrite is stable
