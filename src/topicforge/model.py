@@ -161,12 +161,31 @@ def init_head(params: dict[str, np.ndarray], cfg: ModelConfig,
     return out
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(w) for name, w in params.items()}
+class FlatTensors(dict):
+    """Named tensors that are views of one flat vector, :attr:`flat`, laid
+    out in the order of ``shapes``; all zeros when ``flat`` is not given.
 
+    A whole-vector operation on ``flat`` (an Adam step, a finiteness check)
+    covers every tensor in one call.
+    """
 
-def check_finite(params: dict[str, np.ndarray]) -> bool:
-    return all(np.isfinite(v).all() for v in params.values())
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype,
+                 flat: np.ndarray | None = None):
+        super().__init__()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes), dtype) if flat is None else flat
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    @classmethod
+    def copy_of(cls, tensors: dict[str, np.ndarray], dtype) -> "FlatTensors":
+        """A flat ``dtype`` copy of ``tensors``, in their order."""
+        out = cls({name: w.shape for name, w in tensors.items()}, dtype)
+        for name, w in tensors.items():
+            out[name][...] = w
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,50 +201,90 @@ def sigmoid(x):
     return np.exp(log_sigmoid(x))
 
 
+# The elementwise chains below run in place, each in the operation order of
+# its formula, so they round exactly as the formula evaluated left to right.
+
 def _gelu(x):
-    """Tanh-approximate gelu and the (tanh, x*x) pair ``_gelu_grad`` reuses."""
+    """Tanh-approximate gelu and the (tanh, x*x) pair ``_gelu_grad`` reuses:
+    0.5 x (1 + tanh(c x (1 + k x^2)))."""
     x2 = x * x
-    th = np.tanh(_GELU_C * x * (1.0 + _GELU_K * x2))
-    return 0.5 * x * (1.0 + th), (th, x2)
+    th = x2 * _GELU_K
+    th += 1.0
+    out = x * _GELU_C
+    th *= out
+    np.tanh(th, out=th)
+    np.multiply(x, 0.5, out=out)
+    out *= th + 1.0
+    return out, (th, x2)
 
 
 def _gelu_grad(x, cache):
+    """0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3 k x^2); consumes ``cache``."""
     th, x2 = cache
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * _GELU_C * (1.0 + 3.0 * _GELU_K * x2)
+    out = x * 0.5
+    rest = th * th
+    np.subtract(1.0, rest, out=rest)
+    out *= rest
+    out *= _GELU_C
+    np.multiply(x2, 3.0 * _GELU_K, out=rest)
+    rest += 1.0
+    out *= rest
+    th += 1.0
+    th *= 0.5
+    out += th
+    return out
+
+
+def _mean_last(x):
+    """``x.mean(axis=-1, keepdims=True)``: the same sum, then the division."""
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    out /= x.shape[-1]
+    return out
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    xhat = x - _mean_last(x)
+    inv = _mean_last(xhat * xhat)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * g
+    out += b
+    return out, (xhat, inv)
 
 
 def _layer_norm_back(dy, g, cache):
+    """d(input), dg, db: inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))."""
     xhat, inv = cache
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
-    dxhat = dy * g
-    dx = inv * (dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    tmp = dy * xhat
+    dg = np.add.reduce(tmp, axis=axes)
+    db = np.add.reduce(dy, axis=axes)
+    dx = dy * g
+    np.multiply(dx, xhat, out=tmp)
+    m2 = _mean_last(tmp)
+    dx -= _mean_last(dx)
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _linear(x, w, b):
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
-def _linear_back(dy, x, w):
+def _linear_back(dy, x, w, dw, db):
+    """d(input) of ``_linear``; writes its dW and db into ``dw`` and ``db``."""
     # collapse all leading axes for the weight gradient
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = dy @ w.T
-    return dx, dw, db
+    np.matmul(x2.T, dy2, out=dw)
+    np.add.reduce(dy2, axis=0, out=db)
+    return dy @ w.T
 
 
 def _split_heads(x, num_heads):
@@ -239,23 +298,80 @@ def _merge_heads(x):
 
 
 # ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TokenBatch:
+    """Token sequences stacked into ``(rows, seq_len)`` id and mask arrays.
+
+    The encoder's functions take one of these, or a sequence of
+    :class:`TokenSequence` that they stack into one.
+    """
+
+    ids: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, seqs: "TokenBatch | Sequence[TokenSequence]") -> "TokenBatch":
+        if isinstance(seqs, TokenBatch):
+            return seqs
+        return cls(np.stack([s.ids for s in seqs]),
+                   np.stack([s.attention_mask for s in seqs]))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "TokenBatch":
+        return TokenBatch(self.ids[rows], self.mask[rows])
+
+
+@dataclass(frozen=True)
+class PairBatch:
+    """Labelled query pairs: rows 2i and 2i + 1 of ``tokens`` are pair i,
+    ``labels[i]`` its interactive value."""
+
+    tokens: TokenBatch
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: "PairBatch | Sequence[tuple[TokenSequence, TokenSequence, float]]"
+           ) -> "PairBatch":
+        if isinstance(pairs, PairBatch):
+            return pairs
+        return cls(TokenBatch.of([s for pair in pairs for s in pair[:2]]),
+                   np.asarray([pair[2] for pair in pairs], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, pairs) -> "PairBatch":
+        index = np.arange(len(self))[pairs]
+        return PairBatch(self.tokens[(2 * index[:, None] + (0, 1)).ravel()],
+                         self.labels[index])
+
+
+# ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _attention(params, cfg: ModelConfig, p: str, h, key_mask):
+def _attention(params, cfg: ModelConfig, p: str, h, key_bias):
     """Pre-norm multi-head self-attention with its residual: (h, cache)."""
     a, ln1_cache = _layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"])
     q = _split_heads(_linear(a, params[p + "attn.wq"], params[p + "attn.bq"]), cfg.num_heads)
     k = _split_heads(_linear(a, params[p + "attn.wk"], params[p + "attn.bk"]), cfg.num_heads)
     v = _split_heads(_linear(a, params[p + "attn.wv"], params[p + "attn.bv"]), cfg.num_heads)
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    scores = np.where(key_mask, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
-    scores_max = scores.max(axis=-1, keepdims=True)
-    ex = np.exp(scores - scores_max)  # exact 0.0 at masked keys
-    attn_w = ex / ex.sum(axis=-1, keepdims=True)
+    # softmax over keys; the -inf bias gives masked keys exactly 0 weight
+    attn_w = q @ k.transpose(0, 1, 3, 2)
+    attn_w *= 1.0 / math.sqrt(cfg.head_dim)
+    attn_w += key_bias
+    attn_w -= attn_w.max(axis=-1, keepdims=True)
+    np.exp(attn_w, out=attn_w)
+    attn_w /= np.add.reduce(attn_w, axis=-1, keepdims=True)
     ctx = _merge_heads(attn_w @ v)
-    attn_out = _linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
-    return h + attn_out, (a, ln1_cache, q, k, v, attn_w, ctx)
+    out = _linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
+    out += h
+    return out, (a, ln1_cache, q, k, v, attn_w, ctx)
 
 
 def _ffn(params, p: str, h):
@@ -263,8 +379,9 @@ def _ffn(params, p: str, h):
     f, ln2_cache = _layer_norm(h, params[p + "ln2.g"], params[p + "ln2.b"])
     pre = _linear(f, params[p + "ffn.w1"], params[p + "ffn.b1"])
     act, gelu_cache = _gelu(pre)
-    ffn_out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
-    return h + ffn_out, (f, ln2_cache, pre, act, gelu_cache)
+    out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
+    out += h
+    return out, (f, ln2_cache, pre, act, gelu_cache)
 
 
 def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
@@ -280,7 +397,8 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
         raise ValueError(f"ids must be (batch, {cfg.seq_len}), got {ids.shape}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range for vocab_size")
-    mask = np.asarray(mask, dtype=params["tok_emb"].dtype)
+    dtype = params["tok_emb"].dtype
+    mask = np.asarray(mask, dtype=dtype)
     denom = mask.sum(axis=1)
     if (denom == 0).any():
         raise ValueError("cannot encode a fully masked (empty) token sequence")
@@ -289,13 +407,14 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
     # reaches no output; the last column, not the mask sum, keeps gaps exact
     length = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
     ids, mask = ids[:, :length], mask[:, :length]
-    h = params["tok_emb"][ids] + params["pos_emb"][:length]
-    key_mask = mask[:, None, None, :] > 0
+    h = params["tok_emb"][ids]
+    h += params["pos_emb"][:length]
+    key_bias = np.where(mask > 0, 0.0, -np.inf).astype(dtype)[:, None, None, :]
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"L{i}."
         # unless kept, a block's cache is dropped before the next block runs
-        h, attn_cache = _attention(params, cfg, p, h, key_mask)
+        h, attn_cache = _attention(params, cfg, p, h, key_bias)
         if not keep_cache:
             attn_cache = None
         h, ffn_cache = _ffn(params, p, h)
@@ -321,57 +440,72 @@ def _unit(z):
 def _ffn_back(params, p: str, cache, dh, grads):
     """Backward of ``_ffn``: fills its gradients, returns d(block input)."""
     f, ln2_cache, pre, act, gelu_cache = cache
-    dact, grads[p + "ffn.w2"], grads[p + "ffn.b2"] = _linear_back(
-        dh, act, params[p + "ffn.w2"])
-    dpre = dact * _gelu_grad(pre, gelu_cache)
-    df, grads[p + "ffn.w1"], grads[p + "ffn.b1"] = _linear_back(
-        dpre, f, params[p + "ffn.w1"])
-    dh_in, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_back(
+    dpre = _linear_back(dh, act, params[p + "ffn.w2"],
+                        grads[p + "ffn.w2"], grads[p + "ffn.b2"])
+    dpre *= _gelu_grad(pre, gelu_cache)
+    df = _linear_back(dpre, f, params[p + "ffn.w1"],
+                      grads[p + "ffn.w1"], grads[p + "ffn.b1"])
+    dh_in, grads[p + "ln2.g"][...], grads[p + "ln2.b"][...] = _layer_norm_back(
         df, params[p + "ln2.g"], ln2_cache)
-    return dh_in + dh  # residual
+    dh_in += dh  # residual
+    return dh_in
 
 
 def _attention_back(params, cfg: ModelConfig, p: str, cache, dh, grads):
     """Backward of ``_attention``: fills its gradients, returns d(block input)."""
     a, ln1_cache, q, k, v, attn_w, ctx = cache
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    dctx, grads[p + "attn.wo"], grads[p + "attn.bo"] = _linear_back(
-        dh, ctx, params[p + "attn.wo"])
-    dctx = _split_heads(dctx, cfg.num_heads)
-    dattn_w = dctx @ v.transpose(0, 1, 3, 2)
+    dctx = _split_heads(_linear_back(dh, ctx, params[p + "attn.wo"],
+                                     grads[p + "attn.wo"], grads[p + "attn.bo"]),
+                        cfg.num_heads)
+    dscores = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn_w.transpose(0, 1, 3, 2) @ dctx
-    dscores = attn_w * (dattn_w - (dattn_w * attn_w).sum(axis=-1, keepdims=True))
-    dq = (dscores @ k) * scale
-    dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
+    # softmax backward: w * (dw - sum(dw * w))
+    tmp = dscores * attn_w
+    dscores -= np.add.reduce(tmp, axis=-1, keepdims=True)
+    dscores *= attn_w
+    dq = dscores @ k
+    dq *= scale
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    dk *= scale
 
     da = np.zeros_like(a)
     for name, grad_h in (("wq", dq), ("wk", dk), ("wv", dv)):
-        gm = _merge_heads(grad_h)
-        dxx, grads[p + "attn." + name], grads[p + "attn.b" + name[1]] = _linear_back(
-            gm, a, params[p + "attn." + name])
-        da += dxx
-    dh_in, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_back(
+        da += _linear_back(_merge_heads(grad_h), a, params[p + "attn." + name],
+                           grads[p + "attn." + name], grads[p + "attn.b" + name[1]])
+    dh_in, grads[p + "ln1.g"][...], grads[p + "ln1.b"][...] = _layer_norm_back(
         da, params[p + "ln1.g"], ln1_cache)
-    return dh_in + dh  # residual
+    dh_in += dh  # residual
+    return dh_in
 
 
-def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
+def _tanh_back(dy, y):
+    """dy * (1 - y^2), in place in ``dy``."""
+    tmp = y * y
+    np.subtract(1.0, tmp, out=tmp)
+    dy *= tmp
+    return dy
+
+
+def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray) -> FlatTensors:
     """Gradients of a scalar loss wrt every parameter, given dloss/dz.
 
-    The gradients take the parameters' dtype, whatever the dtype of dz.
+    The gradients are views of one flat vector laid out as ``params``, in
+    the parameters' dtype, whatever the dtype of dz.
     """
     ids, mask, denom, layer_caches, final_cache, pooled, u, w = cache
-    grads = zero_grads(params)
+    grads = FlatTensors({name: t.shape for name, t in params.items()}, w.dtype)
     dz = dz.astype(w.dtype, copy=False)
 
-    dw_out, grads["out2.w"], grads["out2.b"] = _linear_back(dz, w, params["out2.w"])
-    dw_out = dw_out * (1.0 - w ** 2)  # tanh
-    du, grads["out1.w"], grads["out1.b"] = _linear_back(dw_out, u, params["out1.w"])
-    du = du * (1.0 - u ** 2)
-    dpooled, grads["pool.w"], grads["pool.b"] = _linear_back(du, pooled, params["pool.w"])
+    dw_out = _tanh_back(_linear_back(dz, w, params["out2.w"],
+                                     grads["out2.w"], grads["out2.b"]), w)
+    du = _tanh_back(_linear_back(dw_out, u, params["out1.w"],
+                                 grads["out1.w"], grads["out1.b"]), u)
+    dpooled = _linear_back(du, pooled, params["pool.w"],
+                           grads["pool.w"], grads["pool.b"])
 
     dhf = mask[:, :, None] * (dpooled[:, None, :] / denom[:, None, None])
-    dh, grads["final_ln.g"], grads["final_ln.b"] = _layer_norm_back(
+    dh, grads["final_ln.g"][...], grads["final_ln.b"][...] = _layer_norm_back(
         dhf, params["final_ln.g"], final_cache)
 
     for i in reversed(range(cfg.num_layers)):
@@ -379,25 +513,25 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray):
         dh = _ffn_back(params, f"L{i}.", ffn_cache, dh, grads)
         dh = _attention_back(params, cfg, f"L{i}.", attn_cache, dh, grads)
 
-    np.add.at(grads["tok_emb"], ids, dh)
-    grads["pos_emb"][:dh.shape[1]] = dh.sum(axis=0)
+    # one add.at over the flattened table: each (token, column) element sums
+    # its rows in batch order, as a row-wise add.at would
+    dim = dh.shape[-1]
+    np.add.at(grads["tok_emb"].reshape(-1),
+              (ids[:, :, None] * dim + np.arange(dim)).reshape(-1),
+              dh.reshape(-1))
+    np.add.reduce(dh, axis=0, out=grads["pos_emb"][:dh.shape[1]])
     return grads
-
-
-def _stack(seqs: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs])
-    return ids, mask
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def embed_batch(params, cfg: ModelConfig, seqs: Sequence[TokenSequence]) -> np.ndarray:
+def embed_batch(params, cfg: ModelConfig,
+                seqs: TokenBatch | Sequence[TokenSequence]) -> np.ndarray:
     """Unit-norm intention embeddings for a batch, one row per sequence."""
-    ids, mask = _stack(seqs)
-    z, _ = _forward(params, cfg, ids, mask)
+    batch = TokenBatch.of(seqs)
+    z, _ = _forward(params, cfg, batch.ids, batch.mask)
     return _unit(z)[0]
 
 
@@ -415,18 +549,18 @@ def _pair_losses(e_a, e_b, interactive, mode: str):
 
 
 def batch_loss_and_grad(params, cfg: ModelConfig,
-                        batch: Sequence[tuple[TokenSequence, TokenSequence, float]]):
-    """Summed pair loss over a batch and its exact parameter gradient."""
-    if not batch:
+                        batch: PairBatch | Sequence[tuple[TokenSequence, TokenSequence, float]]):
+    """Summed pair loss over a batch and its exact parameter gradient, as
+    :class:`FlatTensors` laid out as ``params``."""
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    seqs = [s for pair in batch for s in (pair[0], pair[1])]
-    ids, mask = _stack(seqs)
-    labels = [pair[2] for pair in batch]
+    batch = PairBatch.of(batch)
     # interleaved layout: rows 2i / 2i+1 are the i-th pair
-    z, cache = _forward(params, cfg, ids, mask, keep_cache=True)
+    z, cache = _forward(params, cfg, batch.tokens.ids, batch.tokens.mask,
+                        keep_cache=True)
     e, norm = _unit(z)
     e_a, e_b = e[0::2], e[1::2]
-    dots, losses, ddots = _pair_losses(e_a, e_b, labels, cfg.negative_loss)
+    dots, losses, ddots = _pair_losses(e_a, e_b, batch.labels, cfg.negative_loss)
     if not np.isfinite(losses).all():
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NonFiniteLossError(f"non-finite loss at batch index {bad}")
@@ -441,12 +575,13 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     return loss, grads
 
 
-def classify_batch_logits(params, cfg: ModelConfig, seqs: Sequence[TokenSequence]):
+def classify_batch_logits(params, cfg: ModelConfig,
+                          seqs: TokenBatch | Sequence[TokenSequence]):
     """Head logits and the penultimate (pre-normalization) vectors."""
     if cfg.num_classes < 1 or "head.w" not in params:
         raise ValueError("model has no classification head")
-    ids, mask = _stack(seqs)
-    z, _ = _forward(params, cfg, ids, mask)
+    batch = TokenBatch.of(seqs)
+    z, _ = _forward(params, cfg, batch.ids, batch.mask)
     return z @ params["head.w"] + params["head.b"], z
 
 
@@ -456,19 +591,20 @@ def _log_softmax(logits):
 
 
 def classify_batch_loss_and_grad(params, cfg: ModelConfig,
-                                 seqs: Sequence[TokenSequence],
+                                 seqs: TokenBatch | Sequence[TokenSequence],
                                  labels: Sequence[int]):
-    """Mean cross-entropy over the batch and its exact gradient."""
+    """Mean cross-entropy over the batch and its exact gradient, as
+    :class:`FlatTensors` laid out as ``params``."""
     if cfg.num_classes < 1 or "head.w" not in params:
         raise ValueError("model has no classification head")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= cfg.num_classes:
         raise ValueError("label out of range")
-    ids, mask = _stack(seqs)
-    z, cache = _forward(params, cfg, ids, mask, keep_cache=True)
+    batch = TokenBatch.of(seqs)
+    z, cache = _forward(params, cfg, batch.ids, batch.mask, keep_cache=True)
     logits = z @ params["head.w"] + params["head.b"]
     logp = _log_softmax(logits)
-    n = len(seqs)
+    n = len(batch)
     loss = float(-logp[np.arange(n), labels].mean())
     if not math.isfinite(loss):
         raise NonFiniteLossError("non-finite cross-entropy loss")
@@ -477,9 +613,8 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     grads = _backward(params, cfg, cache, dlogits @ params["head.w"].T)
-    dtype = params["head.w"].dtype
-    grads["head.w"] = (z.T @ dlogits).astype(dtype, copy=False)
-    grads["head.b"] = dlogits.sum(axis=0).astype(dtype, copy=False)
+    grads["head.w"][...] = z.T @ dlogits
+    grads["head.b"][...] = dlogits.sum(axis=0)
     return loss, grads
 
 

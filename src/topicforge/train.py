@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,30 +78,42 @@ class LabeledQuery:
 
 @dataclass
 class Optimizer:
-    """Adam at a constant learning rate."""
+    """Adam at a constant learning rate over one flat parameter vector.
+
+    ``m`` and ``v`` are flat like the parameters, created at the first step.
+    """
 
     cfg: TrainConfig
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One Adam step on the flat vector ``params``, in place."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grads), np.zeros_like(grads)
         lr = self.cfg.learning_rate
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            # in place, with the same operations as m = b1 * m + (1 - b1) * g
-            m, v = self.m[name], self.v[name]
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * (g * g)
-            params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v = self.m, self.v
+        # element by element the same operations, in the same order, as
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        tmp = grads * (1 - ADAM_BETA1)
+        m += tmp
+        v *= ADAM_BETA2
+        np.multiply(grads, grads, out=tmp)
+        tmp *= 1 - ADAM_BETA2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update = m / bc1
+        update *= lr
+        update /= tmp
+        params -= update
 
 
 def _stable_hash_fraction(text: str) -> float:
@@ -150,9 +162,10 @@ def encode_texts(
     seqs = tokenize_texts(texts, vocab, cfg.seq_len)
     if not seqs:
         return np.zeros((0, cfg.output_dim))
+    tokens = model.TokenBatch.of(seqs)
     return np.concatenate([
-        model.embed_batch(params, cfg, seqs[start:start + ENCODE_BATCH])
-        for start in range(0, len(seqs), ENCODE_BATCH)])
+        model.embed_batch(params, cfg, tokens[start:start + ENCODE_BATCH])
+        for start in range(0, len(tokens), ENCODE_BATCH)])
 
 
 def best_match(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,16 +185,14 @@ def best_match(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return best, sims
 
 
-def _mean_pair_loss(params, cfg: ModelConfig, pairs) -> float:
-    if not pairs:
+def _mean_pair_loss(params, cfg: ModelConfig, pairs: model.PairBatch) -> float:
+    if not len(pairs):
         return float("nan")
     total = 0.0
     for start in range(0, len(pairs), ENCODE_BATCH // 2):
         chunk = pairs[start:start + ENCODE_BATCH // 2]
-        seqs = [s for p in chunk for s in (p[0], p[1])]
-        e = model.embed_batch(params, cfg, seqs)
-        _, losses, _ = model._pair_losses(e[0::2], e[1::2],
-                                          [p[2] for p in chunk],
+        e = model.embed_batch(params, cfg, chunk.tokens)
+        _, losses, _ = model._pair_losses(e[0::2], e[1::2], chunk.labels,
                                           cfg.negative_loss)
         total += float(losses.sum())
     return total / len(pairs)
@@ -194,13 +205,15 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
                 epoch_row) -> tuple[dict[str, np.ndarray], list[dict]]:
     """The epoch loop of both trainings: (trained params, history).
 
-    Training starts from a ``TRAIN_DTYPE`` copy of ``init``. Each epoch
-    takes the ``n_rows`` rows in a seeded permutation, one Adam step per
-    ``batch_step(params, rows) -> (loss, grads)``, then appends
-    ``epoch_row(params, loss_sum, n_batches)`` to the history. A non-finite
-    loss or parameter raises :class:`TrainingDiverged` naming the epoch.
+    Training starts from a ``TRAIN_DTYPE`` copy of ``init``, one flat vector
+    whose named views are the parameters (:class:`model.FlatTensors`). Each
+    epoch takes the ``n_rows`` rows in a seeded permutation, one Adam step
+    over the whole vector per ``batch_step(params, rows) -> (loss, grads)``,
+    then appends ``epoch_row(params, loss_sum, n_batches)`` to the history.
+    A non-finite loss or parameter raises :class:`TrainingDiverged` naming
+    the epoch.
     """
-    params = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
+    params = model.FlatTensors.copy_of(init, TRAIN_DTYPE)
     opt = Optimizer(train_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[dict] = []
@@ -214,11 +227,11 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
                     params, order[start:start + train_cfg.batch_size])
                 loss_sum += loss
                 n_batches += 1
-                opt.step(params, grads)
+                opt.step(params.flat, grads.flat)
         except model.NonFiniteLossError as exc:
             raise TrainingDiverged(
                 f"diverged during epoch {epoch}: {exc}") from exc
-        if not model.check_finite(params):
+        if not np.isfinite(params.flat).all():
             raise TrainingDiverged(
                 f"parameters went non-finite during epoch {epoch}")
         row = {"epoch": epoch, **epoch_row(params, loss_sum, n_batches)}
@@ -241,24 +254,25 @@ def train_intention_model(
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
-    seqs = tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
-                          vocab, cfg.seq_len)
-    tokenized = [(seqs[2 * i], seqs[2 * i + 1], s.interactive)
-                 for i, s in enumerate(samples)]
-    is_eval = split_eval([f"{s.query_a}\x1f{s.query_b}" for s in samples],
-                         train_cfg.eval_fraction)
-    train_set = [t for t, ev in zip(tokenized, is_eval) if not ev]
-    eval_set = [t for t, ev in zip(tokenized, is_eval) if ev]
-    if not train_set:
+    # rows 2i and 2i + 1 are sample i's queries
+    pairs = model.PairBatch(
+        model.TokenBatch.of(tokenize_texts(
+            [q for s in samples for q in (s.query_a, s.query_b)],
+            vocab, cfg.seq_len)),
+        np.asarray([s.interactive for s in samples], dtype=np.float64))
+    is_eval = np.asarray(split_eval(
+        [f"{s.query_a}\x1f{s.query_b}" for s in samples],
+        train_cfg.eval_fraction), dtype=bool)
+    train_set, eval_set = pairs[~is_eval], pairs[is_eval]
+    if not len(train_set):
         raise ValueError("eval split consumed every sample")
 
     def batch_step(params, rows):
-        return model.batch_loss_and_grad(params, cfg,
-                                         [train_set[i] for i in rows])
+        return model.batch_loss_and_grad(params, cfg, train_set[rows])
 
     def epoch_row(params, loss_sum, n_batches):
         row = {"mean_loss": loss_sum / len(train_set)}
-        if eval_set:
+        if len(eval_set):
             row["eval_loss"] = _mean_pair_loss(params, cfg, eval_set)
         return row
 
@@ -291,21 +305,23 @@ def finetune_classifier(
     if missing:
         logger.warning("classes absent from training data: %s", missing)
 
-    seqs = tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len)
+    tokens = model.TokenBatch.of(
+        tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len))
     labels = np.asarray([s.label for s in labeled])
 
     def batch_step(params, rows):
         return model.classify_batch_loss_and_grad(
-            params, cfg, [seqs[i] for i in rows], labels[rows])
+            params, cfg, tokens[rows], labels[rows])
 
     def epoch_row(params, loss_sum, n_batches):
         correct = 0
-        for start in range(0, len(seqs), ENCODE_BATCH):
+        for start in range(0, len(tokens), ENCODE_BATCH):
             logits, _ = model.classify_batch_logits(
-                params, cfg, seqs[start:start + ENCODE_BATCH])
+                params, cfg, tokens[start:start + ENCODE_BATCH])
             correct += int((logits.argmax(axis=1)
                             == labels[start:start + ENCODE_BATCH]).sum())
-        return {"mean_loss": loss_sum / n_batches, "accuracy": correct / len(seqs)}
+        return {"mean_loss": loss_sum / n_batches,
+                "accuracy": correct / len(tokens)}
 
     return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
-                       len(seqs), train_cfg, batch_step, epoch_row)
+                       len(tokens), train_cfg, batch_step, epoch_row)

@@ -320,7 +320,8 @@ def test_float32_matches_float64_on_the_same_parameters(base, seed):
 def test_inference_forward_equals_cached_forward(base, dtype):
     params = as_dtype(generic_params(base, seed=3), dtype)
     batch = random_pairs(base, np.random.default_rng(3), n_pairs=12)
-    ids, mask = model._stack([s for pair in batch for s in pair[:2]])
+    tokens = model.TokenBatch.of([s for pair in batch for s in pair[:2]])
+    ids, mask = tokens.ids, tokens.mask
     z, cache = model._forward(params, base, ids, mask)
     z_kept, kept = model._forward(params, base, ids, mask, keep_cache=True)
     assert cache is None and kept is not None
@@ -342,7 +343,8 @@ def test_inference_pass_holds_under_half_the_cached_peak():
     params = as_dtype(model.init_params(DENSE, seed=0), np.float32)
     batch = random_pairs(DENSE, np.random.default_rng(0), n_pairs=128)
     seqs = [s for pair in batch for s in pair[:2]]
-    ids, mask = model._stack(seqs)
+    tokens = model.TokenBatch.of(seqs)
+    ids, mask = tokens.ids, tokens.mask
     assert ids.shape == (256, DENSE.seq_len) and mask[:, -1].any()
     cached = traced_peak(
         lambda: model._forward(params, DENSE, ids, mask, keep_cache=True))

@@ -72,13 +72,12 @@ def test_training_is_bit_deterministic():
 
 
 def test_zero_gradient_step_changes_nothing():
-    cfg = small_cfg()
-    params = model.init_params(cfg, seed=0)
-    before = {k: v.copy() for k, v in params.items()}
+    params = model.FlatTensors.copy_of(model.init_params(small_cfg(), seed=0),
+                                       train.TRAIN_DTYPE)
+    before = params.flat.copy()
     opt = train.Optimizer(TrainConfig())
-    opt.step(params, model.zero_grads(params))
-    for name, w in before.items():
-        assert np.array_equal(params[name], w)
+    opt.step(params.flat, np.zeros_like(params.flat))
+    assert np.array_equal(params.flat, before)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -188,7 +187,7 @@ def test_non_finite_parameter_raises_with_last_epoch_params(monkeypatch, loop):
     def poisoned(self, params, grads):
         step(self, params, grads)
         if self.t == 2:
-            params["tok_emb"][1, 0] = np.nan
+            params[-1] = np.nan
 
     monkeypatch.setattr(train.Optimizer, "step", poisoned)
     with pytest.raises(train.TrainingDiverged,
@@ -202,7 +201,8 @@ def test_trainings_run_in_float32(monkeypatch):
     step = train.Optimizer.step
 
     def recording(self, params, grads):
-        assert all(g.dtype == np.float32 for g in grads.values())
+        assert params.dtype == grads.dtype == np.float32
+        assert params.shape == grads.shape and params.ndim == 1
         step(self, params, grads)
         optimizers.append(self)
 
@@ -215,8 +215,7 @@ def test_trainings_run_in_float32(monkeypatch):
             for _ in range(2)]
     assert optimizers
     for opt in optimizers:
-        assert all(m.dtype == np.float32 for m in opt.m.values())
-        assert all(v.dtype == np.float32 for v in opt.v.values())
+        assert opt.m.dtype == opt.v.dtype == np.float32
     for params in (pretrained, runs[0][0]):
         assert all(w.dtype == np.float32 for w in params.values())
     # history values are plain floats, ready for the JSON stage reports
@@ -372,9 +371,11 @@ def test_tokenize_texts_equals_tokenize_query_per_text():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_optimizer_step_equals_adam_formula(dtype):
+    # the flat step against the per-tensor formula, bit for bit
     rng = np.random.default_rng(0)
     shapes = {"w": (5, 3), "b": (3,)}
-    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    params = model.FlatTensors.copy_of(
+        {k: rng.standard_normal(s) for k, s in shapes.items()}, dtype)
     want = {k: p.copy() for k, p in params.items()}
     m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
     v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
@@ -382,16 +383,18 @@ def test_optimizer_step_equals_adam_formula(dtype):
     opt = train.Optimizer(TrainConfig(learning_rate=lr))
     b1, b2 = train.ADAM_BETA1, train.ADAM_BETA2
     for t in (1, 2, 3):
-        grads = {k: rng.standard_normal(s).astype(dtype)
-                 for k, s in shapes.items()}
-        opt.step(params, grads)
+        grads = model.FlatTensors.copy_of(
+            {k: rng.standard_normal(s) for k, s in shapes.items()}, dtype)
+        opt.step(params.flat, grads.flat)
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1 - b1) * g
             v[k] = b2 * v[k] + (1 - b2) * g ** 2
             want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (
                 np.sqrt(v[k] / (1.0 - b2 ** t)) + train.ADAM_EPS)
+        opt_m = model.FlatTensors(shapes, dtype, opt.m)
+        opt_v = model.FlatTensors(shapes, dtype, opt.v)
         for k in shapes:
-            assert params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == dtype
+            assert params[k].dtype == opt_m[k].dtype == opt_v[k].dtype == dtype
             assert np.array_equal(params[k], want[k]), (t, k)
-            assert np.array_equal(opt.m[k], m[k]), (t, k)
-            assert np.array_equal(opt.v[k], v[k]), (t, k)
+            assert np.array_equal(opt_m[k], m[k]), (t, k)
+            assert np.array_equal(opt_v[k], v[k]), (t, k)
