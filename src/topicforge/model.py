@@ -16,12 +16,23 @@ pre-normalization output vector; that pre-normalization vector is the
 "penultimate" representation, and ``embed_batch`` on a fine-tuned checkpoint
 returns it L2-normalized for downstream deduplication.
 
+Activations are token-major matrices: a batch of B sequences trimmed to
+length L is one ``(B*L, d)`` array, row ``b*L + l`` for token l of sequence
+b, from the embedding lookup to the final layer norm, so every projection,
+layer norm and gelu is one call on one 2-D array. Only attention views its
+rows as ``(B, H, L, head_dim)``. Each layer's q, k and v come from one GEMM,
+``a @ [wq|wk|wv]``, and its backward runs one GEMM for the three weight
+gradients and one for d(a). The elementwise chains run in place.
+
 Each transformer layer is two blocks, ``_attention`` and ``_ffn``, each
 returning its output and the intermediates its backward (``_attention_back``,
 ``_ffn_back``) reads. Only the two loss functions keep those caches; an
 inference pass (``embed_batch``, ``classify_batch_logits``) frees each
 block's intermediates before the next block runs, so its memory grows with
-one block of one batch, not with the whole backward cache.
+one block of one batch, not with the whole backward cache. The loss
+functions return their gradients as :class:`FlatTensors`, named views of one
+flat vector laid out as the parameters, so an optimizer can update every
+tensor with whole-vector operations.
 
 Backpropagation is hand-derived for every block and verified against
 central finite differences in the test suite. Computation follows the
@@ -31,12 +42,15 @@ always run in float64; they cost rows x output_dim. Checkpoints are stored as
 float32 blobs with a JSON sidecar manifest.
 
 Masking guarantees: positions with attention_mask == 0 receive exactly zero
-attention weight (scores are set to -inf before the softmax) and are
-excluded from mean pooling, so PAD positions can never influence the
+attention weight (a -inf bias is added to their scores before the softmax)
+and are excluded from mean pooling, so PAD positions can never influence the
 output. Each forward pass is trimmed to the batch's longest unmasked length,
-so no work is spent on columns that are PAD in every row. Reductions then
-run over fewer zero terms, and a text's embedding agrees across batch
-compositions to about 1e-15 in float64 and 2e-7 in float32, not bit for bit.
+so no work is spent on columns that are PAD in every row. The batch's shape
+then picks the kernels and its longest row the reduction lengths, so a
+text's embedding agrees across batch compositions to about 1e-15 in float64
+and 2e-7 to 5e-7 in float32 (dense- and longtail-sized encoders with
+perturbed weights, 128 texts against each alone and in blocks of 3), not
+bit for bit.
 Forward passes are read-only over the parameters and safe to run
 concurrently; gradient dicts from shards may be merged by plain summation.
 """
@@ -201,50 +215,39 @@ def sigmoid(x):
     return np.exp(log_sigmoid(x))
 
 
-# The elementwise chains below run in place, each in the operation order of
-# its formula, so they round exactly as the formula evaluated left to right.
+# Activations are (rows, features) matrices; the chains below run in place.
 
 def _gelu(x):
-    """Tanh-approximate gelu and the (tanh, x*x) pair ``_gelu_grad`` reuses:
-    0.5 x (1 + tanh(c x (1 + k x^2)))."""
-    x2 = x * x
-    th = x2 * _GELU_K
-    th += 1.0
-    out = x * _GELU_C
-    th *= out
-    np.tanh(th, out=th)
-    np.multiply(x, 0.5, out=out)
-    out *= th + 1.0
-    return out, (th, x2)
+    """Tanh-approximate gelu, 0.5 x (1 + tanh(c x (1 + k x^2))) = x s, and
+    the factor s = 0.5 (1 + tanh(...)), which ``_gelu_grad`` reuses."""
+    s = x * x
+    s *= _GELU_C * _GELU_K
+    s += _GELU_C
+    s *= x
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return x * s, s
 
 
-def _gelu_grad(x, cache):
-    """0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3 k x^2); consumes ``cache``."""
-    th, x2 = cache
-    out = x * 0.5
-    rest = th * th
-    np.subtract(1.0, rest, out=rest)
-    out *= rest
-    out *= _GELU_C
-    np.multiply(x2, 3.0 * _GELU_K, out=rest)
-    rest += 1.0
-    out *= rest
-    th += 1.0
-    th *= 0.5
-    out += th
-    return out
-
-
-def _mean_last(x):
-    """``x.mean(axis=-1, keepdims=True)``: the same sum, then the division."""
-    out = np.add.reduce(x, axis=-1, keepdims=True)
-    out /= x.shape[-1]
+def _gelu_grad(x, s):
+    """d gelu / dx = s (1 + x (1 - s) (2c + 6ck x^2)), given ``_gelu``'s s."""
+    out = x * x
+    out *= 6.0 * _GELU_C * _GELU_K
+    out += 2.0 * _GELU_C
+    out *= x
+    out *= 1.0 - s
+    out += 1.0
+    out *= s
     return out
 
 
 def _layer_norm(x, g, b):
-    xhat = x - _mean_last(x)
-    inv = _mean_last(xhat * xhat)
+    """Layer norm of each row of ``x``: (out, (xhat, inv std))."""
+    # row means as matrix-vector products: one BLAS call each
+    by_mean = np.full(x.shape[1], 1.0 / x.shape[1], dtype=x.dtype)
+    xhat = x - (x @ by_mean)[:, None]
+    inv = ((xhat * xhat) @ by_mean)[:, None]
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -254,21 +257,23 @@ def _layer_norm(x, g, b):
     return out, (xhat, inv)
 
 
-def _layer_norm_back(dy, g, cache):
-    """d(input), dg, db: inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))."""
+def _layer_norm_back(dy, g, cache, dg, db):
+    """d(input) of ``_layer_norm``, inv (dxhat - mean(dxhat) - xhat
+    mean(dxhat xhat)) with dxhat = dy g; writes dg and db into ``dg`` and
+    ``db``."""
     xhat, inv = cache
-    axes = tuple(range(dy.ndim - 1))
     tmp = dy * xhat
-    dg = np.add.reduce(tmp, axis=axes)
-    db = np.add.reduce(dy, axis=axes)
+    np.add.reduce(tmp, axis=0, out=dg)
+    np.add.reduce(dy, axis=0, out=db)
+    # the two row means, read off dy and dy xhat with g / d
+    g_mean = g / len(g)
+    m1, m2 = dy @ g_mean, tmp @ g_mean
     dx = dy * g
-    np.multiply(dx, xhat, out=tmp)
-    m2 = _mean_last(tmp)
-    dx -= _mean_last(dx)
-    np.multiply(xhat, m2, out=tmp)
+    dx -= m1[:, None]
+    np.multiply(xhat, m2[:, None], out=tmp)
     dx -= tmp
     dx *= inv
-    return dx, dg, db
+    return dx
 
 
 def _linear(x, w, b):
@@ -278,23 +283,11 @@ def _linear(x, w, b):
 
 
 def _linear_back(dy, x, w, dw, db):
-    """d(input) of ``_linear``; writes its dW and db into ``dw`` and ``db``."""
-    # collapse all leading axes for the weight gradient
-    x2 = x.reshape(-1, x.shape[-1])
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    np.matmul(x2.T, dy2, out=dw)
-    np.add.reduce(dy2, axis=0, out=db)
+    """d(input) of ``_linear`` over rows; writes dW and db into ``dw`` and
+    ``db``."""
+    np.matmul(x.T, dy, out=dw)
+    np.add.reduce(dy, axis=0, out=db)
     return dy @ w.T
-
-
-def _split_heads(x, num_heads):
-    b, length, dim = x.shape
-    return x.reshape(b, length, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, length, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, length, h * hd)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +349,17 @@ class PairBatch:
 # ---------------------------------------------------------------------------
 
 def _attention(params, cfg: ModelConfig, p: str, h, key_bias):
-    """Pre-norm multi-head self-attention with its residual: (h, cache)."""
+    """Pre-norm multi-head self-attention with its residual: (h, cache).
+
+    ``h`` is ``(B*L, d)``; ``key_bias`` is ``(B, 1, 1, L)``, 0 at a kept
+    key and -inf at a masked one. One GEMM projects q, k and v together.
+    """
     a, ln1_cache = _layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"])
-    q = _split_heads(_linear(a, params[p + "attn.wq"], params[p + "attn.bq"]), cfg.num_heads)
-    k = _split_heads(_linear(a, params[p + "attn.wk"], params[p + "attn.bk"]), cfg.num_heads)
-    v = _split_heads(_linear(a, params[p + "attn.wv"], params[p + "attn.bv"]), cfg.num_heads)
+    w_qkv = np.concatenate([params[p + "attn.wq"], params[p + "attn.wk"],
+                            params[p + "attn.wv"]], axis=1)
+    qkv = _linear(a, w_qkv, np.concatenate([
+        params[p + "attn.bq"], params[p + "attn.bk"], params[p + "attn.bv"]]))
+    q, k, v = _heads(qkv, key_bias.shape[0], cfg.num_heads)
     # softmax over keys; the -inf bias gives masked keys exactly 0 weight
     attn_w = q @ k.transpose(0, 1, 3, 2)
     attn_w *= 1.0 / math.sqrt(cfg.head_dim)
@@ -368,20 +367,27 @@ def _attention(params, cfg: ModelConfig, p: str, h, key_bias):
     attn_w -= attn_w.max(axis=-1, keepdims=True)
     np.exp(attn_w, out=attn_w)
     attn_w /= np.add.reduce(attn_w, axis=-1, keepdims=True)
-    ctx = _merge_heads(attn_w @ v)
+    ctx = (attn_w @ v).transpose(0, 2, 1, 3).reshape(h.shape)
     out = _linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
     out += h
-    return out, (a, ln1_cache, q, k, v, attn_w, ctx)
+    return out, (a, ln1_cache, w_qkv, qkv, attn_w, ctx)
+
+
+def _heads(qkv, batch: int, num_heads: int):
+    """q, k and v of a ``(B*L, 3d)`` projection, each ``(B, H, L, hd)``."""
+    rows, width = qkv.shape
+    return qkv.reshape(batch, rows // batch, 3, num_heads,
+                       width // (3 * num_heads)).transpose(2, 0, 3, 1, 4)
 
 
 def _ffn(params, p: str, h):
     """Pre-norm gelu feed-forward block with its residual: (h, cache)."""
     f, ln2_cache = _layer_norm(h, params[p + "ln2.g"], params[p + "ln2.b"])
     pre = _linear(f, params[p + "ffn.w1"], params[p + "ffn.b1"])
-    act, gelu_cache = _gelu(pre)
+    act, gelu_s = _gelu(pre)
     out = _linear(act, params[p + "ffn.w2"], params[p + "ffn.b2"])
     out += h
-    return out, (f, ln2_cache, pre, act, gelu_cache)
+    return out, (f, ln2_cache, pre, act, gelu_s)
 
 
 def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
@@ -407,8 +413,10 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
     # reaches no output; the last column, not the mask sum, keeps gaps exact
     length = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
     ids, mask = ids[:, :length], mask[:, :length]
-    h = params["tok_emb"][ids]
-    h += params["pos_emb"][:length]
+    # activations are (B*L, d), row b*L + l for token l of sequence b
+    h = params["tok_emb"][ids.reshape(-1)]
+    by_token = h.reshape(len(ids), length, -1)
+    by_token += params["pos_emb"][:length]
     key_bias = np.where(mask > 0, 0.0, -np.inf).astype(dtype)[:, None, None, :]
     layer_caches = []
     for i in range(cfg.num_layers):
@@ -423,7 +431,8 @@ def _forward(params, cfg: ModelConfig, ids: np.ndarray, mask: np.ndarray,
         ffn_cache = None
 
     hf, final_cache = _layer_norm(h, params["final_ln.g"], params["final_ln.b"])
-    pooled = (mask[:, :, None] * hf).sum(axis=1) / denom[:, None]
+    pooled = (mask[:, :, None] * hf.reshape(len(ids), length, -1)).sum(axis=1)
+    pooled /= denom[:, None]
     u = np.tanh(_linear(pooled, params["pool.w"], params["pool.b"]))
     w = np.tanh(_linear(u, params["out1.w"], params["out1.b"]))
     z = _linear(w, params["out2.w"], params["out2.b"]).astype(np.float64)
@@ -439,42 +448,47 @@ def _unit(z):
 
 def _ffn_back(params, p: str, cache, dh, grads):
     """Backward of ``_ffn``: fills its gradients, returns d(block input)."""
-    f, ln2_cache, pre, act, gelu_cache = cache
+    f, ln2_cache, pre, act, gelu_s = cache
     dpre = _linear_back(dh, act, params[p + "ffn.w2"],
                         grads[p + "ffn.w2"], grads[p + "ffn.b2"])
-    dpre *= _gelu_grad(pre, gelu_cache)
+    dpre *= _gelu_grad(pre, gelu_s)
     df = _linear_back(dpre, f, params[p + "ffn.w1"],
                       grads[p + "ffn.w1"], grads[p + "ffn.b1"])
-    dh_in, grads[p + "ln2.g"][...], grads[p + "ln2.b"][...] = _layer_norm_back(
-        df, params[p + "ln2.g"], ln2_cache)
+    dh_in = _layer_norm_back(df, params[p + "ln2.g"], ln2_cache,
+                             grads[p + "ln2.g"], grads[p + "ln2.b"])
     dh_in += dh  # residual
     return dh_in
 
 
 def _attention_back(params, cfg: ModelConfig, p: str, cache, dh, grads):
     """Backward of ``_attention``: fills its gradients, returns d(block input)."""
-    a, ln1_cache, q, k, v, attn_w, ctx = cache
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    dctx = _split_heads(_linear_back(dh, ctx, params[p + "attn.wo"],
-                                     grads[p + "attn.wo"], grads[p + "attn.bo"]),
-                        cfg.num_heads)
+    a, ln1_cache, w_qkv, qkv, attn_w, ctx = cache
+    batch, heads = attn_w.shape[:2]
+    dctx = _linear_back(dh, ctx, params[p + "attn.wo"],
+                        grads[p + "attn.wo"], grads[p + "attn.bo"])
+    dctx = dctx.reshape(batch, -1, heads, cfg.head_dim).transpose(0, 2, 1, 3)
+    q, k, v = _heads(qkv, batch, heads)
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = _heads(dqkv, batch, heads)
+    np.matmul(attn_w.transpose(0, 1, 3, 2), dctx, out=dv)
+    # softmax backward, scaled as the scores were: s w (dw - sum(dw w))
     dscores = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn_w.transpose(0, 1, 3, 2) @ dctx
-    # softmax backward: w * (dw - sum(dw * w))
     tmp = dscores * attn_w
     dscores -= np.add.reduce(tmp, axis=-1, keepdims=True)
     dscores *= attn_w
-    dq = dscores @ k
-    dq *= scale
-    dk = dscores.transpose(0, 1, 3, 2) @ q
-    dk *= scale
+    dscores *= 1.0 / math.sqrt(cfg.head_dim)
+    np.matmul(dscores, k, out=dq)
+    np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dk)
 
-    da = np.zeros_like(a)
-    for name, grad_h in (("wq", dq), ("wk", dk), ("wv", dv)):
-        da += _linear_back(_merge_heads(grad_h), a, params[p + "attn." + name],
-                           grads[p + "attn." + name], grads[p + "attn.b" + name[1]])
-    dh_in, grads[p + "ln1.g"][...], grads[p + "ln1.b"][...] = _layer_norm_back(
-        da, params[p + "ln1.g"], ln1_cache)
+    # one GEMM for the three weight gradients, one for d(input)
+    d = a.shape[1]
+    dw = a.T @ dqkv
+    db = np.add.reduce(dqkv, axis=0)
+    for i, name in enumerate(("q", "k", "v")):
+        grads[p + "attn.w" + name][...] = dw[:, i * d:(i + 1) * d]
+        grads[p + "attn.b" + name][...] = db[i * d:(i + 1) * d]
+    dh_in = _layer_norm_back(dqkv @ w_qkv.T, params[p + "ln1.g"], ln1_cache,
+                             grads[p + "ln1.g"], grads[p + "ln1.b"])
     dh_in += dh  # residual
     return dh_in
 
@@ -503,23 +517,25 @@ def _backward(params, cfg: ModelConfig, cache, dz: np.ndarray) -> FlatTensors:
                                  grads["out1.w"], grads["out1.b"]), u)
     dpooled = _linear_back(du, pooled, params["pool.w"],
                            grads["pool.w"], grads["pool.b"])
-
-    dhf = mask[:, :, None] * (dpooled[:, None, :] / denom[:, None, None])
-    dh, grads["final_ln.g"][...], grads["final_ln.b"][...] = _layer_norm_back(
-        dhf, params["final_ln.g"], final_cache)
+    dpooled /= denom[:, None]
+    dhf = (mask[:, :, None] * dpooled[:, None, :]).reshape(-1, dpooled.shape[1])
+    dh = _layer_norm_back(dhf, params["final_ln.g"], final_cache,
+                          grads["final_ln.g"], grads["final_ln.b"])
 
     for i in reversed(range(cfg.num_layers)):
-        attn_cache, ffn_cache = layer_caches[i]
+        # each layer's cache is released once its backward has run
+        attn_cache, ffn_cache = layer_caches.pop()
         dh = _ffn_back(params, f"L{i}.", ffn_cache, dh, grads)
         dh = _attention_back(params, cfg, f"L{i}.", attn_cache, dh, grads)
 
     # one add.at over the flattened table: each (token, column) element sums
-    # its rows in batch order, as a row-wise add.at would
-    dim = dh.shape[-1]
+    # its rows in batch order
+    dim = dh.shape[1]
     np.add.at(grads["tok_emb"].reshape(-1),
-              (ids[:, :, None] * dim + np.arange(dim)).reshape(-1),
+              (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1),
               dh.reshape(-1))
-    np.add.reduce(dh, axis=0, out=grads["pos_emb"][:dh.shape[1]])
+    np.add.reduce(dh.reshape(ids.shape + (dim,)), axis=0,
+                  out=grads["pos_emb"][:ids.shape[1]])
     return grads
 
 

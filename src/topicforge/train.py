@@ -13,6 +13,14 @@ the dtype of its parameters, and checkpoints store float32 anyway. Only the
 output vector, its normalization and the losses stay float64, inside
 :mod:`model`.
 
+A training run keeps its parameters in one flat vector whose named views
+are the tensors the model reads (:class:`model.FlatTensors`). The model
+writes each step's gradients into one flat vector of the same layout, and
+:class:`Optimizer` runs Adam as about ten whole-vector operations on flat
+moments ``m`` and ``v``, not a loop of them per tensor. Texts are tokenized
+once into id and mask arrays (:class:`model.TokenBatch`,
+:class:`model.PairBatch`), and each step indexes its rows out of them.
+
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
 from a seeded generator; two runs with one seed produce identical curves.
@@ -23,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -80,18 +88,21 @@ class LabeledQuery:
 class Optimizer:
     """Adam at a constant learning rate over one flat parameter vector.
 
-    ``m`` and ``v`` are flat like the parameters, created at the first step.
+    ``m`` and ``v`` are flat like the parameters, created at the first step
+    with two scratch vectors that every step reuses.
     """
 
     cfg: TrainConfig
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
+    scratch: tuple = field(default=(), repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One Adam step on the flat vector ``params``, in place."""
         if self.m is None:
             self.m, self.v = np.zeros_like(grads), np.zeros_like(grads)
+            self.scratch = (np.empty_like(grads), np.empty_like(grads))
         lr = self.cfg.learning_rate
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -100,8 +111,9 @@ class Optimizer:
         # element by element the same operations, in the same order, as
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        tmp, update = self.scratch
         m *= ADAM_BETA1
-        tmp = grads * (1 - ADAM_BETA1)
+        np.multiply(grads, 1 - ADAM_BETA1, out=tmp)
         m += tmp
         v *= ADAM_BETA2
         np.multiply(grads, grads, out=tmp)
@@ -110,7 +122,7 @@ class Optimizer:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        update = m / bc1
+        np.divide(m, bc1, out=update)
         update *= lr
         update /= tmp
         params -= update

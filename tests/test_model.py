@@ -262,7 +262,8 @@ def test_float32_parameters_compute_in_float32(monkeypatch):
 
     def recording(params, cfg, ids, mask, keep_cache=False):
         z, cache = forward(params, cfg, ids, mask, keep_cache=keep_cache)
-        caches.append(cache)
+        # listed now: the backward releases each layer's cache as it goes
+        caches.append(list(arrays(cache)))
         return z, cache
 
     monkeypatch.setattr(model, "_forward", recording)
@@ -275,7 +276,7 @@ def test_float32_parameters_compute_in_float32(monkeypatch):
         assert grads.keys() == params.keys()
         assert all(g.dtype == np.float32 for g in grads.values())
     # mask, pooled vectors and every layer intermediate: no silent upcast
-    cached = [a for cache in caches for a in arrays(cache)]
+    cached = [a for cache in caches for a in cache]
     assert len(caches) == 2 and len(cached) > 20
     assert all(a.dtype == np.float32 for a in cached if a.dtype.kind == "f")
     # the output vector and its normalization stay float64
