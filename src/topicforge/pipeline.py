@@ -253,6 +253,15 @@ def _read_rows(ctx: PipelineContext, stage: str, name: str, make,
     return records
 
 
+def _text(row: dict, key: str) -> str:
+    """``row[key]``, which must be a string; any other value raises the
+    ``TypeError`` that makes ``_read_rows`` name the file and line."""
+    value = row[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # stage bodies; each returns (counts, warnings, output file names)
 # ---------------------------------------------------------------------------
@@ -378,6 +387,15 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
     return params, cfg, vocab
 
 
+def _throughput(history: list[dict], seconds: float) -> dict:
+    """A training's Adam ``steps`` and the ``samples_per_s`` it trained,
+    over the wall time of the whole training call; the time makes these
+    counts vary from run to run, like the report's duration."""
+    samples = sum(row["samples"] for row in history)
+    return {"steps": sum(row["steps"] for row in history),
+            "samples_per_s": samples / seconds if seconds > 0 else 0.0}
+
+
 def _stage_train(ctx: PipelineContext, out: Path):
     samples = _read_rows(ctx, "metric", "training_set.jsonl",
                          lambda row: metric_mod.QueryPairSample(**row))
@@ -388,16 +406,18 @@ def _stage_train(ctx: PipelineContext, out: Path):
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = _model_config(ctx, vocab.size)
     tcfg = _train_config(ctx, "train", ctx.seed + SEED_TRAIN)
+    started = time.perf_counter()
     try:
         params, history = train_mod.train_intention_model(
             samples, vocab, cfg, tcfg)
     except ValueError as exc:  # a training set it cannot learn from
         raise PipelineError(f"train: {exc}") from exc
+    throughput = _throughput(history, time.perf_counter() - started)
     vocab.save(out / "vocab.jsonl")
     model_mod.save_params(params, cfg, out / "intention.ckpt")
     _write_curve(out / "curve.csv", history)
     counts = {"samples": len(samples), "vocab_size": vocab.size,
-              "epochs": tcfg.epochs,
+              "epochs": tcfg.epochs, **throughput,
               "final_loss": history[-1]["mean_loss"] if history else None,
               "final_eval_loss": history[-1].get("eval_loss") if history else None}
     return counts, [], ["vocab.jsonl", "intention.ckpt", "intention.ckpt.json",
@@ -428,15 +448,18 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = replace(cfg, num_classes=len(classes))
     tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
+    started = time.perf_counter()
     try:
         params, history = train_mod.finetune_classifier(
             pretrained, labeled, vocab, cfg, tcfg)
     except ValueError as exc:  # labels it cannot learn from
         raise PipelineError(f"finetune: {exc}") from exc
+    throughput = _throughput(history, time.perf_counter() - started)
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
     _write_json(out / "classes.json", classes)
     _write_curve(out / "finetune_curve.csv", history)
     counts = {"labeled_queries": len(labeled), "classes": len(classes),
+              **throughput,
               "final_accuracy": history[-1]["accuracy"] if history else None}
     return counts, [], ["finetuned.ckpt", "finetuned.ckpt.json",
                         "classes.json", "finetune_curve.csv"]
@@ -445,7 +468,7 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 def _stage_cluster(ctx: PipelineContext, out: Path):
     params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl",
-                             lambda r: (r["query"], r["clicks_total"])))
+                             lambda r: (_text(r, "query"), r["clicks_total"])))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
     if not ptypes:
@@ -480,7 +503,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     pages = _load_pages(ctx)
     # each row with its query; kept rows pass through as they are
     reps = _read_rows(ctx, "cluster", "representatives.jsonl",
-                      lambda r: (r["query"], r))
+                      lambda r: (_text(r, "query"), r))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
@@ -506,8 +529,9 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 def _stage_select(ctx: PipelineContext, out: Path):
     kept = _read_rows(
         ctx, "dedup", "kept.jsonl",
-        lambda r: topic_mod.SelectedTopic(r["query"], r["clicks_total"],
-                                          r["cluster_id"], r["product_type"]))
+        lambda r: topic_mod.SelectedTopic(
+            _text(r, "query"), r["clicks_total"], _text(r, "cluster_id"),
+            _text(r, "product_type")))
     try:
         quota = _number(ctx.section("select"), "quota", 10, int)
         chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept],
@@ -521,9 +545,15 @@ def _stage_select(ctx: PipelineContext, out: Path):
     return counts, [], ["topics.jsonl"]
 
 
+def _selected_topic(row: dict) -> topic_mod.SelectedTopic:
+    """A ``topics.jsonl`` row, whose text fields must hold strings."""
+    for key in ("topic", "source_cluster", "product_type"):
+        _text(row, key)
+    return topic_mod.SelectedTopic(**row)
+
+
 def _stage_emit(ctx: PipelineContext, out: Path):
-    topics = _read_rows(ctx, "select", "topics.jsonl",
-                        lambda r: topic_mod.SelectedTopic(**r))
+    topics = _read_rows(ctx, "select", "topics.jsonl", _selected_topic)
     # with no topic there is nothing to retrieve, so the item catalog is
     # neither parsed nor recorded as read
     retriever = topic_mod.TokenOverlapRetriever([])

@@ -221,7 +221,8 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
     whose named views are the parameters (:class:`model.FlatTensors`). Each
     epoch takes the ``n_rows`` rows in a seeded permutation, one Adam step
     over the whole vector per ``batch_step(params, rows) -> (loss, grads)``,
-    then appends ``epoch_row(params, loss_sum, n_batches)`` to the history.
+    then appends a row of ``epoch``, its ``steps`` and ``samples`` and
+    ``epoch_row(params, loss_sum, n_batches)`` to the history.
     A non-finite loss or parameter raises :class:`TrainingDiverged` naming
     the epoch.
     """
@@ -246,7 +247,8 @@ def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
         if not np.isfinite(params.flat).all():
             raise TrainingDiverged(
                 f"parameters went non-finite during epoch {epoch}")
-        row = {"epoch": epoch, **epoch_row(params, loss_sum, n_batches)}
+        row = {"epoch": epoch, "steps": n_batches, "samples": n_rows,
+               **epoch_row(params, loss_sum, n_batches)}
         history.append(row)
         logger.info("trained %s", row)
     return params, history
@@ -260,8 +262,9 @@ def train_intention_model(
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Pretrain on pair samples; returns (params, per-epoch history).
 
-    History rows carry ``epoch``, ``mean_loss`` (train) and, when the stable
-    hash split leaves any eval pairs, ``eval_loss``. On a non-finite loss or
+    History rows carry ``epoch``, its Adam ``steps`` and training
+    ``samples``, ``mean_loss`` (train) and, when the stable hash split leaves
+    any eval pairs, ``eval_loss``. On a non-finite loss or
     parameter the run aborts with :class:`TrainingDiverged`.
     """
     if not any(s.interactive > 0 for s in samples):
@@ -303,7 +306,7 @@ def finetune_classifier(
 
     ``cfg.num_classes`` must be set; the encoder starts from ``pretrained``
     and the head is freshly initialized. History rows carry ``epoch``,
-    ``mean_loss`` and training ``accuracy``. Divergence raises
+    ``steps``, ``samples``, ``mean_loss`` and training ``accuracy``. Divergence raises
     :class:`TrainingDiverged` as in pretraining.
     """
     if cfg.num_classes < 2:

@@ -4,14 +4,18 @@ Everything here is deliberately naive: central finite differences instead
 of backprop, from-scratch O(n^3) agglomeration instead of Lance-Williams,
 hash-seeded random projections instead of a trained encoder, a listed pool
 of every free query pair instead of rank arithmetic, a loop over the whole
-facet lexicon per query instead of a first-token index. Slow and
-obviously correct, so the fast implementations can be checked against them.
+facet lexicon per query instead of a first-token index, the encoder's
+gradients block by block on (batch, length, dim) arrays with a projection
+per q, k and v instead of one token-major matrix and a fused projection.
+Slow and obviously correct, so the fast implementations can be checked
+against them.
 The plain two-cluster co-click corpus of criterion 4 lives here too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -196,3 +200,173 @@ def two_cluster_records() -> tuple[list[ClickRecord], dict[str, list[str]]]:
             records.append(ClickRecord(query, f"tc-{tag}-priv-{i}", "item",
                                        private, private * 3))
     return records, groups
+
+
+# ---------------------------------------------------------------------------
+# the encoder's loss gradients, computed block by block on (batch, length,
+# dim) arrays with one projection per q, k and v: the layout the encoder
+# had before it moved to one token-major (rows, dim) matrix and a fused
+# q/k/v projection. Float64 throughout.
+# ---------------------------------------------------------------------------
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
+
+
+def _ref_gelu(x):
+    x2 = x * x
+    th = np.tanh(_GELU_C * x * (1.0 + _GELU_K * x2))
+    return 0.5 * x * (1.0 + th), (th, x2)
+
+
+def _ref_gelu_grad(x, cache):
+    th, x2 = cache
+    return (0.5 * (1.0 + th)
+            + 0.5 * x * (1.0 - th * th) * _GELU_C * (1.0 + 3.0 * _GELU_K * x2))
+
+
+def _ref_layer_norm(x, g, b, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv)
+
+
+def _ref_layer_norm_back(dy, g, cache):
+    xhat, inv = cache
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * g
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def _ref_linear_back(dy, x, w):
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
+
+
+def _ref_split_heads(x, num_heads):
+    b, length, dim = x.shape
+    return x.reshape(b, length, num_heads, dim // num_heads).transpose(0, 2, 1, 3)
+
+
+def _ref_merge_heads(x):
+    b, h, length, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, h * hd)
+
+
+def _ref_forward(params, cfg, ids, mask, eps):
+    length = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    ids, mask = ids[:, :length], mask[:, :length]
+    denom = mask.sum(axis=1)
+    h = params["tok_emb"][ids] + params["pos_emb"][:length]
+    key_mask = mask[:, None, None, :] > 0
+    scale = 1.0 / math.sqrt(cfg.model_dim // cfg.num_heads)
+    layers = []
+    for i in range(cfg.num_layers):
+        p = f"L{i}."
+        a, ln1 = _ref_layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"], eps)
+        q, k, v = (_ref_split_heads(a @ params[p + "attn.w" + n]
+                                    + params[p + "attn.b" + n], cfg.num_heads)
+                   for n in "qkv")
+        scores = np.where(key_mask, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
+        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn_w = ex / ex.sum(axis=-1, keepdims=True)
+        ctx = _ref_merge_heads(attn_w @ v)
+        h = h + ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+        f, ln2 = _ref_layer_norm(h, params[p + "ln2.g"], params[p + "ln2.b"], eps)
+        pre = f @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        act, gelu = _ref_gelu(pre)
+        h = h + act @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        layers.append((a, ln1, q, k, v, attn_w, ctx, f, ln2, pre, act, gelu))
+    hf, final = _ref_layer_norm(h, params["final_ln.g"], params["final_ln.b"], eps)
+    pooled = (mask[:, :, None] * hf).sum(axis=1) / denom[:, None]
+    u = np.tanh(pooled @ params["pool.w"] + params["pool.b"])
+    w = np.tanh(u @ params["out1.w"] + params["out1.b"])
+    z = w @ params["out2.w"] + params["out2.b"]
+    return z, (ids, mask, denom, layers, final, pooled, u, w, scale)
+
+
+def _ref_backward(params, cfg, cache, dz):
+    ids, mask, denom, layers, final, pooled, u, w, scale = cache
+    grads = {name: np.zeros_like(t) for name, t in params.items()}
+    dw, grads["out2.w"], grads["out2.b"] = _ref_linear_back(dz, w, params["out2.w"])
+    du, grads["out1.w"], grads["out1.b"] = _ref_linear_back(
+        dw * (1.0 - w ** 2), u, params["out1.w"])
+    dpooled, grads["pool.w"], grads["pool.b"] = _ref_linear_back(
+        du * (1.0 - u ** 2), pooled, params["pool.w"])
+    dhf = mask[:, :, None] * (dpooled[:, None, :] / denom[:, None, None])
+    dh, grads["final_ln.g"], grads["final_ln.b"] = _ref_layer_norm_back(
+        dhf, params["final_ln.g"], final)
+    for i in reversed(range(cfg.num_layers)):
+        p = f"L{i}."
+        a, ln1, q, k, v, attn_w, ctx, f, ln2, pre, act, gelu = layers[i]
+        dact, grads[p + "ffn.w2"], grads[p + "ffn.b2"] = _ref_linear_back(
+            dh, act, params[p + "ffn.w2"])
+        df, grads[p + "ffn.w1"], grads[p + "ffn.b1"] = _ref_linear_back(
+            dact * _ref_gelu_grad(pre, gelu), f, params[p + "ffn.w1"])
+        dx, grads[p + "ln2.g"], grads[p + "ln2.b"] = _ref_layer_norm_back(
+            df, params[p + "ln2.g"], ln2)
+        dh = dh + dx
+        dctx, grads[p + "attn.wo"], grads[p + "attn.bo"] = _ref_linear_back(
+            dh, ctx, params[p + "attn.wo"])
+        dctx = _ref_split_heads(dctx, cfg.num_heads)
+        dattn_w = dctx @ v.transpose(0, 1, 3, 2)
+        dv = attn_w.transpose(0, 1, 3, 2) @ dctx
+        dscores = attn_w * (dattn_w - (dattn_w * attn_w).sum(axis=-1, keepdims=True))
+        dq = (dscores @ k) * scale
+        dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
+        da = np.zeros_like(a)
+        for n, grad_h in (("q", dq), ("k", dk), ("v", dv)):
+            dxx, grads[p + "attn.w" + n], grads[p + "attn.b" + n] = _ref_linear_back(
+                _ref_merge_heads(grad_h), a, params[p + "attn.w" + n])
+            da += dxx
+        dx, grads[p + "ln1.g"], grads[p + "ln1.b"] = _ref_layer_norm_back(
+            da, params[p + "ln1.g"], ln1)
+        dh = dh + dx
+    np.add.at(grads["tok_emb"], ids, dh)
+    grads["pos_emb"][:dh.shape[1]] = dh.sum(axis=0)
+    return grads
+
+
+def reference_pair_loss_and_grad(params, cfg, ids, mask, labels, eps):
+    """Summed pair loss and its gradient; rows 2i and 2i + 1 are pair i."""
+    params = {name: np.asarray(t, dtype=np.float64) for name, t in params.items()}
+    z, cache = _ref_forward(params, cfg, ids, np.asarray(mask, dtype=np.float64), eps)
+    norm = np.linalg.norm(z, axis=1, keepdims=True)
+    e = z / norm
+    dots = (e[0::2] * e[1::2]).sum(axis=1)
+    labels = np.asarray(labels, dtype=np.float64)
+    pos_loss = np.logaddexp(0.0, -dots)  # -log(sigmoid(dots))
+    sig = 1.0 / (1.0 + np.exp(-dots))
+    if cfg.negative_loss == "literal":
+        losses, ddots = labels * pos_loss, -labels * (1.0 - sig)
+    else:
+        neg = labels < 0
+        losses = np.where(neg, np.logaddexp(0.0, dots), labels * pos_loss)
+        ddots = np.where(neg, sig, -labels * (1.0 - sig))
+    de = np.empty_like(e)
+    de[0::2] = ddots[:, None] * e[1::2]
+    de[1::2] = ddots[:, None] * e[0::2]
+    dz = (de - (de * e).sum(axis=1, keepdims=True) * e) / norm
+    return float(losses.sum()), _ref_backward(params, cfg, cache, dz)
+
+
+def reference_classify_loss_and_grad(params, cfg, ids, mask, labels, eps):
+    """Mean cross-entropy of the head over the batch and its gradient."""
+    params = {name: np.asarray(t, dtype=np.float64) for name, t in params.items()}
+    z, cache = _ref_forward(params, cfg, ids, np.asarray(mask, dtype=np.float64), eps)
+    logits = z @ params["head.w"] + params["head.b"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(labels)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    grads = _ref_backward(params, cfg, cache, dlogits @ params["head.w"].T)
+    grads["head.w"] = z.T @ dlogits
+    grads["head.b"] = dlogits.sum(axis=0)
+    return float(-logp[np.arange(n), labels].mean()), grads

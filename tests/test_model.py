@@ -12,7 +12,9 @@ import pytest
 from topicforge import model
 from topicforge.tokenizer import TokenSequence
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import (finite_difference_grads, max_relative_error,
+                     reference_classify_loss_and_grad,
+                     reference_pair_loss_and_grad)
 
 TOY = model.ModelConfig(vocab_size=10, seq_len=5, model_dim=4, num_layers=1,
                         num_heads=2, ffn_dim=8, output_dim=4)
@@ -350,3 +352,49 @@ def test_inference_pass_holds_under_half_the_cached_peak():
     cached = traced_peak(
         lambda: model._forward(params, DENSE, ids, mask, keep_cache=True))
     assert traced_peak(lambda: model.embed_batch(params, DENSE, seqs)) < 0.5 * cached
+
+
+def ragged_gapped_tokens(cfg: model.ModelConfig, rng, rows: int):
+    """Rows of 1 to seq_len tokens; every third row longer than two tokens
+    has a masked gap after its first token."""
+    ids = np.zeros((rows, cfg.seq_len), dtype=np.int64)
+    mask = np.zeros((rows, cfg.seq_len))
+    for r in range(rows):
+        length = int(rng.integers(1, cfg.seq_len + 1))
+        ids[r, :length] = rng.integers(1, cfg.vocab_size, size=length)
+        mask[r, :length] = 1.0
+        if r % 3 == 0 and length > 2:
+            mask[r, rng.integers(1, length - 1)] = 0.0
+    assert not mask[:, -1].all() and (mask[:, 1:] > mask[:, :-1]).any()
+    return ids, mask
+
+
+@pytest.mark.parametrize("mode", ["literal", "complement"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_loss_gradients_equal_the_layer_by_layer_oracle(heads, mode):
+    # the token-major layout and the fused q/k/v projection compute the
+    # same loss and gradients as the per-block (batch, length, dim) oracle
+    cfg = model.ModelConfig(vocab_size=20, seq_len=7, model_dim=8,
+                            num_layers=2, num_heads=heads, ffn_dim=12,
+                            output_dim=6, num_classes=3, negative_loss=mode)
+    params = generic_params(cfg, seed=heads)
+    rng = np.random.default_rng(heads)
+    ids, mask = ragged_gapped_tokens(cfg, rng, rows=12)
+    pairs = rng.uniform(0.2, 1.0, size=6)
+    pairs[1::2] = -1.0
+    seqs = [TokenSequence(i, m) for i, m in zip(ids, mask)]
+    loss, grads = model.batch_loss_and_grad(
+        params, cfg, [(seqs[2 * k], seqs[2 * k + 1], pairs[k]) for k in range(6)])
+    want_loss, want = reference_pair_loss_and_grad(params, cfg, ids, mask,
+                                                   pairs, model.LN_EPS)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert grads.keys() == want.keys()
+    assert gradient_error(grads, want) < 1e-12
+
+    classes = rng.integers(0, cfg.num_classes, size=12)
+    loss, grads = model.classify_batch_loss_and_grad(
+        params, cfg, model.TokenBatch(ids, mask), classes)
+    want_loss, want = reference_classify_loss_and_grad(
+        params, cfg, ids, mask, classes, model.LN_EPS)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert gradient_error(grads, want) < 1e-12

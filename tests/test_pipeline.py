@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import sys
@@ -277,6 +278,13 @@ def _cut(line: str) -> str:
     return line[:len(line) // 2] + "\n"
 
 
+def _text_field(key: str):
+    """An edit putting the number 5 in place of a JSONL row's text field."""
+    def edit(line: str) -> str:
+        return re.sub(rf'"{key}": "[^"]*"', f'"{key}": 5', line)
+    return edit
+
+
 # edits of a finished run's artifacts: (artifact, line number, edit)
 COPY_EDITS = {
     "truncated": ("ingest/page_catalog.jsonl", 3,
@@ -299,6 +307,17 @@ COPY_EDITS = {
     "topics-cut": ("select/topics.jsonl", 2, _cut),
     "topic-without-clicks": ("select/topics.jsonl", 1,
                              lambda line: re.sub(r'"clicks": \d+, ', "", line)),
+    # a text field holding a number
+    "candidate-query-number": ("ingest/candidates.jsonl", 2,
+                               _text_field("query")),
+    "representative-query-number": ("cluster/representatives.jsonl", 2,
+                                    _text_field("query")),
+    "kept-query-number": ("dedup/kept.jsonl", 2, _text_field("query")),
+    "kept-product-type-number": ("dedup/kept.jsonl", 1,
+                                 _text_field("product_type")),
+    "topic-number": ("select/topics.jsonl", 2, _text_field("topic")),
+    "topic-cluster-number": ("select/topics.jsonl", 1,
+                             _text_field("source_cluster")),
     # the codecs name the file, without a line
     "vocab-cut": ("train/vocab.jsonl", 2, _cut),
     "checkpoint-cut": ("finetune/finetuned.ckpt.json", 2, _cut),
@@ -314,7 +333,10 @@ COPY_EDITS = {
     ("candidates-cut", "cluster"), ("representatives-cut", "dedup"),
     ("kept-cut", "select"), ("topics-cut", "emit"),
     ("topic-without-clicks", "emit"), ("vocab-cut", "cluster"),
-    ("checkpoint-cut", "dedup")])
+    ("checkpoint-cut", "dedup"), ("candidate-query-number", "cluster"),
+    ("representative-query-number", "dedup"), ("kept-query-number", "select"),
+    ("kept-product-type-number", "select"), ("topic-number", "emit"),
+    ("topic-cluster-number", "emit")])
 def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
     ctx, workdir = full_run[0], tmp_path / "w"
@@ -411,6 +433,19 @@ def test_stage_csv_and_plan_formats(full_run):
     assert list(plan) == ["entries"] and plan["entries"]
     for entry in plan["entries"]:
         assert list(entry) == ["date", "period", "arm", "page_group_action"]
+
+
+def test_training_reports_count_steps_and_throughput(full_run):
+    # a workdir shows the encoder's training speed without the benchmark
+    ctx, workdir = full_run[0], full_run[1]
+    for stage in ("train", "finetune"):
+        counts = json.loads((workdir / stage / "report.json").read_text())["counts"]
+        assert type(counts["steps"]) is int and counts["steps"] > 0
+        assert counts["samples_per_s"] > 0
+    # fine-tuning takes every labeled query in each epoch
+    section = ctx.config["finetune"]
+    assert counts["steps"] == section["epochs"] * math.ceil(
+        counts["labeled_queries"] / section["batch_size"])
 
 
 def test_write_jsonl_writes_json_dumps_lines(tmp_path):
