@@ -263,8 +263,8 @@ def _layer_norm_back(dy, g, cache, dg, db):
     ``db``."""
     xhat, inv = cache
     tmp = dy * xhat
-    np.add.reduce(tmp, axis=0, out=dg)
-    np.add.reduce(dy, axis=0, out=db)
+    _column_sums(tmp, out=dg)
+    _column_sums(dy, out=db)
     # the two row means, read off dy and dy xhat with g / d
     g_mean = g / len(g)
     m1, m2 = dy @ g_mean, tmp @ g_mean
@@ -286,8 +286,13 @@ def _linear_back(dy, x, w, dw, db):
     """d(input) of ``_linear`` over rows; writes dW and db into ``dw`` and
     ``db``."""
     np.matmul(x.T, dy, out=dw)
-    np.add.reduce(dy, axis=0, out=db)
+    _column_sums(dy, out=db)
     return dy @ w.T
+
+
+def _column_sums(x, out=None):
+    """The sum of the rows of ``x``, as one matrix-vector product."""
+    return np.matmul(np.ones(len(x), dtype=x.dtype), x, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +326,12 @@ class TokenBatch:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Labelled query pairs: rows 2i and 2i + 1 of ``tokens`` are pair i,
-    ``labels[i]`` its interactive value."""
+    """Labelled query pairs: pair i is the two rows ``rows[i]`` of
+    ``tokens``, with interactive value ``labels[i]``. Selecting pairs
+    selects row indices; no token row is copied until :meth:`stacked`."""
 
     tokens: TokenBatch
+    rows: np.ndarray
     labels: np.ndarray
 
     @classmethod
@@ -333,15 +340,18 @@ class PairBatch:
         if isinstance(pairs, PairBatch):
             return pairs
         return cls(TokenBatch.of([s for pair in pairs for s in pair[:2]]),
+                   np.arange(2 * len(pairs)).reshape(-1, 2),
                    np.asarray([pair[2] for pair in pairs], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, pairs) -> "PairBatch":
-        index = np.arange(len(self))[pairs]
-        return PairBatch(self.tokens[(2 * index[:, None] + (0, 1)).ravel()],
-                         self.labels[index])
+        return PairBatch(self.tokens, self.rows[pairs], self.labels[pairs])
+
+    def stacked(self) -> TokenBatch:
+        """The pairs' sequences: rows 2i and 2i + 1 are pair i."""
+        return self.tokens[self.rows.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +493,7 @@ def _attention_back(params, cfg: ModelConfig, p: str, cache, dh, grads):
     # one GEMM for the three weight gradients, one for d(input)
     d = a.shape[1]
     dw = a.T @ dqkv
-    db = np.add.reduce(dqkv, axis=0)
+    db = _column_sums(dqkv)
     for i, name in enumerate(("q", "k", "v")):
         grads[p + "attn.w" + name][...] = dw[:, i * d:(i + 1) * d]
         grads[p + "attn.b" + name][...] = db[i * d:(i + 1) * d]
@@ -572,8 +582,8 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
         raise ValueError("batch must be non-empty")
     batch = PairBatch.of(batch)
     # interleaved layout: rows 2i / 2i+1 are the i-th pair
-    z, cache = _forward(params, cfg, batch.tokens.ids, batch.tokens.mask,
-                        keep_cache=True)
+    tokens = batch.stacked()
+    z, cache = _forward(params, cfg, tokens.ids, tokens.mask, keep_cache=True)
     e, norm = _unit(z)
     e_a, e_b = e[0::2], e[1::2]
     dots, losses, ddots = _pair_losses(e_a, e_b, batch.labels, cfg.negative_loss)

@@ -18,8 +18,8 @@ are the tensors the model reads (:class:`model.FlatTensors`). The model
 writes each step's gradients into one flat vector of the same layout, and
 :class:`Optimizer` runs Adam as about ten whole-vector operations on flat
 moments ``m`` and ``v``, not a loop of them per tensor. Texts are tokenized
-once into id and mask arrays (:class:`model.TokenBatch`,
-:class:`model.PairBatch`), and each step indexes its rows out of them.
+once, into one id and mask row per distinct text, and each step gathers its
+rows by index (:class:`model.TokenBatch`, :class:`model.PairBatch`).
 
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
@@ -40,7 +40,7 @@ from . import model
 from .ingest import normalize_query, tokenize_text
 from .metric import QueryPairSample
 from .model import ModelConfig
-from .tokenizer import PAD_ID, TokenSequence, Vocabulary, token_ids
+from .tokenizer import PAD_ID, Vocabulary, token_ids
 
 logger = logging.getLogger(__name__)
 
@@ -140,14 +140,16 @@ def split_eval(keys: Sequence[str], eval_fraction: float) -> list[bool]:
 
 
 def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
-                   seq_len: int) -> list[TokenSequence]:
-    """One token sequence per text, laid out as :func:`tokenize_query` does.
+                   seq_len: int) -> tuple[model.TokenBatch, np.ndarray]:
+    """Token rows of the distinct texts, each laid out as
+    :func:`tokenize_query` does, and for each text the index of its row.
 
     Each distinct text is normalized and matched against the vocabulary's
-    facets once, into one row of a shared ids array and mask array; the
-    sequences are views of those rows, and a repeated text shares its row.
+    facets once; a repeated text shares its row.
     """
-    row_of = dict.fromkeys(texts)
+    row_of: dict[str, int] = {}
+    rows = np.array([row_of.setdefault(text, len(row_of)) for text in texts],
+                    dtype=np.intp)
     ids = np.full((len(row_of), seq_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(row_of), seq_len))
     matcher = vocab.facet_matcher
@@ -156,8 +158,7 @@ def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
         found = token_ids(words, matcher.match(words), vocab, seq_len)
         ids[row, :len(found)] = found
         mask[row, :len(found)] = 1.0
-        row_of[text] = TokenSequence(ids[row], mask[row])
-    return [row_of[text] for text in texts]
+    return model.TokenBatch(ids, mask), rows
 
 
 def encode_texts(
@@ -171,13 +172,12 @@ def encode_texts(
     Forward passes take at most ``ENCODE_BATCH`` texts; an empty list runs
     none.
     """
-    seqs = tokenize_texts(texts, vocab, cfg.seq_len)
-    if not seqs:
+    tokens, rows = tokenize_texts(texts, vocab, cfg.seq_len)
+    if not len(rows):
         return np.zeros((0, cfg.output_dim))
-    tokens = model.TokenBatch.of(seqs)
     return np.concatenate([
-        model.embed_batch(params, cfg, tokens[start:start + ENCODE_BATCH])
-        for start in range(0, len(tokens), ENCODE_BATCH)])
+        model.embed_batch(params, cfg, tokens[rows[start:start + ENCODE_BATCH]])
+        for start in range(0, len(rows), ENCODE_BATCH)])
 
 
 def best_match(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +203,7 @@ def _mean_pair_loss(params, cfg: ModelConfig, pairs: model.PairBatch) -> float:
     total = 0.0
     for start in range(0, len(pairs), ENCODE_BATCH // 2):
         chunk = pairs[start:start + ENCODE_BATCH // 2]
-        e = model.embed_batch(params, cfg, chunk.tokens)
+        e = model.embed_batch(params, cfg, chunk.stacked())
         _, losses, _ = model._pair_losses(e[0::2], e[1::2], chunk.labels,
                                           cfg.negative_loss)
         total += float(losses.sum())
@@ -269,11 +269,10 @@ def train_intention_model(
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
-    # rows 2i and 2i + 1 are sample i's queries
+    tokens, rows = tokenize_texts(
+        [q for s in samples for q in (s.query_a, s.query_b)], vocab, cfg.seq_len)
     pairs = model.PairBatch(
-        model.TokenBatch.of(tokenize_texts(
-            [q for s in samples for q in (s.query_a, s.query_b)],
-            vocab, cfg.seq_len)),
+        tokens, rows.reshape(-1, 2),
         np.asarray([s.interactive for s in samples], dtype=np.float64))
     is_eval = np.asarray(split_eval(
         [f"{s.query_a}\x1f{s.query_b}" for s in samples],
@@ -320,23 +319,23 @@ def finetune_classifier(
     if missing:
         logger.warning("classes absent from training data: %s", missing)
 
-    tokens = model.TokenBatch.of(
-        tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len))
+    tokens, token_rows = tokenize_texts([s.query for s in labeled], vocab,
+                                        cfg.seq_len)
     labels = np.asarray([s.label for s in labeled])
 
     def batch_step(params, rows):
         return model.classify_batch_loss_and_grad(
-            params, cfg, tokens[rows], labels[rows])
+            params, cfg, tokens[token_rows[rows]], labels[rows])
 
     def epoch_row(params, loss_sum, n_batches):
         correct = 0
-        for start in range(0, len(tokens), ENCODE_BATCH):
+        for start in range(0, len(labels), ENCODE_BATCH):
             logits, _ = model.classify_batch_logits(
-                params, cfg, tokens[start:start + ENCODE_BATCH])
+                params, cfg, tokens[token_rows[start:start + ENCODE_BATCH]])
             correct += int((logits.argmax(axis=1)
                             == labels[start:start + ENCODE_BATCH]).sum())
         return {"mean_loss": loss_sum / n_batches,
-                "accuracy": correct / len(tokens)}
+                "accuracy": correct / len(labels)}
 
     return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
-                       len(tokens), train_cfg, batch_step, epoch_row)
+                       len(labels), train_cfg, batch_step, epoch_row)

@@ -39,11 +39,11 @@ def build_vocab():
     return build_vocabulary(GROUP_A + GROUP_B)
 
 
-def full_batch(cfg, vocab, samples) -> list[tuple]:
-    seqs = train.tokenize_texts([q for s in samples for q in (s.query_a, s.query_b)],
-                                vocab, cfg.seq_len)
-    return [(seqs[2 * i], seqs[2 * i + 1], s.interactive)
-            for i, s in enumerate(samples)]
+def full_batch(cfg, vocab, samples) -> model.PairBatch:
+    tokens, rows = train.tokenize_texts(
+        [q for s in samples for q in (s.query_a, s.query_b)], vocab, cfg.seq_len)
+    return model.PairBatch(tokens, rows.reshape(-1, 2),
+                           np.array([s.interactive for s in samples]))
 
 
 def test_zero_epochs_is_a_no_op():
@@ -286,16 +286,16 @@ def test_encode_texts_matches_single_text_batches(monkeypatch):
         assert out.shape == (len(texts), cfg.output_dim)
         assert forwards == [3, 3, 3, 1]  # passes of at most ENCODE_BATCH texts
         for text, row in zip(texts, out):
-            [seq] = train.tokenize_texts([text], vocab, cfg.seq_len)
-            single = embed_batch(params, cfg, [seq])[0]
+            tokens, _ = train.tokenize_texts([text], vocab, cfg.seq_len)
+            single = embed_batch(params, cfg, tokens)[0]
             assert np.max(np.abs(row - single)) < tol
         # normalization is part of the path: raw and normalized text agree
         assert np.max(np.abs(out[len(GROUP_A)] - out[0])) < tol
         assert np.max(np.abs(out[-1] - out[0])) < tol
         # on a fine-tuned checkpoint the rows are the task embedding: the
         # L2-normalized penultimate vector the classification head reads
-        _, z = model.classify_batch_logits(
-            params, cfg, train.tokenize_texts(texts, vocab, cfg.seq_len))
+        tokens, rows = train.tokenize_texts(texts, vocab, cfg.seq_len)
+        _, z = model.classify_batch_logits(params, cfg, tokens[rows])
         assert np.max(np.abs(out - z / np.linalg.norm(z, axis=1, keepdims=True))) < tol
 
     forwards.clear()
@@ -328,9 +328,11 @@ def test_finetune_accuracy_counts_blocks_like_one_matrix(monkeypatch):
     tc = TrainConfig(learning_rate=1e-2, epochs=1, seed=0, eval_fraction=0.0)
     params, history = train.finetune_classifier(pretrained, labeled, vocab,
                                                 cfg, tc)
-    seqs = train.tokenize_texts([s.query for s in labeled], vocab, cfg.seq_len)
-    logits = np.concatenate([model.classify_batch_logits(params, cfg, seqs[i:i + 3])[0]
-                             for i in range(0, len(seqs), 3)])
+    tokens, rows = train.tokenize_texts([s.query for s in labeled], vocab,
+                                        cfg.seq_len)
+    logits = np.concatenate([
+        model.classify_batch_logits(params, cfg, tokens[rows[i:i + 3]])[0]
+        for i in range(0, len(rows), 3)])
     labels = np.asarray([s.label for s in labeled])
     expected = float((logits.argmax(axis=1) == labels).mean())
     assert 0.0 < expected < 1.0
@@ -340,11 +342,12 @@ def test_finetune_accuracy_counts_blocks_like_one_matrix(monkeypatch):
 
 def test_tokenize_texts_normalizes_and_extracts_facets():
     vocab = build_vocabulary(GROUP_A, facet_lexicon={"letter": {"delta"}})
-    plain, raw, faceted = train.tokenize_texts(
+    tokens, rows = train.tokenize_texts(
         ["alpha bravo", "ALPHA, bravo!", "alpha delta"], vocab, 6)
+    plain, raw, faceted = (tokens[row] for row in rows)
     assert np.array_equal(plain.ids, raw.ids)
-    assert np.array_equal(plain.attention_mask, raw.attention_mask)
-    assert faceted.attention_mask.sum() == 3  # two words plus the facet token
+    assert np.array_equal(plain.mask, raw.mask)
+    assert faceted.mask.sum() == 3  # two words plus the facet token
     assert vocab.id_for("FACET:letter=delta") in faceted.ids
 
 
@@ -354,19 +357,21 @@ def test_tokenize_texts_equals_tokenize_query_per_text():
     longer = "alpha bravo charlie delta xray yankee zulu"  # 7 words + 3 facets
     texts = ["Alpha Bravo!", "alpha delta", longer, "xray  zulu", "",
              "alpha delta", "unseen words", longer]
-    seqs = train.tokenize_texts(texts, vocab, 6)
-    assert len(seqs) == len(texts)
-    for text, seq in zip(texts, seqs):
+    tokens, rows = train.tokenize_texts(texts, vocab, 6)
+    assert len(rows) == len(texts)
+    for text, row in zip(texts, rows):
         query = normalize_query(text)
         want = tokenize_query(query, extract_facets(query, lexicon), vocab, 6)
-        assert np.array_equal(seq.ids, want.ids), text
-        assert np.array_equal(seq.attention_mask, want.attention_mask), text
-        assert seq.ids.dtype == want.ids.dtype
-        assert seq.attention_mask.dtype == want.attention_mask.dtype
-    assert seqs[2].attention_mask.sum() == 6  # truncated to seq_len
+        assert np.array_equal(tokens.ids[row], want.ids), text
+        assert np.array_equal(tokens.mask[row], want.attention_mask), text
+    assert tokens.ids.dtype == want.ids.dtype
+    assert tokens.mask.dtype == want.attention_mask.dtype
+    assert tokens.mask[rows[2]].sum() == 6  # truncated to seq_len
     # a repeated text is tokenized once and shares its row
-    assert seqs[1] is seqs[5] and seqs[2] is seqs[7]
-    assert train.tokenize_texts([], vocab, 6) == []
+    assert len(tokens) == len(set(texts))
+    assert rows[1] == rows[5] and rows[2] == rows[7]
+    tokens, rows = train.tokenize_texts([], vocab, 6)
+    assert len(tokens) == len(rows) == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
