@@ -176,18 +176,17 @@ def init_head(params: dict[str, np.ndarray], cfg: ModelConfig,
 
 
 class FlatTensors(dict):
-    """Named tensors that are views of one flat vector, :attr:`flat`, laid
-    out in the order of ``shapes``; all zeros when ``flat`` is not given.
+    """Named zero tensors that are views of one flat vector, :attr:`flat`,
+    laid out in the order of ``shapes``.
 
     A whole-vector operation on ``flat`` (an Adam step, a finiteness check)
     covers every tensor in one call.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype,
-                 flat: np.ndarray | None = None):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype):
         super().__init__()
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes), dtype) if flat is None else flat
+        self.flat = np.zeros(sum(sizes), dtype)
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             self[name] = self.flat[offset:offset + size].reshape(shape)

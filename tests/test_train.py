@@ -396,8 +396,8 @@ def test_optimizer_step_equals_adam_formula(dtype):
             v[k] = b2 * v[k] + (1 - b2) * g ** 2
             want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (
                 np.sqrt(v[k] / (1.0 - b2 ** t)) + train.ADAM_EPS)
-        opt_m = model.FlatTensors(shapes, dtype, opt.m)
-        opt_v = model.FlatTensors(shapes, dtype, opt.v)
+        opt_m, opt_v = (model.FlatTensors(shapes, dtype) for _ in range(2))
+        opt_m.flat[...], opt_v.flat[...] = opt.m, opt.v
         for k in shapes:
             assert params[k].dtype == opt_m[k].dtype == opt_v[k].dtype == dtype
             assert np.array_equal(params[k], want[k]), (t, k)
