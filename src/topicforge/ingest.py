@@ -136,23 +136,23 @@ class ParseReport:
         self.errors.append((line_no, message))
 
 
-def _click_record_from_fields(fields: dict[str, str], line_no: int,
+def _click_record_from_fields(row: list[str], line_no: int,
                               report: ParseReport) -> ClickRecord | None:
-    query = normalize_query(fields["query"])
+    query, page_id, page_type, clicks, impressions = row
+    query = normalize_query(query)
     if not query:
         report.add_error(line_no, "empty query after normalization")
         return None
-    page_id = fields["page_id"].strip()
+    page_id = page_id.strip()
     if not page_id:
         report.add_error(line_no, "missing page_id")
         return None
-    page_type = fields["page_type"].strip().lower()
+    page_type = page_type.strip().lower()
     if page_type not in PAGE_TYPES:
         report.add_error(line_no, f"unknown page_type {page_type!r}")
         return None
     try:
-        clicks = int(fields["clicks"])
-        impressions = int(fields["impressions"])
+        clicks, impressions = int(clicks), int(impressions)
     except ValueError:
         report.add_error(line_no, "clicks/impressions not integers")
         return None
@@ -192,7 +192,7 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
         if len(row) != len(CLICK_LOG_FIELDS):
             report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
             continue
-        rec = _click_record_from_fields(dict(zip(CLICK_LOG_FIELDS, row)), line_no, report)
+        rec = _click_record_from_fields(row, line_no, report)
         if rec is not None:
             records.append(rec)
             report.rows_ok += 1

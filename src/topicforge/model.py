@@ -29,17 +29,17 @@ returning its output and the intermediates its backward (``_attention_back``,
 ``_ffn_back``) reads. Only the two loss functions keep those caches; an
 inference pass (``embed_batch``, ``classify_batch_logits``) frees each
 block's intermediates before the next block runs, so its memory grows with
-one block of one batch, not with the whole backward cache. The loss
-functions return their gradients as :class:`FlatTensors`, named views of one
-flat vector laid out as the parameters, so an optimizer can update every
-tensor with whole-vector operations.
+one block of one batch, not with the whole backward cache. The parameters,
+from ``init_params`` to the checkpoint, and the loss functions' gradients
+are each a :class:`FlatTensors`, named views of one flat vector in name
+order, so an optimizer updates every tensor with whole-vector operations.
 
 Backpropagation is hand-derived for every block and verified against
 central finite differences in the test suite. Computation follows the
-parameters' dtype: float64 from ``init_params``, float32 from ``load_params``
-and from training. The output vector z, its L2 normalization and the losses
-always run in float64; they cost rows x output_dim. Checkpoints are stored as
-float32 blobs with a JSON sidecar manifest.
+parameters' dtype: float64 from ``init_params`` by default, float32 from
+``load_params`` and in training. The output vector z, its L2 normalization
+and the losses always run in float64; they cost rows x output_dim. A
+checkpoint's blob is the flat vector in float32, with a JSON sidecar manifest.
 
 Masking guarantees: positions with attention_mask == 0 receive exactly zero
 attention weight (a -inf bias is added to their scores before the softmax)
@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -140,51 +141,55 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    """Fresh parameters: N(0, 0.02) weights, zero biases, identity layer norms.
+def init_params(cfg: ModelConfig, seed: int = 0,
+                dtype=np.float64) -> FlatTensors:
+    """Fresh ``dtype`` parameters: N(0, 0.02) weights, zero biases, identity
+    layer norms.
 
     The classification head uses uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
     weights and zero bias.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if name.endswith(("ln1.g", "ln2.g", "final_ln.g")):
-            params[name] = np.ones(shape)
+    shapes = param_shapes(cfg)
+    params = FlatTensors(shapes, dtype)
+    # drawn in float64 and in param_shapes order, whatever the layout
+    for name, shape in shapes.items():
+        if name.endswith(".g"):  # layer norm gains
+            params[name][...] = 1.0
         elif name == "head.w":
             bound = 1.0 / math.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, size=shape)
-        elif name.endswith((".b", ".b1", ".b2")) or name.endswith(
-                ("bq", "bk", "bv", "bo")):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, 0.02, size=shape)
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
+        elif not name.endswith((".b", ".b1", ".b2", "bq", "bk", "bv", "bo")):
+            params[name][...] = rng.normal(0.0, 0.02, size=shape)
     return params
 
 
-def init_head(params: dict[str, np.ndarray], cfg: ModelConfig,
-              seed: int = 0) -> dict[str, np.ndarray]:
-    """Copy of ``params`` with a freshly initialized classification head."""
+def init_head(params: dict[str, np.ndarray], cfg: ModelConfig, seed: int = 0,
+              dtype=np.float64) -> FlatTensors:
+    """``params`` copied into one ``dtype`` :class:`FlatTensors` that also
+    holds a freshly initialized classification head."""
     if cfg.num_classes < 1:
         raise ValueError("config declares no classification head")
     rng = np.random.default_rng(seed)
-    out = {k: v.copy() for k, v in params.items()}
     bound = 1.0 / math.sqrt(cfg.output_dim)
-    out["head.w"] = rng.uniform(-bound, bound, size=(cfg.output_dim, cfg.num_classes))
-    out["head.b"] = np.zeros(cfg.num_classes)
-    return out
+    return FlatTensors.copy_of({
+        **params,
+        "head.w": rng.uniform(-bound, bound,
+                              size=(cfg.output_dim, cfg.num_classes)),
+        "head.b": np.zeros(cfg.num_classes)}, dtype)
 
 
 class FlatTensors(dict):
-    """Named zero tensors that are views of one flat vector, :attr:`flat`,
-    laid out in the order of ``shapes``.
+    """Named tensors that are views of one flat vector, :attr:`flat`, laid
+    out in name order, the order of a checkpoint's blob.
 
-    A whole-vector operation on ``flat`` (an Adam step, a finiteness check)
-    covers every tensor in one call.
+    A whole-vector operation on ``flat`` (an Adam step, a finiteness check,
+    a checkpoint write) covers every tensor in one call.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype):
         super().__init__()
+        shapes = dict(sorted(shapes.items()))
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.flat = np.zeros(sum(sizes), dtype)
         offset = 0
@@ -194,7 +199,7 @@ class FlatTensors(dict):
 
     @classmethod
     def copy_of(cls, tensors: dict[str, np.ndarray], dtype) -> "FlatTensors":
-        """A flat ``dtype`` copy of ``tensors``, in their order."""
+        """A flat ``dtype`` copy of ``tensors``."""
         out = cls({name: w.shape for name, w in tensors.items()}, dtype)
         for name, w in tensors.items():
             out[name][...] = w
@@ -647,36 +652,35 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
 # checkpoints: float32 little-endian blob + JSON sidecar manifest
 # ---------------------------------------------------------------------------
 
-def save_params(params: dict[str, np.ndarray], cfg: ModelConfig,
+def _manifest(params: FlatTensors, cfg: ModelConfig) -> dict:
+    """``cfg`` and each tensor's name, shape and byte offset in the blob."""
+    offsets = accumulate((4 * w.size for w in params.values()), initial=0)
+    return {"config": cfg.to_dict(), "tensors": [
+        {"name": name, "shape": list(w.shape), "offset": offset,
+         "dtype": "float32", "byteorder": "little"}
+        for (name, w), offset in zip(params.items(), offsets)]}
+
+
+def save_params(params: FlatTensors, cfg: ModelConfig,
                 path: str | Path) -> None:
-    """Write tensors to ``path`` (blob) and ``path``.json (manifest)."""
-    path = Path(path)
-    tensors = []
-    offset = 0
-    chunks = []
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        chunks.append(arr.tobytes())
-        tensors.append({"name": name, "shape": list(params[name].shape),
-                        "offset": offset, "dtype": "float32",
-                        "byteorder": "little"})
-        offset += arr.nbytes
-    path.write_bytes(b"".join(chunks))
-    manifest = {"tensors": tensors, "config": cfg.to_dict()}
-    Path(str(path) + ".json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``params.flat`` to ``path`` (the blob) and its layout and
+    ``cfg`` to ``path``.json (the manifest)."""
+    Path(path).write_bytes(params.flat.astype("<f4").tobytes())
+    Path(f"{path}.json").write_text(json.dumps(
+        _manifest(params, cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    """Read a checkpoint written by ``save_params``; tensors come back as the
-    float32 values stored, so the model computes on them in float32."""
-    path = Path(path)
-    manifest = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    blob = path.read_bytes()
-    params = {}
-    for t in manifest["tensors"]:
-        count = int(np.prod(t["shape"])) if t["shape"] else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=t["offset"])
-        params[t["name"]] = arr.astype(np.float32).reshape(t["shape"])
+def load_params(path: str | Path) -> tuple[FlatTensors, ModelConfig]:
+    """Read a checkpoint written by ``save_params``, as float32 so the model
+    computes in float32. A manifest that is not the layout of its config's
+    parameters, or a blob of another length, raises ValueError."""
+    manifest = json.loads(Path(f"{path}.json").read_text(encoding="utf-8"))
     cfg = ModelConfig(**manifest["config"])
+    params = FlatTensors(param_shapes(cfg), np.float32)
+    if manifest != _manifest(params, cfg):
+        raise ValueError("manifest is not the layout of its config's parameters")
+    blob = Path(path).read_bytes()
+    if len(blob) != params.flat.nbytes:
+        raise ValueError(f"blob holds {len(blob)} bytes, not {params.flat.nbytes}")
+    params.flat[...] = np.frombuffer(blob, dtype="<f4")
     return params, cfg

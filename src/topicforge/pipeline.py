@@ -37,8 +37,9 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -220,11 +221,18 @@ def _write_curve(path: Path, history: list[dict]) -> None:
     _write_csv(path, header, ([row.get(k) for k in header] for row in history))
 
 
+@cache
+def _field_names(row_type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
 def _write_jsonl(path: Path, rows) -> None:
     # the encoder json.dumps(row, sort_keys=True) would build for every row
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
+            if not isinstance(row, dict):  # vars() would leave a dict on it
+                row = {k: getattr(row, k) for k in _field_names(type(row))}
             fh.write(encode(row) + "\n")
 
 
@@ -253,13 +261,17 @@ def _read_rows(ctx: PipelineContext, stage: str, name: str, make,
     return records
 
 
-def _text(row: dict, key: str) -> str:
-    """``row[key]``, which must be a string; any other value raises the
+def _checked(row: dict, *numbers: str) -> dict:
+    """``row``, once it holds a number other than a bool at each key of
+    ``numbers`` and a string at every other key; any other value raises the
     ``TypeError`` that makes ``_read_rows`` name the file and line."""
-    value = row[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
+    for key in (*numbers, *row):
+        value = row[key]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if key in numbers else str):
+            kind = "a number" if key in numbers else "a string"
+            raise TypeError(f"{key} must be {kind}, got {value!r}")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +288,7 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
 
     _write_csv(out / "click_records.csv", ingest_mod.CLICK_LOG_FIELDS,
                (r.to_csv_row() for r in records))
-    _write_jsonl(out / "candidates.jsonl", map(vars, kept))
+    _write_jsonl(out / "candidates.jsonl", kept)
     # normalized copies in the raw formats; parsing them again is the
     # identity, so later stages take them as they are (_load_clicks,
     # _load_pages)
@@ -316,7 +328,7 @@ def _stage_metric(ctx: PipelineContext, out: Path):
         stats,
         negative_ratio=negative_ratio,
         seed=ctx.seed + SEED_METRIC)
-    _write_jsonl(out / "training_set.jsonl", map(vars, samples))
+    _write_jsonl(out / "training_set.jsonl", samples)
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,
               "negatives": len(samples) - n_pos}
@@ -397,8 +409,8 @@ def _throughput(history: list[dict], seconds: float) -> dict:
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
-    samples = _read_rows(ctx, "metric", "training_set.jsonl",
-                         lambda row: metric_mod.QueryPairSample(**row))
+    samples = _read_rows(ctx, "metric", "training_set.jsonl", lambda r: (
+        metric_mod.QueryPairSample(**_checked(r, "interactive"))))
     pages = _load_pages(ctx)
     lexicon = load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
@@ -467,8 +479,8 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 
 def _stage_cluster(ctx: PipelineContext, out: Path):
     params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
-    clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl",
-                             lambda r: (_text(r, "query"), r["clicks_total"])))
+    clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl", lambda r: (
+        _checked(r, "clicks_total")["query"], r["clicks_total"])))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
     if not ptypes:
@@ -503,7 +515,7 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     pages = _load_pages(ctx)
     # each row with its query; kept rows pass through as they are
     reps = _read_rows(ctx, "cluster", "representatives.jsonl",
-                      lambda r: (_text(r, "query"), r))
+                      lambda r: (_checked(r, "clicks_total")["query"], r))
     dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
@@ -527,11 +539,9 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    kept = _read_rows(
-        ctx, "dedup", "kept.jsonl",
-        lambda r: topic_mod.SelectedTopic(
-            _text(r, "query"), r["clicks_total"], _text(r, "cluster_id"),
-            _text(r, "product_type")))
+    kept = _read_rows(ctx, "dedup", "kept.jsonl", lambda r: topic_mod.SelectedTopic(
+        *itemgetter("query", "clicks_total", "cluster_id", "product_type")(
+            _checked(r, "clicks_total"))))
     try:
         quota = _number(ctx.section("select"), "quota", 10, int)
         chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept],
@@ -540,20 +550,14 @@ def _stage_select(ctx: PipelineContext, out: Path):
         raise ConfigError(f"bad select config: {exc}") from exc
     by_topic = {t.topic: t for t in kept}
     topics = [by_topic[q] for q in chosen]
-    _write_jsonl(out / "topics.jsonl", map(vars, topics))
+    _write_jsonl(out / "topics.jsonl", topics)
     counts = {"quota": quota, "selected": len(topics)}
     return counts, [], ["topics.jsonl"]
 
 
-def _selected_topic(row: dict) -> topic_mod.SelectedTopic:
-    """A ``topics.jsonl`` row, whose text fields must hold strings."""
-    for key in ("topic", "source_cluster", "product_type"):
-        _text(row, key)
-    return topic_mod.SelectedTopic(**row)
-
-
 def _stage_emit(ctx: PipelineContext, out: Path):
-    topics = _read_rows(ctx, "select", "topics.jsonl", _selected_topic)
+    topics = _read_rows(ctx, "select", "topics.jsonl", lambda r: (
+        topic_mod.SelectedTopic(**_checked(r, "clicks"))))
     # with no topic there is nothing to retrieve, so the item catalog is
     # neither parsed nor recorded as read
     retriever = topic_mod.TokenOverlapRetriever([])
@@ -566,7 +570,7 @@ def _stage_emit(ctx: PipelineContext, out: Path):
         specs, flagged = topic_mod.emit_pages(topics, retriever, k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad emit config: {exc}") from exc
-    _write_jsonl(out / "pages.jsonl", map(vars, specs))
+    _write_jsonl(out / "pages.jsonl", specs)
     _write_jsonl(out / "flagged.jsonl",
                  ({"topic": t, "reason": r} for t, r in flagged))
     warnings = [f"{t}: {r}" for t, r in flagged]

@@ -13,13 +13,15 @@ the dtype of its parameters, and checkpoints store float32 anyway. Only the
 output vector, its normalization and the losses stay float64, inside
 :mod:`model`.
 
-A training run keeps its parameters in one flat vector whose named views
-are the tensors the model reads (:class:`model.FlatTensors`). The model
-writes each step's gradients into one flat vector of the same layout, and
-:class:`Optimizer` runs Adam as about ten whole-vector operations on flat
-moments ``m`` and ``v``, not a loop of them per tensor. Texts are tokenized
-once, into one id and mask row per distinct text, and each step gathers its
-rows by index (:class:`model.TokenBatch`, :class:`model.PairBatch`).
+A training run keeps its parameters in one flat vector whose named views are
+the tensors the model reads (:class:`model.FlatTensors`), from
+``model.init_params`` or ``init_head`` to the checkpoint's blob, and trains
+it in place. The model writes each step's gradients into one flat vector of
+the same layout, and :class:`Optimizer` runs Adam as about ten whole-vector
+operations on flat moments ``m`` and ``v``, not a loop of them per tensor.
+Texts are tokenized once, into one id and mask row per distinct text, and
+each step gathers its rows by index (:class:`model.TokenBatch`,
+:class:`model.PairBatch`).
 
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
@@ -213,20 +215,18 @@ def _mean_pair_loss(params, cfg: ModelConfig, pairs: model.PairBatch) -> float:
 # the loop checks for non-finite losses and parameters itself, so numpy's
 # overflow and invalid-value warnings would only repeat what it reports
 @np.errstate(all="ignore")
-def _run_epochs(init, n_rows: int, train_cfg: TrainConfig, batch_step,
-                epoch_row) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """The epoch loop of both trainings: (trained params, history).
+def _run_epochs(params: model.FlatTensors, n_rows: int, train_cfg: TrainConfig,
+                batch_step, epoch_row) -> tuple[model.FlatTensors, list[dict]]:
+    """The epoch loop of both trainings, training ``params`` in place:
+    (params, history).
 
-    Training starts from a ``TRAIN_DTYPE`` copy of ``init``, one flat vector
-    whose named views are the parameters (:class:`model.FlatTensors`). Each
-    epoch takes the ``n_rows`` rows in a seeded permutation, one Adam step
-    over the whole vector per ``batch_step(params, rows) -> (loss, grads)``,
-    then appends a row of ``epoch``, its ``steps`` and ``samples`` and
-    ``epoch_row(params, loss_sum, n_batches)`` to the history.
-    A non-finite loss or parameter raises :class:`TrainingDiverged` naming
-    the epoch.
+    Each epoch takes the ``n_rows`` rows in a seeded permutation, one Adam
+    step over ``params.flat`` per ``batch_step(params, rows) -> (loss,
+    grads)``, then appends a row of ``epoch``, its ``steps`` and ``samples``
+    and ``epoch_row(params, loss_sum, n_batches)`` to the history. A
+    non-finite loss or parameter raises :class:`TrainingDiverged` naming the
+    epoch.
     """
-    params = model.FlatTensors.copy_of(init, TRAIN_DTYPE)
     opt = Optimizer(train_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[dict] = []
@@ -259,7 +259,7 @@ def train_intention_model(
     vocab: Vocabulary,
     cfg: ModelConfig,
     train_cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], list[dict]]:
+) -> tuple[model.FlatTensors, list[dict]]:
     """Pretrain on pair samples; returns (params, per-epoch history).
 
     History rows carry ``epoch``, its Adam ``steps`` and training
@@ -290,7 +290,7 @@ def train_intention_model(
             row["eval_loss"] = _mean_pair_loss(params, cfg, eval_set)
         return row
 
-    return _run_epochs(model.init_params(cfg, seed=train_cfg.seed),
+    return _run_epochs(model.init_params(cfg, train_cfg.seed, TRAIN_DTYPE),
                        len(train_set), train_cfg, batch_step, epoch_row)
 
 
@@ -300,7 +300,7 @@ def finetune_classifier(
     vocab: Vocabulary,
     cfg: ModelConfig,
     train_cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], list[dict]]:
+) -> tuple[model.FlatTensors, list[dict]]:
     """Fine-tune a classification head together with the encoder.
 
     ``cfg.num_classes`` must be set; the encoder starts from ``pretrained``
@@ -337,5 +337,6 @@ def finetune_classifier(
         return {"mean_loss": loss_sum / n_batches,
                 "accuracy": correct / len(labels)}
 
-    return _run_epochs(model.init_head(pretrained, cfg, seed=train_cfg.seed),
+    return _run_epochs(model.init_head(pretrained, cfg, train_cfg.seed,
+                                       TRAIN_DTYPE),
                        len(labels), train_cfg, batch_step, epoch_row)

@@ -3,6 +3,7 @@ closed-form loss values and checkpoint round-trips."""
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -218,7 +219,7 @@ def test_log_sigmoid_stable_at_extremes():
 
 def test_checkpoint_round_trip(tmp_path):
     cfg = model.ModelConfig(**{**TOY.to_dict(), "num_classes": 2})
-    params = generic_params(cfg, seed=11)
+    params = model.FlatTensors.copy_of(generic_params(cfg, seed=11), np.float64)
     first = tmp_path / "a.ckpt"
     second = tmp_path / "b.ckpt"
     model.save_params(params, cfg, first)
@@ -237,6 +238,62 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.allclose(before, after, atol=1e-5)
     for name, w in params.items():
         assert np.allclose(loaded[name], w, atol=1e-6, rtol=1e-6)
+
+
+def test_checkpoint_blob_is_the_name_ordered_flat_vector(tmp_path):
+    cfg = model.ModelConfig(**{**TOY.to_dict(), "num_classes": 3})
+    params = model.init_params(cfg, seed=4, dtype=np.float32)
+    assert list(params) == sorted(model.param_shapes(cfg))
+    assert np.array_equal(
+        np.concatenate([w.ravel() for w in params.values()]), params.flat)
+    model.save_params(params, cfg, tmp_path / "a.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == params.flat.astype("<f4").tobytes()
+    manifest = json.loads((tmp_path / "a.ckpt.json").read_text(encoding="utf-8"))
+    sizes = [w.size for w in params.values()]
+    assert [(t["name"], t["offset"]) for t in manifest["tensors"]] == [
+        (name, 4 * sum(sizes[:i])) for i, name in enumerate(params)]
+    loaded, _ = model.load_params(tmp_path / "a.ckpt")
+    assert list(loaded) == list(params)
+    assert np.array_equal(loaded.flat, params.flat)
+
+
+def test_init_params_draw_in_param_shapes_order():
+    # the layout is name order, but values are drawn tensor by tensor in
+    # param_shapes order (tok_emb, then pos_emb, ...), in float64
+    cfg = model.ModelConfig(**{**TOY.to_dict(), "num_classes": 3})
+    params = model.init_params(cfg, seed=7, dtype=np.float32)
+    rng = np.random.default_rng(7)
+    for name in ("tok_emb", "pos_emb"):
+        want = rng.normal(0.0, 0.02, size=params[name].shape)
+        assert np.array_equal(params[name], want.astype(np.float32)), name
+    assert np.array_equal(params.flat,
+                          model.init_params(cfg, seed=7).flat.astype(np.float32))
+
+
+def flat_offsets(tensors: model.FlatTensors) -> dict[str, int]:
+    """Each tensor's element offset in its flat vector."""
+    base = tensors.flat.ctypes.data
+    return {name: (w.ctypes.data - base) // w.itemsize
+            for name, w in tensors.items()}
+
+
+def test_head_gradients_share_the_parameters_offsets(tmp_path):
+    model.save_params(model.init_params(TOY, seed=2), TOY, tmp_path / "a.ckpt")
+    encoder, cfg = model.load_params(tmp_path / "a.ckpt")
+    cfg = model.ModelConfig(**{**cfg.to_dict(), "num_classes": 3})
+    params = model.init_head(encoder, cfg, seed=2, dtype=np.float32)
+    assert not np.shares_memory(params.flat, encoder.flat)
+    assert all(np.array_equal(params[name], w) for name, w in encoder.items())
+    batch = random_pairs(cfg, np.random.default_rng(2), n_pairs=3)
+    seqs = [s for pair in batch for s in pair[:2]]
+    _, grads = model.classify_batch_loss_and_grad(params, cfg, seqs,
+                                                  [0, 1, 2, 0, 1, 2])
+    assert params.flat.dtype == grads.flat.dtype == np.float32
+    assert grads.flat.shape == params.flat.shape
+    assert list(grads) == list(params)
+    assert flat_offsets(grads) == flat_offsets(params)
+    # the head sits inside the name-ordered vector, not after the encoder
+    assert 0 < flat_offsets(params)["head.w"] < flat_offsets(params)["tok_emb"]
 
 
 # the dense benchmark workload's encoder, at a made-up vocabulary size

@@ -12,6 +12,7 @@ import math
 import re
 import shutil
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -285,6 +286,14 @@ def _text_field(key: str):
     return edit
 
 
+def _number_field(key: str, value: str):
+    """An edit putting ``value``, JSON text, in place of a JSONL row's
+    number field."""
+    def edit(line: str) -> str:
+        return re.sub(rf'"{key}": [-0-9.e]+', f'"{key}": {value}', line)
+    return edit
+
+
 # edits of a finished run's artifacts: (artifact, line number, edit)
 COPY_EDITS = {
     "truncated": ("ingest/page_catalog.jsonl", 3,
@@ -318,6 +327,21 @@ COPY_EDITS = {
     "topic-number": ("select/topics.jsonl", 2, _text_field("topic")),
     "topic-cluster-number": ("select/topics.jsonl", 1,
                              _text_field("source_cluster")),
+    # a number field holding a string or a bool
+    "candidate-clicks-string": ("ingest/candidates.jsonl", 2,
+                                _number_field("clicks_total", '"5"')),
+    "representative-clicks-string": ("cluster/representatives.jsonl", 2,
+                                     _number_field("clicks_total", '"5"')),
+    "kept-clicks-string": ("dedup/kept.jsonl", 2,
+                           _number_field("clicks_total", '"5"')),
+    "kept-clicks-bool": ("dedup/kept.jsonl", 1,
+                         _number_field("clicks_total", "true")),
+    "topic-clicks-string": ("select/topics.jsonl", 2,
+                            _number_field("clicks", '"5"')),
+    "interactive-string": ("metric/training_set.jsonl", 2,
+                           _number_field("interactive", '"0.5"')),
+    "interactive-bool": ("metric/training_set.jsonl", 1,
+                         _number_field("interactive", "true")),
     # the codecs name the file, without a line
     "vocab-cut": ("train/vocab.jsonl", 2, _cut),
     "checkpoint-cut": ("finetune/finetuned.ckpt.json", 2, _cut),
@@ -336,7 +360,10 @@ COPY_EDITS = {
     ("checkpoint-cut", "dedup"), ("candidate-query-number", "cluster"),
     ("representative-query-number", "dedup"), ("kept-query-number", "select"),
     ("kept-product-type-number", "select"), ("topic-number", "emit"),
-    ("topic-cluster-number", "emit")])
+    ("topic-cluster-number", "emit"), ("candidate-clicks-string", "cluster"),
+    ("representative-clicks-string", "dedup"), ("kept-clicks-string", "select"),
+    ("kept-clicks-bool", "select"), ("topic-clicks-string", "emit"),
+    ("interactive-string", "train"), ("interactive-bool", "train")])
 def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
     ctx, workdir = full_run[0], tmp_path / "w"
@@ -354,7 +381,37 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
         # a checkpoint is named without its ``.json`` sidecar
         assert f"{key.removesuffix('.json')}: malformed (" in caplog.text
     else:
-        assert f"{key} line {line_no}: " in caplog.text
+        assert f"{key} line {line_no}: malformed row (" in caplog.text
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", ["offsets-swapped", "blob-longer",
+                                  "blob-shorter"])
+def test_checkpoint_off_its_layout_stops_the_stage(full_run, tmp_path, caplog,
+                                                   capsys, edit):
+    # a checkpoint's blob is its flat parameter vector in name order; a
+    # manifest or blob that does not match that layout is malformed
+    ctx, workdir = full_run[0], tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    blob = workdir / "train" / "intention.ckpt"
+    sidecar = workdir / "train" / "intention.ckpt.json"
+    if edit == "offsets-swapped":
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        # the first two tensors' offsets exchanged: out of name order
+        first, second = manifest["tensors"][:2]
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+        sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+    elif edit == "blob-longer":
+        blob.write_bytes(blob.read_bytes() + bytes(4))
+    else:
+        blob.write_bytes(blob.read_bytes()[:-4])
+    config = ctx.config_dir / "config.yaml"
+    assert cli.main(["cluster", "--config", str(config),
+                     "--workdir", str(workdir)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith("train/intention.ckpt: malformed (ValueError: ")
     assert "Traceback" not in caplog.text
     capsys.readouterr()
 
@@ -446,6 +503,25 @@ def test_training_reports_count_steps_and_throughput(full_run):
     section = ctx.config["finetune"]
     assert counts["steps"] == section["epochs"] * math.ceil(
         counts["labeled_queries"] / section["batch_size"])
+
+
+def test_write_jsonl_keeps_no_dict_on_dataclass_rows(tmp_path):
+    # vars() on a row would build a __dict__ that lives as long as the row
+    rows = [ingest_mod.CandidateQuery(f"query {i}", "search_log", i)
+            for i in range(3000)]
+    path = tmp_path / "rows.jsonl"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline._write_jsonl(path, rows)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * len(rows)
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps({"query": r.query, "source": r.source,
+                    "clicks_total": r.clicks_total}, sort_keys=True) + "\n"
+        for r in rows)
 
 
 def test_write_jsonl_writes_json_dumps_lines(tmp_path):
