@@ -114,26 +114,38 @@ def simulate_traffic(
 # Student-t via the regularized incomplete beta function
 # ---------------------------------------------------------------------------
 
-def _off_zero(v: float) -> float:
-    """``v``, or 1e-300 where it is nearer zero: Lentz's guard."""
-    return 1e-300 if abs(v) < 1e-300 else v
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
+    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 / _off_zero(1.0 - qab * x / qap)
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        # the even and the odd step of the fraction
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 / _off_zero(1.0 + aa * d)
-            c = _off_zero(1.0 + aa / c)
-            h *= d * c
-        if abs(d * c - 1.0) < _BETACF_TOL:
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise FloatingPointError("incomplete beta continued fraction did not converge")
 

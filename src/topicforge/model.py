@@ -164,9 +164,9 @@ def init_params(cfg: ModelConfig, seed: int = 0,
     return params
 
 
-def init_head(params: dict[str, np.ndarray], cfg: ModelConfig, seed: int = 0,
-              dtype=np.float64) -> FlatTensors:
-    """``params`` copied into one ``dtype`` :class:`FlatTensors` that also
+def init_head(params: dict[str, np.ndarray], cfg: ModelConfig,
+              seed: int = 0) -> FlatTensors:
+    """``params`` copied into one float32 :class:`FlatTensors` that also
     holds a freshly initialized classification head."""
     if cfg.num_classes < 1:
         raise ValueError("config declares no classification head")
@@ -176,7 +176,7 @@ def init_head(params: dict[str, np.ndarray], cfg: ModelConfig, seed: int = 0,
         **params,
         "head.w": rng.uniform(-bound, bound,
                               size=(cfg.output_dim, cfg.num_classes)),
-        "head.b": np.zeros(cfg.num_classes)}, dtype)
+        "head.b": np.zeros(cfg.num_classes)}, np.float32)
 
 
 class FlatTensors(dict):

@@ -39,7 +39,6 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -221,18 +220,13 @@ def _write_curve(path: Path, history: list[dict]) -> None:
     _write_csv(path, header, ([row.get(k) for k in header] for row in history))
 
 
-@cache
-def _field_names(row_type) -> list[str]:
-    return [f.name for f in fields(row_type)]
-
-
 def _write_jsonl(path: Path, rows) -> None:
     # the encoder json.dumps(row, sort_keys=True) would build for every row
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             if not isinstance(row, dict):  # vars() would leave a dict on it
-                row = {k: getattr(row, k) for k in _field_names(type(row))}
+                row = {f.name: getattr(row, f.name) for f in fields(row)}
             fh.write(encode(row) + "\n")
 
 
@@ -539,9 +533,12 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
-    kept = _read_rows(ctx, "dedup", "kept.jsonl", lambda r: topic_mod.SelectedTopic(
-        *itemgetter("query", "clicks_total", "cluster_id", "product_type")(
-            _checked(r, "clicks_total"))))
+    def kept_topic(r: dict) -> topic_mod.SelectedTopic:
+        r = _checked(r, "clicks_total")
+        return topic_mod.SelectedTopic(r["query"], r["clicks_total"],
+                                       r["cluster_id"], r["product_type"])
+
+    kept = _read_rows(ctx, "dedup", "kept.jsonl", kept_topic)
     try:
         quota = _number(ctx.section("select"), "quota", 10, int)
         chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept],

@@ -337,6 +337,5 @@ def finetune_classifier(
         return {"mean_loss": loss_sum / n_batches,
                 "accuracy": correct / len(labels)}
 
-    return _run_epochs(model.init_head(pretrained, cfg, train_cfg.seed,
-                                       TRAIN_DTYPE),
+    return _run_epochs(model.init_head(pretrained, cfg, train_cfg.seed),
                        len(labels), train_cfg, batch_step, epoch_row)

@@ -23,11 +23,12 @@ TOY = model.ModelConfig(vocab_size=10, seq_len=5, model_dim=4, num_layers=1,
 
 def generic_params(cfg: model.ModelConfig, seed: int) -> dict[str, np.ndarray]:
     # init-scale weights sit in a nearly linear regime; push every tensor to
-    # a generic point so the gradient check exercises the nonlinearities
+    # a generic point, drawn in param_shapes order, so the gradient check
+    # exercises the nonlinearities
     params = model.init_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1000)
-    return {name: w + rng.normal(0.0, 0.25, size=w.shape)
-            for name, w in params.items()}
+    return {name: params[name] + rng.normal(0.0, 0.25, size=shape)
+            for name, shape in model.param_shapes(cfg).items()}
 
 
 def random_pairs(cfg: model.ModelConfig, rng, n_pairs: int = 3,
@@ -281,7 +282,7 @@ def test_head_gradients_share_the_parameters_offsets(tmp_path):
     model.save_params(model.init_params(TOY, seed=2), TOY, tmp_path / "a.ckpt")
     encoder, cfg = model.load_params(tmp_path / "a.ckpt")
     cfg = model.ModelConfig(**{**cfg.to_dict(), "num_classes": 3})
-    params = model.init_head(encoder, cfg, seed=2, dtype=np.float32)
+    params = model.init_head(encoder, cfg, seed=2)
     assert not np.shares_memory(params.flat, encoder.flat)
     assert all(np.array_equal(params[name], w) for name, w in encoder.items())
     batch = random_pairs(cfg, np.random.default_rng(2), n_pairs=3)

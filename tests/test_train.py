@@ -72,8 +72,7 @@ def test_training_is_bit_deterministic():
 
 
 def test_zero_gradient_step_changes_nothing():
-    params = model.FlatTensors.copy_of(model.init_params(small_cfg(), seed=0),
-                                       train.TRAIN_DTYPE)
+    params = model.init_params(small_cfg(), seed=0, dtype=train.TRAIN_DTYPE)
     before = params.flat.copy()
     opt = train.Optimizer(TrainConfig())
     opt.step(params.flat, np.zeros_like(params.flat))
