@@ -90,10 +90,13 @@ class ModelConfig:
     negative_loss: str = "literal"  # or "complement"
 
     def __post_init__(self):
-        for name in ("vocab_size", "seq_len", "model_dim", "num_layers",
-                     "num_heads", "ffn_dim", "output_dim"):
+        for name in ("vocab_size", "model_dim", "num_layers", "num_heads",
+                     "ffn_dim", "output_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # tokenizer.token_ids refuses a shorter sequence
+        if self.seq_len < 2:
+            raise ValueError("seq_len must be >= 2")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
         if self.negative_loss not in ("literal", "complement"):

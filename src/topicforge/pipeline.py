@@ -150,6 +150,8 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     master = seed if seed is not None else config.get("seed", 0)
     if isinstance(master, bool) or not isinstance(master, int):
         raise ConfigError(f"config seed must be an integer, got {master!r}")
+    if master < 0:  # each stage seeds numpy with master + its offset
+        raise ConfigError(f"seed must be >= 0, got {master}")
     return PipelineContext(config, config_dir, Path(workdir), master)
 
 
@@ -309,19 +311,17 @@ def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
 
 def _stage_metric(ctx: PipelineContext, out: Path):
     records = _load_clicks(ctx)
-    try:
-        negative_ratio = metric_mod.parse_negative_ratio(
-            ctx.section("metric").get("negative_ratio", "auto"))
-    except ValueError as exc:
-        raise ConfigError(f"metric.{exc}") from exc
     # shelf clicks are navigational ("browsed the category", not "wanted the
     # same thing"), so they never count as co-clicks; finetune labels by them
     stats = metric_mod.aggregate_clicks(
         [r for r in records if r.page_type != "shelf"])
-    samples = metric_mod.build_training_set(
-        stats,
-        negative_ratio=negative_ratio,
-        seed=ctx.seed + SEED_METRIC)
+    try:
+        samples = metric_mod.build_training_set(
+            stats,
+            negative_ratio=ctx.section("metric").get("negative_ratio", "auto"),
+            seed=ctx.seed + SEED_METRIC)
+    except ValueError as exc:  # the seed is >= 0: only the ratio can be bad
+        raise ConfigError(f"metric.{exc}") from exc
     _write_jsonl(out / "training_set.jsonl", samples)
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,

@@ -52,7 +52,10 @@ ADAM_EPS = 1e-8
 # rows per inference pass and per block of best-match scores. Inference
 # keeps no backward cache, so its memory grows with this block; from 128
 # rows down, a 32-pair training step sets the peak of a dense-sized encoder
-# (model_dim 64), so smaller blocks would save no memory there
+# (model_dim 64), so smaller blocks would save no memory there. One pass
+# over all 1,063 rows of longtail's finetune accuracy check instead peaks at
+# 11.5 MB of activations and 300-class float64 logits (1.4 MB for a block)
+# and raised the run's peak RSS from 47 to 57 MB
 ENCODE_BATCH = 128
 TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 

@@ -6,7 +6,9 @@ hash-seeded random projections instead of a trained encoder, a listed pool
 of every free query pair instead of rank arithmetic, a loop over the whole
 facet lexicon per query instead of a first-token index, the encoder's
 gradients block by block on (batch, length, dim) arrays with a projection
-per q, k and v instead of one token-major matrix and a fused projection.
+per q, k and v instead of one token-major matrix and a fused projection,
+the Lentz continued fraction with every half-step and guard written out
+instead of one guarded step in a loop.
 Slow and obviously correct, so the fast implementations can be checked
 against them.
 The plain two-cluster co-click corpus of criterion 4 lives here too.
@@ -20,6 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from topicforge.experiment import _BETACF_MAX_ITER, _BETACF_TOL
 from topicforge.ingest import ClickRecord
 from topicforge.metric import CoClickStats, QueryPairSample
 
@@ -370,3 +373,45 @@ def reference_classify_loss_and_grad(params, cfg, ids, mask, labels, eps):
     grads["head.w"] = z.T @ dlogits
     grads["head.b"] = dlogits.sum(axis=0)
     return float(-logp[np.arange(n), labels].mean()), grads
+
+
+# ---------------------------------------------------------------------------
+# the incomplete beta's continued fraction (modified Lentz) with its even
+# and odd half-steps and all five zero guards written out, as
+# `experiment._betacf` had them before they became one guarded step
+# ---------------------------------------------------------------------------
+
+def unrolled_betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETACF_TOL:
+            return h
+    raise FloatingPointError("incomplete beta continued fraction did not converge")

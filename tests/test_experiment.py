@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from oracles import unrolled_betacf
 from topicforge.experiment import (ConfigurationError, ExperimentPlan,
-                                   MissingDatesError, analyze, date_window,
-                                   format_report_table, power_estimate,
-                                   regularized_incomplete_beta, run_experiment,
-                                   simulate_traffic, split_dates,
-                                   student_t_cdf, student_t_sf, two_sample_t)
+                                   MissingDatesError, _betacf, analyze,
+                                   date_window, format_report_table,
+                                   power_estimate, regularized_incomplete_beta,
+                                   run_experiment, simulate_traffic,
+                                   split_dates, student_t_cdf, student_t_sf,
+                                   two_sample_t)
 
 # one-tail critical values t(alpha, df) from standard published t tables
 T_TABLE = {
@@ -101,6 +103,33 @@ def test_incomplete_beta_against_scipy():
         regularized_incomplete_beta(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+
+def _betacf_or_raise(fn, a, b, x):
+    try:
+        return fn(a, b, x)
+    except FloatingPointError:
+        return "no convergence"
+
+
+def test_betacf_matches_the_unrolled_oracle_bit_for_bit():
+    rng = np.random.default_rng(8)
+    n = 4000
+    a = np.exp(rng.uniform(-5.0, 6.0, n))
+    b = np.exp(rng.uniform(-5.0, 6.0, n))
+    # half the points just below 1, past the mean, where the fraction is
+    # slowest and some of them do not converge within its iteration cap
+    x = np.concatenate([rng.uniform(0.0, 1.0, n // 2),
+                        1.0 - np.exp(rng.uniform(-12.0, -7.0, n - n // 2))])
+    # a denominator hits exactly 0, so its guard fires: the first term, an
+    # even half-step's d, an odd half-step's c
+    guarded = [(1.0, 3.0, 0.5), (1.0, 2.0, 0.75), (1.5, 11.5, 45 / 46)]
+    raised = 0
+    for ai, bi, xi in guarded + list(zip(a.tolist(), b.tolist(), x.tolist())):
+        want = _betacf_or_raise(unrolled_betacf, ai, bi, xi)
+        assert _betacf_or_raise(_betacf, ai, bi, xi) == want, (ai, bi, xi)
+        raised += want == "no convergence"
+    assert raised > 0
 
 
 def test_incomplete_beta_symmetry():

@@ -828,6 +828,7 @@ def test_bad_emit_or_experiment_value_is_config_error(
 # (stage, dotted key, wrong-typed value, logged message)
 WRONG_TYPED_VALUES = [
     ("train", "model.seq_len", None, "bad model config: "),
+    ("train", "model.seq_len", 1, "bad model config: seq_len must be >= 2"),
     ("train", "train.learning_rate", None, "bad train config: "),
     ("finetune", "finetune.epochs", None, "bad finetune config: "),
     ("train", "train.epochs", -1, "bad train config: epochs must be >= 0"),
@@ -841,6 +842,7 @@ WRONG_TYPED_VALUES = [
     ("experiment", "experiment.n_days", None, "bad experiment config: "),
     ("experiment", "seed", "abc", "config seed must be an integer"),
     ("experiment", "seed", None, "config seed must be an integer"),
+    ("experiment", "seed", -2, "config error: seed must be >= 0, got -2"),
     ("experiment", "paths", "foo", "config section 'paths' must be a mapping"),
     ("experiment", "paths.workdir", None,
      "config paths.workdir must be a string"),
@@ -953,6 +955,18 @@ def test_cli_exit_codes(fixture_dir, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("- 1\n- 2\n")
     assert cli.main(["metric", "--config", str(bad)]) == 2
+    capsys.readouterr()
+
+
+def test_negative_seed_flag_stops_before_any_stage(fixture_dir, tmp_path,
+                                                  caplog, capsys):
+    workdir = tmp_path / "w"
+    assert cli.main(["all", "--config", str(fixture_dir / "config.yaml"),
+                     "--workdir", str(workdir), "--seed", "-3"]) == 2
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == "config error: seed must be >= 0, got -3"
+    assert "Traceback" not in caplog.text
+    assert not workdir.exists()
     capsys.readouterr()
 
 

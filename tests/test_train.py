@@ -321,22 +321,51 @@ def test_best_match_in_blocks_equals_one_matrix():
     assert best.shape == sims.shape == (0,)
 
 
+def record_rows(monkeypatch, name: str) -> list[int]:
+    """The row count of every ``model.<name>`` call from now on."""
+    calls, real = [], getattr(model, name)
+
+    def recorded(params, cfg, seqs):
+        calls.append(len(seqs))
+        return real(params, cfg, seqs)
+
+    monkeypatch.setattr(model, name, recorded)
+    return calls
+
+
+# An inference pass over every row at once gives the same numbers, so only
+# these tests hold the blocks that keep the peak down (see ENCODE_BATCH).
 def test_finetune_accuracy_counts_blocks_like_one_matrix(monkeypatch):
     vocab, cfg, labeled, pretrained = finetune_setup()
     monkeypatch.setattr(train, "ENCODE_BATCH", 3)
+    logits_of = model.classify_batch_logits
+    calls = record_rows(monkeypatch, "classify_batch_logits")
     tc = TrainConfig(learning_rate=1e-2, epochs=1, seed=0, eval_fraction=0.0)
     params, history = train.finetune_classifier(pretrained, labeled, vocab,
                                                 cfg, tc)
+    assert sum(calls) == len(labeled) and max(calls) <= 3
     tokens, rows = train.tokenize_texts([s.query for s in labeled], vocab,
                                         cfg.seq_len)
     logits = np.concatenate([
-        model.classify_batch_logits(params, cfg, tokens[rows[i:i + 3]])[0]
+        logits_of(params, cfg, tokens[rows[i:i + 3]])[0]
         for i in range(0, len(rows), 3)])
     labels = np.asarray([s.label for s in labeled])
     expected = float((logits.argmax(axis=1) == labels).mean())
     assert 0.0 < expected < 1.0
     assert history[-1]["accuracy"] == expected
     assert type(history[-1]["accuracy"]) is float
+
+
+def test_pretraining_eval_loss_embeds_in_blocks(monkeypatch):
+    vocab, cfg, samples = build_vocab(), small_cfg(), pair_corpus()
+    monkeypatch.setattr(train, "ENCODE_BATCH", 4)
+    calls = record_rows(monkeypatch, "embed_batch")
+    tc = TrainConfig(epochs=1, seed=0, eval_fraction=0.4)
+    _, history = train.train_intention_model(samples, vocab, cfg, tc)
+    n_eval = sum(train.split_eval(
+        [f"{s.query_a}\x1f{s.query_b}" for s in samples], 0.4))
+    assert n_eval > 2 and "eval_loss" in history[0]
+    assert sum(calls) == 2 * n_eval and max(calls) <= 4
 
 
 def test_tokenize_texts_normalizes_and_extracts_facets():
