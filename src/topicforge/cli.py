@@ -60,9 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("power", help="power curve over injected lifts")
     pw.add_argument("--lifts", default="0.0,0.02,0.04,0.08,0.11",
                     help="comma-separated lift fractions")
-    pw.add_argument("--base-mean", type=float, default=1000.0)
-    pw.add_argument("--noise-sd", type=float, default=30.0)
-    pw.add_argument("--days", type=int, default=120)
+    design = pipeline.SECTIONS["experiment"][0]  # the config's defaults
+    pw.add_argument("--base-mean", type=float, default=design["base_mean"])
+    pw.add_argument("--noise-sd", type=float, default=design["noise_sd"])
+    pw.add_argument("--days", type=int, default=design["n_days"])
     pw.add_argument("--seeds", type=int, default=200)
     pw.add_argument("--alpha", type=float, default=0.05)
     return parser

@@ -83,6 +83,12 @@ def classify_product_type(query_vecs: np.ndarray,
     return [index.labels[int(b)] for b in best]
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a cosine distance in (0, 2)."""
+    if not 0.0 < threshold < 2.0:
+        raise ValueError("threshold must be in (0, 2)")
+
+
 def agglomerate(
     vectors: Mapping[str, np.ndarray],
     threshold: float,
@@ -97,8 +103,7 @@ def agglomerate(
     n(n-1)/2 pairwise distances touch the vectors. The representative of a
     final cluster is its highest-click member, ties lexicographic.
     """
-    if not 0.0 < threshold < 2.0:
-        raise ValueError("threshold must be in (0, 2)")
+    check_threshold(threshold)
     if not vectors:
         raise ValueError("need at least one query")
     clicks = clicks or {}

@@ -96,6 +96,12 @@ class FacetIndex:
         return sorted(found)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a cosine similarity in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+
+
 class Deduper:
     """Binds indexes, encoder and threshold into batched decisions."""
 
@@ -107,8 +113,7 @@ class Deduper:
         facet_matcher: FacetMatcher,
         threshold: float = DEFAULT_THRESHOLD,
     ):
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+        check_threshold(threshold)
         self.shelf_index = shelf_index
         self.facet_index = facet_index
         self.encode = encode

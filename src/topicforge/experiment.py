@@ -55,6 +55,14 @@ class ExperimentPlan:
                 if e.period == period and e.arm == arm]
 
 
+def check_window(n_days: int) -> None:
+    """Raise ConfigurationError unless an ``n_days`` window gives each arm of
+    each period the 2 days its t-test needs."""
+    if n_days < 8 or n_days % 4:
+        raise ConfigurationError(
+            f"window length must be a multiple of 4, at least 8, got {n_days}")
+
+
 def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:
     """Assign the window's first half to AA, second to AB, and within each
     period randomly and evenly split dates into control and test arms.
@@ -62,13 +70,10 @@ def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:
     Pages are paused on every AA date (no treatment difference) and active
     only on AB test dates.
     """
-    n = len(window)
-    if n == 0 or n % 4 != 0:
-        raise ConfigurationError(
-            f"window length must be a positive multiple of 4, got {n}")
+    check_window(len(window))
     rng = np.random.default_rng(seed)
     entries: list[PlanEntry] = []
-    half = n // 2
+    half = len(window) // 2
     for period, dates in (("AA", list(window[:half])), ("AB", list(window[half:]))):
         test_idx = set(rng.permutation(len(dates))[:len(dates) // 2].tolist())
         for i, date in enumerate(dates):
@@ -86,6 +91,15 @@ def date_window(start_date: str, n_days: int) -> list[str]:
     return [(start + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
 
 
+def check_traffic(base_mean: float, noise_sd: float) -> None:
+    """Raise ValueError unless daily clicks can be drawn around ``base_mean``
+    with standard deviation ``noise_sd``."""
+    if base_mean <= 0:
+        raise ValueError("base_mean must be > 0")
+    if noise_sd < 0:
+        raise ValueError("noise_sd must be >= 0")
+
+
 def simulate_traffic(
     plan: ExperimentPlan,
     base_mean: float,
@@ -96,10 +110,7 @@ def simulate_traffic(
     """Daily clicks per date: Normal(base_mean, noise_sd) clamped at 0,
     then multiplied by (1 + lift_fraction) on AB test dates only.
     """
-    if base_mean <= 0:
-        raise ValueError("base_mean must be > 0")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    check_traffic(base_mean, noise_sd)
     rng = np.random.default_rng(seed)
     clicks: dict[str, float] = {}
     for entry in plan.entries:
@@ -320,7 +331,7 @@ def power_estimate(
     lift_fraction: float,
     base_mean: float,
     noise_sd: float,
-    n_days: int = 120,
+    n_days: int,
     n_seeds: int = 200,
     alpha: float = 0.05,
     seed0: int = 0,

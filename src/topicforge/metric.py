@@ -125,22 +125,22 @@ def positive_pairs(stats: CoClickStats) -> list[QueryPairSample]:
     return out
 
 
-def parse_negative_ratio(value: object) -> float | str:
+def parse_negative_ratio(negative_ratio: object) -> float | str:
     """``"auto"`` or a finite number >= 0; a numeric string counts as its number.
 
     Raises ValueError for anything else (booleans included).
     """
-    if value == "auto":
+    if negative_ratio == "auto":
         return "auto"
     ratio = None
-    if not isinstance(value, bool):
+    if not isinstance(negative_ratio, bool):
         try:
-            ratio = float(value)
+            ratio = float(negative_ratio)
         except (TypeError, ValueError):
             pass
     if ratio is None or not math.isfinite(ratio) or ratio < 0:
         raise ValueError("negative_ratio must be 'auto' or a finite number "
-                         f">= 0, got {value!r}")
+                         f">= 0, got {negative_ratio!r}")
     return ratio
 
 

@@ -10,13 +10,15 @@ the one legitimately non-reproducible artifact).
 Every random choice derives from the single master seed via fixed per-stage
 offsets; `--seed` swaps the master without touching the config file.
 
-A stage reads every file through its context (``ctx.artifact`` for an
-earlier stage's output, ``ctx.path`` for a raw input) and every config
-section through ``ctx.section``, which record each read as it happens. So
-the manifest lists exactly the files the stage read, and its ``config_hash``
-covers only the sections it read (``config_sections``). A missing file fails
-with its name rather than a confusing downstream error. The manifest's
-``code`` is one digest of the package's sources.
+``load_context`` parses the config once, into the typed and checked values
+of each section a stage reads (``ctx.settings``), so a bad value stops the
+run before any stage starts. A stage reads every file through its context
+(``ctx.artifact`` for an earlier stage's output, ``ctx.path`` for a raw
+input), which records each read, so the manifest lists exactly the files the
+stage read; a missing one fails with its name. The manifest's
+``config_hash`` covers the values of the sections its stage reads, ``code``
+digests the package's sources, and ``environment`` names the Python and
+numpy versions, whose rounding can move an output.
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
 stage read or wrote has changed, ``topicforge all`` skips the stage.
@@ -36,6 +38,7 @@ import csv
 import hashlib
 import json
 import logging
+import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
@@ -67,6 +70,10 @@ SEED_FINETUNE = 3
 SEED_SPLIT = 5
 SEED_TRAFFIC = 6
 
+# the raw input files, by config ``paths`` key
+RAW_INPUTS = ("click_log", "page_catalog", "facet_lexicon", "blocklist",
+              "item_catalog")
+
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
@@ -87,38 +94,27 @@ class StageReport:
 
 @dataclass
 class PipelineContext:
-    config: dict
+    settings: dict[str, dict]  # values by section and key (_settings)
+    paths: dict[str, str]  # raw input files by key, as the config names them
     config_dir: Path
     workdir: Path
     seed: int
-    # files and config sections the running stage has read, files by
-    # manifest key; run_stage clears them
+    # files the running stage has read, by manifest key; run_stage clears them
     inputs: dict[str, Path] = field(default_factory=dict)
     raw_inputs: dict[str, Path] = field(default_factory=dict)
-    sections: set[str] = field(default_factory=set)
 
     def path(self, key: str) -> Path:
         """The raw input file at config ``paths.<key>``, recorded as read.
 
         Only the file's bytes are recorded, not ``paths`` itself, so a path
         that moves to an identical file changes no manifest."""
-        paths = _section(self.config, "paths")
-        if key not in paths:
+        if key not in self.paths:
             raise ConfigError(f"config paths.{key} is required")
-        if not isinstance(paths[key], str):
-            raise ConfigError(f"config paths.{key} must be a string")
-        p = Path(paths[key])
-        p = p if p.is_absolute() else self.config_dir / p
+        p = self.config_dir / self.paths[key]  # an absolute path stays
         if not p.is_file():
             raise ConfigError(f"paths.{key} not found: {p}")
         self.raw_inputs[key] = p
         return p
-
-    def section(self, name: str) -> dict:
-        """Config section ``name``, recorded as read."""
-        value = _section(self.config, name)
-        self.sections.add(name)
-        return value
 
     def artifact(self, stage: str, name: str) -> Path:
         """An earlier stage's output file, recorded as read."""
@@ -131,6 +127,8 @@ class PipelineContext:
 
 def load_context(config_path: str | Path, workdir: str | Path | None = None,
                  seed: int | None = None) -> PipelineContext:
+    """A run's context, its whole config parsed and checked: only whether a
+    raw input file exists is left to the stage that reads it."""
     config_path = Path(config_path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
@@ -142,17 +140,18 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
         raise ConfigError("config root must be a mapping")
     config_dir = config_path.parent.resolve()
     paths = _section(config, "paths")
-    if workdir is None:
-        wd = paths.get("workdir", "work")
-        if not isinstance(wd, str):
-            raise ConfigError("config paths.workdir must be a string")
-        workdir = Path(wd) if Path(wd).is_absolute() else config_dir / wd
+    for key in ("workdir", *RAW_INPUTS):
+        if not isinstance(paths.get(key, ""), str):
+            raise ConfigError(f"config paths.{key} must be a string")
+    if workdir is None:  # an absolute path replaces config_dir
+        workdir = config_dir / paths.get("workdir", "work")
     master = seed if seed is not None else config.get("seed", 0)
     if isinstance(master, bool) or not isinstance(master, int):
         raise ConfigError(f"config seed must be an integer, got {master!r}")
     if master < 0:  # each stage seeds numpy with master + its offset
         raise ConfigError(f"seed must be >= 0, got {master}")
-    return PipelineContext(config, config_dir, Path(workdir), master)
+    return PipelineContext(_settings(config), paths, config_dir, Path(workdir),
+                           master)
 
 
 def _section(config: dict, name: str) -> dict:
@@ -162,18 +161,80 @@ def _section(config: dict, name: str) -> dict:
     return value
 
 
-def _number(section: dict, key: str, default, kind: type = float):
-    """``section[key]`` as ``kind``, int or float.
+def _defaults(cls, *skip: str) -> dict:
+    """The defaults of dataclass ``cls``'s fields, but those in ``skip``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
 
-    YAML booleans are rejected rather than read as 0 or 1, and so, for an
-    integer, is a float with a fractional part rather than truncated. The
-    error is a ``ValueError`` naming the key."""
-    value = section.get(key, default)
-    if isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return kind(value)
+
+def _check_training(**values) -> None:
+    """TrainConfig's checks, and the learning rate's limit: both trainings
+    multiply it into TRAIN_DTYPE arrays, where a larger one is inf."""
+    train_mod.TrainConfig(**values)
+    dtype = np.dtype(train_mod.TRAIN_DTYPE)
+    limit = float(np.finfo(dtype).max)
+    if values["learning_rate"] > limit:
+        raise ValueError(f"learning_rate must be at most {limit:.8g}, the "
+                         f"largest {dtype}, got {values['learning_rate']!r}")
+
+
+def _check_experiment(start_date: str, n_days: int, base_mean: float,
+                      noise_sd: float, lift_fraction: float) -> None:
+    exp_mod.check_window(n_days)
+    exp_mod.date_window(start_date, n_days)
+    exp_mod.check_traffic(base_mean, noise_sd)
+
+
+# each config section a stage reads: its keys with their defaults, and the
+# check that the code using its values makes, called with them as keywords
+SECTIONS = {
+    "metric": ({"negative_ratio": "auto"}, metric_mod.parse_negative_ratio),
+    "model": (_defaults(model_mod.ModelConfig, "vocab_size", "num_classes"),
+              partial(model_mod.ModelConfig, 1)),  # train knows vocab_size
+    "train": (_defaults(train_mod.TrainConfig, "seed"), _check_training),
+    "finetune": (_defaults(train_mod.TrainConfig, "seed", "eval_fraction"),
+                 _check_training),
+    "cluster": ({"threshold": 0.15}, cluster_mod.check_threshold),
+    "dedup": ({"threshold": dedup_mod.DEFAULT_THRESHOLD},
+              dedup_mod.check_threshold),
+    "select": ({"quota": 10}, topic_mod.check_quota),
+    "emit": ({"items_per_page": topic_mod.DEFAULT_ITEMS_PER_PAGE},
+             topic_mod.check_items_per_page),
+    "experiment": ({"start_date": "2025-01-01", "n_days": 120,
+                    "base_mean": 1000.0, "noise_sd": 30.0,
+                    "lift_fraction": 0.0}, _check_experiment),
+}
+# the sections a stage reads, where they are not just its own
+_READS = {"ingest": (), "train": ("model", "train")}
+
+
+def _settings(config: dict) -> dict[str, dict]:
+    """Each section of ``SECTIONS``: at each key, the config's value or the
+    default, as the default's type, once the section's check passes. A
+    number is neither a YAML boolean nor, for an integer, a fraction; a
+    string is any value's text (metric's ratio is parsed where it is used)."""
+    settings = {}
+    for name, (defaults, check) in SECTIONS.items():
+        section, values = _section(config, name), {}
+        try:
+            for key, default in defaults.items():
+                value, kind = section.get(key, default), type(default)
+                if kind is not str and isinstance(value, bool) or (
+                        kind is int and isinstance(value, float)
+                        and not value.is_integer()):
+                    raise ValueError(f"{key} must be a number of type "
+                                     f"{kind.__name__}, got {value!r}")
+                values[key] = kind(value)
+            check(**values)
+        except (TypeError, ValueError) as exc:
+            # metric's message names its one key by the dotted path
+            where = "metric." if name == "metric" else f"bad {name} config: "
+            raise ConfigError(where + str(exc)) from exc
+        settings[name] = values
+    return settings
+
+
+# the interpreter and numpy, whose rounding can move an output
+_ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
 
 @cache
@@ -194,11 +255,14 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _config_hash(config: dict, sections) -> str:
-    """sha256 of the named sections of ``config``, canonical JSON."""
-    canon = json.dumps({name: config.get(name, {}) for name in sections},
-                       sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+def _fingerprint(ctx: PipelineContext, stage: str) -> dict:
+    """What a stage's manifest records besides files: the seed, the code and
+    environment, and the sha256 of the values of the sections it reads."""
+    canon = json.dumps({name: ctx.settings[name]
+                        for name in _READS.get(stage, (stage,))}, sort_keys=True)
+    return {"stage": stage, "code": _code_digest(), "environment": _ENVIRONMENT,
+            "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+            "seed": ctx.seed}
 
 
 def _write_json(path: Path, data, sort_keys: bool = True) -> None:
@@ -315,59 +379,13 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     # same thing"), so they never count as co-clicks; finetune labels by them
     stats = metric_mod.aggregate_clicks(
         [r for r in records if r.page_type != "shelf"])
-    try:
-        samples = metric_mod.build_training_set(
-            stats,
-            negative_ratio=ctx.section("metric").get("negative_ratio", "auto"),
-            seed=ctx.seed + SEED_METRIC)
-    except ValueError as exc:  # the seed is >= 0: only the ratio can be bad
-        raise ConfigError(f"metric.{exc}") from exc
+    samples = metric_mod.build_training_set(
+        stats, **ctx.settings["metric"], seed=ctx.seed + SEED_METRIC)
     _write_jsonl(out / "training_set.jsonl", samples)
     n_pos = sum(s.interactive > 0 for s in samples)
     counts = {"queries": len(stats.totals), "positives": n_pos,
               "negatives": len(samples) - n_pos}
     return counts, [], ["training_set.jsonl"]
-
-
-def _model_config(ctx: PipelineContext, vocab_size: int,
-                  num_classes: int = 0) -> model_mod.ModelConfig:
-    m = ctx.section("model")
-    try:
-        return model_mod.ModelConfig(
-            vocab_size=vocab_size,
-            seq_len=_number(m, "seq_len", 16, int),
-            model_dim=_number(m, "model_dim", 32, int),
-            num_layers=_number(m, "num_layers", 2, int),
-            num_heads=_number(m, "num_heads", 2, int),
-            ffn_dim=_number(m, "ffn_dim", 64, int),
-            output_dim=_number(m, "output_dim", 32, int),
-            num_classes=num_classes,
-            negative_loss=str(m.get("negative_loss", "literal")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-
-
-def _train_config(ctx: PipelineContext, section: str, seed: int) -> train_mod.TrainConfig:
-    t = ctx.section(section)
-    try:
-        learning_rate = _number(t, "learning_rate", 1e-3)
-        # both trainings multiply the rate into TRAIN_DTYPE arrays, where a
-        # larger one is inf before the first step
-        dtype = np.dtype(train_mod.TRAIN_DTYPE)
-        limit = float(np.finfo(dtype).max)
-        if learning_rate > limit:
-            raise ValueError(f"learning_rate must be at most {limit:.8g}, the "
-                             f"largest {dtype}, got {learning_rate!r}")
-        return train_mod.TrainConfig(
-            learning_rate=learning_rate,
-            batch_size=_number(t, "batch_size", 32, int),
-            epochs=_number(t, "epochs", 10, int),
-            seed=seed,
-            # fine-tuning splits off no eval set
-            eval_fraction=(_number(t, "eval_fraction", 0.1)
-                           if section == "train" else 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
 def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
@@ -410,8 +428,9 @@ def _stage_train(ctx: PipelineContext, out: Path):
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
     texts += [p.title for p in pages] + [p.product_type for p in pages]
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
-    cfg = _model_config(ctx, vocab.size)
-    tcfg = _train_config(ctx, "train", ctx.seed + SEED_TRAIN)
+    cfg = model_mod.ModelConfig(vocab.size, **ctx.settings["model"])
+    tcfg = train_mod.TrainConfig(**ctx.settings["train"],
+                                 seed=ctx.seed + SEED_TRAIN)
     started = time.perf_counter()
     try:
         params, history = train_mod.train_intention_model(
@@ -453,7 +472,8 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = replace(cfg, num_classes=len(classes))
-    tcfg = _train_config(ctx, "finetune", ctx.seed + SEED_FINETUNE)
+    tcfg = train_mod.TrainConfig(**ctx.settings["finetune"],
+                                 seed=ctx.seed + SEED_FINETUNE)
     started = time.perf_counter()
     try:
         params, history = train_mod.finetune_classifier(
@@ -480,12 +500,8 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
     index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
-    try:
-        result = cluster_mod.cluster_topics(
-            clicks, encode, index,
-            _number(ctx.section("cluster"), "threshold", 0.15))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cluster config: {exc}") from exc
+    result = cluster_mod.cluster_topics(clicks, encode, index,
+                                        **ctx.settings["cluster"])
     _write_csv(out / "clusters.csv",
                ["query", "product_type", "cluster_id", "is_representative"],
                ([q, ptype, cid, "1" if result.representatives[cid] == q else "0"]
@@ -510,17 +526,12 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     # each row with its query; kept rows pass through as they are
     reps = _read_rows(ctx, "cluster", "representatives.jsonl",
                       lambda r: (_checked(r, "clicks_total")["query"], r))
-    dcfg = ctx.section("dedup")
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     shelf_index = dedup_mod.build_shelf_index(pages, encode)
     facet_index = dedup_mod.FacetIndex(pages)
-    try:
-        deduper = dedup_mod.Deduper(
-            shelf_index, facet_index, encode, vocab.facet_matcher,
-            threshold=_number(dcfg, "threshold", dedup_mod.DEFAULT_THRESHOLD))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dedup config: {exc}") from exc
+    deduper = dedup_mod.Deduper(shelf_index, facet_index, encode,
+                                vocab.facet_matcher, **ctx.settings["dedup"])
     decisions, stats = dedup_mod.dedup_all([q for q, _ in reps], deduper)
     _write_csv(out / "decisions.csv",
                ["query", "verdict", "best_match", "best_similarity", "path"],
@@ -539,12 +550,8 @@ def _stage_select(ctx: PipelineContext, out: Path):
                                        r["cluster_id"], r["product_type"])
 
     kept = _read_rows(ctx, "dedup", "kept.jsonl", kept_topic)
-    try:
-        quota = _number(ctx.section("select"), "quota", 10, int)
-        chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept],
-                                         quota)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad select config: {exc}") from exc
+    quota = ctx.settings["select"]["quota"]
+    chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept], quota)
     by_topic = {t.topic: t for t in kept}
     topics = [by_topic[q] for q in chosen]
     _write_jsonl(out / "topics.jsonl", topics)
@@ -561,12 +568,8 @@ def _stage_emit(ctx: PipelineContext, out: Path):
     if topics:
         retriever = topic_mod.TokenOverlapRetriever.from_jsonl(
             ctx.path("item_catalog"))
-    try:
-        k = _number(ctx.section("emit"), "items_per_page",
-                    topic_mod.DEFAULT_ITEMS_PER_PAGE, int)
-        specs, flagged = topic_mod.emit_pages(topics, retriever, k)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad emit config: {exc}") from exc
+    specs, flagged = topic_mod.emit_pages(
+        topics, retriever, ctx.settings["emit"]["items_per_page"])
     _write_jsonl(out / "pages.jsonl", specs)
     _write_jsonl(out / "flagged.jsonl",
                  ({"topic": t, "reason": r} for t, r in flagged))
@@ -576,27 +579,18 @@ def _stage_emit(ctx: PipelineContext, out: Path):
 
 
 def _stage_experiment(ctx: PipelineContext, out: Path):
-    ecfg = ctx.section("experiment")
-    try:
-        n_days = _number(ecfg, "n_days", 120, int)
-        window = exp_mod.date_window(
-            str(ecfg.get("start_date", "2025-01-01")), n_days)
-        plan, clicks, report = exp_mod.run_experiment(
-            window,
-            base_mean=_number(ecfg, "base_mean", 1000.0),
-            noise_sd=_number(ecfg, "noise_sd", 30.0),
-            lift_fraction=_number(ecfg, "lift_fraction", 0.0),
-            split_seed=ctx.seed + SEED_SPLIT,
-            traffic_seed=ctx.seed + SEED_TRAFFIC)
-    except (TypeError, ValueError) as exc:  # ConfigurationError included
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    e = ctx.settings["experiment"]
+    plan, clicks, report = exp_mod.run_experiment(
+        exp_mod.date_window(e["start_date"], e["n_days"]),
+        e["base_mean"], e["noise_sd"], e["lift_fraction"],
+        split_seed=ctx.seed + SEED_SPLIT, traffic_seed=ctx.seed + SEED_TRAFFIC)
     # the plan's keys stay in field order
     _write_json(out / "plan.json", asdict(plan), sort_keys=False)
     _write_json(out / "daily_clicks.json", clicks)
     _write_json(out / "results.json", asdict(report))
     print(exp_mod.format_report_table(report))
     aa, ab = report.period("AA"), report.period("AB")
-    counts = {"n_days": n_days, "aa_p": aa.p, "ab_p": ab.p,
+    counts = {"n_days": e["n_days"], "aa_p": aa.p, "ab_p": ab.p,
               "aa_relative_pct": aa.relative_pct,
               "ab_relative_pct": ab.relative_pct}
     return counts, [], ["plan.json", "daily_clicks.json", "results.json"]
@@ -621,7 +615,6 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         raise ConfigError(f"unknown stage {stage!r}")
     ctx.inputs.clear()
     ctx.raw_inputs.clear()
-    ctx.sections.clear()
     out = ctx.workdir / stage
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
@@ -631,13 +624,8 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
         raise PipelineError(f"{stage}: {exc}") from exc
     duration = time.monotonic() - started
 
-    sections = sorted(ctx.sections)
     manifest = {
-        "stage": stage,
-        "code": _code_digest(),
-        "config_hash": _config_hash(ctx.config, sections),
-        "config_sections": sections,
-        "seed": ctx.seed,
+        **_fingerprint(ctx, stage),
         "inputs": {key: _sha256(p) for key, p in ctx.inputs.items()},
         "raw_inputs": {key: _sha256(p) for key, p in ctx.raw_inputs.items()},
         "outputs": {name: _sha256(out / name) for name in outputs},
@@ -653,18 +641,17 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
 
 def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
     """The previous report of ``stage``, rewritten as skipped, when its
-    manifest still holds: same seed, code digest and hash of the config
-    sections it read, and every listed input, raw input (at the current
-    ``paths.<key>``) and output rehashes to its recorded digest. Otherwise
-    None, and the stage must run. The manifest is left as it is."""
+    manifest still holds: the same ``_fingerprint``, and every listed input,
+    raw input (at the current ``paths.<key>``) and output rehashes to its
+    recorded digest. Otherwise None, and the stage must run. The manifest
+    is left as it is."""
     started = time.monotonic()
     out = ctx.workdir / stage
     try:
         manifest = json.loads((out / "MANIFEST.json").read_text(encoding="utf-8"))
         previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        if (manifest["seed"] != ctx.seed or manifest["code"] != _code_digest()
-                or manifest["config_hash"] != _config_hash(
-                    ctx.config, manifest["config_sections"])):
+        if any(manifest[key] != value
+               for key, value in _fingerprint(ctx, stage).items()):
             return None
         files = [(ctx.workdir / key, digest)
                  for key, digest in manifest["inputs"].items()]

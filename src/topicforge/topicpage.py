@@ -50,11 +50,22 @@ class TopicPageSpec:
     product_type: str
 
 
+def check_quota(quota: int) -> None:
+    """Raise ValueError unless ``quota`` topics can be selected."""
+    if quota < 0:
+        raise ValueError("quota must be >= 0")
+
+
+def check_items_per_page(items_per_page: int) -> None:
+    """Raise ValueError unless a page can hold ``items_per_page`` items."""
+    if items_per_page < 1:
+        raise ValueError("items_per_page must be >= 1")
+
+
 def select_topics(representatives: Sequence[tuple[str, int]],
                   quota: int) -> list[str]:
     """Top-``quota`` queries by clicks, ties broken lexicographically."""
-    if quota < 0:
-        raise ValueError("quota must be >= 0")
+    check_quota(quota)
     ranked = sorted(representatives, key=lambda r: (-r[1], r[0]))
     return [query for query, _ in ranked[:quota]]
 
@@ -108,8 +119,7 @@ def emit_pages(
     Returns (specs, flagged) where flagged pairs a topic with the reason it
     was not emitted: no items, a repeated page id, or a retriever error.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_items_per_page(k)
     specs: list[TopicPageSpec] = []
     flagged: list[tuple[str, str]] = []
     seen_ids: set[str] = set()

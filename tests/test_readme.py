@@ -1,5 +1,6 @@
 """The README's library example runs as written against the fixture, and
-its configuration table lists exactly the values the shipped config sets."""
+its configuration table lists exactly the values the shipped config sets,
+each with the default the pipeline parses from an empty config."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import yaml
 
 from topicforge.fixture import CONFIG_TEMPLATE, write_fixture
+from topicforge.pipeline import RAW_INPUTS, load_context
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,12 +30,23 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert 0.0 < printed <= 1.0
 
 
-def test_readme_config_table_matches_shipped_config():
-    documented = re.findall(r"^\| `([\w.]+)` \|",
-                            readme_section("Configuration"), flags=re.MULTILINE)
+def test_readme_config_table_matches_shipped_config(tmp_path):
+    rows = re.findall(r"^\| `([\w.]+)` \| (`?)([^|`]+)\2 \|",
+                      readme_section("Configuration"), flags=re.MULTILINE)
+    documented = [key for key, _, _ in rows]
     shipped = []
     for key, value in yaml.safe_load(CONFIG_TEMPLATE).items():
         shipped += ([f"{key}.{name}" for name in value]
                     if isinstance(value, dict) else [key])
     assert len(documented) == len(set(documented))
     assert set(documented) == set(shipped)
+    # the Default column: what an empty config parses to
+    (tmp_path / "config.yaml").write_text("{}\n")
+    ctx = load_context(tmp_path / "config.yaml")
+    parsed = {"seed": ctx.seed, "paths.workdir": ctx.workdir.name}
+    parsed.update({f"paths.{key}": "required" for key in RAW_INPUTS
+                   if key not in ctx.paths})
+    parsed.update({f"{name}.{key}": value for name, values
+                   in ctx.settings.items() for key, value in values.items()})
+    assert {key: default for key, _, default in rows} == {
+        key: str(parsed[key]) for key in documented}
