@@ -2,8 +2,11 @@
 
 All query text is normalized once, at the boundary (lowercase, punctuation
 stripped except hyphens, whitespace collapsed) so that later joins on query
-text are deterministic. Parsers never drop malformed rows silently: every
-bad row is recorded in the accompanying ParseReport.
+text are deterministic. A raw input holds one record per line, and a line
+ends only at LF, CR LF or CR. Parsers never drop malformed rows silently:
+a bad click log or page catalog row (one that is not UTF-8 text included)
+is recorded in the accompanying ParseReport, and a bad line of another raw
+input raises IngestError naming its line.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
 
@@ -44,21 +48,49 @@ def field_text(value) -> str:
     return "" if value is None else str(value)
 
 
+def _read_lines(path: str | Path, what: str) -> list[bytes]:
+    """``path``'s lines, split only at LF, CR LF and CR."""
+    try:
+        return Path(path).read_bytes().splitlines()
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _row(line: bytes, make: Callable[[str], object]) -> object:
+    """``make`` of a line's text, or None for a blank line. A line that is
+    not UTF-8 text raises ValueError, as ``make`` does for a bad row."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("line is not UTF-8 text") from None
+    return make(text) if text.strip() else None
+
+
+def _json_object(line: str) -> dict:
+    """The object on one JSONL line; any other line raises ValueError."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError:
+        raise ValueError("invalid JSON") from None
+    if not isinstance(row, dict):
+        raise ValueError("JSONL row is not an object")
+    return row
+
+
 def jsonl_objects(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
-    """(``"<what> line N"``, row) for each non-blank JSONL line; invalid JSON
-    or a row that is not an object raises IngestError naming its line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    """(``"<what> line N"``, row) for each non-blank line that holds a JSON
+    object; any other line raises IngestError naming its line."""
+    with open(path, "rb") as fh:
+        # each chunk ends at LF; splitting it again ends a line at CR too
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for line_no, line in enumerate(lines, start=1):
             where = f"{what} line {line_no}"
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{where}: invalid JSON") from exc
-            if not isinstance(row, dict):
-                raise IngestError(f"{where}: JSONL row is not an object")
-            yield where, row
+                row = _row(line, _json_object)
+            except ValueError as exc:
+                raise IngestError(f"{where}: {exc}") from None
+            if row is not None:
+                yield where, row
 
 
 @dataclass(frozen=True)
@@ -132,36 +164,46 @@ class ParseReport:
     def error_count(self) -> int:
         return len(self.errors)
 
-    def add_error(self, line_no: int, message: str) -> None:
-        self.errors.append((line_no, message))
+
+def _parse_rows(lines: Sequence[bytes], make: Callable[[str], object],
+                first: int = 1) -> tuple[list, ParseReport]:
+    """Each :func:`_row` of ``lines`` other than None; a line that raises
+    ValueError, numbered from ``first``, becomes an error with the message."""
+    records, errors = [], []
+    for line_no, line in enumerate(lines, start=first):
+        try:
+            if (record := _row(line, make)) is not None:
+                records.append(record)
+        except ValueError as exc:
+            errors.append((line_no, str(exc)))
+    return records, ParseReport(len(records), errors)
 
 
-def _click_record_from_fields(row: list[str], line_no: int,
-                              report: ParseReport) -> ClickRecord | None:
+def _click_record(line: str) -> ClickRecord | None:
+    """The record on one click log line, or None for a row of blank cells."""
+    row = next(csv.reader([line]))
+    if all(not cell.strip() for cell in row):
+        return None
+    if len(row) != len(CLICK_LOG_FIELDS):
+        raise ValueError(f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
     query, page_id, page_type, clicks, impressions = row
     query = normalize_query(query)
     if not query:
-        report.add_error(line_no, "empty query after normalization")
-        return None
+        raise ValueError("empty query after normalization")
     page_id = page_id.strip()
     if not page_id:
-        report.add_error(line_no, "missing page_id")
-        return None
+        raise ValueError("missing page_id")
     page_type = page_type.strip().lower()
     if page_type not in PAGE_TYPES:
-        report.add_error(line_no, f"unknown page_type {page_type!r}")
-        return None
+        raise ValueError(f"unknown page_type {page_type!r}")
     try:
         clicks, impressions = int(clicks), int(impressions)
     except ValueError:
-        report.add_error(line_no, "clicks/impressions not integers")
-        return None
+        raise ValueError("clicks/impressions not integers") from None
     if clicks < 0 or impressions < 0:
-        report.add_error(line_no, "negative counts")
-        return None
+        raise ValueError("negative counts")
     if impressions > 0 and clicks > impressions:
-        report.add_error(line_no, "clicks exceed impressions")
-        return None
+        raise ValueError("clicks exceed impressions")
     return ClickRecord(query, page_id, page_type, clicks, impressions)
 
 
@@ -171,32 +213,46 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     Raises IngestError if the file is unreadable or the CSV header does not
     match the documented schema.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IngestError(f"cannot read click log {path}: {exc}") from exc
-
-    records: list[ClickRecord] = []
-    report = ParseReport()
+    lines = _read_lines(path, "click log")
     if not lines:
-        return records, report
-    reader = csv.reader(lines)
-    header = next(reader)
+        return [], ParseReport()
+    header = next(csv.reader([lines[0].decode("utf-8", "replace")]))
     if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
         raise IngestError(
             f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(CLICK_LOG_FIELDS):
-            report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
-            continue
-        rec = _click_record_from_fields(row, line_no, report)
-        if rec is not None:
-            records.append(rec)
-            report.rows_ok += 1
-    return records, report
+    return _parse_rows(lines[1:], _click_record, first=2)
+
+
+def _page_record(line: str, seen_ids: set[str]) -> PageRecord:
+    """The page on one catalog line; its id joins ``seen_ids``."""
+    fields = _json_object(line)
+    page_id = field_text(fields.get("page_id")).strip()
+    if not page_id:
+        raise ValueError("missing page_id")
+    if page_id in seen_ids:
+        raise ValueError(f"duplicate page_id {page_id!r}")
+    page_type = field_text(fields.get("page_type")).strip().lower()
+    if page_type not in PAGE_TYPES:
+        raise ValueError(f"unknown page_type {page_type!r}")
+    pairs = fields.get("facets") or []
+    if not (isinstance(pairs, list)
+            and all(isinstance(pair, dict) for pair in pairs)):
+        raise ValueError("facets is not a list of objects")
+    named = [(normalize_query(field_text(pair.get("name"))),
+              normalize_query(field_text(pair.get("value")))) for pair in pairs]
+    facets = frozenset((name, value) for name, value in named if name and value)
+    if page_type == "facet" and not facets:
+        raise ValueError("facet page without facet pairs")
+    title = normalize_query(field_text(fields.get("title")))
+    product_type = normalize_query(field_text(fields.get("product_type")))
+    # shelf and facet text is encoded downstream, and a text that
+    # normalizes to "" has no token to encode
+    if page_type in ("shelf", "facet") and not title:
+        raise ValueError(f"{page_type} page title is empty")
+    if page_type == "shelf" and not product_type:
+        raise ValueError("shelf page product_type is empty")
+    seen_ids.add(page_id)
+    return PageRecord(page_id, page_type, title, product_type, facets)
 
 
 def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]:
@@ -205,87 +261,19 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
     Facet pages must carry at least one facet; shelf and facet pages need a
     title, and shelf pages a product type, that survive normalization.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read page catalog {path}: {exc}") from exc
-
-    pages: list[PageRecord] = []
-    report = ParseReport()
-    seen_ids: set[str] = set()
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            fields = json.loads(line)
-        except json.JSONDecodeError:
-            report.add_error(line_no, "invalid JSON")
-            continue
-        if not isinstance(fields, dict):
-            report.add_error(line_no, "JSONL row is not an object")
-            continue
-        page_id = field_text(fields.get("page_id")).strip()
-        if not page_id:
-            report.add_error(line_no, "missing page_id")
-            continue
-        if page_id in seen_ids:
-            report.add_error(line_no, f"duplicate page_id {page_id!r}")
-            continue
-        page_type = field_text(fields.get("page_type")).strip().lower()
-        if page_type not in PAGE_TYPES:
-            report.add_error(line_no, f"unknown page_type {page_type!r}")
-            continue
-        pairs = fields.get("facets") or []
-        if not (isinstance(pairs, list)
-                and all(isinstance(pair, dict) for pair in pairs)):
-            report.add_error(line_no, "facets is not a list of objects")
-            continue
-        facets = []
-        for pair in pairs:
-            name = normalize_query(field_text(pair.get("name")))
-            value = normalize_query(field_text(pair.get("value")))
-            if name and value:
-                facets.append((name, value))
-        if page_type == "facet" and not facets:
-            report.add_error(line_no, "facet page without facet pairs")
-            continue
-        title = normalize_query(field_text(fields.get("title")))
-        product_type = normalize_query(field_text(fields.get("product_type")))
-        # shelf and facet text is encoded downstream, and a text that
-        # normalizes to "" has no token to encode
-        if page_type in ("shelf", "facet") and not title:
-            report.add_error(line_no, f"{page_type} page title is empty")
-            continue
-        if page_type == "shelf" and not product_type:
-            report.add_error(line_no, "shelf page product_type is empty")
-            continue
-        pages.append(PageRecord(
-            page_id=page_id,
-            page_type=page_type,
-            title=title,
-            product_type=product_type,
-            facets=frozenset(facets),
-        ))
-        seen_ids.add(page_id)
-        report.rows_ok += 1
-    return pages, report
+    return _parse_rows(_read_lines(path, "page catalog"),
+                       partial(_page_record, seen_ids=set()))
 
 
 def load_blocklist(path: str | Path) -> set[str]:
-    """Load one normalized term per line; '#' starts a comment."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read blocklist {path}: {exc}") from exc
-    terms: set[str] = set()
-    for line in raw.splitlines():
-        line = line.split("#", 1)[0]
-        term = normalize_query(line)
-        if term:
-            terms.add(term)
-    return terms
+    """Load one normalized term per line; '#' starts a comment. A line that
+    is not UTF-8 text raises IngestError naming its line."""
+    terms, report = _parse_rows(
+        _read_lines(path, "blocklist"),
+        lambda text: normalize_query(text.split("#", 1)[0]) or None)
+    if report.errors:
+        raise IngestError("blocklist line {}: {}".format(*report.errors[0]))
+    return set(terms)
 
 
 def candidates_from_click_log(records: Sequence[ClickRecord]) -> list[CandidateQuery]:
@@ -312,12 +300,8 @@ def filter_negative_queries(
     removed: list[CandidateQuery] = []
     for cand in candidates:
         tokens = tokenize_text(cand.query)
-        blocked = any(tok in single for tok in tokens)
-        if not blocked:
-            for term in multi:
-                n = len(term)
-                if any(tokens[i:i + n] == term for i in range(len(tokens) - n + 1)):
-                    blocked = True
-                    break
+        blocked = any(tok in single for tok in tokens) or any(
+            tokens[i:i + len(term)] == term
+            for term in multi for i in range(len(tokens) - len(term) + 1))
         (removed if blocked else kept).append(cand)
     return kept, removed

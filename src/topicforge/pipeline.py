@@ -218,12 +218,16 @@ def _settings(config: dict) -> dict[str, dict]:
         try:
             for key, default in defaults.items():
                 value, kind = section.get(key, default), type(default)
-                if kind is not str and isinstance(value, bool) or (
-                        kind is int and isinstance(value, float)
-                        and not value.is_integer()):
-                    raise ValueError(f"{key} must be a number of type "
-                                     f"{kind.__name__}, got {value!r}")
-                values[key] = kind(value)
+                try:
+                    if kind is not str and isinstance(value, bool) or (
+                            kind is int and isinstance(value, float)
+                            and not value.is_integer()):
+                        raise TypeError
+                    values[key] = kind(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"{key} must be a number of type {kind.__name__}, "
+                        f"got {value!r}") from None
             check(**values)
         except (TypeError, ValueError) as exc:
             # metric's message names its one key by the dotted path

@@ -8,7 +8,9 @@ facet lexicon per query instead of a first-token index, the encoder's
 gradients block by block on (batch, length, dim) arrays with a projection
 per q, k and v instead of one token-major matrix and a fused projection,
 the Lentz continued fraction with every half-step and guard written out
-instead of one guarded step in a loop.
+instead of one guarded step in a loop, the click log and page catalog
+parsers as two loops of their own over ``str.splitlines()`` instead of one
+line reader and one row loop.
 Slow and obviously correct, so the fast implementations can be checked
 against them.
 The plain two-cluster co-click corpus of criterion 4 lives here too.
@@ -16,14 +18,20 @@ The plain two-cluster co-click corpus of criterion 4 lives here too.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import math
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from topicforge.experiment import _BETACF_MAX_ITER, _BETACF_TOL
-from topicforge.ingest import ClickRecord
+from topicforge.ingest import (CLICK_LOG_FIELDS, PAGE_TYPES, ClickRecord,
+                               IngestError, PageRecord, field_text,
+                               normalize_query)
 from topicforge.metric import CoClickStats, QueryPairSample
 
 
@@ -415,3 +423,154 @@ def unrolled_betacf(a: float, b: float, x: float) -> float:
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise FloatingPointError("incomplete beta continued fraction did not converge")
+
+
+# ---------------------------------------------------------------------------
+# the click log and page catalog parsers as `ingest` had them before its one
+# line reader and row loop, copied verbatim; only ParseReport is restated,
+# with the add_error they call
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ParseReport:
+    rows_ok: int = 0
+    errors: list[tuple[int, str]] = field(default_factory=list)
+
+    def add_error(self, line_no: int, message: str) -> None:
+        self.errors.append((line_no, message))
+
+
+def _click_record_from_fields(row: list[str], line_no: int,
+                              report: ParseReport) -> ClickRecord | None:
+    query, page_id, page_type, clicks, impressions = row
+    query = normalize_query(query)
+    if not query:
+        report.add_error(line_no, "empty query after normalization")
+        return None
+    page_id = page_id.strip()
+    if not page_id:
+        report.add_error(line_no, "missing page_id")
+        return None
+    page_type = page_type.strip().lower()
+    if page_type not in PAGE_TYPES:
+        report.add_error(line_no, f"unknown page_type {page_type!r}")
+        return None
+    try:
+        clicks, impressions = int(clicks), int(impressions)
+    except ValueError:
+        report.add_error(line_no, "clicks/impressions not integers")
+        return None
+    if clicks < 0 or impressions < 0:
+        report.add_error(line_no, "negative counts")
+        return None
+    if impressions > 0 and clicks > impressions:
+        report.add_error(line_no, "clicks exceed impressions")
+        return None
+    return ClickRecord(query, page_id, page_type, clicks, impressions)
+
+
+def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
+    """Parse a CSV click log into ClickRecords plus a ParseReport.
+
+    Raises IngestError if the file is unreadable or the CSV header does not
+    match the documented schema.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise IngestError(f"cannot read click log {path}: {exc}") from exc
+
+    records: list[ClickRecord] = []
+    report = ParseReport()
+    if not lines:
+        return records, report
+    reader = csv.reader(lines)
+    header = next(reader)
+    if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
+        raise IngestError(
+            f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(CLICK_LOG_FIELDS):
+            report.add_error(line_no, f"expected {len(CLICK_LOG_FIELDS)} fields, got {len(row)}")
+            continue
+        rec = _click_record_from_fields(row, line_no, report)
+        if rec is not None:
+            records.append(rec)
+            report.rows_ok += 1
+    return records, report
+
+
+def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]:
+    """Parse a JSONL page catalog into PageRecords plus a ParseReport.
+
+    Facet pages must carry at least one facet; shelf and facet pages need a
+    title, and shelf pages a product type, that survive normalization.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot read page catalog {path}: {exc}") from exc
+
+    pages: list[PageRecord] = []
+    report = ParseReport()
+    seen_ids: set[str] = set()
+    for line_no, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            fields = json.loads(line)
+        except json.JSONDecodeError:
+            report.add_error(line_no, "invalid JSON")
+            continue
+        if not isinstance(fields, dict):
+            report.add_error(line_no, "JSONL row is not an object")
+            continue
+        page_id = field_text(fields.get("page_id")).strip()
+        if not page_id:
+            report.add_error(line_no, "missing page_id")
+            continue
+        if page_id in seen_ids:
+            report.add_error(line_no, f"duplicate page_id {page_id!r}")
+            continue
+        page_type = field_text(fields.get("page_type")).strip().lower()
+        if page_type not in PAGE_TYPES:
+            report.add_error(line_no, f"unknown page_type {page_type!r}")
+            continue
+        pairs = fields.get("facets") or []
+        if not (isinstance(pairs, list)
+                and all(isinstance(pair, dict) for pair in pairs)):
+            report.add_error(line_no, "facets is not a list of objects")
+            continue
+        facets = []
+        for pair in pairs:
+            name = normalize_query(field_text(pair.get("name")))
+            value = normalize_query(field_text(pair.get("value")))
+            if name and value:
+                facets.append((name, value))
+        if page_type == "facet" and not facets:
+            report.add_error(line_no, "facet page without facet pairs")
+            continue
+        title = normalize_query(field_text(fields.get("title")))
+        product_type = normalize_query(field_text(fields.get("product_type")))
+        # shelf and facet text is encoded downstream, and a text that
+        # normalizes to "" has no token to encode
+        if page_type in ("shelf", "facet") and not title:
+            report.add_error(line_no, f"{page_type} page title is empty")
+            continue
+        if page_type == "shelf" and not product_type:
+            report.add_error(line_no, "shelf page product_type is empty")
+            continue
+        pages.append(PageRecord(
+            page_id=page_id,
+            page_type=page_type,
+            title=title,
+            product_type=product_type,
+            facets=frozenset(facets),
+        ))
+        seen_ids.add(page_id)
+        report.rows_ok += 1
+    return pages, report

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
+import oracles
 from topicforge import ingest
+from topicforge.tokenizer import load_facet_lexicon
+from topicforge.topicpage import TokenOverlapRetriever
 
 
 def test_normalize_query():
@@ -149,6 +154,71 @@ def test_parse_page_catalog_reports_malformed_rows(tmp_path):
                              (5, "facets is not a list of objects")]
 
 
+def test_catalog_row_may_hold_a_raw_line_separator(tmp_path):
+    cat = tmp_path / "pages.jsonl"
+    rows = [{"page_id": "s1", "page_type": "shelf",
+             "title": "yoga\u2028mats", "product_type": "yoga mat"},
+            {"page_id": "s2", "page_type": "shelf", "title": "tents",
+             "product_type": "???"}]
+    # valid JSON: U+2028 is a character of the title, not a line end
+    cat.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows),
+                   encoding="utf-8")
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [(p.page_id, p.title) for p in pages] == [("s1", "yoga mats")]
+    assert report.errors == [(2, "shelf page product_type is empty")]
+
+
+def test_click_row_is_split_at_line_ends_only(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"query,page_id,page_type,clicks,impressions\n"
+                    b"red\x1cshoes,p1,item,1,2\r"
+                    b"tall\x0bboots,p2,item,1,2\r\n"
+                    # a quoted field ends at its line's end
+                    b'"blue shoes,p3,item,1,2\n'
+                    b"green shoes,p4,item,1,2\n")
+    records, report = ingest.parse_click_log(log)
+    assert [(r.query, r.page_id) for r in records] == [
+        ("red shoes", "p1"), ("tall boots", "p2"), ("green shoes", "p4")]
+    assert report.errors == [(4, "expected 5 fields, got 1")]
+
+
+def test_line_that_is_not_utf8_is_a_row_error(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"query,page_id,page_type,clicks,impressions\n"
+                    b"caf\xe9 shoes,p1,item,1,2\n"
+                    b"caf\xc3\xa9 shoes,p1,item,1,2\n")
+    records, report = ingest.parse_click_log(log)
+    assert [r.query for r in records] == ["café shoes"]
+    assert report.errors == [(2, "line is not UTF-8 text")]
+    cat = tmp_path / "pages.jsonl"
+    cat.write_bytes(b'{"page_id": "s1", "page_type": "shelf", '
+                    b'"title": "caf\xe9", "product_type": "cafe"}\n'
+                    b'{"page_id": "s1", "page_type": "item"}\n')
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [p.page_id for p in pages] == ["s1"]
+    assert report.errors == [(1, "line is not UTF-8 text")]
+    # the header is no row: one that is not UTF-8 does not match
+    log.write_bytes(b"qu\xe9ry,page_id,page_type,clicks,impressions\n")
+    with pytest.raises(ingest.IngestError, match="^click log header "):
+        ingest.parse_click_log(log)
+
+
+def test_line_that_is_not_utf8_stops_a_lexicon_catalog_or_blocklist(
+        tmp_path):
+    path = tmp_path / "raw"
+    for what, good, load in [
+            ("blocklist", b"replica", ingest.load_blocklist),
+            ("facet lexicon", b'{"facet_name": "size", "values": ["large"]}',
+             load_facet_lexicon),
+            ("item catalog", b'{"item_id": "a", "title": "red hat"}',
+             TokenOverlapRetriever.from_jsonl)]:
+        # line 2 is blank: LF ends line 1, CR LF line 2
+        path.write_bytes(good + b"\n\r\ncaf\xe9\n")
+        with pytest.raises(ingest.IngestError,
+                           match=f"^{what} line 3: line is not UTF-8 text$"):
+            load(path)
+
+
 def test_blocklist_and_filtering(tmp_path):
     bl = tmp_path / "block.txt"
     bl.write_text("# junk sellers\nreplica\nFAKE Brand\n\n", encoding="utf-8")
@@ -177,3 +247,99 @@ def test_candidates_from_click_log_and_merge():
     from_log = ingest.candidates_from_click_log(records)
     assert [(c.query, c.clicks_total) for c in from_log] == [
         ("a query", 3), ("b query", 6)]
+
+
+# ---------------------------------------------------------------------------
+# differential check against the parsers' earlier two-loop form
+# ---------------------------------------------------------------------------
+
+# cell and field values that reach every row message; none holds a character
+# that str.splitlines() but not a line reader ends a line at, a byte that is
+# not UTF-8, or a quote that leaves a CSV field open at the line's end
+QUERIES = ["Running Shoes", "socks", "???", "", "  ", "blue-green mat",
+           "iPhone_13 case", "red, blue shoes", 'the "best" mat', "café\tmat",
+           "x\x00y"]
+PAGE_IDS = ["p1", " p2 ", "", "  ", "p,3"]
+CLICK_PAGE_TYPES = ["item", "SHELF", " facet ", "bogus", "", "topic"]
+COUNTS = ["1", "2", "0", "-1", "nine", " 3 ", "10", "1.5", ""]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+
+
+def _csv_cell(rng, value: str) -> str:
+    if rng.random() < 0.2 or any(c in value for c in ',"'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _click_log_text(rng) -> str:
+    header = [rng.choice([f, f" {f} "]) for f in ingest.CLICK_LOG_FIELDS]
+    lines = [",".join(header) if rng.random() < 0.95 else "query,page"]
+    for _ in range(rng.randrange(25)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", "   ", ",,,,", " , ,\t,,", "\t"]))
+            continue
+        cells = [rng.choice(QUERIES), rng.choice(PAGE_IDS),
+                 rng.choice(CLICK_PAGE_TYPES), rng.choice(COUNTS),
+                 rng.choice(COUNTS)]
+        if kind < 0.18:  # too few or too many fields
+            cells = (cells[:rng.randrange(1, 5)] if rng.random() < 0.5
+                     else cells + ["extra"])
+        lines.append(",".join(_csv_cell(rng, cell) for cell in cells))
+    return "".join(line + rng.choice(LINE_ENDS) for line in lines)
+
+
+PAGE_FIELDS = {
+    "page_id": ["s1", "s2", "s3", "f1", "i1", None, "", " ", 5],
+    "page_type": ["shelf", "facet", "item", "topic", "other", "SHELF",
+                  " Facet ", "bogus", None],
+    "title": ["Yoga Mats", "Blue yoga mat", "!!!", None, "", 3, "café"],
+    "product_type": ["yoga mat", "???", None, "tent"],
+    "facets": [[], None, [{"name": "Color", "value": "Blue"}],
+               [{"name": None, "value": "x"}, {"name": "size", "value": "L"}],
+               [{"name": "!!!", "value": "red"}], ["color=red"],
+               {"name": "color", "value": "red"}, "color", [{"name": "c"}]],
+}
+OTHER_CATALOG_LINES = ["", "  ", "[1, 2]", "not json", "{", "42", "null",
+                       '"page"', '{"page_id": "s9", }']
+
+
+def _page_catalog_text(rng) -> str:
+    lines = []
+    for _ in range(rng.randrange(25)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(OTHER_CATALOG_LINES))
+            continue
+        row = {key: rng.choice(values) for key, values in PAGE_FIELDS.items()
+               if rng.random() < 0.9}
+        lines.append(json.dumps(row, ensure_ascii=rng.random() < 0.5))
+    return "".join(line + rng.choice(LINE_ENDS) for line in lines)
+
+
+def _template(message: str) -> str:
+    return re.sub(r"'.*'|\d+", "_", message)
+
+
+def test_parsers_match_their_earlier_form(tmp_path):
+    rng = random.Random(23)
+    path = tmp_path / "raw"
+    seen = {"click": set(), "catalog": set()}
+    for _ in range(300):
+        for kind, text, parse, oracle in [
+                ("click", _click_log_text(rng), ingest.parse_click_log,
+                 oracles.parse_click_log),
+                ("catalog", _page_catalog_text(rng),
+                 ingest.parse_page_catalog, oracles.parse_page_catalog)]:
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = oracle(path)
+            except ingest.IngestError as exc:
+                with pytest.raises(ingest.IngestError, match=re.escape(str(exc))):
+                    parse(path)
+                continue
+            records, report = parse(path)
+            assert (records, report.rows_ok, report.errors) == (
+                expected[0], expected[1].rows_ok, expected[1].errors), text
+            seen[kind] |= {_template(m) for _, m in report.errors}
+    # every message of both parsers was reached: 7 and 10 templates
+    assert (len(seen["click"]), len(seen["catalog"])) == (7, 10), seen

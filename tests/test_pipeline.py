@@ -779,6 +779,27 @@ def test_bad_facet_lexicon_fails_ingest(tmp_path, caplog, capsys):
     capsys.readouterr()
 
 
+def test_line_that_is_not_utf8_exits_without_a_traceback(tmp_path, caplog,
+                                                         capsys):
+    paths = write_fixture(tmp_path / "inputs")
+    args = ["ingest", "--config", str(paths["config"]),
+            "--workdir", str(tmp_path / "w")]
+    rows = len(paths["click_log"].read_bytes().splitlines())
+    with open(paths["click_log"], "ab") as fh:
+        fh.write(b"caf\xe9 shoes,p1,item,1,2\n")
+    assert cli.main(args) == 0
+    report = json.loads((tmp_path / "w" / "ingest" / "report.json").read_text())
+    assert (f"click log line {rows + 1}: line is not UTF-8 text"
+            in report["warnings"])
+    assert report["counts"]["click_row_errors"] == 1
+    with open(paths["facet_lexicon"], "ab") as fh:
+        fh.write(b'{"facet_name": "caf\xe9", "values": ["latte"]}\n')
+    assert cli.main(args) == 1
+    assert "facet lexicon line 4: line is not UTF-8 text" in caplog.text
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
 def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
     inputs = tmp_path / "inputs"
     write_fixture(inputs)
@@ -826,19 +847,31 @@ def test_bad_emit_or_experiment_value_is_config_error(
 
 # (stage, dotted key, wrong-typed value, logged message)
 WRONG_TYPED_VALUES = [
-    ("train", "model.seq_len", None, "bad model config: "),
+    ("train", "model.seq_len", None,
+     "bad model config: seq_len must be a number of type int, got None"),
     ("train", "model.seq_len", 1, "bad model config: seq_len must be >= 2"),
-    ("train", "train.learning_rate", None, "bad train config: "),
-    ("finetune", "finetune.epochs", None, "bad finetune config: "),
+    ("train", "train.learning_rate", None,
+     "bad train config: learning_rate must be a number of type float, "
+     "got None"),
+    ("finetune", "finetune.epochs", None,
+     "bad finetune config: epochs must be a number of type int, got None"),
     ("train", "train.epochs", -1, "bad train config: epochs must be >= 0"),
     ("finetune", "finetune.epochs", -1,
      "bad finetune config: epochs must be >= 0"),
-    ("cluster", "cluster.threshold", "abc", "bad cluster config: "),
-    ("cluster", "cluster.threshold", None, "bad cluster config: "),
-    ("dedup", "dedup.threshold", None, "bad dedup config: "),
-    ("select", "select.quota", "abc", "bad select config: "),
-    ("emit", "emit.items_per_page", None, "bad emit config: "),
-    ("experiment", "experiment.n_days", None, "bad experiment config: "),
+    ("cluster", "cluster.threshold", "abc",
+     "bad cluster config: threshold must be a number of type float, "
+     "got 'abc'"),
+    ("cluster", "cluster.threshold", None,
+     "bad cluster config: threshold must be a number of type float, "
+     "got None"),
+    ("dedup", "dedup.threshold", None,
+     "bad dedup config: threshold must be a number of type float, got None"),
+    ("select", "select.quota", "abc",
+     "bad select config: quota must be a number of type int, got 'abc'"),
+    ("emit", "emit.items_per_page", None,
+     "bad emit config: items_per_page must be a number of type int, got None"),
+    ("experiment", "experiment.n_days", None,
+     "bad experiment config: n_days must be a number of type int, got None"),
     ("experiment", "seed", "abc", "config seed must be an integer"),
     ("experiment", "seed", None, "config seed must be an integer"),
     ("experiment", "seed", -2, "config error: seed must be >= 0, got -2"),
