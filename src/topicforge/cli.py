@@ -11,7 +11,6 @@ import logging
 import sys
 from pathlib import Path
 
-from . import experiment as exp_mod
 from . import fixture as fixture_mod
 from . import pipeline
 from .ingest import IngestError
@@ -97,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             print(str(paths["config"]))
             return 0
         if args.command == "power":
+            # numpy is imported only here and by the stages that run
+            from . import experiment as exp_mod
+
             try:
                 lifts = [float(x) for x in args.lifts.split(",") if x.strip()]
                 rows = [(lift, exp_mod.power_estimate(

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import check_cluster_threshold as check_threshold
 from .train import best_match
 
 logger = logging.getLogger(__name__)
@@ -81,12 +82,6 @@ def classify_product_type(query_vecs: np.ndarray,
     unit = query_vecs / np.linalg.norm(query_vecs, axis=1, keepdims=True)
     best, _ = best_match(unit, index.vectors)
     return [index.labels[int(b)] for b in best]
-
-
-def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a cosine distance in (0, 2)."""
-    if not 0.0 < threshold < 2.0:
-        raise ValueError("threshold must be in (0, 2)")
 
 
 def agglomerate(

@@ -6,7 +6,11 @@ too many for that; candidates are narrowed to the pages under the query's
 classified shelf product type that share at least one extracted facet pair,
 and only the union of the narrowed pages is encoded, in one batch. A query
 counts as a duplicate when its best cosine similarity over (all shelves,
-narrowed facet pages) reaches the threshold.
+narrowed facet pages) reaches the threshold (``config.dedup_verdict``).
+
+Only that verdict depends on the threshold, so the pipeline stores each
+query's best match (``dedup/matches.jsonl``) and a rerun that moves only
+the threshold decides again from those, without this module or numpy.
 
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that
@@ -20,11 +24,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_THRESHOLD, dedup_verdict
+from .config import check_dedup_threshold as check_threshold
 from .ingest import PageRecord, normalize_query, tokenize_text
 from .tokenizer import FacetMatcher
 from .train import best_match
-
-DEFAULT_THRESHOLD = 0.86  # midpoint of the 0.85-0.88 similarity band
 
 Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
 
@@ -40,6 +44,7 @@ class DedupDecision:
     best_match: str
     best_similarity: float
     path: str  # "shelf" | "facet"
+    facet_pages: int  # the facet pages the query narrowed to
 
 
 @dataclass
@@ -94,12 +99,6 @@ class FacetIndex:
         for name, value in facets.items():
             found.update(self.by_facet.get((product_type, name, value), ()))
         return sorted(found)
-
-
-def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a cosine similarity in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
 
 
 class Deduper:
@@ -160,9 +159,9 @@ class Deduper:
                 if sims[top] > best_sim:
                     best_page, best_sim, path = (candidates[top],
                                                  float(sims[top]), "facet")
-            verdict = "duplicate" if best_sim >= self.threshold else "kept"
-            decisions.append(DedupDecision(query, verdict, best_page,
-                                           best_sim, path))
+            decisions.append(DedupDecision(
+                query, dedup_verdict(best_sim, self.threshold), best_page,
+                best_sim, path, len(candidates)))
         return decisions
 
 

@@ -26,12 +26,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import (ConfigurationError, check_traffic, check_window,
+                     date_window)
+
 _BETACF_MAX_ITER = 300
 _BETACF_TOL = 1e-10
-
-
-class ConfigurationError(ValueError):
-    """The experiment window or parameters cannot form a valid plan."""
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,6 @@ class ExperimentPlan:
                 if e.period == period and e.arm == arm]
 
 
-def check_window(n_days: int) -> None:
-    """Raise ConfigurationError unless an ``n_days`` window gives each arm of
-    each period the 2 days its t-test needs."""
-    if n_days < 8 or n_days % 4:
-        raise ConfigurationError(
-            f"window length must be a multiple of 4, at least 8, got {n_days}")
-
-
 def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:
     """Assign the window's first half to AA, second to AB, and within each
     period randomly and evenly split dates into control and test arms.
@@ -81,23 +72,6 @@ def split_dates(window: Sequence[str], seed: int = 0) -> ExperimentPlan:
             action = "active" if (period == "AB" and arm == "test") else "paused"
             entries.append(PlanEntry(date, period, arm, action))
     return ExperimentPlan(tuple(entries))
-
-
-def date_window(start_date: str, n_days: int) -> list[str]:
-    """ISO dates from start_date, n_days long."""
-    import datetime as dt
-
-    start = dt.date.fromisoformat(start_date)
-    return [(start + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
-
-
-def check_traffic(base_mean: float, noise_sd: float) -> None:
-    """Raise ValueError unless daily clicks can be drawn around ``base_mean``
-    with standard deviation ``noise_sd``."""
-    if base_mean <= 0:
-        raise ValueError("base_mean must be > 0")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
 
 
 def simulate_traffic(

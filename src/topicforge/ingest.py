@@ -3,14 +3,17 @@
 All query text is normalized once, at the boundary (lowercase, punctuation
 stripped except hyphens, whitespace collapsed) so that later joins on query
 text are deterministic. A raw input holds one record per line, and a line
-ends only at LF, CR LF or CR. Parsers never drop malformed rows silently:
-a bad click log or page catalog row (one that is not UTF-8 text included)
-is recorded in the accompanying ParseReport, and a bad line of another raw
-input raises IngestError naming its line.
+ends only at LF, CR LF or CR, and one leading UTF-8 byte-order mark is
+dropped. Parsers never drop malformed rows silently: a bad click log or
+page catalog row (one that is not UTF-8 text, a CSV cell over the csv
+module's field limit or JSON nested too deeply included) is recorded in the
+accompanying ParseReport, and a bad line of another raw input raises
+IngestError naming its line.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import re
@@ -49,11 +52,13 @@ def field_text(value) -> str:
 
 
 def _read_lines(path: str | Path, what: str) -> list[bytes]:
-    """``path``'s lines, split only at LF, CR LF and CR."""
+    """``path``'s lines, split only at LF, CR LF and CR, after one leading
+    byte-order mark."""
     try:
-        return Path(path).read_bytes().splitlines()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+    return data.removeprefix(codecs.BOM_UTF8).splitlines()
 
 
 def _row(line: bytes, make: Callable[[str], object]) -> object:
@@ -72,6 +77,8 @@ def _json_object(line: str) -> dict:
         row = json.loads(line)
     except json.JSONDecodeError:
         raise ValueError("invalid JSON") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(row, dict):
         raise ValueError("JSONL row is not an object")
     return row
@@ -79,8 +86,11 @@ def _json_object(line: str) -> dict:
 
 def jsonl_objects(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
     """(``"<what> line N"``, row) for each non-blank line that holds a JSON
-    object; any other line raises IngestError naming its line."""
+    object; any other line raises IngestError naming its line. One leading
+    byte-order mark is dropped."""
     with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
         # each chunk ends at LF; splitting it again ends a line at CR too
         lines = (line for chunk in fh for line in chunk.splitlines())
         for line_no, line in enumerate(lines, start=1):
@@ -179,9 +189,18 @@ def _parse_rows(lines: Sequence[bytes], make: Callable[[str], object],
     return records, ParseReport(len(records), errors)
 
 
+def _cells(line: str) -> list[str]:
+    """The CSV cells of one line; ValueError for a line the csv module
+    refuses, such as one with a cell over its field limit."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _click_record(line: str) -> ClickRecord | None:
     """The record on one click log line, or None for a row of blank cells."""
-    row = next(csv.reader([line]))
+    row = _cells(line)
     if all(not cell.strip() for cell in row):
         return None
     if len(row) != len(CLICK_LOG_FIELDS):
@@ -216,7 +235,10 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     lines = _read_lines(path, "click log")
     if not lines:
         return [], ParseReport()
-    header = next(csv.reader([lines[0].decode("utf-8", "replace")]))
+    try:
+        header = _cells(lines[0].decode("utf-8", "replace"))
+    except ValueError as exc:
+        raise IngestError(f"click log header: {exc}") from None
     if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
         raise IngestError(
             f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")

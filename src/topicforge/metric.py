@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import parse_negative_ratio
 from .ingest import ClickRecord
 
 logger = logging.getLogger(__name__)
@@ -123,25 +124,6 @@ def positive_pairs(stats: CoClickStats) -> list[QueryPairSample]:
     for (qa, qb) in sorted(stats.pairs):
         out.append(QueryPairSample(qa, qb, interactive_metric(stats, qa, qb)))
     return out
-
-
-def parse_negative_ratio(negative_ratio: object) -> float | str:
-    """``"auto"`` or a finite number >= 0; a numeric string counts as its number.
-
-    Raises ValueError for anything else (booleans included).
-    """
-    if negative_ratio == "auto":
-        return "auto"
-    ratio = None
-    if not isinstance(negative_ratio, bool):
-        try:
-            ratio = float(negative_ratio)
-        except (TypeError, ValueError):
-            pass
-    if ratio is None or not math.isfinite(ratio) or ratio < 0:
-        raise ValueError("negative_ratio must be 'auto' or a finite number "
-                         f">= 0, got {negative_ratio!r}")
-    return ratio
 
 
 def build_training_set(

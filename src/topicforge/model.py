@@ -59,13 +59,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import ModelConfig
 from .tokenizer import TokenSequence
 
 LN_EPS = 1e-5
@@ -75,39 +76,6 @@ _GELU_K = 0.044715
 
 class NonFiniteLossError(FloatingPointError):
     """A batch produced a NaN/Inf loss; message names the offending sample."""
-
-
-@dataclass
-class ModelConfig:
-    vocab_size: int
-    seq_len: int = 16
-    model_dim: int = 32
-    num_layers: int = 2
-    num_heads: int = 2
-    ffn_dim: int = 64
-    output_dim: int = 32
-    num_classes: int = 0
-    negative_loss: str = "literal"  # or "complement"
-
-    def __post_init__(self):
-        for name in ("vocab_size", "model_dim", "num_layers", "num_heads",
-                     "ffn_dim", "output_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # tokenizer.token_ids refuses a shorter sequence
-        if self.seq_len < 2:
-            raise ValueError("seq_len must be >= 2")
-        if self.model_dim % self.num_heads != 0:
-            raise ValueError("model_dim must be divisible by num_heads")
-        if self.negative_loss not in ("literal", "complement"):
-            raise ValueError(f"unknown negative_loss mode {self.negative_loss!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,22 @@ offsets; `--seed` swaps the master without touching the config file.
 
 ``load_context`` parses the config once, into the typed and checked values
 of each section a stage reads (``ctx.settings``), so a bad value stops the
-run before any stage starts. A stage reads every file through its context
-(``ctx.artifact`` for an earlier stage's output, ``ctx.path`` for a raw
-input), which records each read, so the manifest lists exactly the files the
-stage read; a missing one fails with its name. The manifest's
+run before any stage starts. The checks come from :mod:`topicforge.config`,
+and each stage body imports the algorithm modules it calls, so neither
+parsing the config nor skipping a stage imports numpy. A stage reads every
+file through its context (``ctx.artifact`` for an earlier stage's output,
+``ctx.path`` for a raw input), which records each read, so the manifest
+lists exactly the files the stage read; a missing one fails with its name. The manifest's
 ``config_hash`` covers the values of the sections its stage reads, ``code``
 digests the package's sources, and ``environment`` names the Python and
 numpy versions, whose rounding can move an output.
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
-stage read or wrote has changed, ``topicforge all`` skips the stage.
+stage read or wrote has changed, ``topicforge all`` skips the stage. When
+only dedup's ``config_hash`` has changed, its threshold alone can have
+moved: dedup then decides again from its stored best matches
+(``matches.jsonl``) and scores nothing, so a threshold-only rerun never
+imports numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
 ``_write_json`` and ``_write_jsonl``, and reads every row artifact back
@@ -42,21 +48,18 @@ import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
+from importlib import metadata
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
 import yaml
 
-from . import cluster as cluster_mod
-from . import dedup as dedup_mod
-from . import experiment as exp_mod
 from . import ingest as ingest_mod
-from . import metric as metric_mod
-from . import model as model_mod
 from . import topicpage as topic_mod
-from . import train as train_mod
-from .tokenizer import Vocabulary, build_vocabulary, load_facet_lexicon
+from .config import (DEFAULT_THRESHOLD, FLOAT32_MAX, ModelConfig, TrainConfig,
+                     check_cluster_threshold, check_dedup_threshold,
+                     check_traffic, check_window, date_window, dedup_verdict,
+                     parse_negative_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -168,34 +171,31 @@ def _defaults(cls, *skip: str) -> dict:
 
 def _check_training(**values) -> None:
     """TrainConfig's checks, and the learning rate's limit: both trainings
-    multiply it into TRAIN_DTYPE arrays, where a larger one is inf."""
-    train_mod.TrainConfig(**values)
-    dtype = np.dtype(train_mod.TRAIN_DTYPE)
-    limit = float(np.finfo(dtype).max)
-    if values["learning_rate"] > limit:
-        raise ValueError(f"learning_rate must be at most {limit:.8g}, the "
-                         f"largest {dtype}, got {values['learning_rate']!r}")
+    multiply it into float32 arrays, where a larger one is inf."""
+    TrainConfig(**values)
+    if values["learning_rate"] > FLOAT32_MAX:
+        raise ValueError(f"learning_rate must be at most {FLOAT32_MAX:.8g}, the "
+                         f"largest float32, got {values['learning_rate']!r}")
 
 
 def _check_experiment(start_date: str, n_days: int, base_mean: float,
                       noise_sd: float, lift_fraction: float) -> None:
-    exp_mod.check_window(n_days)
-    exp_mod.date_window(start_date, n_days)
-    exp_mod.check_traffic(base_mean, noise_sd)
+    check_window(n_days)
+    date_window(start_date, n_days)
+    check_traffic(base_mean, noise_sd)
 
 
 # each config section a stage reads: its keys with their defaults, and the
 # check that the code using its values makes, called with them as keywords
 SECTIONS = {
-    "metric": ({"negative_ratio": "auto"}, metric_mod.parse_negative_ratio),
-    "model": (_defaults(model_mod.ModelConfig, "vocab_size", "num_classes"),
-              partial(model_mod.ModelConfig, 1)),  # train knows vocab_size
-    "train": (_defaults(train_mod.TrainConfig, "seed"), _check_training),
-    "finetune": (_defaults(train_mod.TrainConfig, "seed", "eval_fraction"),
+    "metric": ({"negative_ratio": "auto"}, parse_negative_ratio),
+    "model": (_defaults(ModelConfig, "vocab_size", "num_classes"),
+              partial(ModelConfig, 1)),  # train knows vocab_size
+    "train": (_defaults(TrainConfig, "seed"), _check_training),
+    "finetune": (_defaults(TrainConfig, "seed", "eval_fraction"),
                  _check_training),
-    "cluster": ({"threshold": 0.15}, cluster_mod.check_threshold),
-    "dedup": ({"threshold": dedup_mod.DEFAULT_THRESHOLD},
-              dedup_mod.check_threshold),
+    "cluster": ({"threshold": 0.15}, check_cluster_threshold),
+    "dedup": ({"threshold": DEFAULT_THRESHOLD}, check_dedup_threshold),
     "select": ({"quota": 10}, topic_mod.check_quota),
     "emit": ({"items_per_page": topic_mod.DEFAULT_ITEMS_PER_PAGE},
              topic_mod.check_items_per_page),
@@ -237,8 +237,13 @@ def _settings(config: dict) -> dict[str, dict]:
     return settings
 
 
-# the interpreter and numpy, whose rounding can move an output
-_ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
+@cache
+def _environment() -> dict:
+    """The interpreter and numpy, whose rounding can move an output. numpy's
+    version is read from its installed metadata, so that checking a manifest
+    does not import it."""
+    return {"python": platform.python_version(),
+            "numpy": metadata.version("numpy")}
 
 
 @cache
@@ -264,7 +269,8 @@ def _fingerprint(ctx: PipelineContext, stage: str) -> dict:
     environment, and the sha256 of the values of the sections it reads."""
     canon = json.dumps({name: ctx.settings[name]
                         for name in _READS.get(stage, (stage,))}, sort_keys=True)
-    return {"stage": stage, "code": _code_digest(), "environment": _ENVIRONMENT,
+    return {"stage": stage, "code": _code_digest(),
+            "environment": _environment(),
             "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
             "seed": ctx.seed}
 
@@ -339,10 +345,14 @@ def _checked(row: dict, *numbers: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# stage bodies; each returns (counts, warnings, output file names)
+# stage bodies; each returns (counts, warnings, output file names). Each
+# imports the algorithm modules it calls, so a run that skips a stage never
+# imports them, numpy included
 # ---------------------------------------------------------------------------
 
 def _stage_ingest(ctx: PipelineContext, out: Path):
+    from .tokenizer import load_facet_lexicon
+
     records, rep = ingest_mod.parse_click_log(ctx.path("click_log"))
     pages, prep = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
     lexicon = load_facet_lexicon(ctx.path("facet_lexicon"))
@@ -378,6 +388,8 @@ def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
 
 
 def _stage_metric(ctx: PipelineContext, out: Path):
+    from . import metric as metric_mod
+
     records = _load_clicks(ctx)
     # shelf clicks are navigational ("browsed the category", not "wanted the
     # same thing"), so they never count as co-clicks; finetune labels by them
@@ -399,9 +411,12 @@ def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
 
 
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
-                     ) -> tuple[dict, model_mod.ModelConfig, Vocabulary]:
+                     ) -> tuple[dict, ModelConfig, Vocabulary]:
     """A checkpoint with its sidecar, and the vocabulary it was trained on.
     A file that does not decode stops the stage with its name."""
+    from . import model as model_mod
+    from .tokenizer import Vocabulary
+
     path = ctx.artifact(stage, name)
     ctx.artifact(stage, name + ".json")
     key = f"{stage}/{name}"
@@ -425,6 +440,11 @@ def _throughput(history: list[dict], seconds: float) -> dict:
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
+    from . import metric as metric_mod
+    from . import model as model_mod
+    from . import train as train_mod
+    from .tokenizer import build_vocabulary, load_facet_lexicon
+
     samples = _read_rows(ctx, "metric", "training_set.jsonl", lambda r: (
         metric_mod.QueryPairSample(**_checked(r, "interactive"))))
     pages = _load_pages(ctx)
@@ -432,14 +452,14 @@ def _stage_train(ctx: PipelineContext, out: Path):
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
     texts += [p.title for p in pages] + [p.product_type for p in pages]
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
-    cfg = model_mod.ModelConfig(vocab.size, **ctx.settings["model"])
-    tcfg = train_mod.TrainConfig(**ctx.settings["train"],
-                                 seed=ctx.seed + SEED_TRAIN)
+    cfg = ModelConfig(vocab.size, **ctx.settings["model"])
+    tcfg = TrainConfig(**ctx.settings["train"], seed=ctx.seed + SEED_TRAIN)
     started = time.perf_counter()
     try:
         params, history = train_mod.train_intention_model(
             samples, vocab, cfg, tcfg)
-    except ValueError as exc:  # a training set it cannot learn from
+    # a training set it cannot learn from, or a loss that went non-finite
+    except (ValueError, train_mod.TrainingDiverged) as exc:
         raise PipelineError(f"train: {exc}") from exc
     throughput = _throughput(history, time.perf_counter() - started)
     vocab.save(out / "vocab.jsonl")
@@ -453,8 +473,10 @@ def _stage_train(ctx: PipelineContext, out: Path):
                         "curve.csv"]
 
 
-def _derive_labels(records, pages) -> tuple[list[train_mod.LabeledQuery], list[str]]:
+def _derive_labels(records, pages) -> tuple[list[LabeledQuery], list[str]]:
     """Label each query by the shelf page it clicks most (class index)."""
+    from .train import LabeledQuery
+
     shelf_ids = sorted(p.page_id for p in pages if p.page_type == "shelf")
     index_of = {pid: i for i, pid in enumerate(shelf_ids)}
     per_query: dict[str, dict[str, int]] = {}
@@ -466,23 +488,27 @@ def _derive_labels(records, pages) -> tuple[list[train_mod.LabeledQuery], list[s
     labeled = []
     for query in sorted(per_query):
         best = min(per_query[query].items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        labeled.append(train_mod.LabeledQuery(query, index_of[best]))
+        labeled.append(LabeledQuery(query, index_of[best]))
     return labeled, shelf_ids
 
 
 def _stage_finetune(ctx: PipelineContext, out: Path):
+    from . import model as model_mod
+    from . import train as train_mod
+
     pretrained, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     labeled, classes = _derive_labels(_load_clicks(ctx), _load_pages(ctx))
     if len(classes) < 2:
         raise PipelineError("need at least two shelf classes to fine-tune")
     cfg = replace(cfg, num_classes=len(classes))
-    tcfg = train_mod.TrainConfig(**ctx.settings["finetune"],
-                                 seed=ctx.seed + SEED_FINETUNE)
+    tcfg = TrainConfig(**ctx.settings["finetune"],
+                       seed=ctx.seed + SEED_FINETUNE)
     started = time.perf_counter()
     try:
         params, history = train_mod.finetune_classifier(
             pretrained, labeled, vocab, cfg, tcfg)
-    except ValueError as exc:  # labels it cannot learn from
+    # labels it cannot learn from, or a loss that went non-finite
+    except (ValueError, train_mod.TrainingDiverged) as exc:
         raise PipelineError(f"finetune: {exc}") from exc
     throughput = _throughput(history, time.perf_counter() - started)
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
@@ -496,6 +522,9 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
 
 
 def _stage_cluster(ctx: PipelineContext, out: Path):
+    from . import cluster as cluster_mod
+    from . import train as train_mod
+
     params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl", lambda r: (
         _checked(r, "clicks_total")["query"], r["clicks_total"])))
@@ -524,27 +553,58 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     return counts, [], ["clusters.csv", "representatives.jsonl", "merge_log.jsonl"]
 
 
-def _stage_dedup(ctx: PipelineContext, out: Path):
+# a query's best match, which the threshold does not move: dedup's
+# matches.jsonl holds one row of these per representative
+_MATCH_KEYS = ("query", "best_match", "best_similarity", "path", "facet_pages")
+
+
+def _score_matches(ctx: PipelineContext, queries: list[str]) -> list[dict]:
+    """Each query's best shelf or facet page match, in ``queries`` order."""
+    from . import dedup as dedup_mod
+    from . import train as train_mod
+
     params, cfg, vocab = _load_checkpoint(ctx, "finetune", "finetuned.ckpt")
     pages = _load_pages(ctx)
-    # each row with its query; kept rows pass through as they are
-    reps = _read_rows(ctx, "cluster", "representatives.jsonl",
-                      lambda r: (_checked(r, "clicks_total")["query"], r))
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     shelf_index = dedup_mod.build_shelf_index(pages, encode)
     facet_index = dedup_mod.FacetIndex(pages)
     deduper = dedup_mod.Deduper(shelf_index, facet_index, encode,
                                 vocab.facet_matcher, **ctx.settings["dedup"])
-    decisions, stats = dedup_mod.dedup_all([q for q, _ in reps], deduper)
+    decisions, _ = dedup_mod.dedup_all(queries, deduper)
+    return [{key: getattr(d, key) for key in _MATCH_KEYS} for d in decisions]
+
+
+def _stage_dedup(ctx: PipelineContext, out: Path):
+    # each row with its query; kept rows pass through as they are
+    reps = _read_rows(ctx, "cluster", "representatives.jsonl",
+                      lambda r: (_checked(r, "clicks_total")["query"], r))
+    # a rerun that moves only the threshold decides again from the stored
+    # matches, which it does not move
+    stored = _holding_manifest(ctx, "dedup", "config_hash")
+    if stored is None:
+        matches = _score_matches(ctx, [q for q, _ in reps])
+    else:
+        matches = _read_rows(ctx, "dedup", "matches.jsonl", lambda r: (
+            _checked(r, "best_similarity", "facet_pages")))
+        # what the matches were scored from, unchanged, is what was read
+        ctx.inputs = {key: ctx.workdir / key for key in stored["inputs"]}
+    threshold = ctx.settings["dedup"]["threshold"]
+    verdicts = [dedup_verdict(m["best_similarity"], threshold)
+                for m in matches]
     _write_csv(out / "decisions.csv",
                ["query", "verdict", "best_match", "best_similarity", "path"],
-               ([d.query, d.verdict, d.best_match, f"{d.best_similarity:.6f}",
-                 d.path] for d in decisions))
-    verdicts = {d.query: d.verdict for d in decisions}
-    _write_jsonl(out / "kept.jsonl",
-                 (r for q, r in reps if verdicts[q] == "kept"))
-    return stats, [], ["decisions.csv", "kept.jsonl"]
+               ([m["query"], verdict, m["best_match"],
+                 f"{m['best_similarity']:.6f}", m["path"]]
+                for m, verdict in zip(matches, verdicts)))
+    kept = {m["query"] for m, verdict in zip(matches, verdicts)
+            if verdict == "kept"}
+    _write_jsonl(out / "kept.jsonl", (r for q, r in reps if q in kept))
+    _write_jsonl(out / "matches.jsonl", matches)
+    counts = {"total": len(matches), "kept": verdicts.count("kept"),
+              "duplicate": verdicts.count("duplicate"),
+              "facet_path_skipped": sum(not m["facet_pages"] for m in matches)}
+    return counts, [], ["decisions.csv", "kept.jsonl", "matches.jsonl"]
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
@@ -583,9 +643,11 @@ def _stage_emit(ctx: PipelineContext, out: Path):
 
 
 def _stage_experiment(ctx: PipelineContext, out: Path):
+    from . import experiment as exp_mod
+
     e = ctx.settings["experiment"]
     plan, clicks, report = exp_mod.run_experiment(
-        exp_mod.date_window(e["start_date"], e["n_days"]),
+        date_window(e["start_date"], e["n_days"]),
         e["base_mean"], e["noise_sd"], e["lift_fraction"],
         split_seed=ctx.seed + SEED_SPLIT, traffic_seed=ctx.seed + SEED_TRAFFIC)
     # the plan's keys stay in field order
@@ -622,10 +684,7 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     out = ctx.workdir / stage
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    try:
-        counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
-    except train_mod.TrainingDiverged as exc:
-        raise PipelineError(f"{stage}: {exc}") from exc
+    counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
     duration = time.monotonic() - started
 
     manifest = {
@@ -643,19 +702,18 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     return report
 
 
-def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
-    """The previous report of ``stage``, rewritten as skipped, when its
-    manifest still holds: the same ``_fingerprint``, and every listed input,
-    raw input (at the current ``paths.<key>``) and output rehashes to its
-    recorded digest. Otherwise None, and the stage must run. The manifest
-    is left as it is."""
-    started = time.monotonic()
+def _holding_manifest(ctx: PipelineContext, stage: str,
+                      *ignored: str) -> dict | None:
+    """``stage``'s manifest when it still holds: the same ``_fingerprint``
+    except at the keys in ``ignored``, and every listed input, raw input (at
+    the current ``paths.<key>``) and output rehashes to its recorded digest.
+    Otherwise None."""
     out = ctx.workdir / stage
     try:
         manifest = json.loads((out / "MANIFEST.json").read_text(encoding="utf-8"))
-        previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
         if any(manifest[key] != value
-               for key, value in _fingerprint(ctx, stage).items()):
+               for key, value in _fingerprint(ctx, stage).items()
+               if key not in ignored):
             return None
         files = [(ctx.workdir / key, digest)
                  for key, digest in manifest["inputs"].items()]
@@ -665,12 +723,27 @@ def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
                   for name, digest in manifest["outputs"].items()]
         if any(_sha256(p) != digest for p, digest in files):
             return None
-        report = StageReport(stage, previous["counts"], previous["warnings"],
-                             time.monotonic() - started, skipped=True)
-    # a missing or malformed manifest or report, or a listed file that is
-    # gone: the stage runs, and reports any real problem itself
+    # a missing or malformed manifest, or a listed file that is gone: the
+    # stage runs, and reports any real problem itself
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ConfigError):
+        return None
+    return manifest
+
+
+def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
+    """The previous report of ``stage``, rewritten as skipped, when its
+    manifest still holds (``_holding_manifest``). Otherwise None, and the
+    stage must run. The manifest is left as it is."""
+    started = time.monotonic()
+    out = ctx.workdir / stage
+    if _holding_manifest(ctx, stage) is None:
+        return None
+    try:
+        previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        report = StageReport(stage, previous["counts"], previous["warnings"],
+                             time.monotonic() - started, skipped=True)
+    except (OSError, ValueError, KeyError, TypeError):  # the stage runs
         return None
     _write_json(out / "report.json", asdict(report))
     logger.info("stage %s skipped: nothing it read or wrote changed", stage)

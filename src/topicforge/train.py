@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import model
+from .config import ModelConfig, TrainConfig
 from .ingest import normalize_query, tokenize_text
 from .metric import QueryPairSample
-from .model import ModelConfig
 from .tokenizer import PAD_ID, Vocabulary, token_ids
 
 logger = logging.getLogger(__name__)
@@ -62,25 +61,6 @@ TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 
 class TrainingDiverged(RuntimeError):
     """Loss or parameters went non-finite; the message names the epoch."""
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 10
-    seed: int = 0
-    eval_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be a finite number > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if not 0.0 <= self.eval_fraction < 1.0:
-            raise ValueError("eval_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)

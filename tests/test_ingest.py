@@ -219,6 +219,70 @@ def test_line_that_is_not_utf8_stops_a_lexicon_catalog_or_blocklist(
             load(path)
 
 
+HEADER = b"query,page_id,page_type,clicks,impressions\n"
+
+
+def test_click_cell_over_the_csv_field_limit_is_a_row_error(tmp_path):
+    log = tmp_path / "log.csv"
+    big = b"x" * (128 * 1024 + 1)
+    log.write_bytes(HEADER + big + b",p1,item,1,2\nshoes,p1,item,1,2\n")
+    records, report = ingest.parse_click_log(log)
+    assert [r.query for r in records] == ["shoes"]
+    assert report.errors == [(2, "field larger than field limit (131072)")]
+    # the header is no row: it stops the parse, without a traceback
+    log.write_bytes(big + b"\n")
+    with pytest.raises(ingest.IngestError,
+                       match=r"^click log header: field larger than field"):
+        ingest.parse_click_log(log)
+
+
+def test_catalog_line_nested_too_deeply_is_a_row_error(tmp_path):
+    cat = tmp_path / "pages.jsonl"
+    cat.write_bytes(b"[" * 100_000 + b"\n"
+                    b'{"page_id": "s1", "page_type": "shelf", '
+                    b'"title": "hats", "product_type": "hats"}\n')
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [p.page_id for p in pages] == ["s1"]
+    assert report.errors == [(1, "JSON nested too deeply")]
+
+
+def test_line_nested_too_deeply_stops_a_lexicon_or_item_catalog(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    for what, good, load in [
+            ("facet lexicon", b'{"facet_name": "size", "values": ["large"]}',
+             load_facet_lexicon),
+            ("item catalog", b'{"item_id": "a", "title": "red hat"}',
+             TokenOverlapRetriever.from_jsonl)]:
+        path.write_bytes(good + b"\n" + b"[" * 100_000 + b"\n")
+        with pytest.raises(ingest.IngestError,
+                           match=f"^{what} line 2: JSON nested too deeply$"):
+            load(path)
+
+
+BOM = "﻿".encode("utf-8")
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(BOM + HEADER + b"shoes,p1,item,1,2\n")
+    records, report = ingest.parse_click_log(log)
+    assert [r.query for r in records] == ["shoes"]
+    assert report.errors == []
+    cat = tmp_path / "pages.jsonl"
+    cat.write_bytes(BOM + b'{"page_id": "s1", "page_type": "shelf", '
+                          b'"title": "hats", "product_type": "hats"}\n')
+    pages, report = ingest.parse_page_catalog(cat)
+    assert [p.page_id for p in pages] == ["s1"]
+    assert report.errors == []
+    lexicon = tmp_path / "lexicon.jsonl"
+    lexicon.write_bytes(BOM + b'{"facet_name": "size", "values": ["large"]}\n')
+    assert load_facet_lexicon(lexicon) == {"size": {"large"}}
+    # only one: a second mark is the first row's text
+    log.write_bytes(BOM + BOM + HEADER)
+    with pytest.raises(ingest.IngestError, match="^click log header "):
+        ingest.parse_click_log(log)
+
+
 def test_blocklist_and_filtering(tmp_path):
     bl = tmp_path / "block.txt"
     bl.write_text("# junk sellers\nreplica\nFAKE Brand\n\n", encoding="utf-8")

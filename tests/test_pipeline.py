@@ -9,9 +9,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import re
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -22,7 +24,9 @@ import pytest
 import yaml
 
 from topicforge import cli, pipeline
+from topicforge import config as config_mod
 from topicforge import ingest as ingest_mod
+from topicforge import train as train_mod
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
                                  run_stage)
@@ -157,9 +161,10 @@ OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
 # the functions that may open a workdir file for reading: the pipeline's row
-# reader and hasher, the two codecs' readers, and the JSONL reader of the
-# facet lexicon, whose copy train reads
+# reader, hasher and manifest reader, the two codecs' readers, and the JSONL
+# reader of the facet lexicon, whose copy train reads
 OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
+               "topicforge.pipeline._holding_manifest",
                "topicforge.model.load_params",
                "topicforge.tokenizer.Vocabulary.load",
                "topicforge.ingest.jsonl_objects"}
@@ -553,6 +558,8 @@ def test_stale_raw_lexicon_changes_no_cluster_or_dedup_output(full_run,
     with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"facet_name": "activity",
                              "values": ["running", "trail"]}) + "\n")
+    # without its manifest, dedup scores its matches again
+    (workdir / "dedup" / "MANIFEST.json").unlink()
     for stage in ("ingest", "cluster", "dedup"):
         assert cli.main([stage, "--config", config,
                          "--workdir", str(workdir)]) == 0
@@ -1157,6 +1164,94 @@ def test_other_numpy_version_reruns_its_stage(fixture_dir, full_run, tmp_path,
     capsys.readouterr()
     assert manifest.read_bytes() == (
         full_run[1] / "dedup" / "MANIFEST.json").read_bytes()
+
+
+def python_run(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports the package from this
+    source tree; fails the test on a non-zero exit."""
+    src = str(Path(pipeline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_cli_and_config_check_import_no_numpy(fixture_dir):
+    done = python_run(
+        "import sys, topicforge.cli, topicforge.pipeline as p\n"
+        f"p.load_context({str(fixture_dir / 'config.yaml')!r})\n"
+        "print('numpy' in sys.modules)")
+    assert done.stdout == "False\n"
+
+
+def test_threshold_only_rerun_imports_no_numpy(fixture_dir, full_run,
+                                               tmp_path):
+    config = variant_config(fixture_dir, tmp_path, **{"dedup.threshold": 0.88})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    done = python_run(
+        "import sys\nfrom topicforge import cli\n"
+        f"code = cli.main(['all', '--config', {str(config)!r}, "
+        f"'--workdir', {str(workdir)!r}])\n"
+        "print(code, 'numpy' in sys.modules)")
+    assert done.stdout == "0 False\n"
+    assert [s for s in pipeline.STAGES
+            if f"{s}: skipped" not in done.stderr] == ["dedup"]
+    assert "dedup: ok " in done.stderr
+    # the matches do not depend on the threshold
+    name = Path("dedup", "matches.jsonl")
+    assert (workdir / name).read_bytes() == (full_run[1] / name).read_bytes()
+
+
+def count_encodes(monkeypatch) -> list[int]:
+    """The rows of each ``train.encode_texts`` call from now on."""
+    calls = []
+    real = train_mod.encode_texts
+
+    def counting(params, cfg, vocab, texts):
+        calls.append(len(texts))
+        return real(params, cfg, vocab, texts)
+
+    monkeypatch.setattr(train_mod, "encode_texts", counting)
+    return calls
+
+
+@pytest.mark.parametrize("edit", ["matches", "numpy"])
+def test_changed_matches_or_numpy_scores_dedup_again(
+        fixture_dir, full_run, tmp_path, monkeypatch, capsys, edit):
+    config = variant_config(fixture_dir, tmp_path, **{"dedup.threshold": 0.88})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    if edit == "matches":
+        matches = workdir / "dedup" / "matches.jsonl"
+        matches.write_text(re.sub(r'"best_similarity": [-0-9.e]+',
+                                  '"best_similarity": 0.5',
+                                  matches.read_text(), count=1))
+    else:
+        manifest = workdir / "dedup" / "MANIFEST.json"
+        recorded = json.loads(manifest.read_text())
+        recorded["environment"]["numpy"] = "1.0.0"
+        manifest.write_text(json.dumps(recorded))
+    calls = count_encodes(monkeypatch)
+    assert run_all(monkeypatch, config, workdir) == ["dedup"]
+    capsys.readouterr()
+    assert calls  # the encoder ran: dedup scored its matches again
+    cold = tmp_path / "cold"
+    assert run_all(monkeypatch, config, cold) == list(pipeline.STAGES)
+    capsys.readouterr()
+    assert tree(workdir) == tree(cold)
+
+
+def test_learning_rate_limit_is_the_largest_float32(fixture_dir, tmp_path):
+    assert config_mod.FLOAT32_MAX == float(np.finfo(train_mod.TRAIN_DTYPE).max)
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"train.learning_rate": 1e39})
+    with pytest.raises(ConfigError) as caught:
+        load_context(config, tmp_path / "w")
+    assert str(caught.value) == (
+        "bad train config: learning_rate must be at most 3.4028235e+38, the "
+        "largest float32, got 1e+39")
 
 
 @pytest.mark.parametrize("change", ["seed", "code"])
