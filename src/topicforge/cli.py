@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metric": "aggregate co-clicks and build the pair training set",
         "train": "pretrain the intention encoder",
         "finetune": "fine-tune the category classification head",
-        "cluster": "classify product types and agglomerate topics",
+        "cluster": "classify product types, agglomerate topics and score "
+                   "each representative's best page match",
         "dedup": "drop candidates covered by existing shelf/facet pages",
         "select": "pick topic keywords under the page quota",
         "emit": "emit topic page specs from the mock item retriever",

@@ -1,10 +1,10 @@
 """The configuration's types and checks, importable without numpy.
 
 ``pipeline.load_context`` checks a whole config before any stage runs, and
-a rerun that only moves ``dedup.threshold`` decides again from dedup's
-stored matches. Neither needs numpy, so everything they use lives here: the
-model and training configs, each section's range checks, and the one rule
-that turns a best similarity into a dedup verdict. The modules that use
+the ``dedup`` stage applies ``dedup.threshold`` to the best matches that
+``cluster`` stored. Neither needs numpy, so everything they use lives here:
+the model and training configs, each section's range checks, and the one
+rule that turns a best similarity into a dedup verdict. The modules that use
 these names re-export them (``model.ModelConfig``,
 ``experiment.ConfigurationError``, ``dedup.DEFAULT_THRESHOLD``, ...).
 """
@@ -130,10 +130,14 @@ def date_window(start_date: str, n_days: int) -> list[str]:
     return [(start + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
 
 
-def check_traffic(base_mean: float, noise_sd: float) -> None:
+def check_traffic(base_mean: float, noise_sd: float,
+                  lift_fraction: float) -> None:
     """Raise ValueError unless daily clicks can be drawn around ``base_mean``
-    with standard deviation ``noise_sd``."""
+    with standard deviation ``noise_sd``, and scaling them by ``1 +
+    lift_fraction`` keeps them finite and at or above 0."""
     if base_mean <= 0:
         raise ValueError("base_mean must be > 0")
     if noise_sd < 0:
         raise ValueError("noise_sd must be >= 0")
+    if not (math.isfinite(lift_fraction) and lift_fraction >= -1):
+        raise ValueError("lift_fraction must be a finite number >= -1")

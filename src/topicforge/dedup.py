@@ -8,9 +8,10 @@ and only the union of the narrowed pages is encoded, in one batch. A query
 counts as a duplicate when its best cosine similarity over (all shelves,
 narrowed facet pages) reaches the threshold (``config.dedup_verdict``).
 
-Only that verdict depends on the threshold, so the pipeline stores each
-query's best match (``dedup/matches.jsonl``) and a rerun that moves only
-the threshold decides again from those, without this module or numpy.
+Only that verdict depends on the threshold. So the pipeline's ``cluster``
+stage scores each representative's best match here and stores it
+(``cluster/matches.jsonl``), and its ``dedup`` stage applies the threshold
+to those, without this module or numpy.
 
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that
@@ -118,7 +119,6 @@ class Deduper:
         self.encode = encode
         self.threshold = threshold
         self.facet_matcher = facet_matcher
-        self.facet_path_skipped = 0
 
     def decide(self, queries: Sequence[str]) -> list[DedupDecision]:
         """One decision per query, in order.
@@ -137,11 +137,8 @@ class Deduper:
         for query, (page, _) in zip(queries, shelf_best):
             facets = self.facet_matcher.match(
                 tokenize_text(normalize_query(query)))
-            candidates = self.facet_index.pages_for(
-                self.shelf_index.product_types[page], facets)
-            if not candidates:
-                self.facet_path_skipped += 1
-            narrowed.append(candidates)
+            narrowed.append(self.facet_index.pages_for(
+                self.shelf_index.product_types[page], facets))
 
         pages = sorted(set().union(*narrowed))
         row = {page_id: i for i, page_id in enumerate(pages)}
@@ -175,12 +172,11 @@ def dedup_all(
     candidates (no extractable facets or no matching pages) — the share of
     traffic exposed to the known lexicon-coverage blind spot.
     """
-    deduper.facet_path_skipped = 0
     decisions = deduper.decide(queries)
     stats = {
         "total": len(decisions),
         "kept": sum(d.verdict == "kept" for d in decisions),
         "duplicate": sum(d.verdict == "duplicate" for d in decisions),
-        "facet_path_skipped": deduper.facet_path_skipped,
+        "facet_path_skipped": sum(not d.facet_pages for d in decisions),
     }
     return decisions, stats

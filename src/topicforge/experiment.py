@@ -84,7 +84,7 @@ def simulate_traffic(
     """Daily clicks per date: Normal(base_mean, noise_sd) clamped at 0,
     then multiplied by (1 + lift_fraction) on AB test dates only.
     """
-    check_traffic(base_mean, noise_sd)
+    check_traffic(base_mean, noise_sd, lift_fraction)
     rng = np.random.default_rng(seed)
     clicks: dict[str, float] = {}
     for entry in plan.entries:

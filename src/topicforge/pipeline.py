@@ -23,11 +23,12 @@ digests the package's sources, and ``environment`` names the Python and
 numpy versions, whose rounding can move an output.
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
-stage read or wrote has changed, ``topicforge all`` skips the stage. When
-only dedup's ``config_hash`` has changed, its threshold alone can have
-moved: dedup then decides again from its stored best matches
-(``matches.jsonl``) and scores nothing, so a threshold-only rerun never
-imports numpy.
+stage read or wrote has changed, ``topicforge all`` skips the stage. That
+one rule does all reuse. ``cluster`` stores each representative's best page
+match (``cluster/matches.jsonl``), which no dedup threshold moves, and
+``dedup`` only applies its threshold to them. So a rerun that moves only
+``dedup.threshold`` skips every stage but ``dedup``, and never imports
+numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
 ``_write_json`` and ``_write_jsonl``, and reads every row artifact back
@@ -42,13 +43,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import platform
+import re
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
-from importlib import metadata
 from pathlib import Path
 from typing import Callable
 
@@ -182,7 +184,7 @@ def _check_experiment(start_date: str, n_days: int, base_mean: float,
                       noise_sd: float, lift_fraction: float) -> None:
     check_window(n_days)
     date_window(start_date, n_days)
-    check_traffic(base_mean, noise_sd)
+    check_traffic(base_mean, noise_sd, lift_fraction)
 
 
 # each config section a stage reads: its keys with their defaults, and the
@@ -240,10 +242,12 @@ def _settings(config: dict) -> dict[str, dict]:
 @cache
 def _environment() -> dict:
     """The interpreter and numpy, whose rounding can move an output. numpy's
-    version is read from its installed metadata, so that checking a manifest
-    does not import it."""
+    version is read from its ``version.py``, found without importing numpy,
+    so that checking a manifest does not import it."""
+    origin = Path(importlib.util.find_spec("numpy").origin)
+    text = origin.with_name("version.py").read_text(encoding="utf-8")
     return {"python": platform.python_version(),
-            "numpy": metadata.version("numpy")}
+            "numpy": re.search(r'^version = "(.+)"$', text, re.M)[1]}
 
 
 @cache
@@ -529,7 +533,8 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl", lambda r: (
         _checked(r, "clicks_total")["query"], r["clicks_total"])))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
-    ptypes = {p.product_type for p in _load_pages(ctx) if p.page_type == "shelf"}
+    pages = _load_pages(ctx)
+    ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
     index = cluster_mod.ProductTypeIndex.build(ptypes, encode)
@@ -547,30 +552,33 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     _write_jsonl(out / "merge_log.jsonl",
                  ({"cluster_a": a, "cluster_b": b, "distance": d}
                   for a, b, d in result.merge_log))
+    _write_jsonl(out / "matches.jsonl",
+                 _score_matches(ctx, pages, [r["query"] for r in reps]))
     counts = {"queries": len(result.assignments),
               "clusters": len(result.representatives),
               "distance_evaluations": result.distance_evaluations}
-    return counts, [], ["clusters.csv", "representatives.jsonl", "merge_log.jsonl"]
+    return counts, [], ["clusters.csv", "representatives.jsonl",
+                        "merge_log.jsonl", "matches.jsonl"]
 
 
-# a query's best match, which the threshold does not move: dedup's
+# a query's best match, which no dedup threshold moves: cluster's
 # matches.jsonl holds one row of these per representative
 _MATCH_KEYS = ("query", "best_match", "best_similarity", "path", "facet_pages")
 
 
-def _score_matches(ctx: PipelineContext, queries: list[str]) -> list[dict]:
-    """Each query's best shelf or facet page match, in ``queries`` order."""
+def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
+                   queries: list[str]) -> list[dict]:
+    """Each query's best shelf or facet page match, in ``queries`` order.
+    The Deduper's default threshold only makes verdicts that are dropped."""
     from . import dedup as dedup_mod
     from . import train as train_mod
 
     params, cfg, vocab = _load_checkpoint(ctx, "finetune", "finetuned.ckpt")
-    pages = _load_pages(ctx)
     # the fine-tuned checkpoint: rows are the task-specific embedding
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
-    shelf_index = dedup_mod.build_shelf_index(pages, encode)
-    facet_index = dedup_mod.FacetIndex(pages)
-    deduper = dedup_mod.Deduper(shelf_index, facet_index, encode,
-                                vocab.facet_matcher, **ctx.settings["dedup"])
+    deduper = dedup_mod.Deduper(dedup_mod.build_shelf_index(pages, encode),
+                                dedup_mod.FacetIndex(pages), encode,
+                                vocab.facet_matcher)
     decisions, _ = dedup_mod.dedup_all(queries, deduper)
     return [{key: getattr(d, key) for key in _MATCH_KEYS} for d in decisions]
 
@@ -579,16 +587,11 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     # each row with its query; kept rows pass through as they are
     reps = _read_rows(ctx, "cluster", "representatives.jsonl",
                       lambda r: (_checked(r, "clicks_total")["query"], r))
-    # a rerun that moves only the threshold decides again from the stored
-    # matches, which it does not move
-    stored = _holding_manifest(ctx, "dedup", "config_hash")
-    if stored is None:
-        matches = _score_matches(ctx, [q for q, _ in reps])
-    else:
-        matches = _read_rows(ctx, "dedup", "matches.jsonl", lambda r: (
-            _checked(r, "best_similarity", "facet_pages")))
-        # what the matches were scored from, unchanged, is what was read
-        ctx.inputs = {key: ctx.workdir / key for key in stored["inputs"]}
+    matches = _read_rows(ctx, "cluster", "matches.jsonl", lambda r: _checked(
+        {key: r[key] for key in _MATCH_KEYS}, "best_similarity", "facet_pages"))
+    if [m["query"] for m in matches] != [q for q, _ in reps]:
+        raise PipelineError("cluster/matches.jsonl: not one row per "
+                            "representative, in their order")
     threshold = ctx.settings["dedup"]["threshold"]
     verdicts = [dedup_verdict(m["best_similarity"], threshold)
                 for m in matches]
@@ -600,11 +603,10 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
     kept = {m["query"] for m, verdict in zip(matches, verdicts)
             if verdict == "kept"}
     _write_jsonl(out / "kept.jsonl", (r for q, r in reps if q in kept))
-    _write_jsonl(out / "matches.jsonl", matches)
     counts = {"total": len(matches), "kept": verdicts.count("kept"),
               "duplicate": verdicts.count("duplicate"),
               "facet_path_skipped": sum(not m["facet_pages"] for m in matches)}
-    return counts, [], ["decisions.csv", "kept.jsonl", "matches.jsonl"]
+    return counts, [], ["decisions.csv", "kept.jsonl"]
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
@@ -702,18 +704,18 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     return report
 
 
-def _holding_manifest(ctx: PipelineContext, stage: str,
-                      *ignored: str) -> dict | None:
-    """``stage``'s manifest when it still holds: the same ``_fingerprint``
-    except at the keys in ``ignored``, and every listed input, raw input (at
-    the current ``paths.<key>``) and output rehashes to its recorded digest.
-    Otherwise None."""
+def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
+    """The previous report of ``stage``, rewritten as skipped, when its
+    manifest still holds: the same ``_fingerprint``, and every listed input,
+    raw input (at the current ``paths.<key>``) and output rehashes to its
+    recorded digest. Otherwise None, and the stage must run. The manifest is
+    left as it is."""
+    started = time.monotonic()
     out = ctx.workdir / stage
     try:
         manifest = json.loads((out / "MANIFEST.json").read_text(encoding="utf-8"))
         if any(manifest[key] != value
-               for key, value in _fingerprint(ctx, stage).items()
-               if key not in ignored):
+               for key, value in _fingerprint(ctx, stage).items()):
             return None
         files = [(ctx.workdir / key, digest)
                  for key, digest in manifest["inputs"].items()]
@@ -723,27 +725,13 @@ def _holding_manifest(ctx: PipelineContext, stage: str,
                   for name, digest in manifest["outputs"].items()]
         if any(_sha256(p) != digest for p, digest in files):
             return None
-    # a missing or malformed manifest, or a listed file that is gone: the
-    # stage runs, and reports any real problem itself
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ConfigError):
-        return None
-    return manifest
-
-
-def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
-    """The previous report of ``stage``, rewritten as skipped, when its
-    manifest still holds (``_holding_manifest``). Otherwise None, and the
-    stage must run. The manifest is left as it is."""
-    started = time.monotonic()
-    out = ctx.workdir / stage
-    if _holding_manifest(ctx, stage) is None:
-        return None
-    try:
         previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
         report = StageReport(stage, previous["counts"], previous["warnings"],
                              time.monotonic() - started, skipped=True)
-    except (OSError, ValueError, KeyError, TypeError):  # the stage runs
+    # a missing or malformed manifest or report, or a listed file that is
+    # gone: the stage runs, and reports any real problem itself
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ConfigError):
         return None
     _write_json(out / "report.json", asdict(report))
     logger.info("stage %s skipped: nothing it read or wrote changed", stage)

@@ -197,7 +197,7 @@ def test_dedup_all_stats_and_skip_counter():
     assert stats["kept"] + stats["duplicate"] == 3
     # "running shoes" and the nonsense query extract no facets
     assert stats["facet_path_skipped"] == 2
-    # rerunning resets the counter instead of accumulating
+    # rerunning counts the same again
     _, stats2 = dedup_all(queries, deduper)
     assert stats2["facet_path_skipped"] == 2
 
@@ -247,7 +247,7 @@ def test_empty_shelf_index_and_no_facet_index():
                       encode, MATCHER, threshold=0.86)
     [decision] = deduper.decide(["red running shoes"])
     assert decision.path == "shelf" and decision.best_match == "s-shoe"
-    assert deduper.facet_path_skipped == 1
+    assert decision.facet_pages == 0
 
 
 def test_dedup_report_csv():

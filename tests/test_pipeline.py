@@ -105,10 +105,9 @@ INPUTS = {
                  "ingest/page_catalog.jsonl"],
     "cluster": ["train/intention.ckpt", "train/intention.ckpt.json",
                 "train/vocab.jsonl", "ingest/candidates.jsonl",
-                "ingest/page_catalog.jsonl"],
-    "dedup": ["finetune/finetuned.ckpt", "finetune/finetuned.ckpt.json",
-              "train/vocab.jsonl", "cluster/representatives.jsonl",
-              "ingest/page_catalog.jsonl"],
+                "ingest/page_catalog.jsonl", "finetune/finetuned.ckpt",
+                "finetune/finetuned.ckpt.json"],
+    "dedup": ["cluster/representatives.jsonl", "cluster/matches.jsonl"],
     "select": ["dedup/kept.jsonl"],
     "emit": ["select/topics.jsonl"],
     "experiment": [],
@@ -161,10 +160,9 @@ OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
 # the functions that may open a workdir file for reading: the pipeline's row
-# reader, hasher and manifest reader, the two codecs' readers, and the JSONL
-# reader of the facet lexicon, whose copy train reads
+# reader and hasher, the two codecs' readers, and the JSONL reader of the
+# facet lexicon, whose copy train reads
 OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
-               "topicforge.pipeline._holding_manifest",
                "topicforge.model.load_params",
                "topicforge.tokenizer.Vocabulary.load",
                "topicforge.ingest.jsonl_objects"}
@@ -322,6 +320,7 @@ COPY_EDITS = {
     "training-set-cut": ("metric/training_set.jsonl", 2, _cut),
     "candidates-cut": ("ingest/candidates.jsonl", 2, _cut),
     "representatives-cut": ("cluster/representatives.jsonl", 2, _cut),
+    "matches-cut": ("cluster/matches.jsonl", 2, _cut),
     "kept-cut": ("dedup/kept.jsonl", 2, _cut),
     "topics-cut": ("select/topics.jsonl", 2, _cut),
     "topic-without-clicks": ("select/topics.jsonl", 1,
@@ -360,14 +359,14 @@ COPY_EDITS = {
 
 @pytest.mark.parametrize("edit, stage", [
     ("truncated", "train"), ("truncated", "finetune"), ("truncated", "cluster"),
-    ("truncated", "dedup"), ("null-title", "train"), ("no-facets", "cluster"),
-    ("bad-page-type", "dedup"), ("clicks-not-int", "metric"),
+    ("null-title", "train"), ("no-facets", "cluster"),
+    ("bad-page-type", "cluster"), ("clicks-not-int", "metric"),
     ("clicks-not-int", "finetune"), ("short-row", "metric"),
     ("header", "metric"), ("training-set-cut", "train"),
     ("candidates-cut", "cluster"), ("representatives-cut", "dedup"),
-    ("kept-cut", "select"), ("topics-cut", "emit"),
+    ("matches-cut", "dedup"), ("kept-cut", "select"), ("topics-cut", "emit"),
     ("topic-without-clicks", "emit"), ("vocab-cut", "cluster"),
-    ("checkpoint-cut", "dedup"), ("candidate-query-number", "cluster"),
+    ("checkpoint-cut", "cluster"), ("candidate-query-number", "cluster"),
     ("representative-query-number", "dedup"), ("kept-query-number", "select"),
     ("kept-product-type-number", "select"), ("topic-number", "emit"),
     ("topic-cluster-number", "emit"), ("candidate-clicks-string", "cluster"),
@@ -393,6 +392,21 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
     else:
         assert f"{key} line {line_no}: malformed row (" in caplog.text
     assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
+def test_matches_without_a_representative_stop_dedup(full_run, tmp_path,
+                                                     caplog, capsys):
+    ctx, workdir = full_run[0], tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    matches = workdir / "cluster" / "matches.jsonl"
+    lines = matches.read_text(encoding="utf-8").splitlines(keepends=True)
+    matches.write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
+    assert cli.main(["dedup", "--config", str(ctx.config_dir / "config.yaml"),
+                     "--workdir", str(workdir)]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == ("cluster/matches.jsonl: not one row per "
+                                  "representative, in their order")
     capsys.readouterr()
 
 
@@ -558,8 +572,6 @@ def test_stale_raw_lexicon_changes_no_cluster_or_dedup_output(full_run,
     with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"facet_name": "activity",
                              "values": ["running", "trail"]}) + "\n")
-    # without its manifest, dedup scores its matches again
-    (workdir / "dedup" / "MANIFEST.json").unlink()
     for stage in ("ingest", "cluster", "dedup"):
         assert cli.main([stage, "--config", config,
                          "--workdir", str(workdir)]) == 0
@@ -879,6 +891,10 @@ WRONG_TYPED_VALUES = [
      "bad emit config: items_per_page must be a number of type int, got None"),
     ("experiment", "experiment.n_days", None,
      "bad experiment config: n_days must be a number of type int, got None"),
+    ("experiment", "experiment.lift_fraction", -2.0,
+     "bad experiment config: lift_fraction must be a finite number >= -1"),
+    ("experiment", "experiment.lift_fraction", math.inf,
+     "bad experiment config: lift_fraction must be a finite number >= -1"),
     ("experiment", "seed", "abc", "config seed must be an integer"),
     ("experiment", "seed", None, "config seed must be an integer"),
     ("experiment", "seed", -2, "config error: seed must be >= 0, got -2"),
@@ -1200,7 +1216,7 @@ def test_threshold_only_rerun_imports_no_numpy(fixture_dir, full_run,
             if f"{s}: skipped" not in done.stderr] == ["dedup"]
     assert "dedup: ok " in done.stderr
     # the matches do not depend on the threshold
-    name = Path("dedup", "matches.jsonl")
+    name = Path("cluster", "matches.jsonl")
     assert (workdir / name).read_bytes() == (full_run[1] / name).read_bytes()
 
 
@@ -1224,19 +1240,34 @@ def test_changed_matches_or_numpy_scores_dedup_again(
     workdir = tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
     if edit == "matches":
-        matches = workdir / "dedup" / "matches.jsonl"
+        matches = workdir / "cluster" / "matches.jsonl"
         matches.write_text(re.sub(r'"best_similarity": [-0-9.e]+',
                                   '"best_similarity": 0.5',
                                   matches.read_text(), count=1))
     else:
-        manifest = workdir / "dedup" / "MANIFEST.json"
+        manifest = workdir / "cluster" / "MANIFEST.json"
         recorded = json.loads(manifest.read_text())
         recorded["environment"]["numpy"] = "1.0.0"
         manifest.write_text(json.dumps(recorded))
     calls = count_encodes(monkeypatch)
-    assert run_all(monkeypatch, config, workdir) == ["dedup"]
+    assert run_all(monkeypatch, config, workdir) == ["cluster", "dedup"]
     capsys.readouterr()
-    assert calls  # the encoder ran: dedup scored its matches again
+    assert calls  # the encoder ran: cluster scored its matches again
+    cold = tmp_path / "cold"
+    assert run_all(monkeypatch, config, cold) == list(pipeline.STAGES)
+    capsys.readouterr()
+    assert tree(workdir) == tree(cold)
+
+
+def test_finetune_only_change_reruns_cluster_and_dedup(
+        fixture_dir, full_run, tmp_path, monkeypatch, capsys):
+    # cluster scores the best matches with the fine-tuned checkpoint
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"finetune.learning_rate": 0.002})
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    assert run_all(monkeypatch, config, workdir) == [
+        "finetune", "cluster", "dedup"]
     cold = tmp_path / "cold"
     assert run_all(monkeypatch, config, cold) == list(pipeline.STAGES)
     capsys.readouterr()
