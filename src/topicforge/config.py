@@ -1,12 +1,13 @@
 """The configuration's types and checks, importable without numpy.
 
 ``pipeline.load_context`` checks a whole config before any stage runs, and
-the ``dedup`` stage applies ``dedup.threshold`` to the best matches that
-``cluster`` stored. Neither needs numpy, so everything they use lives here:
-the model and training configs, each section's range checks, and the one
-rule that turns a best similarity into a dedup verdict. The modules that use
-these names re-export them (``model.ModelConfig``,
-``experiment.ConfigurationError``, ``dedup.DEFAULT_THRESHOLD``, ...).
+the ``dedup`` stage applies ``dedup.threshold`` to the best match that
+``cluster`` stored in each representative's row. Neither needs numpy, so
+everything they use lives here: the model and training configs, each
+section's range checks, and the one rule that turns a best similarity into
+a dedup verdict. The modules that use these names re-export them
+(``model.ModelConfig``, ``experiment.ConfigurationError``,
+``dedup.DEFAULT_THRESHOLD``, ...).
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def check_traffic(base_mean: float, noise_sd: float,
     """Raise ValueError unless daily clicks can be drawn around ``base_mean``
     with standard deviation ``noise_sd``, and scaling them by ``1 +
     lift_fraction`` keeps them finite and at or above 0."""
-    if base_mean <= 0:
-        raise ValueError("base_mean must be > 0")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    if not (math.isfinite(base_mean) and base_mean > 0):
+        raise ValueError("base_mean must be > 0 and finite")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError("noise_sd must be >= 0 and finite")
     if not (math.isfinite(lift_fraction) and lift_fraction >= -1):
         raise ValueError("lift_fraction must be a finite number >= -1")

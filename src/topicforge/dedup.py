@@ -9,9 +9,10 @@ counts as a duplicate when its best cosine similarity over (all shelves,
 narrowed facet pages) reaches the threshold (``config.dedup_verdict``).
 
 Only that verdict depends on the threshold. So the pipeline's ``cluster``
-stage scores each representative's best match here and stores it
-(``cluster/matches.jsonl``), and its ``dedup`` stage applies the threshold
-to those, without this module or numpy.
+stage scores each representative's best match here and stores it in the
+representative's own row (``cluster/representatives.jsonl``), and its
+``dedup`` stage applies the threshold to those, without this module or
+numpy.
 
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that

@@ -2,13 +2,14 @@
 
 All query text is normalized once, at the boundary (lowercase, punctuation
 stripped except hyphens, whitespace collapsed) so that later joins on query
-text are deterministic. A raw input holds one record per line, and a line
-ends only at LF, CR LF or CR, and one leading UTF-8 byte-order mark is
-dropped. Parsers never drop malformed rows silently: a bad click log or
-page catalog row (one that is not UTF-8 text, a CSV cell over the csv
-module's field limit or JSON nested too deeply included) is recorded in the
-accompanying ParseReport, and a bad line of another raw input raises
-IngestError naming its line.
+text are deterministic. Every raw input is read through ``_read_lines``: it
+holds one record per line, a line ends only at LF, CR LF or CR, and one
+leading UTF-8 byte-order mark is dropped. Parsers never drop malformed rows
+silently: a bad click log or page catalog row (one that is not UTF-8 text,
+a CSV cell over the csv module's field limit or JSON nested too deeply
+included) is recorded in the accompanying ParseReport. The other raw
+inputs, the blocklist, facet lexicon and item catalog, are strict
+(``strict_rows``): their first bad line raises IngestError naming it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
 
@@ -82,25 +83,6 @@ def _json_object(line: str) -> dict:
     if not isinstance(row, dict):
         raise ValueError("JSONL row is not an object")
     return row
-
-
-def jsonl_objects(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
-    """(``"<what> line N"``, row) for each non-blank line that holds a JSON
-    object; any other line raises IngestError naming its line. One leading
-    byte-order mark is dropped."""
-    with open(path, "rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        # each chunk ends at LF; splitting it again ends a line at CR too
-        lines = (line for chunk in fh for line in chunk.splitlines())
-        for line_no, line in enumerate(lines, start=1):
-            where = f"{what} line {line_no}"
-            try:
-                row = _row(line, _json_object)
-            except ValueError as exc:
-                raise IngestError(f"{where}: {exc}") from None
-            if row is not None:
-                yield where, row
 
 
 @dataclass(frozen=True)
@@ -287,15 +269,21 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
                        partial(_page_record, seen_ids=set()))
 
 
+def strict_rows(path: str | Path, what: str,
+                make: Callable[[str], object]) -> list:
+    """Each :func:`_row` of ``path``'s lines other than None; the first line
+    that raises ValueError raises IngestError naming it."""
+    rows, report = _parse_rows(_read_lines(path, what), make)
+    if report.errors:
+        raise IngestError("{} line {}: {}".format(what, *report.errors[0]))
+    return rows
+
+
 def load_blocklist(path: str | Path) -> set[str]:
     """Load one normalized term per line; '#' starts a comment. A line that
     is not UTF-8 text raises IngestError naming its line."""
-    terms, report = _parse_rows(
-        _read_lines(path, "blocklist"),
-        lambda text: normalize_query(text.split("#", 1)[0]) or None)
-    if report.errors:
-        raise IngestError("blocklist line {}: {}".format(*report.errors[0]))
-    return set(terms)
+    return set(strict_rows(path, "blocklist", lambda text: (
+        normalize_query(text.split("#", 1)[0]) or None)))
 
 
 def candidates_from_click_log(records: Sequence[ClickRecord]) -> list[CandidateQuery]:

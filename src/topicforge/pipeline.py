@@ -25,10 +25,10 @@ numpy versions, whose rounding can move an output.
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
 stage read or wrote has changed, ``topicforge all`` skips the stage. That
 one rule does all reuse. ``cluster`` stores each representative's best page
-match (``cluster/matches.jsonl``), which no dedup threshold moves, and
-``dedup`` only applies its threshold to them. So a rerun that moves only
-``dedup.threshold`` skips every stage but ``dedup``, and never imports
-numpy.
+match, which no dedup threshold moves, in the representative's own row of
+``cluster/representatives.jsonl``, and ``dedup`` only applies its threshold
+to them. So a rerun that moves only ``dedup.threshold`` skips every stage
+but ``dedup``, and never imports numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
 ``_write_json`` and ``_write_jsonl``, and reads every row artifact back
@@ -544,26 +544,27 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
                ["query", "product_type", "cluster_id", "is_representative"],
                ([q, ptype, cid, "1" if result.representatives[cid] == q else "0"]
                 for q, (ptype, cid) in sorted(result.assignments.items())))
-    reps = [{"query": q, "cluster_id": cid, "product_type": ptype,
-             "clicks_total": clicks[q]}
-            for cid, q in sorted(result.representatives.items())
-            for ptype in [result.assignments[q][0]]]
-    _write_jsonl(out / "representatives.jsonl", reps)
+    reps = sorted(result.representatives.items())
+    matches = _score_matches(ctx, pages, [q for _, q in reps])
+    _write_jsonl(out / "representatives.jsonl",
+                 ({**match, "cluster_id": cid, "clicks_total": clicks[q],
+                   "product_type": result.assignments[q][0]}
+                  for (cid, q), match in zip(reps, matches)))
     _write_jsonl(out / "merge_log.jsonl",
                  ({"cluster_a": a, "cluster_b": b, "distance": d}
                   for a, b, d in result.merge_log))
-    _write_jsonl(out / "matches.jsonl",
-                 _score_matches(ctx, pages, [r["query"] for r in reps]))
     counts = {"queries": len(result.assignments),
               "clusters": len(result.representatives),
               "distance_evaluations": result.distance_evaluations}
     return counts, [], ["clusters.csv", "representatives.jsonl",
-                        "merge_log.jsonl", "matches.jsonl"]
+                        "merge_log.jsonl"]
 
 
-# a query's best match, which no dedup threshold moves: cluster's
-# matches.jsonl holds one row of these per representative
+# a representative's best match, which no dedup threshold moves: cluster
+# adds these keys to its representatives.jsonl row
 _MATCH_KEYS = ("query", "best_match", "best_similarity", "path", "facet_pages")
+# the representative keys that kept.jsonl passes on to select
+_REP_KEYS = ("query", "cluster_id", "product_type", "clicks_total")
 
 
 def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
@@ -584,28 +585,22 @@ def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
 
 
 def _stage_dedup(ctx: PipelineContext, out: Path):
-    # each row with its query; kept rows pass through as they are
-    reps = _read_rows(ctx, "cluster", "representatives.jsonl",
-                      lambda r: (_checked(r, "clicks_total")["query"], r))
-    matches = _read_rows(ctx, "cluster", "matches.jsonl", lambda r: _checked(
-        {key: r[key] for key in _MATCH_KEYS}, "best_similarity", "facet_pages"))
-    if [m["query"] for m in matches] != [q for q, _ in reps]:
-        raise PipelineError("cluster/matches.jsonl: not one row per "
-                            "representative, in their order")
+    reps = _read_rows(ctx, "cluster", "representatives.jsonl", lambda r: (
+        _checked({key: r[key] for key in _REP_KEYS + _MATCH_KEYS},
+                 "clicks_total", "best_similarity", "facet_pages")))
     threshold = ctx.settings["dedup"]["threshold"]
-    verdicts = [dedup_verdict(m["best_similarity"], threshold)
-                for m in matches]
+    verdicts = [dedup_verdict(r["best_similarity"], threshold) for r in reps]
     _write_csv(out / "decisions.csv",
                ["query", "verdict", "best_match", "best_similarity", "path"],
-               ([m["query"], verdict, m["best_match"],
-                 f"{m['best_similarity']:.6f}", m["path"]]
-                for m, verdict in zip(matches, verdicts)))
-    kept = {m["query"] for m, verdict in zip(matches, verdicts)
-            if verdict == "kept"}
-    _write_jsonl(out / "kept.jsonl", (r for q, r in reps if q in kept))
-    counts = {"total": len(matches), "kept": verdicts.count("kept"),
+               ([r["query"], verdict, r["best_match"],
+                 f"{r['best_similarity']:.6f}", r["path"]]
+                for r, verdict in zip(reps, verdicts)))
+    _write_jsonl(out / "kept.jsonl",
+                 ({key: r[key] for key in _REP_KEYS}
+                  for r, verdict in zip(reps, verdicts) if verdict == "kept"))
+    counts = {"total": len(reps), "kept": verdicts.count("kept"),
               "duplicate": verdicts.count("duplicate"),
-              "facet_path_skipped": sum(not m["facet_pages"] for m in matches)}
+              "facet_path_skipped": sum(not r["facet_pages"] for r in reps)}
     return counts, [], ["decisions.csv", "kept.jsonl"]
 
 

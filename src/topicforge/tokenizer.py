@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import (IngestError, field_text, jsonl_objects, normalize_query,
+from .ingest import (_json_object, field_text, normalize_query, strict_rows,
                      tokenize_text)
 
 PAD_ID = 0
@@ -101,16 +101,18 @@ class TokenSequence:
 def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
     """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
     raises IngestError naming its line."""
-    lexicon: dict[str, set[str]] = {}
-    for where, d in jsonl_objects(path, "facet lexicon"):
+    def row(line: str) -> tuple[str, set[str]]:
+        d = _json_object(line)
         name = normalize_query(str(d.get("facet_name") or ""))
         if not name:
-            raise IngestError(f"{where}: facet_name is missing or empty")
+            raise ValueError("facet_name is missing or empty")
         values = d.get("values", [])
         if not isinstance(values, list):
-            raise IngestError(f"{where}: values is not a list")
-        normalized = {normalize_query(field_text(v)) for v in values}
-        lexicon.setdefault(name, set()).update(v for v in normalized if v)
+            raise ValueError("values is not a list")
+        return name, {normalize_query(field_text(v)) for v in values}
+    lexicon: dict[str, set[str]] = {}
+    for name, values in strict_rows(path, "facet lexicon", row):
+        lexicon.setdefault(name, set()).update(v for v in values if v)
     return lexicon
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .ingest import (IngestError, field_text, jsonl_objects, normalize_query,
+from .ingest import (_json_object, field_text, normalize_query, strict_rows,
                      tokenize_text)
 
 logger = logging.getLogger(__name__)
@@ -91,15 +91,14 @@ class TokenOverlapRetriever:
     def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
         """JSONL rows {item_id, title}; a malformed row raises IngestError
         naming its line."""
-        def items():
-            for where, row in jsonl_objects(path, "item catalog"):
-                item = (field_text(row.get("item_id")),
-                        field_text(row.get("title")))
-                for name, value in zip(("item_id", "title"), item):
-                    if not value:
-                        raise IngestError(f"{where}: {name} is missing or empty")
-                yield item
-        return cls(items())
+        def item(line: str) -> tuple[str, str]:
+            row = _json_object(line)
+            pair = (field_text(row.get("item_id")), field_text(row.get("title")))
+            for name, value in zip(("item_id", "title"), pair):
+                if not value:
+                    raise ValueError(f"{name} is missing or empty")
+            return pair
+        return cls(strict_rows(path, "item catalog", item))
 
     def __call__(self, keyword: str, k: int) -> list[str]:
         overlap = Counter()

@@ -212,11 +212,13 @@ def test_line_that_is_not_utf8_stops_a_lexicon_catalog_or_blocklist(
              load_facet_lexicon),
             ("item catalog", b'{"item_id": "a", "title": "red hat"}',
              TokenOverlapRetriever.from_jsonl)]:
-        # line 2 is blank: LF ends line 1, CR LF line 2
-        path.write_bytes(good + b"\n\r\ncaf\xe9\n")
-        with pytest.raises(ingest.IngestError,
-                           match=f"^{what} line 3: line is not UTF-8 text$"):
-            load(path)
+        # line 2 is blank: LF ends line 1, CR LF line 2; then CR LF ends
+        # line 1 and a bare CR line 2
+        for ends in (b"\n\r\n", b"\r\n\r"):
+            path.write_bytes(good + ends + b"caf\xe9\n")
+            with pytest.raises(ingest.IngestError,
+                               match=f"^{what} line 3: line is not UTF-8 text$"):
+                load(path)
 
 
 HEADER = b"query,page_id,page_type,clicks,impressions\n"
@@ -277,6 +279,12 @@ def test_leading_byte_order_mark_is_dropped(tmp_path):
     lexicon = tmp_path / "lexicon.jsonl"
     lexicon.write_bytes(BOM + b'{"facet_name": "size", "values": ["large"]}\n')
     assert load_facet_lexicon(lexicon) == {"size": {"large"}}
+    blocklist = tmp_path / "blocklist.txt"
+    blocklist.write_bytes(BOM + b"replica\n")
+    assert ingest.load_blocklist(blocklist) == {"replica"}
+    items = tmp_path / "items.jsonl"
+    items.write_bytes(BOM + b'{"item_id": "a", "title": "red hat"}\n')
+    assert TokenOverlapRetriever.from_jsonl(items)("hat", 5) == ["a"]
     # only one: a second mark is the first row's text
     log.write_bytes(BOM + BOM + HEADER)
     with pytest.raises(ingest.IngestError, match="^click log header "):

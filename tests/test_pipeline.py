@@ -107,7 +107,7 @@ INPUTS = {
                 "train/vocab.jsonl", "ingest/candidates.jsonl",
                 "ingest/page_catalog.jsonl", "finetune/finetuned.ckpt",
                 "finetune/finetuned.ckpt.json"],
-    "dedup": ["cluster/representatives.jsonl", "cluster/matches.jsonl"],
+    "dedup": ["cluster/representatives.jsonl"],
     "select": ["dedup/kept.jsonl"],
     "emit": ["select/topics.jsonl"],
     "experiment": [],
@@ -160,12 +160,12 @@ OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
 # the functions that may open a workdir file for reading: the pipeline's row
-# reader and hasher, the two codecs' readers, and the JSONL reader of the
-# facet lexicon, whose copy train reads
+# reader and hasher, the two codecs' readers, and the raw inputs' line
+# reader, through which train reads the facet lexicon copy
 OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
                "topicforge.model.load_params",
                "topicforge.tokenizer.Vocabulary.load",
-               "topicforge.ingest.jsonl_objects"}
+               "topicforge.ingest._read_lines"}
 
 
 def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
@@ -320,7 +320,6 @@ COPY_EDITS = {
     "training-set-cut": ("metric/training_set.jsonl", 2, _cut),
     "candidates-cut": ("ingest/candidates.jsonl", 2, _cut),
     "representatives-cut": ("cluster/representatives.jsonl", 2, _cut),
-    "matches-cut": ("cluster/matches.jsonl", 2, _cut),
     "kept-cut": ("dedup/kept.jsonl", 2, _cut),
     "topics-cut": ("select/topics.jsonl", 2, _cut),
     "topic-without-clicks": ("select/topics.jsonl", 1,
@@ -341,6 +340,11 @@ COPY_EDITS = {
                                 _number_field("clicks_total", '"5"')),
     "representative-clicks-string": ("cluster/representatives.jsonl", 2,
                                      _number_field("clicks_total", '"5"')),
+    "representative-similarity-string": ("cluster/representatives.jsonl", 2,
+                                         _number_field("best_similarity",
+                                                       '"0.5"')),
+    "representative-facet-pages-bool": ("cluster/representatives.jsonl", 1,
+                                        _number_field("facet_pages", "true")),
     "kept-clicks-string": ("dedup/kept.jsonl", 2,
                            _number_field("clicks_total", '"5"')),
     "kept-clicks-bool": ("dedup/kept.jsonl", 1,
@@ -364,14 +368,17 @@ COPY_EDITS = {
     ("clicks-not-int", "finetune"), ("short-row", "metric"),
     ("header", "metric"), ("training-set-cut", "train"),
     ("candidates-cut", "cluster"), ("representatives-cut", "dedup"),
-    ("matches-cut", "dedup"), ("kept-cut", "select"), ("topics-cut", "emit"),
+    ("kept-cut", "select"), ("topics-cut", "emit"),
     ("topic-without-clicks", "emit"), ("vocab-cut", "cluster"),
     ("checkpoint-cut", "cluster"), ("candidate-query-number", "cluster"),
     ("representative-query-number", "dedup"), ("kept-query-number", "select"),
     ("kept-product-type-number", "select"), ("topic-number", "emit"),
     ("topic-cluster-number", "emit"), ("candidate-clicks-string", "cluster"),
-    ("representative-clicks-string", "dedup"), ("kept-clicks-string", "select"),
-    ("kept-clicks-bool", "select"), ("topic-clicks-string", "emit"),
+    ("representative-clicks-string", "dedup"),
+    ("representative-similarity-string", "dedup"),
+    ("representative-facet-pages-bool", "dedup"),
+    ("kept-clicks-string", "select"), ("kept-clicks-bool", "select"),
+    ("topic-clicks-string", "emit"),
     ("interactive-string", "train"), ("interactive-bool", "train")])
 def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
@@ -392,21 +399,6 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
     else:
         assert f"{key} line {line_no}: malformed row (" in caplog.text
     assert "Traceback" not in caplog.text
-    capsys.readouterr()
-
-
-def test_matches_without_a_representative_stop_dedup(full_run, tmp_path,
-                                                     caplog, capsys):
-    ctx, workdir = full_run[0], tmp_path / "w"
-    shutil.copytree(full_run[1], workdir)
-    matches = workdir / "cluster" / "matches.jsonl"
-    lines = matches.read_text(encoding="utf-8").splitlines(keepends=True)
-    matches.write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
-    assert cli.main(["dedup", "--config", str(ctx.config_dir / "config.yaml"),
-                     "--workdir", str(workdir)]) == 1
-    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert error.getMessage() == ("cluster/matches.jsonl: not one row per "
-                                  "representative, in their order")
     capsys.readouterr()
 
 
@@ -895,6 +887,14 @@ WRONG_TYPED_VALUES = [
      "bad experiment config: lift_fraction must be a finite number >= -1"),
     ("experiment", "experiment.lift_fraction", math.inf,
      "bad experiment config: lift_fraction must be a finite number >= -1"),
+    ("experiment", "experiment.base_mean", math.nan,
+     "bad experiment config: base_mean must be > 0 and finite"),
+    ("experiment", "experiment.base_mean", math.inf,
+     "bad experiment config: base_mean must be > 0 and finite"),
+    ("experiment", "experiment.noise_sd", math.nan,
+     "bad experiment config: noise_sd must be >= 0 and finite"),
+    ("experiment", "experiment.noise_sd", math.inf,
+     "bad experiment config: noise_sd must be >= 0 and finite"),
     ("experiment", "seed", "abc", "config seed must be an integer"),
     ("experiment", "seed", None, "config seed must be an integer"),
     ("experiment", "seed", -2, "config error: seed must be >= 0, got -2"),
@@ -1048,7 +1048,8 @@ def test_cli_fixture_and_power(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--seeds", "0"], "n_seeds must be >= 1"),
     (["--noise-sd", "-1"], "noise_sd must be >= 0"),
-    (["--base-mean", "0"], "base_mean must be > 0")])
+    (["--base-mean", "0"], "base_mean must be > 0"),
+    (["--base-mean", "nan"], "base_mean must be > 0")])
 def test_power_bad_number_is_config_error(caplog, capsys, args, message):
     assert cli.main(["power", "--lifts", "0.0,0.5", "--days", "8",
                      "--seeds", "3", *args]) == 2
@@ -1216,7 +1217,7 @@ def test_threshold_only_rerun_imports_no_numpy(fixture_dir, full_run,
             if f"{s}: skipped" not in done.stderr] == ["dedup"]
     assert "dedup: ok " in done.stderr
     # the matches do not depend on the threshold
-    name = Path("cluster", "matches.jsonl")
+    name = Path("cluster", "representatives.jsonl")
     assert (workdir / name).read_bytes() == (full_run[1] / name).read_bytes()
 
 
@@ -1240,7 +1241,7 @@ def test_changed_matches_or_numpy_scores_dedup_again(
     workdir = tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
     if edit == "matches":
-        matches = workdir / "cluster" / "matches.jsonl"
+        matches = workdir / "cluster" / "representatives.jsonl"
         matches.write_text(re.sub(r'"best_similarity": [-0-9.e]+',
                                   '"best_similarity": 0.5',
                                   matches.read_text(), count=1))

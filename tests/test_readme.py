@@ -1,6 +1,7 @@
-"""The README's library example runs as written against the fixture, and
-its configuration table lists exactly the values the shipped config sets,
-each with the default the pipeline parses from an empty config."""
+"""The README's library example runs as written against the fixture, its
+configuration table lists exactly the values the shipped config sets, each
+with the default the pipeline parses from an empty config, and every file
+it names is one that a run writes."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 import yaml
 
 from topicforge.fixture import CONFIG_TEMPLATE, write_fixture
-from topicforge.pipeline import RAW_INPUTS, load_context
+from topicforge.pipeline import RAW_INPUTS, STAGES, load_context, run_stage
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +51,22 @@ def test_readme_config_table_matches_shipped_config(tmp_path):
                    in ctx.settings.items() for key, value in values.items()})
     assert {key: default for key, _, default in rows} == {
         key: str(parsed[key]) for key in documented}
+
+
+def test_readme_names_only_files_a_run_writes(tmp_path, capsys):
+    # an inline-code file name, bare or as ``<stage>/<name>``
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                  flags=re.DOTALL)
+    named = set(re.findall(
+        r"`((?:\w+/)?[\w.-]+\.(?:jsonl|csv|json|ckpt|txt|yaml))`", text))
+    fixture = write_fixture(tmp_path / "fixture")
+    workdir = tmp_path / "w"
+    ctx = load_context(fixture["config"], workdir)
+    for stage in STAGES:
+        run_stage(ctx, stage)
+    capsys.readouterr()
+    written = {p.relative_to(workdir).as_posix()
+               for p in workdir.rglob("*") if p.is_file()}
+    written |= {Path(p).name for p in written}
+    written |= {p.name for p in fixture.values()}
+    assert named and sorted(named - written) == []
