@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .config import check_cluster_threshold as check_threshold
-from .train import best_match
+from .train import Encoder, best_match
 
 logger = logging.getLogger(__name__)
-
-Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
 
 
 @dataclass

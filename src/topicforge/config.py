@@ -12,6 +12,7 @@ a dedup verdict. The modules that use these names re-export them
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import asdict, dataclass
 
@@ -123,10 +124,17 @@ def check_window(n_days: int) -> None:
             f"window length must be a multiple of 4, at least 8, got {n_days}")
 
 
+def check_dates(start_date: str, n_days: int) -> None:
+    """Raise ValueError unless ``start_date`` is an ISO date and an
+    ``n_days`` window from it ends by ``date.max``, building no window."""
+    room = dt.date.max - dt.date.fromisoformat(start_date)
+    if n_days - 1 > room.days:
+        raise ValueError(f"start_date must leave {n_days} days up to "
+                         f"{dt.date.max}, got {start_date!r}")
+
+
 def date_window(start_date: str, n_days: int) -> list[str]:
     """ISO dates from start_date, n_days long."""
-    import datetime as dt
-
     start = dt.date.fromisoformat(start_date)
     return [(start + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
 

@@ -22,7 +22,7 @@ risk is visible rather than silent. Indexes are immutable after build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,9 +30,7 @@ from .config import DEFAULT_THRESHOLD, dedup_verdict
 from .config import check_dedup_threshold as check_threshold
 from .ingest import PageRecord, normalize_query, tokenize_text
 from .tokenizer import FacetMatcher
-from .train import best_match
-
-Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
+from .train import Encoder, best_match
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:

@@ -53,8 +53,9 @@ def field_text(value) -> str:
 
 
 def _read_lines(path: str | Path, what: str) -> list[bytes]:
-    """``path``'s lines, split only at LF, CR LF and CR, after one leading
-    byte-order mark."""
+    """The raw input ``path``'s lines, split only at LF, CR LF and CR, after
+    one leading byte-order mark. The pipeline reads its own artifacts,
+    ingest's copies included, through ``pipeline._read_rows``."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -140,8 +141,9 @@ class PageRecord:
 
 @dataclass(frozen=True)
 class CandidateQuery:
+    """A distinct click log query and the clicks it drew in total."""
+
     query: str
-    source: str
     clicks_total: int = 0
 
 
@@ -291,7 +293,7 @@ def candidates_from_click_log(records: Sequence[ClickRecord]) -> list[CandidateQ
     totals: dict[str, int] = {}
     for rec in records:
         totals[rec.query] = totals.get(rec.query, 0) + rec.clicks
-    return [CandidateQuery(q, "search_log", c) for q, c in sorted(totals.items())]
+    return [CandidateQuery(q, c) for q, c in sorted(totals.items())]
 
 
 def filter_negative_queries(

@@ -32,11 +32,12 @@ but ``dedup``, and never imports numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
 ``_write_json`` and ``_write_jsonl``, and reads every row artifact back
-through ``_read_rows``, so the file formats are defined here. A row that
-does not fit stops the reading stage with the artifact's name and line.
-The exceptions are the checkpoint and vocabulary codecs
-(``model.save_params``/``load_params``, ``Vocabulary.save``/``load``): the
-benchmark's quality scorer reads through them too.
+through ``_read_rows``, ingest's copy of the facet lexicon included, so the
+file formats are defined here. A row that does not fit stops the reading
+stage with the artifact's name and line. The exceptions are the checkpoint
+and vocabulary codecs (``model.save_params``/``load_params``,
+``Vocabulary.save``/``load``): the benchmark's quality scorer reads through
+them too.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ import yaml
 from . import ingest as ingest_mod
 from . import topicpage as topic_mod
 from .config import (DEFAULT_THRESHOLD, FLOAT32_MAX, ModelConfig, TrainConfig,
-                     check_cluster_threshold, check_dedup_threshold,
-                     check_traffic, check_window, date_window, dedup_verdict,
-                     parse_negative_ratio)
+                     check_cluster_threshold, check_dates,
+                     check_dedup_threshold, check_traffic, check_window,
+                     date_window, dedup_verdict, parse_negative_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -183,7 +184,7 @@ def _check_training(**values) -> None:
 def _check_experiment(start_date: str, n_days: int, base_mean: float,
                       noise_sd: float, lift_fraction: float) -> None:
     check_window(n_days)
-    date_window(start_date, n_days)
+    check_dates(start_date, n_days)
     check_traffic(base_mean, noise_sd, lift_fraction)
 
 
@@ -369,7 +370,7 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     _write_jsonl(out / "candidates.jsonl", kept)
     # normalized copies in the raw formats; parsing them again is the
     # identity, so later stages take them as they are (_load_clicks,
-    # _load_pages)
+    # _load_pages, _lexicon_entry)
     _write_jsonl(out / "page_catalog.jsonl", (p.to_dict() for p in pages))
     _write_jsonl(out / "facet_lexicon.jsonl",
                  ({"facet_name": name, "values": sorted(values)}
@@ -414,6 +415,18 @@ def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
                       ingest_mod.PageRecord.from_dict)
 
 
+def _lexicon_entry(row: dict) -> tuple[str, set[str]]:
+    """A facet name and its values, from a row of ingest's lexicon copy,
+    which holds them normalized."""
+    name, values = row["facet_name"], row["values"]
+    if not isinstance(name, str):
+        raise TypeError(f"facet_name must be a string, got {name!r}")
+    if not (isinstance(values, list)
+            and all(isinstance(v, str) for v in values)):
+        raise TypeError(f"values must be a list of strings, got {values!r}")
+    return name, set(values)
+
+
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
                      ) -> tuple[dict, ModelConfig, Vocabulary]:
     """A checkpoint with its sidecar, and the vocabulary it was trained on.
@@ -434,38 +447,43 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
     return params, cfg, vocab
 
 
-def _throughput(history: list[dict], seconds: float) -> dict:
-    """A training's Adam ``steps`` and the ``samples_per_s`` it trained,
-    over the wall time of the whole training call; the time makes these
-    counts vary from run to run, like the report's duration."""
+def _trained(stage: str, fit: Callable, *args) -> tuple[dict, list, dict]:
+    """``fit(*args)``, and the Adam ``steps`` and ``samples_per_s`` it
+    trained over the wall time of the call, which vary from run to run like
+    the report's duration. Data it cannot learn from, or a loss that went
+    non-finite, stops ``stage``."""
+    from .train import TrainingDiverged
+
+    started = time.perf_counter()
+    try:
+        params, history = fit(*args)
+    except (ValueError, TrainingDiverged) as exc:
+        raise PipelineError(f"{stage}: {exc}") from exc
+    seconds = time.perf_counter() - started
     samples = sum(row["samples"] for row in history)
-    return {"steps": sum(row["steps"] for row in history),
-            "samples_per_s": samples / seconds if seconds > 0 else 0.0}
+    return params, history, {
+        "steps": sum(row["steps"] for row in history),
+        "samples_per_s": samples / seconds if seconds > 0 else 0.0}
 
 
 def _stage_train(ctx: PipelineContext, out: Path):
     from . import metric as metric_mod
     from . import model as model_mod
     from . import train as train_mod
-    from .tokenizer import build_vocabulary, load_facet_lexicon
+    from .tokenizer import build_vocabulary
 
     samples = _read_rows(ctx, "metric", "training_set.jsonl", lambda r: (
         metric_mod.QueryPairSample(**_checked(r, "interactive"))))
     pages = _load_pages(ctx)
-    lexicon = load_facet_lexicon(ctx.artifact("ingest", "facet_lexicon.jsonl"))
+    lexicon = dict(_read_rows(ctx, "ingest", "facet_lexicon.jsonl",
+                              _lexicon_entry))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
     texts += [p.title for p in pages] + [p.product_type for p in pages]
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = ModelConfig(vocab.size, **ctx.settings["model"])
     tcfg = TrainConfig(**ctx.settings["train"], seed=ctx.seed + SEED_TRAIN)
-    started = time.perf_counter()
-    try:
-        params, history = train_mod.train_intention_model(
-            samples, vocab, cfg, tcfg)
-    # a training set it cannot learn from, or a loss that went non-finite
-    except (ValueError, train_mod.TrainingDiverged) as exc:
-        raise PipelineError(f"train: {exc}") from exc
-    throughput = _throughput(history, time.perf_counter() - started)
+    params, history, throughput = _trained(
+        "train", train_mod.train_intention_model, samples, vocab, cfg, tcfg)
     vocab.save(out / "vocab.jsonl")
     model_mod.save_params(params, cfg, out / "intention.ckpt")
     _write_curve(out / "curve.csv", history)
@@ -503,18 +521,14 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     pretrained, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
     labeled, classes = _derive_labels(_load_clicks(ctx), _load_pages(ctx))
     if len(classes) < 2:
-        raise PipelineError("need at least two shelf classes to fine-tune")
+        raise PipelineError("finetune: need at least two shelf classes to "
+                            "fine-tune")
     cfg = replace(cfg, num_classes=len(classes))
     tcfg = TrainConfig(**ctx.settings["finetune"],
                        seed=ctx.seed + SEED_FINETUNE)
-    started = time.perf_counter()
-    try:
-        params, history = train_mod.finetune_classifier(
-            pretrained, labeled, vocab, cfg, tcfg)
-    # labels it cannot learn from, or a loss that went non-finite
-    except (ValueError, train_mod.TrainingDiverged) as exc:
-        raise PipelineError(f"finetune: {exc}") from exc
-    throughput = _throughput(history, time.perf_counter() - started)
+    params, history, throughput = _trained(
+        "finetune", train_mod.finetune_classifier, pretrained, labeled, vocab,
+        cfg, tcfg)
     model_mod.save_params(params, cfg, out / "finetuned.ckpt")
     _write_json(out / "classes.json", classes)
     _write_curve(out / "finetune_curve.csv", history)
@@ -612,9 +626,7 @@ def _stage_select(ctx: PipelineContext, out: Path):
 
     kept = _read_rows(ctx, "dedup", "kept.jsonl", kept_topic)
     quota = ctx.settings["select"]["quota"]
-    chosen = topic_mod.select_topics([(t.topic, t.clicks) for t in kept], quota)
-    by_topic = {t.topic: t for t in kept}
-    topics = [by_topic[q] for q in chosen]
+    topics = topic_mod.select_topics(kept, quota)
     _write_jsonl(out / "topics.jsonl", topics)
     counts = {"quota": quota, "selected": len(topics)}
     return counts, [], ["topics.jsonl"]

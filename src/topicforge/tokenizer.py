@@ -12,6 +12,9 @@ and only the values starting with that token are compared, so a match costs
 the query's length times the few values sharing a first token, not the
 whole lexicon. A :class:`Vocabulary` builds its matcher once, beside its
 facet lexicon; :func:`extract_facets` builds one per call.
+
+A :class:`Vocabulary` is saved as one JSONL row per token and id; its facet
+lexicon is read back from the tokens that start with ``FACET_PREFIX``.
 """
 
 from __future__ import annotations
@@ -31,18 +34,20 @@ PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+# starts every facet token and no word token: normalized text holds no ":"
+FACET_PREFIX = "FACET:"
 
 
 def facet_token(name: str, value: str) -> str:
-    return f"FACET:{name}={value}"
+    return f"{FACET_PREFIX}{name}={value}"
 
 
 @dataclass
 class Vocabulary:
-    """Token -> dense id map. Ids 0/1 are PAD/UNK; facet tokens come next."""
+    """Token -> dense id map. Ids 0/1 are PAD/UNK; facet tokens, the ones
+    that start with ``FACET_PREFIX``, come next, then word tokens."""
 
     token_to_id: dict[str, int]
-    facet_id_range: tuple[int, int]
 
     @property
     def size(self) -> int:
@@ -55,11 +60,10 @@ class Vocabulary:
     def facet_lexicon(self) -> dict[str, set[str]]:
         """Facet name -> values, read back from the facet tokens (normalized
         text holds no ``:`` or ``=``); a name without values made no token."""
-        lo, hi = self.facet_id_range
         lexicon: dict[str, set[str]] = {}
-        for token, idx in self.token_to_id.items():
-            if lo <= idx < hi:
-                name, _, value = token.partition(":")[2].partition("=")
+        for token in self.token_to_id:
+            if token.startswith(FACET_PREFIX):
+                name, _, value = token.removeprefix(FACET_PREFIX).partition("=")
                 lexicon.setdefault(name, set()).add(value)
         return lexicon
 
@@ -70,20 +74,17 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"facet_id_range": list(self.facet_id_range)}) + "\n")
             for token, idx in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
                 fh.write(json.dumps({"token": token, "id": idx}) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
         mapping = {}
-        for line in lines[1:]:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             if line.strip():
                 d = json.loads(line)
                 mapping[d["token"]] = int(d["id"])
-        return cls(mapping, tuple(header["facet_id_range"]))
+        return cls(mapping)
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,10 @@ def build_vocabulary(
     mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for tok in facet_tokens:
         mapping[tok] = len(mapping)
-    facet_range = (2, len(mapping))
     for tok in sorted(words):
         if tok not in mapping:
             mapping[tok] = len(mapping)
-    return Vocabulary(mapping, facet_range)
+    return Vocabulary(mapping)
 
 
 class FacetMatcher:

@@ -62,12 +62,11 @@ def check_items_per_page(items_per_page: int) -> None:
         raise ValueError("items_per_page must be >= 1")
 
 
-def select_topics(representatives: Sequence[tuple[str, int]],
-                  quota: int) -> list[str]:
-    """Top-``quota`` queries by clicks, ties broken lexicographically."""
+def select_topics(topics: Sequence[SelectedTopic],
+                  quota: int) -> list[SelectedTopic]:
+    """The top-``quota`` topics by clicks, ties broken by topic text."""
     check_quota(quota)
-    ranked = sorted(representatives, key=lambda r: (-r[1], r[0]))
-    return [query for query, _ in ranked[:quota]]
+    return sorted(topics, key=lambda t: (-t.clicks, t.topic))[:quota]
 
 
 class TokenOverlapRetriever:
@@ -89,14 +88,19 @@ class TokenOverlapRetriever:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
-        """JSONL rows {item_id, title}; a malformed row raises IngestError
-        naming its line."""
+        """JSONL rows {item_id, title}, one per item; a malformed row or a
+        repeated item_id raises IngestError naming its line."""
+        seen_ids: set[str] = set()
+
         def item(line: str) -> tuple[str, str]:
             row = _json_object(line)
             pair = (field_text(row.get("item_id")), field_text(row.get("title")))
             for name, value in zip(("item_id", "title"), pair):
                 if not value:
                     raise ValueError(f"{name} is missing or empty")
+            if pair[0] in seen_ids:
+                raise ValueError(f"duplicate item_id {pair[0]!r}")
+            seen_ids.add(pair[0])
             return pair
         return cls(strict_rows(path, "item catalog", item))
 

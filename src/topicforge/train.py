@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,6 +146,9 @@ def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
     return model.TokenBatch(ids, mask), rows
 
 
+Encoder = Callable[[Sequence[str]], np.ndarray]  # texts -> (n, dim) rows
+
+
 def encode_texts(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -183,8 +186,6 @@ def best_match(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _mean_pair_loss(params, cfg: ModelConfig, pairs: model.PairBatch) -> float:
-    if not len(pairs):
-        return float("nan")
     total = 0.0
     for start in range(0, len(pairs), ENCODE_BATCH // 2):
         chunk = pairs[start:start + ENCODE_BATCH // 2]

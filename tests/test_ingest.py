@@ -298,11 +298,11 @@ def test_blocklist_and_filtering(tmp_path):
     assert terms == {"replica", "fake brand"}
 
     candidates = [
-        ingest.CandidateQuery("replica watch", "file"),
-        ingest.CandidateQuery("replicas watch", "file"),  # substring, kept
-        ingest.CandidateQuery("fake brand shoes", "file"),
-        ingest.CandidateQuery("brand fake shoes", "file"),  # split run, kept
-        ingest.CandidateQuery("plain shoes", "file"),
+        ingest.CandidateQuery("replica watch"),
+        ingest.CandidateQuery("replicas watch"),  # substring, kept
+        ingest.CandidateQuery("fake brand shoes"),
+        ingest.CandidateQuery("brand fake shoes"),  # split run, kept
+        ingest.CandidateQuery("plain shoes"),
     ]
     kept, removed = ingest.filter_negative_queries(candidates, terms)
     assert [c.query for c in removed] == ["replica watch", "fake brand shoes"]

@@ -160,12 +160,10 @@ OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
 # the functions that may open a workdir file for reading: the pipeline's row
-# reader and hasher, the two codecs' readers, and the raw inputs' line
-# reader, through which train reads the facet lexicon copy
+# reader and hasher, and the two codecs' readers
 OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
                "topicforge.model.load_params",
-               "topicforge.tokenizer.Vocabulary.load",
-               "topicforge.ingest._read_lines"}
+               "topicforge.tokenizer.Vocabulary.load"}
 
 
 def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
@@ -317,6 +315,13 @@ COPY_EDITS = {
     "short-row": ("ingest/click_records.csv", 7,
                   lambda line: "running shoes,x\n"),
     "header": ("ingest/click_records.csv", 1, _field(1, "page")),
+    "click-page-type": ("ingest/click_records.csv", 3, _field(2, "aisle")),
+    # the lexicon copy: a name and a list of strings
+    "lexicon-values-string": ("ingest/facet_lexicon.jsonl", 2,
+                              lambda line: re.sub(r'"values": \[.*\]',
+                                                  '"values": "big"', line)),
+    "lexicon-value-number": ("ingest/facet_lexicon.jsonl", 2,
+                             lambda line: line.replace('"kids"', "5")),
     "training-set-cut": ("metric/training_set.jsonl", 2, _cut),
     "candidates-cut": ("ingest/candidates.jsonl", 2, _cut),
     "representatives-cut": ("cluster/representatives.jsonl", 2, _cut),
@@ -366,7 +371,9 @@ COPY_EDITS = {
     ("null-title", "train"), ("no-facets", "cluster"),
     ("bad-page-type", "cluster"), ("clicks-not-int", "metric"),
     ("clicks-not-int", "finetune"), ("short-row", "metric"),
-    ("header", "metric"), ("training-set-cut", "train"),
+    ("header", "metric"), ("click-page-type", "metric"),
+    ("lexicon-values-string", "train"), ("lexicon-value-number", "train"),
+    ("training-set-cut", "train"),
     ("candidates-cut", "cluster"), ("representatives-cut", "dedup"),
     ("kept-cut", "select"), ("topics-cut", "emit"),
     ("topic-without-clicks", "emit"), ("vocab-cut", "cluster"),
@@ -523,15 +530,13 @@ def test_training_reports_count_steps_and_throughput(full_run):
 
 def test_write_jsonl_keeps_no_dict_on_dataclass_rows(tmp_path):
     # vars() on a row would build a __dict__ that lives as long as the row
-    rows = [ingest_mod.CandidateQuery(f"query {i}", "search_log", i)
-            for i in range(3000)]
+    rows = [ingest_mod.CandidateQuery(f"query {i}", i) for i in range(3000)]
     path = tmp_path / "rows.jsonl"
     # the writer's first call fills CPython's free list of small tuples
     # (dataclasses.fields builds one per row), which stays allocated; so
     # warm it on as many other rows first
     pipeline._write_jsonl(tmp_path / "warm.jsonl", [
-        ingest_mod.CandidateQuery(f"warm {i}", "search_log", i)
-        for i in range(len(rows))])
+        ingest_mod.CandidateQuery(f"warm {i}", i) for i in range(len(rows))])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -541,8 +546,8 @@ def test_write_jsonl_keeps_no_dict_on_dataclass_rows(tmp_path):
         tracemalloc.stop()
     assert kept < 8 * len(rows)
     assert path.read_text(encoding="utf-8") == "".join(
-        json.dumps({"query": r.query, "source": r.source,
-                    "clicks_total": r.clicks_total}, sort_keys=True) + "\n"
+        json.dumps({"query": r.query, "clicks_total": r.clicks_total},
+                   sort_keys=True) + "\n"
         for r in rows)
 
 
@@ -704,6 +709,23 @@ def test_untrainable_click_log_is_one_line_error(tmp_path, caplog, capsys,
                      "--workdir", str(tmp_path / "w")]) == 1
     [error] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert error.getMessage() == message
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
+def test_one_shelf_catalog_is_one_line_finetune_error(tmp_path, caplog,
+                                                      capsys):
+    paths = write_fixture(tmp_path / "inputs")
+    rows = paths["page_catalog"].read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    kept = [row for row in rows if '"shelf-cases"' not in row]
+    assert len(kept) == len(rows) - 1
+    paths["page_catalog"].write_text("".join(kept), encoding="utf-8")
+    assert cli.main(["all", "--config", str(paths["config"]),
+                     "--workdir", str(tmp_path / "w")]) == 1
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == ("finetune: need at least two shelf classes "
+                                  "to fine-tune")
     assert "Traceback" not in caplog.text
     capsys.readouterr()
 
@@ -902,6 +924,10 @@ WRONG_TYPED_VALUES = [
     ("experiment", "paths.workdir", None,
      "config paths.workdir must be a string"),
     ("ingest", "paths.click_log", None, "config paths.click_log must be a string"),
+    # a window past the last date Python can hold
+    ("experiment", "experiment.start_date", "9999-12-01",
+     "bad experiment config: start_date must leave 120 days up to "
+     "9999-12-31, got '9999-12-01'"),
 ]
 
 

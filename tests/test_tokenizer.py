@@ -22,10 +22,14 @@ def test_vocabulary_layout():
     vocab = build_vocabulary(["red shoes", "blue shoes", "blue mat"], LEXICON)
     assert vocab.id_for("<pad>") == PAD_ID
     assert vocab.id_for("<unk>") == UNK_ID
-    lo, hi = vocab.facet_id_range
-    facet_ids = {vocab.id_for(facet_token("color", v)) for v in LEXICON["color"]}
-    facet_ids.add(vocab.id_for(facet_token("size", "large")))
-    assert facet_ids == set(range(lo, hi))
+    # the facet tokens follow PAD and UNK, sorted; they are exactly the
+    # tokens that start with FACET_PREFIX
+    facets = [facet_token(name, value) for name in sorted(LEXICON)
+              for value in sorted(LEXICON[name])]
+    hi = 2 + len(facets)
+    assert [vocab.id_for(t) for t in facets] == list(range(2, hi))
+    assert [t for t in vocab.token_to_id
+            if t.startswith(tokenizer.FACET_PREFIX)] == facets
     # word tokens follow the facet block, sorted
     words = ["blue", "mat", "red", "shoes"]
     assert [vocab.id_for(w) for w in words] == list(range(hi, hi + len(words)))

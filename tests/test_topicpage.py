@@ -14,9 +14,13 @@ from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
 
 
 def test_select_top_k_by_clicks_then_name():
-    reps = [("bravo", 10), ("alpha", 10), ("carts", 99), ("delta", 1)]
-    assert select_topics(reps, 2) == ["carts", "alpha"]
-    assert select_topics(reps, 10) == ["carts", "alpha", "bravo", "delta"]
+    reps = [SelectedTopic(topic, clicks, f"c-{topic}", "shoes")
+            for topic, clicks in (("bravo", 10), ("alpha", 10), ("carts", 99),
+                                  ("delta", 1))]
+    by_topic = {t.topic: t for t in reps}
+    assert select_topics(reps, 2) == [by_topic["carts"], by_topic["alpha"]]
+    assert select_topics(reps, 10) == [by_topic[t] for t in
+                                       ("carts", "alpha", "bravo", "delta")]
     assert select_topics(reps, 0) == []
     with pytest.raises(ValueError):
         select_topics(reps, -1)
@@ -92,7 +96,9 @@ def test_retriever_from_jsonl_rejects_bad_row_at_load(tmp_path):
     ('{"title": "x"}', "item_id is missing or empty"),
     ('{"item_id": "b", "title": null}', "title is missing or empty"),
     ("not json", "invalid JSON"),
-    ("[1, 2]", "JSONL row is not an object")])
+    ("[1, 2]", "JSONL row is not an object"),
+    # a page would list the item twice
+    ('{"item_id": "a", "title": "red hat deluxe"}', "duplicate item_id 'a'")])
 def test_retriever_from_jsonl_names_the_bad_line(tmp_path, row, message):
     path = tmp_path / "items.jsonl"
     path.write_text(json.dumps({"item_id": "a", "title": "red hat"})
