@@ -11,9 +11,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import fixture as fixture_mod
 from . import pipeline
-from .ingest import IngestError
+from .config import IngestError
 from .pipeline import ConfigError, PipelineError, STAGES
 
 logger = logging.getLogger("topicforge")
@@ -91,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "fixture":
+            from . import fixture as fixture_mod
+
             paths = fixture_mod.write_fixture(args.out)
             print(f"fixture written to {Path(args.out).resolve()}",
                   file=sys.stderr)
@@ -100,8 +101,17 @@ def main(argv: list[str] | None = None) -> int:
             # numpy is imported only here and by the stages that run
             from . import experiment as exp_mod
 
+            design, check = pipeline.SECTIONS["experiment"]
             try:
                 lifts = [float(x) for x in args.lifts.split(",") if x.strip()]
+                if not 0.0 < args.alpha < 1.0:
+                    raise ValueError(
+                        f"alpha must be in (0, 1), got {args.alpha}")
+                # the pipeline's own window and traffic checks, before any
+                # simulation allocates the window
+                for lift in lifts:
+                    check(design["start_date"], args.days, args.base_mean,
+                          args.noise_sd, lift)
                 rows = [(lift, exp_mod.power_estimate(
                             lift, args.base_mean, args.noise_sd, args.days,
                             args.seeds, args.alpha))

@@ -2,12 +2,14 @@
 
 ``pipeline.load_context`` checks a whole config before any stage runs, and
 the ``dedup`` stage applies ``dedup.threshold`` to the best match that
-``cluster`` stored in each representative's row. Neither needs numpy, so
-everything they use lives here: the model and training configs, each
-section's range checks, and the one rule that turns a best similarity into
-a dedup verdict. The modules that use these names re-export them
+``cluster`` stored in each representative's row. Neither needs numpy or the
+stage modules, so everything they use lives here: the model and training
+configs, each section's range checks, the one rule that turns a best
+similarity into a dedup verdict, and ``IngestError``, which the CLI maps to
+its exit code. The modules that use these names re-export them
 (``model.ModelConfig``, ``experiment.ConfigurationError``,
-``dedup.DEFAULT_THRESHOLD``, ...).
+``dedup.DEFAULT_THRESHOLD``, ``topicpage.check_quota``,
+``ingest.IngestError``, ...).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from dataclasses import asdict, dataclass
 FLOAT32_MAX = 3.4028234663852886e+38
 
 DEFAULT_THRESHOLD = 0.86  # dedup's: midpoint of the 0.85-0.88 similarity band
+DEFAULT_ITEMS_PER_PAGE = 24
+
+
+class IngestError(Exception):
+    """Fatal ingest failure (unreadable file, wrong schema)."""
 
 
 @dataclass
@@ -110,6 +117,18 @@ def dedup_verdict(best_similarity: float, threshold: float) -> str:
     """A candidate is a duplicate when its best similarity reaches the
     threshold, and kept otherwise."""
     return "duplicate" if best_similarity >= threshold else "kept"
+
+
+def check_quota(quota: int) -> None:
+    """Raise ValueError unless ``quota`` topics can be selected."""
+    if quota < 0:
+        raise ValueError("quota must be >= 0")
+
+
+def check_items_per_page(items_per_page: int) -> None:
+    """Raise ValueError unless a page can hold ``items_per_page`` items."""
+    if items_per_page < 1:
+        raise ValueError("items_per_page must be >= 1")
 
 
 class ConfigurationError(ValueError):

@@ -23,16 +23,14 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .config import IngestError
+
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
 
 _PUNCT_RE = re.compile(r"[^\w\s-]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
 CLICK_LOG_FIELDS = ("query", "page_id", "page_type", "clicks", "impressions")
-
-
-class IngestError(Exception):
-    """Fatal ingest failure (unreadable file, wrong schema)."""
 
 
 def normalize_query(text: str) -> str:

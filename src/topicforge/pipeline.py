@@ -10,11 +10,13 @@ the one legitimately non-reproducible artifact).
 Every random choice derives from the single master seed via fixed per-stage
 offsets; `--seed` swaps the master without touching the config file.
 
-``load_context`` parses the config once, into the typed and checked values
-of each section a stage reads (``ctx.settings``), so a bad value stops the
-run before any stage starts. The checks come from :mod:`topicforge.config`,
-and each stage body imports the algorithm modules it calls, so neither
-parsing the config nor skipping a stage imports numpy. A stage reads every
+``load_context`` parses the config once, with libyaml's safe loader, into
+the typed and checked values of each section a stage reads
+(``ctx.settings``), so a bad value stops the run before any stage starts.
+The checks come from :mod:`topicforge.config`, and each stage body imports
+the modules it calls, ``ingest`` and ``topicpage`` as well as the numpy
+ones, so neither parsing the config nor skipping a stage imports any
+package module but this one and ``config``, nor numpy. A stage reads every
 file through its context (``ctx.artifact`` for an earlier stage's output,
 ``ctx.path`` for a raw input), which records each read, so the manifest
 lists exactly the files the stage read; a missing one fails with its name. The manifest's
@@ -28,7 +30,8 @@ one rule does all reuse. ``cluster`` stores each representative's best page
 match, which no dedup threshold moves, in the representative's own row of
 ``cluster/representatives.jsonl``, and ``dedup`` only applies its threshold
 to them. So a rerun that moves only ``dedup.threshold`` skips every stage
-but ``dedup``, and never imports numpy.
+but ``dedup``, and of the package loads only ``cli``, this module and
+``config``, and never numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
 ``_write_json`` and ``_write_jsonl``, and reads every row artifact back
@@ -47,8 +50,8 @@ import hashlib
 import importlib.util
 import json
 import logging
-import platform
 import re
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
@@ -57,12 +60,11 @@ from typing import Callable
 
 import yaml
 
-from . import ingest as ingest_mod
-from . import topicpage as topic_mod
-from .config import (DEFAULT_THRESHOLD, FLOAT32_MAX, ModelConfig, TrainConfig,
-                     check_cluster_threshold, check_dates,
-                     check_dedup_threshold, check_traffic, check_window,
-                     date_window, dedup_verdict, parse_negative_ratio)
+from .config import (DEFAULT_ITEMS_PER_PAGE, DEFAULT_THRESHOLD, FLOAT32_MAX,
+                     ModelConfig, TrainConfig, check_cluster_threshold,
+                     check_dates, check_dedup_threshold, check_items_per_page,
+                     check_quota, check_traffic, check_window, date_window,
+                     dedup_verdict, parse_negative_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +77,10 @@ SEED_TRAIN = 2
 SEED_FINETUNE = 3
 SEED_SPLIT = 5
 SEED_TRAFFIC = 6
+
+# libyaml's parser, with SafeLoader's constructor and resolver: the same
+# values, parsed about 8 times as fast
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # the raw input files, by config ``paths`` key
 RAW_INPUTS = ("click_log", "page_catalog", "facet_lexicon", "blocklist",
@@ -139,7 +145,8 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
-        config = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        config = yaml.load(config_path.read_text(encoding="utf-8"),
+                           Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(config, dict):
@@ -199,9 +206,8 @@ SECTIONS = {
                  _check_training),
     "cluster": ({"threshold": 0.15}, check_cluster_threshold),
     "dedup": ({"threshold": DEFAULT_THRESHOLD}, check_dedup_threshold),
-    "select": ({"quota": 10}, topic_mod.check_quota),
-    "emit": ({"items_per_page": topic_mod.DEFAULT_ITEMS_PER_PAGE},
-             topic_mod.check_items_per_page),
+    "select": ({"quota": 10}, check_quota),
+    "emit": ({"items_per_page": DEFAULT_ITEMS_PER_PAGE}, check_items_per_page),
     "experiment": ({"start_date": "2025-01-01", "n_days": 120,
                     "base_mean": 1000.0, "noise_sd": 30.0,
                     "lift_fraction": 0.0}, _check_experiment),
@@ -243,12 +249,19 @@ def _settings(config: dict) -> dict[str, dict]:
 @cache
 def _environment() -> dict:
     """The interpreter and numpy, whose rounding can move an output. numpy's
-    version is read from its ``version.py``, found without importing numpy,
-    so that checking a manifest does not import it."""
+    version is read from the ``version = "X"`` line of its ``version.py``,
+    found without importing numpy, so that checking a manifest does not
+    import it. A numpy whose file computes the string (as versioneer-built
+    releases did) is asked through its installed metadata instead."""
     origin = Path(importlib.util.find_spec("numpy").origin)
     text = origin.with_name("version.py").read_text(encoding="utf-8")
-    return {"python": platform.python_version(),
-            "numpy": re.search(r'^version = "(.+)"$', text, re.M)[1]}
+    found = re.search(r'^version = "(.+)"$', text, re.M)
+    if found:
+        numpy_version = found[1]
+    else:
+        from importlib.metadata import version
+        numpy_version = version("numpy")
+    return {"python": sys.version.split()[0], "numpy": numpy_version}
 
 
 @cache
@@ -351,11 +364,12 @@ def _checked(row: dict, *numbers: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # stage bodies; each returns (counts, warnings, output file names). Each
-# imports the algorithm modules it calls, so a run that skips a stage never
-# imports them, numpy included
+# imports the modules it calls, so a run that skips a stage never imports
+# them, numpy included
 # ---------------------------------------------------------------------------
 
 def _stage_ingest(ctx: PipelineContext, out: Path):
+    from . import ingest as ingest_mod
     from .tokenizer import load_facet_lexicon
 
     records, rep = ingest_mod.parse_click_log(ctx.path("click_log"))
@@ -387,6 +401,8 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
 
 def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
     """Ingest's normalized click records."""
+    from . import ingest as ingest_mod
+
     return _read_rows(ctx, "ingest", "click_records.csv",
                       ingest_mod.ClickRecord.from_csv_row,
                       ingest_mod.CLICK_LOG_FIELDS)
@@ -411,6 +427,8 @@ def _stage_metric(ctx: PipelineContext, out: Path):
 
 def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
     """Ingest's normalized pages."""
+    from . import ingest as ingest_mod
+
     return _read_rows(ctx, "ingest", "page_catalog.jsonl",
                       ingest_mod.PageRecord.from_dict)
 
@@ -619,6 +637,8 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 
 
 def _stage_select(ctx: PipelineContext, out: Path):
+    from . import topicpage as topic_mod
+
     def kept_topic(r: dict) -> topic_mod.SelectedTopic:
         r = _checked(r, "clicks_total")
         return topic_mod.SelectedTopic(r["query"], r["clicks_total"],
@@ -633,6 +653,8 @@ def _stage_select(ctx: PipelineContext, out: Path):
 
 
 def _stage_emit(ctx: PipelineContext, out: Path):
+    from . import topicpage as topic_mod
+
     topics = _read_rows(ctx, "select", "topics.jsonl", lambda r: (
         topic_mod.SelectedTopic(**_checked(r, "clicks"))))
     # with no topic there is nothing to retrieve, so the item catalog is

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .config import (DEFAULT_ITEMS_PER_PAGE, check_items_per_page,
+                     check_quota)
 from .ingest import (_json_object, field_text, normalize_query, strict_rows,
                      tokenize_text)
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_ITEMS_PER_PAGE = 24
 
 
 def page_id_for(keyword: str) -> str:
@@ -48,18 +48,6 @@ class TopicPageSpec:
     item_ids: tuple[str, ...]
     source_cluster: str
     product_type: str
-
-
-def check_quota(quota: int) -> None:
-    """Raise ValueError unless ``quota`` topics can be selected."""
-    if quota < 0:
-        raise ValueError("quota must be >= 0")
-
-
-def check_items_per_page(items_per_page: int) -> None:
-    """Raise ValueError unless a page can hold ``items_per_page`` items."""
-    if items_per_page < 1:
-        raise ValueError("items_per_page must be >= 1")
 
 
 def select_topics(topics: Sequence[SelectedTopic],

@@ -6,6 +6,7 @@ from __future__ import annotations
 import builtins
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -798,6 +800,8 @@ def test_missing_raw_input_is_config_error(fixture_dir, full_run, tmp_path,
 
 
 def test_bad_facet_lexicon_fails_ingest(tmp_path, caplog, capsys):
+    # the CLI catches the config module's class, which ingest re-exports
+    assert ingest_mod.IngestError is config_mod.IngestError
     inputs = tmp_path / "inputs"
     config = write_fixture(inputs)["config"]
     with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
@@ -1046,6 +1050,40 @@ def test_cli_exit_codes(fixture_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+EDGE_SCALARS = ("true", ".nan", ".inf", "1.0e+300", "2025-01-01", "~",
+                "0x1f", "1_000", "yes")
+
+
+def test_libyaml_loader_reads_every_config_value_alike(fixture_dir,
+                                                       monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import gen
+
+    desk = (fixture_dir / "config.yaml").read_text(encoding="utf-8")
+    texts = [desk, "\ufeff" + desk]
+    texts += [gen.config_text(workload, 1) for workload in gen.WORKLOADS]
+    texts.append("".join(f"k{i}: {v}\n" for i, v in enumerate(EDGE_SCALARS)))
+    assert pipeline._YAML_LOADER is (
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    for text in texts:
+        # repr: NaN equals itself there, and 1 differs from 1.0 and True
+        assert repr(yaml.load(text, Loader=pipeline._YAML_LOADER)) == repr(
+            yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_malformed_config_names_line_and_column(tmp_path, caplog, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: 1\ndedup: {threshold: 0.9\nselect: {}\n")
+    assert cli.main(["all", "--config", str(bad),
+                     "--workdir", str(tmp_path / "w")]) == 2
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage().startswith(
+        "config error: config is not valid YAML: ")
+    assert "line 2, column 8" in error.getMessage()
+    assert not (tmp_path / "w").exists()
+    capsys.readouterr()
+
+
 def test_negative_seed_flag_stops_before_any_stage(fixture_dir, tmp_path,
                                                   caplog, capsys):
     workdir = tmp_path / "w"
@@ -1081,6 +1119,34 @@ def test_power_bad_number_is_config_error(caplog, capsys, args, message):
                      "--seeds", "3", *args]) == 2
     assert f"config error: {message}" in caplog.text
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--alpha", "7"], "alpha must be in (0, 1), got 7.0"),
+    (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    (["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    (["--days", "10"],
+     "window length must be a multiple of 4, at least 8, got 10"),
+    (["--days", "4"],
+     "window length must be a multiple of 4, at least 8, got 4"),
+    (["--days", "100000000"], "start_date must leave 100000000 days up to "
+                              "9999-12-31, got '2025-01-01'"),
+    (["--lifts", "0.0,nan"], "lift_fraction must be a finite number >= -1"),
+    (["--lifts", "-2"], "lift_fraction must be a finite number >= -1"),
+    (["--base-mean", "inf"], "base_mean must be > 0 and finite"),
+    (["--noise-sd", "inf"], "noise_sd must be >= 0 and finite")])
+def test_power_checks_its_arguments_before_simulating(
+        monkeypatch, caplog, capsys, args, message):
+    from topicforge import experiment
+
+    # a window of 10**8 days would be built before any check of its own
+    monkeypatch.setattr(experiment, "power_estimate",
+                        lambda *a, **k: pytest.fail("simulated"))
+    assert cli.main(["power", "--lifts", "0.0,0.5", "--days", "8",
+                     "--seeds", "3", *args]) == 2
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert error.getMessage() == f"config error: {message}"
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1194,6 +1260,28 @@ def test_hand_edited_output_reruns_its_stage(fixture_dir, full_run, tmp_path,
     assert topics.read_bytes() == (full_run[1] / "select" / "topics.jsonl").read_bytes()
 
 
+def test_numpy_version_without_a_literal_is_read_from_metadata(
+        tmp_path, monkeypatch):
+    # numpy/version.py as versioneer-built releases wrote it: no
+    # ``version = "X"`` line
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "version.py").write_text(
+        "from ._version import get_versions\n"
+        "vinfo = get_versions()\n"
+        "version: str = vinfo['version']\n"
+        "__version__ = vinfo.get('closest-tag', vinfo['version'])\n")
+    spec = types.SimpleNamespace(origin=str(fake / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    pipeline._environment.cache_clear()
+    try:
+        assert pipeline._environment() == {
+            "python": platform.python_version(), "numpy": np.__version__}
+    finally:
+        pipeline._environment.cache_clear()
+
+
 def test_other_numpy_version_reruns_its_stage(fixture_dir, full_run, tmp_path,
                                               monkeypatch, capsys):
     # another numpy can round differently, and so move dedup's kept set
@@ -1209,23 +1297,37 @@ def test_other_numpy_version_reruns_its_stage(fixture_dir, full_run, tmp_path,
         full_run[1] / "dedup" / "MANIFEST.json").read_bytes()
 
 
-def python_run(code: str) -> subprocess.CompletedProcess:
-    """``code`` run by a fresh interpreter that imports the package from this
-    source tree; fails the test on a non-zero exit."""
+def cli_imports(argv: list[str]) -> tuple[int, set[str], bool, str]:
+    """``cli.main(argv)`` run by a fresh interpreter that imports the package
+    from this source tree: its exit code, the ``topicforge`` modules it
+    loaded, whether it loaded numpy, and its standard error."""
     src = str(Path(pipeline.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    code = ("import json, sys\nfrom topicforge import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(json.dumps([code, [m for m in sys.modules "
+            "if m.partition('.')[0] == 'topicforge'], "
+            "'numpy' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done
+    exit_code, modules, numpy = json.loads(done.stdout.splitlines()[-1])
+    return exit_code, set(modules), numpy, done.stderr
 
 
-def test_cli_and_config_check_import_no_numpy(fixture_dir):
-    done = python_run(
-        "import sys, topicforge.cli, topicforge.pipeline as p\n"
-        f"p.load_context({str(fixture_dir / 'config.yaml')!r})\n"
-        "print('numpy' in sys.modules)")
-    assert done.stdout == "False\n"
+# what a config check and a rerun that skips every stage but dedup load
+CHECK_MODULES = {"topicforge", "topicforge.cli", "topicforge.pipeline",
+                 "topicforge.config"}
+
+
+def test_cli_and_config_check_import_no_numpy(fixture_dir, tmp_path):
+    # experiment is the last section checked: every check has run
+    config = variant_config(fixture_dir, tmp_path, **{"experiment.n_days": 10})
+    code, modules, numpy, stderr = cli_imports(
+        ["all", "--config", str(config), "--workdir", str(tmp_path / "w")])
+    assert code == 2
+    assert "window length must be a multiple of 4" in stderr
+    assert (modules, numpy) == (CHECK_MODULES, False)
 
 
 def test_threshold_only_rerun_imports_no_numpy(fixture_dir, full_run,
@@ -1233,15 +1335,13 @@ def test_threshold_only_rerun_imports_no_numpy(fixture_dir, full_run,
     config = variant_config(fixture_dir, tmp_path, **{"dedup.threshold": 0.88})
     workdir = tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
-    done = python_run(
-        "import sys\nfrom topicforge import cli\n"
-        f"code = cli.main(['all', '--config', {str(config)!r}, "
-        f"'--workdir', {str(workdir)!r}])\n"
-        "print(code, 'numpy' in sys.modules)")
-    assert done.stdout == "0 False\n"
+    code, modules, numpy, stderr = cli_imports(
+        ["all", "--config", str(config), "--workdir", str(workdir)])
+    assert code == 0
+    assert (modules, numpy) == (CHECK_MODULES, False)
     assert [s for s in pipeline.STAGES
-            if f"{s}: skipped" not in done.stderr] == ["dedup"]
-    assert "dedup: ok " in done.stderr
+            if f"{s}: skipped" not in stderr] == ["dedup"]
+    assert "dedup: ok " in stderr
     # the matches do not depend on the threshold
     name = Path("cluster", "representatives.jsonl")
     assert (workdir / name).read_bytes() == (full_run[1] / name).read_bytes()
