@@ -14,6 +14,8 @@ representative's own row (``cluster/representatives.jsonl``), and its
 ``dedup`` stage applies the threshold to those, without this module or
 numpy.
 
+Queries, titles and facet pairs are taken as ingest normalized them.
+
 The narrowing step can miss a duplicate whose facet values are not in the
 lexicon; run statistics report how often the facet path was skipped so that
 risk is visible rather than silent. Indexes are immutable after build.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_THRESHOLD, dedup_verdict
 from .config import check_dedup_threshold as check_threshold
-from .ingest import PageRecord, normalize_query, tokenize_text
+from .ingest import PageRecord, tokenize_text
 from .tokenizer import FacetMatcher
 from .train import Encoder, best_match
 
@@ -134,8 +136,7 @@ class Deduper:
         shelf_best = dedup_against_shelves(query_vecs, self.shelf_index)
         narrowed: list[list[str]] = []
         for query, (page, _) in zip(queries, shelf_best):
-            facets = self.facet_matcher.match(
-                tokenize_text(normalize_query(query)))
+            facets = self.facet_matcher.match(tokenize_text(query))
             narrowed.append(self.facet_index.pages_for(
                 self.shelf_index.product_types[page], facets))
 

@@ -1,15 +1,17 @@
-"""Input parsing: CSV click logs, page catalogs, candidate queries, blocklists.
+"""Input parsing: every raw input's parser, and the one text normalization.
 
-All query text is normalized once, at the boundary (lowercase, punctuation
-stripped except hyphens, whitespace collapsed) so that later joins on query
-text are deterministic. Every raw input is read through ``_read_lines``: it
+The click log, page catalog, blocklist, facet lexicon and item catalog are
+parsed here and nowhere else. Their text is normalized here, once
+(lowercase, punctuation stripped except hyphens, whitespace collapsed), so
+that later joins on text are deterministic; every other module takes
+ingest's text as it is. Every raw input is read through ``_read_lines``: it
 holds one record per line, a line ends only at LF, CR LF or CR, and one
 leading UTF-8 byte-order mark is dropped. Parsers never drop malformed rows
 silently: a bad click log or page catalog row (one that is not UTF-8 text,
 a CSV cell over the csv module's field limit or JSON nested too deeply
 included) is recorded in the accompanying ParseReport. The other raw
 inputs, the blocklist, facet lexicon and item catalog, are strict
-(``strict_rows``): their first bad line raises IngestError naming it.
+(``_strict_rows``): their first bad line raises IngestError naming it.
 """
 
 from __future__ import annotations
@@ -269,8 +271,8 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
                        partial(_page_record, seen_ids=set()))
 
 
-def strict_rows(path: str | Path, what: str,
-                make: Callable[[str], object]) -> list:
+def _strict_rows(path: str | Path, what: str,
+                 make: Callable[[str], object]) -> list:
     """Each :func:`_row` of ``path``'s lines other than None; the first line
     that raises ValueError raises IngestError naming it."""
     rows, report = _parse_rows(_read_lines(path, what), make)
@@ -282,8 +284,45 @@ def strict_rows(path: str | Path, what: str,
 def load_blocklist(path: str | Path) -> set[str]:
     """Load one normalized term per line; '#' starts a comment. A line that
     is not UTF-8 text raises IngestError naming its line."""
-    return set(strict_rows(path, "blocklist", lambda text: (
+    return set(_strict_rows(path, "blocklist", lambda text: (
         normalize_query(text.split("#", 1)[0]) or None)))
+
+
+def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
+    """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
+    raises IngestError naming its line."""
+    def row(line: str) -> tuple[str, set[str]]:
+        d = _json_object(line)
+        name = normalize_query(str(d.get("facet_name") or ""))
+        if not name:
+            raise ValueError("facet_name is missing or empty")
+        values = d.get("values", [])
+        if not isinstance(values, list):
+            raise ValueError("values is not a list")
+        return name, {normalize_query(field_text(v)) for v in values}
+    lexicon: dict[str, set[str]] = {}
+    for name, values in _strict_rows(path, "facet lexicon", row):
+        lexicon.setdefault(name, set()).update(v for v in values if v)
+    return lexicon
+
+
+def load_item_catalog(path: str | Path) -> list[tuple[str, str]]:
+    """JSONL rows {item_id, title}, one per item, as (item_id, normalized
+    title) pairs; a malformed row or a repeated item_id raises IngestError
+    naming its line."""
+    seen_ids: set[str] = set()
+
+    def item(line: str) -> tuple[str, str]:
+        row = _json_object(line)
+        pair = (field_text(row.get("item_id")), field_text(row.get("title")))
+        for name, value in zip(("item_id", "title"), pair):
+            if not value:
+                raise ValueError(f"{name} is missing or empty")
+        if pair[0] in seen_ids:
+            raise ValueError(f"duplicate item_id {pair[0]!r}")
+        seen_ids.add(pair[0])
+        return pair[0], normalize_query(pair[1])
+    return _strict_rows(path, "item catalog", item)
 
 
 def candidates_from_click_log(records: Sequence[ClickRecord]) -> list[CandidateQuery]:

@@ -370,11 +370,10 @@ def _checked(row: dict, *numbers: str) -> dict:
 
 def _stage_ingest(ctx: PipelineContext, out: Path):
     from . import ingest as ingest_mod
-    from .tokenizer import load_facet_lexicon
 
     records, rep = ingest_mod.parse_click_log(ctx.path("click_log"))
     pages, prep = ingest_mod.parse_page_catalog(ctx.path("page_catalog"))
-    lexicon = load_facet_lexicon(ctx.path("facet_lexicon"))
+    lexicon = ingest_mod.load_facet_lexicon(ctx.path("facet_lexicon"))
     blocklist = ingest_mod.load_blocklist(ctx.path("blocklist"))
     candidates = ingest_mod.candidates_from_click_log(records)
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
@@ -653,6 +652,7 @@ def _stage_select(ctx: PipelineContext, out: Path):
 
 
 def _stage_emit(ctx: PipelineContext, out: Path):
+    from . import ingest as ingest_mod
     from . import topicpage as topic_mod
 
     topics = _read_rows(ctx, "select", "topics.jsonl", lambda r: (
@@ -661,8 +661,8 @@ def _stage_emit(ctx: PipelineContext, out: Path):
     # neither parsed nor recorded as read
     retriever = topic_mod.TokenOverlapRetriever([])
     if topics:
-        retriever = topic_mod.TokenOverlapRetriever.from_jsonl(
-            ctx.path("item_catalog"))
+        retriever = topic_mod.TokenOverlapRetriever(
+            ingest_mod.load_item_catalog(ctx.path("item_catalog")))
     specs, flagged = topic_mod.emit_pages(
         topics, retriever, ctx.settings["emit"]["items_per_page"])
     _write_jsonl(out / "pages.jsonl", specs)
@@ -677,9 +677,12 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
     from . import experiment as exp_mod
 
     e = ctx.settings["experiment"]
+    # the treatment is the page group emit shipped: with no page, the A/B
+    # test days get no lift
+    pages = len(_read_rows(ctx, "emit", "pages.jsonl", dict))
     plan, clicks, report = exp_mod.run_experiment(
         date_window(e["start_date"], e["n_days"]),
-        e["base_mean"], e["noise_sd"], e["lift_fraction"],
+        e["base_mean"], e["noise_sd"], e["lift_fraction"] if pages else 0.0,
         split_seed=ctx.seed + SEED_SPLIT, traffic_seed=ctx.seed + SEED_TRAFFIC)
     # the plan's keys stay in field order
     _write_json(out / "plan.json", asdict(plan), sort_keys=False)
@@ -687,10 +690,12 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
     _write_json(out / "results.json", asdict(report))
     print(exp_mod.format_report_table(report))
     aa, ab = report.period("AA"), report.period("AB")
-    counts = {"n_days": e["n_days"], "aa_p": aa.p, "ab_p": ab.p,
-              "aa_relative_pct": aa.relative_pct,
+    counts = {"n_days": e["n_days"], "pages": pages, "aa_p": aa.p,
+              "ab_p": ab.p, "aa_relative_pct": aa.relative_pct,
               "ab_relative_pct": ab.relative_pct}
-    return counts, [], ["plan.json", "daily_clicks.json", "results.json"]
+    warnings = [] if pages else [
+        "no page was emitted; the A/B period has no treatment"]
+    return counts, warnings, ["plan.json", "daily_clicks.json", "results.json"]
 
 
 _STAGE_FNS: dict[str, Callable] = {

@@ -6,6 +6,9 @@ composite token "FACET:name=value" appended after the word tokens. Two
 queries that differ only in a facet value therefore always tokenize
 differently.
 
+Texts and lexicons are taken as ingest normalized them; the lexicon's
+parser is ``ingest.load_facet_lexicon``, re-exported here.
+
 Matching runs through a :class:`FacetMatcher`, which indexes every lexicon
 value under its first token once. A query is then scanned token by token,
 and only the values starting with that token are compared, so a match costs
@@ -27,8 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import (_json_object, field_text, normalize_query, strict_rows,
-                     tokenize_text)
+from .ingest import load_facet_lexicon, tokenize_text  # noqa: F401
 
 PAD_ID = 0
 UNK_ID = 1
@@ -97,24 +99,6 @@ class TokenSequence:
     def __post_init__(self):
         if self.ids.shape != self.attention_mask.shape:
             raise ValueError("ids and attention_mask shapes differ")
-
-
-def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
-    """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
-    raises IngestError naming its line."""
-    def row(line: str) -> tuple[str, set[str]]:
-        d = _json_object(line)
-        name = normalize_query(str(d.get("facet_name") or ""))
-        if not name:
-            raise ValueError("facet_name is missing or empty")
-        values = d.get("values", [])
-        if not isinstance(values, list):
-            raise ValueError("values is not a list")
-        return name, {normalize_query(field_text(v)) for v in values}
-    lexicon: dict[str, set[str]] = {}
-    for name, values in strict_rows(path, "facet lexicon", row):
-        lexicon.setdefault(name, set()).update(v for v in values if v)
-    return lexicon
 
 
 def build_vocabulary(

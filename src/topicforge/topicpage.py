@@ -6,8 +6,10 @@ top items per keyword; the bundled retriever ranks a JSONL item catalog by
 token overlap with the keyword. Topics that retrieve nothing are flagged and skipped, a
 retriever failure flags that topic and the run continues.
 
-Page identity is a 64-bit blake2b hash of the normalized keyword, so
-re-emitting the same inputs yields byte-identical spec files.
+Keywords and item titles are taken as ingest normalized them (the item
+catalog's parser is ``ingest.load_item_catalog``). Page identity is a
+64-bit blake2b hash of the keyword, so re-emitting the same inputs yields
+byte-identical spec files.
 """
 
 from __future__ import annotations
@@ -16,21 +18,18 @@ import hashlib
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .config import (DEFAULT_ITEMS_PER_PAGE, check_items_per_page,
                      check_quota)
-from .ingest import (_json_object, field_text, normalize_query, strict_rows,
-                     tokenize_text)
+from .ingest import tokenize_text
 
 logger = logging.getLogger(__name__)
 
 
 def page_id_for(keyword: str) -> str:
-    """Stable 64-bit page id: blake2b of the normalized keyword, hex."""
-    normalized = normalize_query(keyword)
-    return hashlib.blake2b(normalized.encode("utf-8"), digest_size=8).hexdigest()
+    """Stable 64-bit page id: blake2b of the (normalized) keyword, hex."""
+    return hashlib.blake2b(keyword.encode("utf-8"), digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -70,31 +69,13 @@ class TokenOverlapRetriever:
         self._ids: list[str] = []
         self._items_of: dict[str, list[int]] = {}
         for item_id, title in items:
-            for token in set(tokenize_text(normalize_query(title))):
+            for token in set(tokenize_text(title)):
                 self._items_of.setdefault(token, []).append(len(self._ids))
             self._ids.append(item_id)
 
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "TokenOverlapRetriever":
-        """JSONL rows {item_id, title}, one per item; a malformed row or a
-        repeated item_id raises IngestError naming its line."""
-        seen_ids: set[str] = set()
-
-        def item(line: str) -> tuple[str, str]:
-            row = _json_object(line)
-            pair = (field_text(row.get("item_id")), field_text(row.get("title")))
-            for name, value in zip(("item_id", "title"), pair):
-                if not value:
-                    raise ValueError(f"{name} is missing or empty")
-            if pair[0] in seen_ids:
-                raise ValueError(f"duplicate item_id {pair[0]!r}")
-            seen_ids.add(pair[0])
-            return pair
-        return cls(strict_rows(path, "item catalog", item))
-
     def __call__(self, keyword: str, k: int) -> list[str]:
         overlap = Counter()
-        for token in set(tokenize_text(normalize_query(keyword))):
+        for token in set(tokenize_text(keyword)):
             overlap.update(self._items_of.get(token, ()))
         scored = sorted((-n, self._ids[i]) for i, n in overlap.items())
         return [item_id for _, item_id in scored[:k]]

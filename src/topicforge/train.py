@@ -3,7 +3,8 @@
 Pretraining minimizes the summed pair loss over co-click samples; fine-tuning
 continues from pretrained encoder weights and minimizes mean cross-entropy of
 a linear head over the penultimate vector. Training and :func:`encode_texts`
-share one tokenization path, :func:`tokenize_texts`. On the fine-tuned
+share one tokenization path, :func:`tokenize_texts`, over ingest's
+normalized text, which it does not normalize again. On the fine-tuned
 checkpoint ``encode_texts`` returns the task-specific embedding used
 downstream, the L2-normalized penultimate vector, for queries and page titles
 alike.
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import model
 from .config import ModelConfig, TrainConfig
-from .ingest import normalize_query, tokenize_text
+from .ingest import tokenize_text
 from .metric import QueryPairSample
 from .tokenizer import PAD_ID, Vocabulary, token_ids
 
@@ -129,8 +130,8 @@ def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
     """Token rows of the distinct texts, each laid out as
     :func:`tokenize_query` does, and for each text the index of its row.
 
-    Each distinct text is normalized and matched against the vocabulary's
-    facets once; a repeated text shares its row.
+    Texts are ingest's normalized text. Each distinct text is matched
+    against the vocabulary's facets once; a repeated text shares its row.
     """
     row_of: dict[str, int] = {}
     rows = np.array([row_of.setdefault(text, len(row_of)) for text in texts],
@@ -139,7 +140,7 @@ def tokenize_texts(texts: Sequence[str], vocab: Vocabulary,
     mask = np.zeros((len(row_of), seq_len))
     matcher = vocab.facet_matcher
     for row, text in enumerate(row_of):
-        words = tokenize_text(normalize_query(text))
+        words = tokenize_text(text)
         found = token_ids(words, matcher.match(words), vocab, seq_len)
         ids[row, :len(found)] = found
         mask[row, :len(found)] = 1.0
@@ -157,6 +158,7 @@ def encode_texts(
 ) -> np.ndarray:
     """Unit-norm embeddings, one row per text, shape ``(len(texts), output_dim)``.
 
+    Texts are ingest's normalized text (:func:`tokenize_texts`).
     Forward passes take at most ``ENCODE_BATCH`` texts; an empty list runs
     none.
     """

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 import oracles
 from topicforge import ingest
-from topicforge.tokenizer import load_facet_lexicon
-from topicforge.topicpage import TokenOverlapRetriever
 
 
 def test_normalize_query():
@@ -19,6 +19,65 @@ def test_normalize_query():
     assert ingest.normalize_query("iPhone_13 case") == "iphone 13 case"
     assert ingest.normalize_query("blue-green mat") == "blue-green mat"
     assert ingest.normalize_query("???") == ""
+
+
+# characters whose case mapping or class is context-dependent or multi-char
+TRICKY = ["Σ", "ς", "σ", "İ", "ı", "\u0307", "\u0345", "ß", "ǅ", "ﬃ", "_",
+          "-", "!", ",", ".", "'", "·", " ", "\t", "\n", "\u00a0", "\u2028",
+          "A", "a", "1"]
+
+
+def test_normalize_query_is_idempotent():
+    # later stages take ingest's text as it is, which is only sound when
+    # normalizing normalized text changes nothing
+    for code_point in range(0x10000):
+        once = ingest.normalize_query(chr(code_point))
+        assert ingest.normalize_query(once) == once, hex(code_point)
+    rng = random.Random(31)
+    for _ in range(20_000):
+        text = "".join(rng.choice(TRICKY) if rng.random() < 0.7
+                       else chr(rng.randrange(0x10000))
+                       for _ in range(rng.randint(1, 8)))
+        once = ingest.normalize_query(text)
+        assert ingest.normalize_query(once) == once, ascii(text)
+
+
+SOURCES = sorted(Path(ingest.__file__).parent.glob("*.py"))
+
+
+def test_only_ingest_normalizes_text():
+    callers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "normalize_query" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"ingest.py"}
+
+
+def test_no_module_reaches_for_a_private_ingest_name():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "ingest", "topicforge.ingest"):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("ingest", "ingest_mod")):
+                names = [node.attr]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("_")], path.name
+
+
+def test_item_catalog_titles_are_normalized(tmp_path):
+    items = tmp_path / "items.jsonl"
+    items.write_text(json.dumps({"item_id": "A-1", "title": " Red, HAT!"})
+                     + "\n" + json.dumps({"item_id": "b", "title": "??"})
+                     + "\n", encoding="utf-8")
+    # the id is kept as it is; a title with no token never matches
+    assert ingest.load_item_catalog(items) == [("A-1", "red hat"), ("b", "")]
 
 
 def test_parse_click_log_csv(tmp_path):
@@ -209,9 +268,9 @@ def test_line_that_is_not_utf8_stops_a_lexicon_catalog_or_blocklist(
     for what, good, load in [
             ("blocklist", b"replica", ingest.load_blocklist),
             ("facet lexicon", b'{"facet_name": "size", "values": ["large"]}',
-             load_facet_lexicon),
+             ingest.load_facet_lexicon),
             ("item catalog", b'{"item_id": "a", "title": "red hat"}',
-             TokenOverlapRetriever.from_jsonl)]:
+             ingest.load_item_catalog)]:
         # line 2 is blank: LF ends line 1, CR LF line 2; then CR LF ends
         # line 1 and a bare CR line 2
         for ends in (b"\n\r\n", b"\r\n\r"):
@@ -252,9 +311,9 @@ def test_line_nested_too_deeply_stops_a_lexicon_or_item_catalog(tmp_path):
     path = tmp_path / "raw.jsonl"
     for what, good, load in [
             ("facet lexicon", b'{"facet_name": "size", "values": ["large"]}',
-             load_facet_lexicon),
+             ingest.load_facet_lexicon),
             ("item catalog", b'{"item_id": "a", "title": "red hat"}',
-             TokenOverlapRetriever.from_jsonl)]:
+             ingest.load_item_catalog)]:
         path.write_bytes(good + b"\n" + b"[" * 100_000 + b"\n")
         with pytest.raises(ingest.IngestError,
                            match=f"^{what} line 2: JSON nested too deeply$"):
@@ -278,13 +337,13 @@ def test_leading_byte_order_mark_is_dropped(tmp_path):
     assert report.errors == []
     lexicon = tmp_path / "lexicon.jsonl"
     lexicon.write_bytes(BOM + b'{"facet_name": "size", "values": ["large"]}\n')
-    assert load_facet_lexicon(lexicon) == {"size": {"large"}}
+    assert ingest.load_facet_lexicon(lexicon) == {"size": {"large"}}
     blocklist = tmp_path / "blocklist.txt"
     blocklist.write_bytes(BOM + b"replica\n")
     assert ingest.load_blocklist(blocklist) == {"replica"}
     items = tmp_path / "items.jsonl"
     items.write_bytes(BOM + b'{"item_id": "a", "title": "red hat"}\n')
-    assert TokenOverlapRetriever.from_jsonl(items)("hat", 5) == ["a"]
+    assert ingest.load_item_catalog(items) == [("a", "red hat")]
     # only one: a second mark is the first row's text
     log.write_bytes(BOM + BOM + HEADER)
     with pytest.raises(ingest.IngestError, match="^click log header "):

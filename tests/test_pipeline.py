@@ -32,7 +32,6 @@ from topicforge import train as train_mod
 from topicforge.fixture import write_fixture
 from topicforge.pipeline import (ConfigError, PipelineError, load_context,
                                  run_stage)
-from topicforge.tokenizer import load_facet_lexicon
 from topicforge.topicpage import TopicPageSpec
 
 
@@ -112,7 +111,7 @@ INPUTS = {
     "dedup": ["cluster/representatives.jsonl"],
     "select": ["dedup/kept.jsonl"],
     "emit": ["select/topics.jsonl"],
-    "experiment": [],
+    "experiment": ["emit/pages.jsonl"],
 }
 
 
@@ -242,8 +241,8 @@ def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
     copies = workdir / "ingest"
     assert (ingest_mod.parse_page_catalog(copies / "page_catalog.jsonl")
             == ingest_mod.parse_page_catalog(inputs / "pages.jsonl"))
-    assert (load_facet_lexicon(copies / "facet_lexicon.jsonl")
-            == load_facet_lexicon(inputs / "facet_lexicon.jsonl"))
+    assert (ingest_mod.load_facet_lexicon(copies / "facet_lexicon.jsonl")
+            == ingest_mod.load_facet_lexicon(inputs / "facet_lexicon.jsonl"))
     (inputs / "pages.jsonl").unlink()
     (inputs / "facet_lexicon.jsonl").unlink()
     ctx = load_context(config, workdir)
@@ -1024,16 +1023,51 @@ def test_emit_without_topics_reads_no_item_catalog(full_run, tmp_path, capsys):
     assert json.loads((emit / "MANIFEST.json").read_text())["raw_inputs"] == {}
 
 
-def test_experiment_stage_seed_sensitivity(fixture_dir, tmp_path):
+def test_experiment_stage_seed_sensitivity(fixture_dir, full_run, tmp_path):
     # same seed: byte-identical artifacts; different seed: different traffic
     runs = {}
     for name, seed in (("a", 7), ("b", 7), ("c", 8)):
         workdir = tmp_path / name
+        shutil.copytree(full_run[1] / "emit", workdir / "emit")
         ctx = load_context(fixture_dir / "config.yaml", workdir, seed=seed)
         run_stage(ctx, "experiment")
         runs[name] = (workdir / "experiment" / "daily_clicks.json").read_bytes()
     assert runs["a"] == runs["b"]
     assert runs["a"] != runs["c"]
+
+
+def test_experiment_without_pages_has_no_treatment(fixture_dir, full_run,
+                                                   tmp_path):
+    from topicforge import experiment
+
+    ctx, shipped, reports = full_run
+    assert reports[-1].counts["pages"] > 0 and not reports[-1].warnings
+    workdir = tmp_path / "w"
+    (workdir / "emit").mkdir(parents=True)
+    (workdir / "emit" / "pages.jsonl").write_bytes(b"")
+    report = run_stage(load_context(fixture_dir / "config.yaml", workdir),
+                       "experiment")
+    assert report.counts["pages"] == 0
+    assert report.warnings == [
+        "no page was emitted; the A/B period has no treatment"]
+    # the configured lift is not applied, and the traffic's draws are those
+    # of the run that shipped pages
+    e = ctx.settings["experiment"]
+    assert e["lift_fraction"] > 0
+    _, clicks, _ = experiment.run_experiment(
+        config_mod.date_window(e["start_date"], e["n_days"]), e["base_mean"],
+        e["noise_sd"], 0.0, split_seed=ctx.seed + pipeline.SEED_SPLIT,
+        traffic_seed=ctx.seed + pipeline.SEED_TRAFFIC)
+    read = json.loads(
+        (workdir / "experiment" / "daily_clicks.json").read_text())
+    assert read == clicks
+    plan = json.loads((shipped / "experiment" / "plan.json").read_text())
+    treated = {entry["date"] for entry in plan["entries"]
+               if entry["page_group_action"] == "active"}
+    with_pages = json.loads(
+        (shipped / "experiment" / "daily_clicks.json").read_text())
+    for date, value in read.items():
+        assert (value == with_pages[date]) == (date not in treated), date
 
 
 def test_cli_exit_codes(fixture_dir, tmp_path, capsys):
@@ -1318,6 +1352,15 @@ def cli_imports(argv: list[str]) -> tuple[int, set[str], bool, str]:
 # what a config check and a rerun that skips every stage but dedup load
 CHECK_MODULES = {"topicforge", "topicforge.cli", "topicforge.pipeline",
                  "topicforge.config"}
+
+
+def test_ingest_stage_imports_only_ingest(fixture_dir, tmp_path):
+    # ingest holds every raw-input parser, so it needs no tokenizer or numpy
+    code, modules, numpy, stderr = cli_imports(
+        ["ingest", "--config", str(fixture_dir / "config.yaml"),
+         "--workdir", str(tmp_path / "w")])
+    assert code == 0, stderr
+    assert (modules, numpy) == (CHECK_MODULES | {"topicforge.ingest"}, False)
 
 
 def test_cli_and_config_check_import_no_numpy(fixture_dir, tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from topicforge import model, train
-from topicforge.ingest import normalize_query
 from topicforge.metric import QueryPairSample
 from topicforge.tokenizer import build_vocabulary, extract_facets, tokenize_query
 from topicforge.train import LabeledQuery, TrainConfig
@@ -274,7 +273,7 @@ def test_encode_texts_matches_single_text_batches(monkeypatch):
 
     monkeypatch.setattr(model, "embed_batch", counting)
     monkeypatch.setattr(train, "ENCODE_BATCH", 3)
-    texts = GROUP_A + ["Alpha  BRAVO!"] + GROUP_B + ["alpha bravo"]
+    texts = GROUP_A + ["alpha bravo"] + GROUP_B + ["alpha bravo"]
     # a batch's shape picks the kernels and its longest row the reduction
     # lengths, so rows agree across batch compositions only to rounding:
     # about 1e-15 in float64 and 2e-7 to 5e-7 in float32 (the model docstring)
@@ -288,7 +287,7 @@ def test_encode_texts_matches_single_text_batches(monkeypatch):
             tokens, _ = train.tokenize_texts([text], vocab, cfg.seq_len)
             single = embed_batch(params, cfg, tokens)[0]
             assert np.max(np.abs(row - single)) < tol
-        # normalization is part of the path: raw and normalized text agree
+        # a repeated text, encoded in other passes, agrees with its first row
         assert np.max(np.abs(out[len(GROUP_A)] - out[0])) < tol
         assert np.max(np.abs(out[-1] - out[0])) < tol
         # on a fine-tuned checkpoint the rows are the task embedding: the
@@ -368,13 +367,12 @@ def test_pretraining_eval_loss_embeds_in_blocks(monkeypatch):
     assert sum(calls) == 2 * n_eval and max(calls) <= 4
 
 
-def test_tokenize_texts_normalizes_and_extracts_facets():
+def test_tokenize_texts_extracts_facets():
     vocab = build_vocabulary(GROUP_A, facet_lexicon={"letter": {"delta"}})
-    tokens, rows = train.tokenize_texts(
-        ["alpha bravo", "ALPHA, bravo!", "alpha delta"], vocab, 6)
-    plain, raw, faceted = (tokens[row] for row in rows)
-    assert np.array_equal(plain.ids, raw.ids)
-    assert np.array_equal(plain.mask, raw.mask)
+    tokens, rows = train.tokenize_texts(["alpha bravo", "alpha delta"],
+                                        vocab, 6)
+    plain, faceted = (tokens[row] for row in rows)
+    assert plain.mask.sum() == 2
     assert faceted.mask.sum() == 3  # two words plus the facet token
     assert vocab.id_for("FACET:letter=delta") in faceted.ids
 
@@ -383,13 +381,12 @@ def test_tokenize_texts_equals_tokenize_query_per_text():
     lexicon = {"letter": {"delta", "alpha bravo"}, "call": {"charlie"}}
     vocab = build_vocabulary(GROUP_A + GROUP_B, facet_lexicon=lexicon)
     longer = "alpha bravo charlie delta xray yankee zulu"  # 7 words + 3 facets
-    texts = ["Alpha Bravo!", "alpha delta", longer, "xray  zulu", "",
+    texts = ["alpha bravo", "alpha delta", longer, "xray  zulu", "",
              "alpha delta", "unseen words", longer]
     tokens, rows = train.tokenize_texts(texts, vocab, 6)
     assert len(rows) == len(texts)
     for text, row in zip(texts, rows):
-        query = normalize_query(text)
-        want = tokenize_query(query, extract_facets(query, lexicon), vocab, 6)
+        want = tokenize_query(text, extract_facets(text, lexicon), vocab, 6)
         assert np.array_equal(tokens.ids[row], want.ids), text
         assert np.array_equal(tokens.mask[row], want.attention_mask), text
     assert tokens.ids.dtype == want.ids.dtype
