@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import IngestError
 from .pipeline import ConfigError, PipelineError, STAGES
 
 logger = logging.getLogger("topicforge")
@@ -116,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                             lift, args.base_mean, args.noise_sd, args.days,
                             args.seeds, args.alpha))
                         for lift in lifts]
-            except ValueError as exc:  # ConfigurationError included
+            except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             print(f"{'lift':>8}  {'power':>7}")
             for lift, power in rows:
@@ -126,13 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except (PipelineError, IngestError) as exc:
+    except PipelineError as exc:
         logger.error("%s", exc)
         return 1
     except Exception as exc:  # fatal but typed exit, not a traceback
         logger.error("fatal: %s", exc, exc_info=True)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -5,11 +5,10 @@ the ``dedup`` stage applies ``dedup.threshold`` to the best match that
 ``cluster`` stored in each representative's row. Neither needs numpy or the
 stage modules, so everything they use lives here: the model and training
 configs, each section's range checks, the one rule that turns a best
-similarity into a dedup verdict, and ``IngestError``, which the CLI maps to
-its exit code. The modules that use these names re-export them
-(``model.ModelConfig``, ``experiment.ConfigurationError``,
-``dedup.DEFAULT_THRESHOLD``, ``topicpage.check_quota``,
-``ingest.IngestError``, ...).
+similarity into a dedup verdict, and the program's two exception classes,
+one per non-zero exit code of the CLI. The modules that use these names
+re-export them (``model.ModelConfig``, ``dedup.DEFAULT_THRESHOLD``,
+``topicpage.check_quota``, ``pipeline.PipelineError``, ...).
 """
 
 from __future__ import annotations
@@ -26,8 +25,12 @@ DEFAULT_THRESHOLD = 0.86  # dedup's: midpoint of the 0.85-0.88 similarity band
 DEFAULT_ITEMS_PER_PAGE = 24
 
 
-class IngestError(Exception):
-    """Fatal ingest failure (unreadable file, wrong schema)."""
+class ConfigError(Exception):
+    """Bad or missing configuration; exit code 2."""
+
+
+class PipelineError(Exception):
+    """Fatal runtime failure such as a missing artifact; exit code 1."""
 
 
 @dataclass
@@ -131,15 +134,11 @@ def check_items_per_page(items_per_page: int) -> None:
         raise ValueError("items_per_page must be >= 1")
 
 
-class ConfigurationError(ValueError):
-    """The experiment window or parameters cannot form a valid plan."""
-
-
 def check_window(n_days: int) -> None:
-    """Raise ConfigurationError unless an ``n_days`` window gives each arm of
-    each period the 2 days its t-test needs."""
+    """Raise ValueError unless an ``n_days`` window gives each arm of each
+    period the 2 days its t-test needs."""
     if n_days < 8 or n_days % 4:
-        raise ConfigurationError(
+        raise ValueError(
             f"window length must be a multiple of 4, at least 8, got {n_days}")
 
 

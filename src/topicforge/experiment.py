@@ -26,8 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import (ConfigurationError, check_traffic, check_window,
-                     date_window)
+from .config import check_traffic, check_window, date_window
 
 _BETACF_MAX_ITER = 300
 _BETACF_TOL = 1e-10
@@ -241,12 +240,6 @@ class TestReport:
         raise KeyError(name)
 
 
-class MissingDatesError(ValueError):
-    def __init__(self, dates: Sequence[str]):
-        super().__init__("clicks missing for dates: " + ", ".join(dates))
-        self.dates = list(dates)
-
-
 def analyze(plan: ExperimentPlan, clicks: Mapping[str, float]) -> TestReport:
     """Per-period relative clicks and t-test.
 
@@ -255,7 +248,7 @@ def analyze(plan: ExperimentPlan, clicks: Mapping[str, float]) -> TestReport:
     """
     missing = [d for d in plan.dates if d not in clicks]
     if missing:
-        raise MissingDatesError(missing)
+        raise ValueError("clicks missing for dates: " + ", ".join(missing))
     periods = []
     for period in ("AA", "AB"):
         control = [clicks[d] for d in plan.arm_dates(period, "control")]

@@ -11,7 +11,7 @@ silently: a bad click log or page catalog row (one that is not UTF-8 text,
 a CSV cell over the csv module's field limit or JSON nested too deeply
 included) is recorded in the accompanying ParseReport. The other raw
 inputs, the blocklist, facet lexicon and item catalog, are strict
-(``_strict_rows``): their first bad line raises IngestError naming it.
+(``_strict_rows``): their first bad line raises PipelineError naming it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .config import IngestError
+from .config import PipelineError
 
 PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
 
@@ -59,7 +59,7 @@ def _read_lines(path: str | Path, what: str) -> list[bytes]:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+        raise PipelineError(f"cannot read {what} {path}: {exc}") from exc
     return data.removeprefix(codecs.BOM_UTF8).splitlines()
 
 
@@ -213,8 +213,8 @@ def _click_record(line: str) -> ClickRecord | None:
 def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     """Parse a CSV click log into ClickRecords plus a ParseReport.
 
-    Raises IngestError if the file is unreadable or the CSV header does not
-    match the documented schema.
+    Raises PipelineError if the file is unreadable or the CSV header does
+    not match the documented schema.
     """
     lines = _read_lines(path, "click log")
     if not lines:
@@ -222,9 +222,9 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     try:
         header = _cells(lines[0].decode("utf-8", "replace"))
     except ValueError as exc:
-        raise IngestError(f"click log header: {exc}") from None
+        raise PipelineError(f"click log header: {exc}") from None
     if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
-        raise IngestError(
+        raise PipelineError(
             f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
     return _parse_rows(lines[1:], _click_record, first=2)
 
@@ -274,23 +274,23 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
 def _strict_rows(path: str | Path, what: str,
                  make: Callable[[str], object]) -> list:
     """Each :func:`_row` of ``path``'s lines other than None; the first line
-    that raises ValueError raises IngestError naming it."""
+    that raises ValueError raises PipelineError naming it."""
     rows, report = _parse_rows(_read_lines(path, what), make)
     if report.errors:
-        raise IngestError("{} line {}: {}".format(what, *report.errors[0]))
+        raise PipelineError("{} line {}: {}".format(what, *report.errors[0]))
     return rows
 
 
 def load_blocklist(path: str | Path) -> set[str]:
     """Load one normalized term per line; '#' starts a comment. A line that
-    is not UTF-8 text raises IngestError naming its line."""
+    is not UTF-8 text raises PipelineError naming its line."""
     return set(_strict_rows(path, "blocklist", lambda text: (
         normalize_query(text.split("#", 1)[0]) or None)))
 
 
 def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
     """JSONL rows {facet_name, values: [...]}, normalized; a malformed row
-    raises IngestError naming its line."""
+    raises PipelineError naming its line."""
     def row(line: str) -> tuple[str, set[str]]:
         d = _json_object(line)
         name = normalize_query(str(d.get("facet_name") or ""))
@@ -308,8 +308,8 @@ def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
 
 def load_item_catalog(path: str | Path) -> list[tuple[str, str]]:
     """JSONL rows {item_id, title}, one per item, as (item_id, normalized
-    title) pairs; a malformed row or a repeated item_id raises IngestError
-    naming its line."""
+    title) pairs; a malformed row or a repeated item_id raises
+    PipelineError naming its line."""
     seen_ids: set[str] = set()
 
     def item(line: str) -> tuple[str, str]:

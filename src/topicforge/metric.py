@@ -40,10 +40,6 @@ from .ingest import ClickRecord
 logger = logging.getLogger(__name__)
 
 
-class UndefinedMetricError(ValueError):
-    """Raised when a query has zero total clicks, making the metric undefined."""
-
-
 @dataclass(frozen=True)
 class QueryPairSample:
     query_a: str
@@ -105,11 +101,12 @@ def aggregate_clicks(records: Sequence[ClickRecord]) -> CoClickStats:
 
 
 def interactive_metric(stats: CoClickStats, q1: str, q2: str) -> float:
-    """Interactive metric between two queries; 0.0 when nothing is co-clicked."""
+    """Interactive metric between two queries; 0.0 when nothing is
+    co-clicked. Undefined, a ValueError, when either has no clicks."""
     t1 = stats.totals.get(q1, 0)
     t2 = stats.totals.get(q2, 0)
     if t1 <= 0 or t2 <= 0:
-        raise UndefinedMetricError(
+        raise ValueError(
             f"metric undefined: zero total clicks for {q1 if t1 <= 0 else q2!r}")
     counts = stats.pairs.get(_pair_key(q1, q2))
     if counts is None:

@@ -74,10 +74,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-class NonFiniteLossError(FloatingPointError):
-    """A batch produced a NaN/Inf loss; message names the offending sample."""
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -552,7 +548,8 @@ def _pair_losses(e_a, e_b, interactive, mode: str):
 def batch_loss_and_grad(params, cfg: ModelConfig,
                         batch: PairBatch | Sequence[tuple[TokenSequence, TokenSequence, float]]):
     """Summed pair loss over a batch and its exact parameter gradient, as
-    :class:`FlatTensors` laid out as ``params``."""
+    :class:`FlatTensors` laid out as ``params``. A non-finite loss raises
+    FloatingPointError naming its batch index."""
     if not len(batch):
         raise ValueError("batch must be non-empty")
     batch = PairBatch.of(batch)
@@ -564,7 +561,7 @@ def batch_loss_and_grad(params, cfg: ModelConfig,
     dots, losses, ddots = _pair_losses(e_a, e_b, batch.labels, cfg.negative_loss)
     if not np.isfinite(losses).all():
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-        raise NonFiniteLossError(f"non-finite loss at batch index {bad}")
+        raise FloatingPointError(f"non-finite loss at batch index {bad}")
     loss = float(losses.sum())
 
     de = np.empty_like(e)
@@ -608,7 +605,7 @@ def classify_batch_loss_and_grad(params, cfg: ModelConfig,
     n = len(batch)
     loss = float(-logp[np.arange(n), labels].mean())
     if not math.isfinite(loss):
-        raise NonFiniteLossError("non-finite cross-entropy loss")
+        raise FloatingPointError("non-finite cross-entropy loss")
 
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0

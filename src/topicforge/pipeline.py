@@ -19,10 +19,11 @@ ones, so neither parsing the config nor skipping a stage imports any
 package module but this one and ``config``, nor numpy. A stage reads every
 file through its context (``ctx.artifact`` for an earlier stage's output,
 ``ctx.path`` for a raw input), which records each read, so the manifest
-lists exactly the files the stage read; a missing one fails with its name. The manifest's
-``config_hash`` covers the values of the sections its stage reads, ``code``
-digests the package's sources, and ``environment`` names the Python and
-numpy versions, whose rounding can move an output.
+lists exactly the files the stage read; a missing artifact fails naming the
+stage to run first. The manifest's ``config_hash`` covers the values of the
+sections its stage reads, ``code`` digests the package's sources, and
+``environment`` names the Python and numpy versions, whose rounding can
+move an output.
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
 stage read or wrote has changed, ``topicforge all`` skips the stage. That
@@ -61,10 +62,11 @@ from typing import Callable
 import yaml
 
 from .config import (DEFAULT_ITEMS_PER_PAGE, DEFAULT_THRESHOLD, FLOAT32_MAX,
-                     ModelConfig, TrainConfig, check_cluster_threshold,
-                     check_dates, check_dedup_threshold, check_items_per_page,
-                     check_quota, check_traffic, check_window, date_window,
-                     dedup_verdict, parse_negative_ratio)
+                     ConfigError, ModelConfig, PipelineError, TrainConfig,
+                     check_cluster_threshold, check_dates,
+                     check_dedup_threshold, check_items_per_page, check_quota,
+                     check_traffic, check_window, date_window, dedup_verdict,
+                     parse_negative_ratio)
 
 logger = logging.getLogger(__name__)
 
@@ -85,14 +87,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # the raw input files, by config ``paths`` key
 RAW_INPUTS = ("click_log", "page_catalog", "facet_lexicon", "blocklist",
               "item_catalog")
-
-
-class ConfigError(Exception):
-    """Bad or missing configuration; maps to exit code 2."""
-
-
-class PipelineError(Exception):
-    """Fatal runtime failure such as a missing artifact; exit code 1."""
 
 
 @dataclass
@@ -132,7 +126,8 @@ class PipelineContext:
         """An earlier stage's output file, recorded as read."""
         p = self.workdir / stage / name
         if not p.is_file():
-            raise PipelineError(f"missing artifact: {name}")
+            raise PipelineError(f"missing artifact: {stage}/{name} "
+                                f"(run the {stage} stage first)")
         self.inputs[f"{stage}/{name}"] = p
         return p
 
@@ -467,14 +462,12 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
 def _trained(stage: str, fit: Callable, *args) -> tuple[dict, list, dict]:
     """``fit(*args)``, and the Adam ``steps`` and ``samples_per_s`` it
     trained over the wall time of the call, which vary from run to run like
-    the report's duration. Data it cannot learn from, or a loss that went
-    non-finite, stops ``stage``."""
-    from .train import TrainingDiverged
-
+    the report's duration. Data it cannot learn from (ValueError), or a loss
+    or parameter that went non-finite (FloatingPointError), stops ``stage``."""
     started = time.perf_counter()
     try:
         params, history = fit(*args)
-    except (ValueError, TrainingDiverged) as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise PipelineError(f"{stage}: {exc}") from exc
     seconds = time.perf_counter() - started
     samples = sum(row["samples"] for row in history)
@@ -718,7 +711,10 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     ctx.inputs.clear()
     ctx.raw_inputs.clear()
     out = ctx.workdir / stage
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use workdir {ctx.workdir}: {exc}") from exc
     started = time.monotonic()
     counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
     duration = time.monotonic() - started

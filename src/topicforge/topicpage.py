@@ -89,12 +89,11 @@ def emit_pages(
     """One spec per topic with up to ``k`` items.
 
     Returns (specs, flagged) where flagged pairs a topic with the reason it
-    was not emitted: no items, a repeated page id, or a retriever error.
+    was not emitted: no items, or a retriever error.
     """
     check_items_per_page(k)
     specs: list[TopicPageSpec] = []
     flagged: list[tuple[str, str]] = []
-    seen_ids: set[str] = set()
     for topic in topics:
         try:
             item_ids = retriever(topic.topic, k)
@@ -105,11 +104,7 @@ def emit_pages(
         if not item_ids:
             flagged.append((topic.topic, "no items retrieved"))
             continue
-        page_id = page_id_for(topic.topic)
-        if page_id in seen_ids:
-            flagged.append((topic.topic, "duplicate page id"))
-            continue
-        seen_ids.add(page_id)
-        specs.append(TopicPageSpec(topic.topic, page_id, tuple(item_ids[:k]),
-                                   topic.source_cluster, topic.product_type))
+        specs.append(TopicPageSpec(topic.topic, page_id_for(topic.topic),
+                                   tuple(item_ids[:k]), topic.source_cluster,
+                                   topic.product_type))
     return specs, flagged

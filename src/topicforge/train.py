@@ -27,6 +27,8 @@ each step gathers its rows by index (:class:`model.TokenBatch`,
 Train/eval splits are decided by a stable hash of the sample text so the
 split never depends on input order or process state. All shuffling comes
 from a seeded generator; two runs with one seed produce identical curves.
+A loss or parameter that goes non-finite stops training with a
+FloatingPointError naming the epoch.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ ADAM_EPS = 1e-8
 # and raised the run's peak RSS from 47 to 57 MB
 ENCODE_BATCH = 128
 TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss or parameters went non-finite; the message names the epoch."""
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,8 @@ def _run_epochs(params: model.FlatTensors, n_rows: int, train_cfg: TrainConfig,
     step over ``params.flat`` per ``batch_step(params, rows) -> (loss,
     grads)``, then appends a row of ``epoch``, its ``steps`` and ``samples``
     and ``epoch_row(params, loss_sum, n_batches)`` to the history. A
-    non-finite loss or parameter raises :class:`TrainingDiverged` naming the
-    epoch.
+    non-finite loss or parameter raises FloatingPointError naming the epoch
+    (numpy itself raises none here: its errors are ignored).
     """
     opt = Optimizer(train_cfg)
     rng = np.random.default_rng(train_cfg.seed)
@@ -227,11 +225,11 @@ def _run_epochs(params: model.FlatTensors, n_rows: int, train_cfg: TrainConfig,
                 loss_sum += loss
                 n_batches += 1
                 opt.step(params.flat, grads.flat)
-        except model.NonFiniteLossError as exc:
-            raise TrainingDiverged(
+        except FloatingPointError as exc:
+            raise FloatingPointError(
                 f"diverged during epoch {epoch}: {exc}") from exc
         if not np.isfinite(params.flat).all():
-            raise TrainingDiverged(
+            raise FloatingPointError(
                 f"parameters went non-finite during epoch {epoch}")
         row = {"epoch": epoch, "steps": n_batches, "samples": n_rows,
                **epoch_row(params, loss_sum, n_batches)}
@@ -251,7 +249,7 @@ def train_intention_model(
     History rows carry ``epoch``, its Adam ``steps`` and training
     ``samples``, ``mean_loss`` (train) and, when the stable hash split leaves
     any eval pairs, ``eval_loss``. On a non-finite loss or
-    parameter the run aborts with :class:`TrainingDiverged`.
+    parameter the run aborts with FloatingPointError.
     """
     if not any(s.interactive > 0 for s in samples):
         raise ValueError("need at least one positive sample")
@@ -292,7 +290,7 @@ def finetune_classifier(
     ``cfg.num_classes`` must be set; the encoder starts from ``pretrained``
     and the head is freshly initialized. History rows carry ``epoch``,
     ``steps``, ``samples``, ``mean_loss`` and training ``accuracy``. Divergence raises
-    :class:`TrainingDiverged` as in pretraining.
+    FloatingPointError as in pretraining.
     """
     if cfg.num_classes < 2:
         raise ValueError("need num_classes >= 2")

@@ -28,10 +28,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from topicforge.config import PipelineError
 from topicforge.experiment import _BETACF_MAX_ITER, _BETACF_TOL
 from topicforge.ingest import (CLICK_LOG_FIELDS, PAGE_TYPES, ClickRecord,
-                               IngestError, PageRecord, field_text,
-                               normalize_query)
+                               PageRecord, field_text, normalize_query)
 from topicforge.metric import CoClickStats, QueryPairSample
 
 
@@ -472,14 +472,14 @@ def _click_record_from_fields(row: list[str], line_no: int,
 def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     """Parse a CSV click log into ClickRecords plus a ParseReport.
 
-    Raises IngestError if the file is unreadable or the CSV header does not
+    Raises PipelineError if the file is unreadable or the CSV header does not
     match the documented schema.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise IngestError(f"cannot read click log {path}: {exc}") from exc
+        raise PipelineError(f"cannot read click log {path}: {exc}") from exc
 
     records: list[ClickRecord] = []
     report = ParseReport()
@@ -488,7 +488,7 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     reader = csv.reader(lines)
     header = next(reader)
     if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
-        raise IngestError(
+        raise PipelineError(
             f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -513,7 +513,7 @@ def parse_page_catalog(path: str | Path) -> tuple[list[PageRecord], ParseReport]
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise IngestError(f"cannot read page catalog {path}: {exc}") from exc
+        raise PipelineError(f"cannot read page catalog {path}: {exc}") from exc
 
     pages: list[PageRecord] = []
     report = ParseReport()

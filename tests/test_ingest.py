@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from topicforge import ingest
+from topicforge.config import PipelineError
 
 
 def test_normalize_query():
@@ -108,7 +109,7 @@ def test_parse_click_log_csv(tmp_path):
 def test_parse_click_log_bad_header(tmp_path):
     log = tmp_path / "log.csv"
     log.write_text("query,page,clicks\nq,p,1\n", encoding="utf-8")
-    with pytest.raises(ingest.IngestError, match="header"):
+    with pytest.raises(PipelineError, match="header"):
         ingest.parse_click_log(log)
 
 
@@ -258,7 +259,7 @@ def test_line_that_is_not_utf8_is_a_row_error(tmp_path):
     assert report.errors == [(1, "line is not UTF-8 text")]
     # the header is no row: one that is not UTF-8 does not match
     log.write_bytes(b"qu\xe9ry,page_id,page_type,clicks,impressions\n")
-    with pytest.raises(ingest.IngestError, match="^click log header "):
+    with pytest.raises(PipelineError, match="^click log header "):
         ingest.parse_click_log(log)
 
 
@@ -275,7 +276,7 @@ def test_line_that_is_not_utf8_stops_a_lexicon_catalog_or_blocklist(
         # line 1 and a bare CR line 2
         for ends in (b"\n\r\n", b"\r\n\r"):
             path.write_bytes(good + ends + b"caf\xe9\n")
-            with pytest.raises(ingest.IngestError,
+            with pytest.raises(PipelineError,
                                match=f"^{what} line 3: line is not UTF-8 text$"):
                 load(path)
 
@@ -292,7 +293,7 @@ def test_click_cell_over_the_csv_field_limit_is_a_row_error(tmp_path):
     assert report.errors == [(2, "field larger than field limit (131072)")]
     # the header is no row: it stops the parse, without a traceback
     log.write_bytes(big + b"\n")
-    with pytest.raises(ingest.IngestError,
+    with pytest.raises(PipelineError,
                        match=r"^click log header: field larger than field"):
         ingest.parse_click_log(log)
 
@@ -315,7 +316,7 @@ def test_line_nested_too_deeply_stops_a_lexicon_or_item_catalog(tmp_path):
             ("item catalog", b'{"item_id": "a", "title": "red hat"}',
              ingest.load_item_catalog)]:
         path.write_bytes(good + b"\n" + b"[" * 100_000 + b"\n")
-        with pytest.raises(ingest.IngestError,
+        with pytest.raises(PipelineError,
                            match=f"^{what} line 2: JSON nested too deeply$"):
             load(path)
 
@@ -346,7 +347,7 @@ def test_leading_byte_order_mark_is_dropped(tmp_path):
     assert ingest.load_item_catalog(items) == [("a", "red hat")]
     # only one: a second mark is the first row's text
     log.write_bytes(BOM + BOM + HEADER)
-    with pytest.raises(ingest.IngestError, match="^click log header "):
+    with pytest.raises(PipelineError, match="^click log header "):
         ingest.parse_click_log(log)
 
 
@@ -464,8 +465,8 @@ def test_parsers_match_their_earlier_form(tmp_path):
             path.write_bytes(text.encode("utf-8"))
             try:
                 expected = oracle(path)
-            except ingest.IngestError as exc:
-                with pytest.raises(ingest.IngestError, match=re.escape(str(exc))):
+            except PipelineError as exc:
+                with pytest.raises(PipelineError, match=re.escape(str(exc))):
                     parse(path)
                 continue
             records, report = parse(path)

@@ -62,7 +62,7 @@ def test_no_shared_pages_gives_zero():
 
 def test_zero_total_clicks_is_undefined():
     stats = metric.aggregate_clicks([rec("a", "p1", 5), rec("b", "p2", 0)])
-    with pytest.raises(metric.UndefinedMetricError):
+    with pytest.raises(ValueError, match="zero total clicks"):
         metric.interactive_metric(stats, "a", "b")
 
 

@@ -3,6 +3,7 @@ dependency errors and CLI exit codes."""
 
 from __future__ import annotations
 
+import ast
 import builtins
 import csv
 import hashlib
@@ -228,7 +229,8 @@ def test_missing_checkpoint_sidecar_is_missing_artifact(fixture_dir, full_run,
     shutil.copytree(full_run[1], workdir)
     (workdir / "train" / "intention.ckpt.json").unlink()
     with pytest.raises(PipelineError,
-                       match=r"^missing artifact: intention\.ckpt\.json$"):
+                       match=r"^missing artifact: train/intention\.ckpt\.json "
+                             r"\(run the train stage first\)$"):
         run_stage(load_context(fixture_dir / "config.yaml", workdir), "cluster")
 
 
@@ -597,7 +599,9 @@ def test_fixture_run_produces_pages(full_run):
 
 def test_missing_dependency_message(fixture_dir, tmp_path):
     ctx = load_context(fixture_dir / "config.yaml", tmp_path / "empty")
-    with pytest.raises(PipelineError, match="^missing artifact: click_records.csv$"):
+    with pytest.raises(PipelineError,
+                       match=r"^missing artifact: ingest/click_records\.csv "
+                             r"\(run the ingest stage first\)$"):
         run_stage(ctx, "metric")
 
 
@@ -799,13 +803,11 @@ def test_missing_raw_input_is_config_error(fixture_dir, full_run, tmp_path,
 
 
 def test_bad_facet_lexicon_fails_ingest(tmp_path, caplog, capsys):
-    # the CLI catches the config module's class, which ingest re-exports
-    assert ingest_mod.IngestError is config_mod.IngestError
     inputs = tmp_path / "inputs"
     config = write_fixture(inputs)["config"]
     with open(inputs / "facet_lexicon.jsonl", "a", encoding="utf-8") as fh:
         fh.write('{"facet_name": "color", "values": "red"}\n')
-    with pytest.raises(ingest_mod.IngestError,
+    with pytest.raises(PipelineError,
                        match="^facet lexicon line 4: values is not a list$"):
         run_stage(load_context(config, tmp_path / "w"), "ingest")
     assert cli.main(["ingest", "--config", str(config),
@@ -1070,7 +1072,7 @@ def test_experiment_without_pages_has_no_treatment(fixture_dir, full_run,
         assert (value == with_pages[date]) == (date not in treated), date
 
 
-def test_cli_exit_codes(fixture_dir, tmp_path, capsys):
+def test_cli_exit_codes(fixture_dir, tmp_path, caplog, capsys):
     config = str(fixture_dir / "config.yaml")
     workdir = str(tmp_path / "w")
     assert cli.main(["ingest", "--config", config, "--workdir", workdir]) == 0
@@ -1081,7 +1083,42 @@ def test_cli_exit_codes(fixture_dir, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("- 1\n- 2\n")
     assert cli.main(["metric", "--config", str(bad)]) == 2
+    # a workdir that is a file, or lies under one, is a config problem
+    for unusable in (bad, bad / "w"):
+        caplog.clear()
+        assert cli.main(["all", "--config", config,
+                         "--workdir", str(unusable)]) == 2
+        [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert error.getMessage().startswith(
+            f"config error: cannot use workdir {unusable}: ")
+        assert "Traceback" not in caplog.text
     capsys.readouterr()
+
+
+def test_one_exception_class_per_exit_code():
+    # every class the package defines whose bases lead to a builtin exception
+    bases = {}
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = {
+                    getattr(b, "id", getattr(b, "attr", None))
+                    for b in node.bases}
+    exception_names = {name for name, value in vars(builtins).items()
+                       if isinstance(value, type)
+                       and issubclass(value, BaseException)}
+    found: set[str] = set()
+    while new := {key for key, names in bases.items()
+                  if key not in found and names & exception_names}:
+        found |= new
+        exception_names |= {key.split(".")[1] for key in new}
+    assert found == {"config.ConfigError", "config.PipelineError"}
+    # so no ``except ValueError`` around a row parser swallows one
+    for cls in (config_mod.ConfigError, config_mod.PipelineError):
+        assert not issubclass(cls, ValueError)
+    # pipeline re-exports both
+    assert ConfigError is config_mod.ConfigError
+    assert PipelineError is config_mod.PipelineError
 
 
 EDGE_SCALARS = ("true", ".nan", ".inf", "1.0e+300", "2025-01-01", "~",

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import loop_extract_facets
 from topicforge import tokenizer
-from topicforge.ingest import IngestError
+from topicforge.config import PipelineError
 from topicforge.tokenizer import (PAD_ID, UNK_ID, FacetMatcher, TokenSequence,
                                   Vocabulary, build_vocabulary, extract_facets,
                                   facet_token, tokenize_query)
@@ -192,7 +192,7 @@ def test_load_facet_lexicon_names_the_bad_line(tmp_path, line, message):
     path = tmp_path / "lex.jsonl"
     good = json.dumps({"facet_name": "size", "values": ["large"]})
     path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
-    with pytest.raises(IngestError,
+    with pytest.raises(PipelineError,
                        match=f"^facet lexicon line 3: {message}$"):
         tokenizer.load_facet_lexicon(path)
 

@@ -143,7 +143,7 @@ def test_divergence_carries_last_good_params():
     tc = TrainConfig(learning_rate=1e160, batch_size=4, epochs=3, seed=0,
                      eval_fraction=0.0)
     with np.errstate(all="ignore"):
-        with pytest.raises(train.TrainingDiverged,
+        with pytest.raises(FloatingPointError,
                            match=r"^diverged during epoch \d+: "):
             train.train_intention_model(pair_corpus(), vocab, cfg, tc)
 
@@ -188,7 +188,7 @@ def test_non_finite_parameter_raises_with_last_epoch_params(monkeypatch, loop):
             params[-1] = np.nan
 
     monkeypatch.setattr(train.Optimizer, "step", poisoned)
-    with pytest.raises(train.TrainingDiverged,
+    with pytest.raises(FloatingPointError,
                        match="^parameters went non-finite during epoch 1$"):
         run(2)
 
