@@ -112,11 +112,12 @@ def agglomerate(
     result = ClusterResult(distance_evaluations=n * (n - 1) // 2)
 
     # cluster at slot i always holds original index i as its smallest member,
-    # so row-major argmin realizes the (distance, member_a, member_b) tie-break
-    active = np.ones(n, dtype=bool)
+    # so row-major argmin realizes the (distance, member_a, member_b) tie-break.
+    # A merge rewrites whole rows: a retired slot's entries stay inf, since
+    # (s_i * inf + s_j * inf) / (s_i + s_j) is inf, and so does the diagonal
     sizes = np.ones(n)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    while active.sum() > 1:
+    for _ in range(n - 1):
         flat = int(np.argmin(dist))
         i, j = divmod(flat, n)
         if i > j:
@@ -125,21 +126,18 @@ def agglomerate(
         if not dmin <= threshold:
             break
         result.merge_log.append((order[i], order[j], float(dmin)))
-        others = active.copy()
-        others[i] = others[j] = False
-        merged = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (
+        merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (
             sizes[i] + sizes[j])
-        dist[i, others] = merged
-        dist[others, i] = merged
+        dist[i, :] = merged
+        dist[:, i] = merged
         dist[j, :] = np.inf
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
         members[i].extend(members.pop(j))
-        active[j] = False
 
-    for seq, slot in enumerate(np.flatnonzero(active)):
+    for seq, slot in enumerate(sorted(members)):
         cid = f"{product_type}#{seq}" if product_type else f"c{seq}"
-        group = [order[m] for m in members[int(slot)]]
+        group = [order[m] for m in members[slot]]
         rep = min(group, key=lambda q: (-clicks.get(q, 0), q))
         result.representatives[cid] = rep
         for q in group:

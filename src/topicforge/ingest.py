@@ -12,6 +12,9 @@ a CSV cell over the csv module's field limit or JSON nested too deeply
 included) is recorded in the accompanying ParseReport. The other raw
 inputs, the blocklist, facet lexicon and item catalog, are strict
 (``_strict_rows``): their first bad line raises PipelineError naming it.
+The pipeline's ingest stage writes what these parsers return as the
+normalized copies later stages take as they are: the click records and
+pages as column tables, the facet lexicon as rows.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def field_text(value) -> str:
 def _read_lines(path: str | Path, what: str) -> list[bytes]:
     """The raw input ``path``'s lines, split only at LF, CR LF and CR, after
     one leading byte-order mark. The pipeline reads its own artifacts,
-    ingest's copies included, through ``pipeline._read_rows``."""
+    ingest's copies included, through its own readers."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -98,15 +101,6 @@ class ClickRecord:
         return [self.query, self.page_id, self.page_type,
                 str(self.clicks), str(self.impressions)]
 
-    @classmethod
-    def from_csv_row(cls, row: list[str]) -> "ClickRecord":
-        """The record :meth:`to_csv_row` wrote, taken as it is; a row of
-        another shape raises ValueError."""
-        query, page_id, page_type, clicks, impressions = row
-        if page_type not in PAGE_TYPES:
-            raise ValueError(f"unknown page_type {page_type!r}")
-        return cls(query, page_id, page_type, int(clicks), int(impressions))
-
 
 @dataclass(frozen=True)
 class PageRecord:
@@ -124,19 +118,6 @@ class PageRecord:
             "product_type": self.product_type,
             "facets": [{"name": n, "value": v} for n, v in sorted(self.facets)],
         }
-
-    @classmethod
-    def from_dict(cls, row: dict) -> "PageRecord":
-        """The record :meth:`to_dict` wrote, taken as it is; a row of
-        another shape raises ValueError, KeyError or TypeError."""
-        texts = [row["page_id"], row["page_type"], row["title"],
-                 row["product_type"]]
-        facets = [(pair["name"], pair["value"]) for pair in row["facets"]]
-        # raises TypeError naming the first field that is not a string
-        "".join(texts + [t for pair in facets for t in pair])
-        if row["page_type"] not in PAGE_TYPES:
-            raise ValueError(f"unknown page_type {row['page_type']!r}")
-        return cls(*texts, frozenset(facets))
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,14 @@ but ``dedup``, and of the package loads only ``cli``, this module and
 ``config``, and never numpy.
 
 This module writes every stage artifact, through ``_write_csv``,
-``_write_json`` and ``_write_jsonl``, and reads every row artifact back
-through ``_read_rows``, ingest's copy of the facet lexicon included, so the
-file formats are defined here. A row that does not fit stops the reading
-stage with the artifact's name and line. The exceptions are the checkpoint
-and vocabulary codecs (``model.save_params``/``load_params``,
+``_write_json``, ``_write_jsonl`` and ``_write_table``, and reads back every
+one a later stage takes, through ``_read_rows`` or ``_read_table``, so the
+file formats are defined here. Ingest's normalized click records and pages
+are column tables, one JSON object of equal-length columns: a stage that
+reads one decodes it once, in one ``json.loads``, and keeps only the columns
+it uses. A row or table that does not fit stops the reading stage with the
+artifact's name and the line or column at fault. The exceptions are the
+checkpoint and vocabulary codecs (``model.save_params``/``load_params``,
 ``Vocabulary.save``/``load``): the benchmark's quality scorer reads through
 them too.
 """
@@ -319,29 +322,93 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(encode(row) + "\n")
 
 
-def _read_rows(ctx: PipelineContext, stage: str, name: str, make,
-               header=()) -> list:
-    """``make(row)`` for each row of ``stage``'s artifact ``name``: each
-    non-blank JSONL line decoded, or each non-empty CSV row after ``header``.
-    A row that does not fit stops the stage with the file and line."""
+def _read_rows(ctx: PipelineContext, stage: str, name: str, make) -> list:
+    """``make(row)`` for each non-blank JSONL line of ``stage``'s artifact
+    ``name``, decoded. A row that does not fit stops the stage with the
+    file and line."""
     records, line_no = [], 1
-    with open(ctx.artifact(stage, name), newline="", encoding="utf-8") as fh:
+    with open(ctx.artifact(stage, name), encoding="utf-8") as fh:
         try:
-            if header:
-                reader = csv.reader(fh)
-                if next(reader, None) != list(header):
-                    raise ValueError(f"not the header {','.join(header)}")
-                for row in filter(None, reader):
-                    line_no = reader.line_num
-                    records.append(make(row))
-            else:
-                for line_no, line in enumerate(fh, start=1):
-                    if line.strip():
-                        records.append(make(json.loads(line)))
-        except (ValueError, KeyError, TypeError, csv.Error) as exc:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    records.append(make(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
             raise PipelineError(f"{stage}/{name} line {line_no}: malformed "
                                 f"row ({type(exc).__name__}: {exc})") from None
     return records
+
+
+def _strings(values: list) -> bool:
+    return set(map(type, values)) <= {str}
+
+
+def _integers(values: list) -> bool:
+    return set(map(type, values)) <= {int}  # a bool's type is bool
+
+
+def _page_types(values: list) -> bool:
+    from .ingest import PAGE_TYPES
+
+    return _strings(values) and set(values) <= set(PAGE_TYPES)
+
+
+def _facet_pairs(values: list) -> bool:
+    """Whether each value is a list of [name, value] pairs of strings."""
+    pairs = [pair for row in values if type(row) is list for pair in row]
+    return (set(map(type, values)) <= {list} and set(map(type, pairs)) <= {list}
+            and set(map(len, pairs)) <= {2}
+            and _strings([text for pair in pairs for text in pair]))
+
+
+# ingest's column tables: each column and the check of its values
+_TABLES: dict[str, dict[str, Callable[[list], bool]]] = {
+    "page_catalog.json": {"page_id": _strings, "page_type": _page_types,
+                          "title": _strings, "product_type": _strings,
+                          "facets": _facet_pairs},
+    "click_records.json": {"query": _strings, "page_id": _strings,
+                           "page_type": _page_types, "clicks": _integers,
+                           "impressions": _integers},
+}
+
+
+def _write_table(path: Path, rows: list) -> None:
+    """``rows`` as the column table ``path`` names: one JSON object of its
+    columns, each the list of the rows' values of that name, in one
+    ``json.dumps``. A set, such as a page's facets, is written as its
+    sorted members."""
+    table = {name: [getattr(row, name) for row in rows]
+             for name in _TABLES[path.name]}
+    path.write_text(json.dumps(table, default=sorted) + "\n", encoding="utf-8")
+
+
+def _read_table(ctx: PipelineContext, name: str, *wanted: str) -> list[list]:
+    """The columns ``wanted`` (all, when none is named) of ingest's column
+    table ``name``, decoded in one ``json.loads``. A table that is not one
+    object of exactly its columns, lists of one length whose values each
+    pass their column's check, stops the stage with the file and the column
+    at fault."""
+    columns = _TABLES[name]
+    first = next(iter(columns))
+    try:
+        table = json.loads(ctx.artifact("ingest", name).read_text(
+            encoding="utf-8"))
+        if not (isinstance(table, dict) and table.keys() == columns.keys()):
+            raise ValueError(f"not one object of the columns "
+                             f"{', '.join(columns)}")
+        for column, check in columns.items():
+            values = table[column]
+            if not (isinstance(values, list)
+                    and len(values) == len(table[first])):
+                raise ValueError(f"column {column} is not a list as long as "
+                                 f"{first}")
+            if not check(values):
+                row = next(i for i, v in enumerate(values) if not check([v]))
+                raise ValueError(f"column {column}, row {row}: unexpected "
+                                 f"{values[row]!r}")
+    except (ValueError, RecursionError) as exc:  # UnicodeError is a ValueError
+        raise PipelineError(f"ingest/{name}: malformed table "
+                            f"({type(exc).__name__}: {exc})") from None
+    return [table[column] for column in wanted or columns]
 
 
 def _checked(row: dict, *numbers: str) -> dict:
@@ -373,13 +440,12 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     candidates = ingest_mod.candidates_from_click_log(records)
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
 
-    _write_csv(out / "click_records.csv", ingest_mod.CLICK_LOG_FIELDS,
-               (r.to_csv_row() for r in records))
+    # normalized copies, which later stages take as they are: the click
+    # records and pages as column tables (_read_table), the lexicon as rows
+    # (_lexicon_entry)
+    _write_table(out / "click_records.json", records)
     _write_jsonl(out / "candidates.jsonl", kept)
-    # normalized copies in the raw formats; parsing them again is the
-    # identity, so later stages take them as they are (_load_clicks,
-    # _load_pages, _lexicon_entry)
-    _write_jsonl(out / "page_catalog.jsonl", (p.to_dict() for p in pages))
+    _write_table(out / "page_catalog.json", pages)
     _write_jsonl(out / "facet_lexicon.jsonl",
                  ({"facet_name": name, "values": sorted(values)}
                   for name, values in sorted(lexicon.items())))
@@ -389,25 +455,17 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     counts = {"click_rows": rep.rows_ok, "click_row_errors": rep.error_count,
               "pages": len(pages), "candidates": len(kept),
               "blocked": len(removed)}
-    return counts, warnings, ["click_records.csv", "candidates.jsonl",
-                              "page_catalog.jsonl", "facet_lexicon.jsonl"]
-
-
-def _load_clicks(ctx: PipelineContext) -> list[ingest_mod.ClickRecord]:
-    """Ingest's normalized click records."""
-    from . import ingest as ingest_mod
-
-    return _read_rows(ctx, "ingest", "click_records.csv",
-                      ingest_mod.ClickRecord.from_csv_row,
-                      ingest_mod.CLICK_LOG_FIELDS)
+    return counts, warnings, ["click_records.json", "candidates.jsonl",
+                              "page_catalog.json", "facet_lexicon.jsonl"]
 
 
 def _stage_metric(ctx: PipelineContext, out: Path):
     from . import metric as metric_mod
+    from .ingest import ClickRecord
 
-    records = _load_clicks(ctx)
     # shelf clicks are navigational ("browsed the category", not "wanted the
     # same thing"), so they never count as co-clicks; finetune labels by them
+    records = map(ClickRecord, *_read_table(ctx, "click_records.json"))
     stats = metric_mod.aggregate_clicks(
         [r for r in records if r.page_type != "shelf"])
     samples = metric_mod.build_training_set(
@@ -417,14 +475,6 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     counts = {"queries": len(stats.totals), "positives": n_pos,
               "negatives": len(samples) - n_pos}
     return counts, [], ["training_set.jsonl"]
-
-
-def _load_pages(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
-    """Ingest's normalized pages."""
-    from . import ingest as ingest_mod
-
-    return _read_rows(ctx, "ingest", "page_catalog.jsonl",
-                      ingest_mod.PageRecord.from_dict)
 
 
 def _lexicon_entry(row: dict) -> tuple[str, set[str]]:
@@ -484,11 +534,12 @@ def _stage_train(ctx: PipelineContext, out: Path):
 
     samples = _read_rows(ctx, "metric", "training_set.jsonl", lambda r: (
         metric_mod.QueryPairSample(**_checked(r, "interactive"))))
-    pages = _load_pages(ctx)
+    titles, product_types = _read_table(ctx, "page_catalog.json", "title",
+                                        "product_type")
     lexicon = dict(_read_rows(ctx, "ingest", "facet_lexicon.jsonl",
                               _lexicon_entry))
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
-    texts += [p.title for p in pages] + [p.product_type for p in pages]
+    texts += titles + product_types
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
     cfg = ModelConfig(vocab.size, **ctx.settings["model"])
     tcfg = TrainConfig(**ctx.settings["train"], seed=ctx.seed + SEED_TRAIN)
@@ -505,18 +556,22 @@ def _stage_train(ctx: PipelineContext, out: Path):
                         "curve.csv"]
 
 
-def _derive_labels(records, pages) -> tuple[list[LabeledQuery], list[str]]:
+def _derive_labels(ctx: PipelineContext
+                   ) -> tuple[list[LabeledQuery], list[str]]:
     """Label each query by the shelf page it clicks most (class index)."""
     from .train import LabeledQuery
 
-    shelf_ids = sorted(p.page_id for p in pages if p.page_type == "shelf")
+    shelf_ids = sorted(page_id for page_id, page_type in zip(*_read_table(
+        ctx, "page_catalog.json", "page_id", "page_type"))
+        if page_type == "shelf")
     index_of = {pid: i for i, pid in enumerate(shelf_ids)}
     per_query: dict[str, dict[str, int]] = {}
-    for r in records:
-        if r.page_type == "shelf" and r.page_id in index_of and r.clicks > 0:
-            per_query.setdefault(r.query, {})
-            per_query[r.query][r.page_id] = (
-                per_query[r.query].get(r.page_id, 0) + r.clicks)
+    for query, page_id, page_type, clicks in zip(*_read_table(
+            ctx, "click_records.json", "query", "page_id", "page_type",
+            "clicks")):
+        if page_type == "shelf" and page_id in index_of and clicks > 0:
+            shelves = per_query.setdefault(query, {})
+            shelves[page_id] = shelves.get(page_id, 0) + clicks
     labeled = []
     for query in sorted(per_query):
         best = min(per_query[query].items(), key=lambda kv: (-kv[1], kv[0]))[0]
@@ -529,7 +584,7 @@ def _stage_finetune(ctx: PipelineContext, out: Path):
     from . import train as train_mod
 
     pretrained, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
-    labeled, classes = _derive_labels(_load_clicks(ctx), _load_pages(ctx))
+    labeled, classes = _derive_labels(ctx)
     if len(classes) < 2:
         raise PipelineError("finetune: need at least two shelf classes to "
                             "fine-tune")
@@ -557,7 +612,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl", lambda r: (
         _checked(r, "clicks_total")["query"], r["clicks_total"])))
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
-    pages = _load_pages(ctx)
+    pages = _page_records(ctx)
     ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
     if not ptypes:
         raise PipelineError("page catalog has no shelf pages to define product types")
@@ -589,6 +644,17 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
 _MATCH_KEYS = ("query", "best_match", "best_similarity", "path", "facet_pages")
 # the representative keys that kept.jsonl passes on to select
 _REP_KEYS = ("query", "cluster_id", "product_type", "clicks_total")
+
+
+def _page_records(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
+    """Ingest's normalized pages as the records dedup indexes; the columns
+    they are built from are dropped on return."""
+    from .ingest import PageRecord
+
+    return [PageRecord(page_id, page_type, title, product_type,
+                       frozenset(map(tuple, facets)))
+            for page_id, page_type, title, product_type, facets
+            in zip(*_read_table(ctx, "page_catalog.json"))]
 
 
 def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
@@ -711,12 +777,19 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     ctx.inputs.clear()
     ctx.raw_inputs.clear()
     out = ctx.workdir / stage
+    created = not out.is_dir()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use workdir {ctx.workdir}: {exc}") from exc
     started = time.monotonic()
-    counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
+    try:
+        counts, warnings, outputs = _STAGE_FNS[stage](ctx, out)
+    except BaseException:
+        # a stage that failed before writing leaves no directory it made
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     duration = time.monotonic() - started
 
     manifest = {

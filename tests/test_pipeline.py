@@ -77,7 +77,8 @@ def test_all_stages_ran_in_order(full_run):
 def test_expected_artifacts_exist(full_run):
     _, workdir, _ = full_run
     expected = {
-        "ingest": ["click_records.csv", "candidates.jsonl"],
+        "ingest": ["click_records.json", "candidates.jsonl",
+                   "page_catalog.json"],
         "metric": ["training_set.jsonl"],
         "train": ["intention.ckpt", "vocab.jsonl"],
         "finetune": ["finetuned.ckpt"],
@@ -99,15 +100,15 @@ RAW_KEYS = {"ingest": ["click_log", "page_catalog", "facet_lexicon", "blocklist"
 # the artifacts each stage reads; train alone reads the facet lexicon copy
 INPUTS = {
     "ingest": [],
-    "metric": ["ingest/click_records.csv"],
-    "train": ["metric/training_set.jsonl", "ingest/page_catalog.jsonl",
+    "metric": ["ingest/click_records.json"],
+    "train": ["metric/training_set.jsonl", "ingest/page_catalog.json",
               "ingest/facet_lexicon.jsonl"],
     "finetune": ["train/intention.ckpt", "train/intention.ckpt.json",
-                 "train/vocab.jsonl", "ingest/click_records.csv",
-                 "ingest/page_catalog.jsonl"],
+                 "train/vocab.jsonl", "ingest/click_records.json",
+                 "ingest/page_catalog.json"],
     "cluster": ["train/intention.ckpt", "train/intention.ckpt.json",
                 "train/vocab.jsonl", "ingest/candidates.jsonl",
-                "ingest/page_catalog.jsonl", "finetune/finetuned.ckpt",
+                "ingest/page_catalog.json", "finetune/finetuned.ckpt",
                 "finetune/finetuned.ckpt.json"],
     "dedup": ["cluster/representatives.jsonl"],
     "select": ["dedup/kept.jsonl"],
@@ -162,8 +163,10 @@ OWN_WRITERS = {"topicforge.model.save_params",
                "topicforge.tokenizer.Vocabulary.save"}
 
 # the functions that may open a workdir file for reading: the pipeline's row
-# reader and hasher, and the two codecs' readers
-OWN_READERS = {"topicforge.pipeline._read_rows", "topicforge.pipeline._sha256",
+# and column table readers and hasher, and the two codecs' readers
+OWN_READERS = {"topicforge.pipeline._read_rows",
+               "topicforge.pipeline._read_table",
+               "topicforge.pipeline._sha256",
                "topicforge.model.load_params",
                "topicforge.tokenizer.Vocabulary.load"}
 
@@ -239,14 +242,25 @@ def test_later_stages_read_only_ingest_copies(full_run, tmp_path):
     config = write_fixture(inputs)["config"]
     workdir = tmp_path / "w"
     run_stage(load_context(config, workdir), "ingest")
-    # the copies parse to what the raw files parse to
+    # the tables decode to the columns of what the raw files parse to, and
+    # the lexicon copy parses to what the raw lexicon parses to
     copies = workdir / "ingest"
-    assert (ingest_mod.parse_page_catalog(copies / "page_catalog.jsonl")
-            == ingest_mod.parse_page_catalog(inputs / "pages.jsonl"))
+    pages, _ = ingest_mod.parse_page_catalog(inputs / "pages.jsonl")
+    assert json.loads((copies / "page_catalog.json").read_text()) == {
+        "page_id": [p.page_id for p in pages],
+        "page_type": [p.page_type for p in pages],
+        "title": [p.title for p in pages],
+        "product_type": [p.product_type for p in pages],
+        "facets": [[list(pair) for pair in sorted(p.facets)] for p in pages]}
+    assert any(p.facets for p in pages)
+    records, _ = ingest_mod.parse_click_log(inputs / "click_log.csv")
+    assert json.loads((copies / "click_records.json").read_text()) == {
+        name: [getattr(r, name) for r in records]
+        for name in ingest_mod.CLICK_LOG_FIELDS}
     assert (ingest_mod.load_facet_lexicon(copies / "facet_lexicon.jsonl")
             == ingest_mod.load_facet_lexicon(inputs / "facet_lexicon.jsonl"))
-    (inputs / "pages.jsonl").unlink()
-    (inputs / "facet_lexicon.jsonl").unlink()
+    for name in ("pages.jsonl", "click_log.csv", "facet_lexicon.jsonl"):
+        (inputs / name).unlink()
     ctx = load_context(config, workdir)
     for stage in pipeline.STAGES[1:]:
         run_stage(ctx, stage)
@@ -274,13 +288,32 @@ def test_all_parses_each_raw_input_once(fixture_dir, tmp_path, monkeypatch,
     assert sorted(calls) == ["parse_click_log", "parse_page_catalog"]
 
 
-def _field(index: int, value: str):
-    """An edit replacing one comma-separated field of a line."""
-    def edit(line: str) -> str:
-        fields = line.rstrip("\n").split(",")
-        fields[index] = value
-        return ",".join(fields) + "\n"
-    return edit
+def test_each_stage_decodes_a_column_table_once(fixture_dir, tmp_path,
+                                               monkeypatch, capsys):
+    running, decoded = [None], Counter()
+    real = pipeline._read_table
+
+    def counting(ctx, name, *wanted):
+        decoded[running[0], name] += 1
+        return real(ctx, name, *wanted)
+
+    def marking(stage, body):
+        def run(ctx, out):
+            running[0] = stage
+            return body(ctx, out)
+        return run
+
+    monkeypatch.setattr(pipeline, "_read_table", counting)
+    for stage, body in list(pipeline._STAGE_FNS.items()):
+        monkeypatch.setitem(pipeline._STAGE_FNS, stage, marking(stage, body))
+    assert cli.main(["all", "--config", str(fixture_dir / "config.yaml"),
+                     "--workdir", str(tmp_path / "w")]) == 0
+    capsys.readouterr()
+    assert decoded == {("train", "page_catalog.json"): 1,
+                       ("finetune", "page_catalog.json"): 1,
+                       ("cluster", "page_catalog.json"): 1,
+                       ("metric", "click_records.json"): 1,
+                       ("finetune", "click_records.json"): 1}
 
 
 def _cut(line: str) -> str:
@@ -303,22 +336,59 @@ def _number_field(key: str, value: str):
     return edit
 
 
-# edits of a finished run's artifacts: (artifact, line number, edit)
+def _column_edit(change):
+    """An edit of a column table's text: ``change`` edits it decoded."""
+    def edit(text: str) -> str:
+        table = json.loads(text)
+        change(table)
+        return json.dumps(table)
+    return edit
+
+
+def _set(column: str, row: int, value):
+    return _column_edit(lambda table: table[column].__setitem__(row, value))
+
+
+def _rename(column: str, name: str):
+    return _column_edit(lambda table: table.update({name: table.pop(column)}))
+
+
+# edits of ingest's column tables: (artifact, the fault named, edit)
+TABLE_EDITS = {
+    "truncated": ("ingest/page_catalog.json", "JSONDecodeError: ",
+                  lambda text: text[:len(text) // 2]),
+    "null-title": ("ingest/page_catalog.json",
+                   "ValueError: column title, row 1: unexpected None",
+                   _set("title", 1, None)),
+    "no-facets": ("ingest/page_catalog.json",
+                  "ValueError: not one object of the columns",
+                  _rename("facets", "facet_pairs")),
+    "bad-page-type": ("ingest/page_catalog.json",
+                      "ValueError: column page_type, row 0: unexpected "
+                      "'aisle'",
+                      _set("page_type", 0, "aisle")),
+    "facet-pair-number": ("ingest/page_catalog.json",
+                          "ValueError: column facets, row 2: unexpected "
+                          "[['color', 5]]",
+                          _set("facets", 2, [["color", 5]])),
+    "clicks-not-int": ("ingest/click_records.json",
+                       "ValueError: column clicks, row 4: unexpected True",
+                       _set("clicks", 4, True)),
+    "short-row": ("ingest/click_records.json",
+                  "ValueError: column page_type is not a list as long as "
+                  "query",
+                  _column_edit(lambda table: table["page_type"].pop())),
+    "header": ("ingest/click_records.json",
+               "ValueError: not one object of the columns",
+               _rename("page_id", "page")),
+    "click-page-type": ("ingest/click_records.json",
+                        "ValueError: column page_type, row 2: unexpected "
+                        "'aisle'",
+                        _set("page_type", 2, "aisle")),
+}
+
+# edits of a finished run's row artifacts: (artifact, line number, edit)
 COPY_EDITS = {
-    "truncated": ("ingest/page_catalog.jsonl", 3,
-                  lambda line: line[:40] + "\n"),
-    "null-title": ("ingest/page_catalog.jsonl", 2,
-                   lambda line: line.replace('"title": "phone case"',
-                                             '"title": null')),
-    "no-facets": ("ingest/page_catalog.jsonl", 4,
-                  lambda line: line.replace('"facets"', '"facet_pairs"')),
-    "bad-page-type": ("ingest/page_catalog.jsonl", 1,
-                      lambda line: line.replace('"shelf"', '"aisle"')),
-    "clicks-not-int": ("ingest/click_records.csv", 5, _field(3, "12.5")),
-    "short-row": ("ingest/click_records.csv", 7,
-                  lambda line: "running shoes,x\n"),
-    "header": ("ingest/click_records.csv", 1, _field(1, "page")),
-    "click-page-type": ("ingest/click_records.csv", 3, _field(2, "aisle")),
     # the lexicon copy: a name and a list of strings
     "lexicon-values-string": ("ingest/facet_lexicon.jsonl", 2,
                               lambda line: re.sub(r'"values": \[.*\]',
@@ -372,7 +442,8 @@ COPY_EDITS = {
 @pytest.mark.parametrize("edit, stage", [
     ("truncated", "train"), ("truncated", "finetune"), ("truncated", "cluster"),
     ("null-title", "train"), ("no-facets", "cluster"),
-    ("bad-page-type", "cluster"), ("clicks-not-int", "metric"),
+    ("bad-page-type", "cluster"), ("facet-pair-number", "cluster"),
+    ("clicks-not-int", "metric"),
     ("clicks-not-int", "finetune"), ("short-row", "metric"),
     ("header", "metric"), ("click-page-type", "metric"),
     ("lexicon-values-string", "train"), ("lexicon-value-number", "train"),
@@ -394,16 +465,24 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
     ctx, workdir = full_run[0], tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
-    key, line_no, change = COPY_EDITS[edit]
-    path = workdir / key
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert change(lines[line_no - 1]) != lines[line_no - 1]
-    lines[line_no - 1] = change(lines[line_no - 1])
-    path.write_text("".join(lines), encoding="utf-8")
+    if edit in TABLE_EDITS:
+        key, fault, change = TABLE_EDITS[edit]
+        text = (workdir / key).read_text(encoding="utf-8")
+        assert change(text) != text
+        (workdir / key).write_text(change(text), encoding="utf-8")
+    else:
+        key, line_no, change = COPY_EDITS[edit]
+        path = workdir / key
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert change(lines[line_no - 1]) != lines[line_no - 1]
+        lines[line_no - 1] = change(lines[line_no - 1])
+        path.write_text("".join(lines), encoding="utf-8")
     config = ctx.config_dir / "config.yaml"
     assert cli.main([stage, "--config", str(config),
                      "--workdir", str(workdir)]) == 1
-    if edit.startswith(("vocab", "checkpoint")):
+    if edit in TABLE_EDITS:
+        assert f"{key}: malformed table ({fault}" in caplog.text
+    elif edit.startswith(("vocab", "checkpoint")):
         # a checkpoint is named without its ``.json`` sidecar
         assert f"{key.removesuffix('.json')}: malformed (" in caplog.text
     else:
@@ -452,8 +531,8 @@ def test_jsonl_stage_outputs_round_trip(full_run, tmp_path, monkeypatch):
     read = {}
     real = pipeline._read_rows
 
-    def recording(ctx, stage, name, make, header=()):
-        read[f"{stage}/{name}"] = real(ctx, stage, name, make, header)
+    def recording(ctx, stage, name, make):
+        read[f"{stage}/{name}"] = real(ctx, stage, name, make)
         return read[f"{stage}/{name}"]
 
     monkeypatch.setattr(pipeline, "_read_rows", recording)
@@ -479,8 +558,8 @@ def read_csv(path: Path) -> list[list[str]]:
 
 def test_stage_csv_and_plan_formats(full_run):
     workdir = full_run[1]
-    header = read_csv(workdir / "ingest" / "click_records.csv")[0]
-    assert header == list(ingest_mod.CLICK_LOG_FIELDS)
+    columns = json.loads((workdir / "ingest" / "click_records.json").read_text())
+    assert list(columns) == list(ingest_mod.CLICK_LOG_FIELDS)
 
     header, *clusters = read_csv(workdir / "cluster" / "clusters.csv")
     assert header == ["query", "product_type", "cluster_id", "is_representative"]
@@ -600,9 +679,24 @@ def test_fixture_run_produces_pages(full_run):
 def test_missing_dependency_message(fixture_dir, tmp_path):
     ctx = load_context(fixture_dir / "config.yaml", tmp_path / "empty")
     with pytest.raises(PipelineError,
-                       match=r"^missing artifact: ingest/click_records\.csv "
+                       match=r"^missing artifact: ingest/click_records\.json "
                              r"\(run the ingest stage first\)$"):
         run_stage(ctx, "metric")
+
+
+def test_failed_stage_leaves_no_directory_it_made(fixture_dir, tmp_path,
+                                                  caplog, capsys):
+    workdir, config = tmp_path / "w", str(fixture_dir / "config.yaml")
+    assert cli.main(["experiment", "--config", config,
+                     "--workdir", str(workdir)]) == 1
+    assert "missing artifact: emit/pages.jsonl" in caplog.text
+    assert not (workdir / "experiment").exists()
+    # a stage directory that was there before the stage ran stays
+    (workdir / "metric").mkdir()
+    assert cli.main(["metric", "--config", config,
+                     "--workdir", str(workdir)]) == 1
+    assert (workdir / "metric").is_dir()
+    capsys.readouterr()
 
 
 def test_unknown_stage_is_config_error(fixture_dir, tmp_path):
