@@ -5,10 +5,10 @@ the ``dedup`` stage applies ``dedup.threshold`` to the best match that
 ``cluster`` stored in each representative's row. Neither needs numpy or the
 stage modules, so everything they use lives here: the model and training
 configs, each section's range checks, the one rule that turns a best
-similarity into a dedup verdict, and the program's two exception classes,
-one per non-zero exit code of the CLI. The modules that use these names
-re-export them (``model.ModelConfig``, ``dedup.DEFAULT_THRESHOLD``,
-``topicpage.check_quota``, ``pipeline.PipelineError``, ...).
+similarity into a dedup verdict, the page types, and the program's two
+exception classes, one per non-zero exit code of the CLI. The modules that
+use these names re-export them (``model.ModelConfig``, ``ingest.PAGE_TYPES``,
+``dedup.DEFAULT_THRESHOLD``, ``pipeline.PipelineError``, ...).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ FLOAT32_MAX = 3.4028234663852886e+38
 
 DEFAULT_THRESHOLD = 0.86  # dedup's: midpoint of the 0.85-0.88 similarity band
 DEFAULT_ITEMS_PER_PAGE = 24
+PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")  # of a page or click
 
 
 class ConfigError(Exception):

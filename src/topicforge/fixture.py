@@ -179,12 +179,14 @@ def write_fixture(out_dir: str | Path) -> dict[str, Path]:
     )}
 
     lines = ["query,page_id,page_type,clicks,impressions"]
-    lines += [",".join(r.to_csv_row()) for r in build_click_records()]
+    lines += [",".join(map(str, vars(r).values())) for r in build_click_records()]
     paths["click_log"].write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     with open(paths["page_catalog"], "w", encoding="utf-8") as fh:
         for page in build_pages():
-            fh.write(json.dumps(page.to_dict(), sort_keys=True) + "\n")
+            facets = [{"name": n, "value": v} for n, v in sorted(page.facets)]
+            fh.write(json.dumps({**vars(page), "facets": facets},
+                                sort_keys=True) + "\n")
 
     with open(paths["facet_lexicon"], "w", encoding="utf-8") as fh:
         for name in sorted(FACET_LEXICON):

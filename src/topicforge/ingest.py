@@ -28,9 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .config import PipelineError
-
-PAGE_TYPES = ("shelf", "facet", "item", "topic", "other")
+from .config import PAGE_TYPES, PipelineError
 
 _PUNCT_RE = re.compile(r"[^\w\s-]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
@@ -97,10 +95,6 @@ class ClickRecord:
     clicks: int
     impressions: int
 
-    def to_csv_row(self) -> list[str]:
-        return [self.query, self.page_id, self.page_type,
-                str(self.clicks), str(self.impressions)]
-
 
 @dataclass(frozen=True)
 class PageRecord:
@@ -109,15 +103,6 @@ class PageRecord:
     title: str
     product_type: str
     facets: frozenset[tuple[str, str]] = frozenset()
-
-    def to_dict(self) -> dict:
-        return {
-            "page_id": self.page_id,
-            "page_type": self.page_type,
-            "title": self.title,
-            "product_type": self.product_type,
-            "facets": [{"name": n, "value": v} for n, v in sorted(self.facets)],
-        }
 
 
 @dataclass(frozen=True)

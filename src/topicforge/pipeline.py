@@ -34,17 +34,17 @@ to them. So a rerun that moves only ``dedup.threshold`` skips every stage
 but ``dedup``, and of the package loads only ``cli``, this module and
 ``config``, and never numpy.
 
-This module writes every stage artifact, through ``_write_csv``,
-``_write_json``, ``_write_jsonl`` and ``_write_table``, and reads back every
-one a later stage takes, through ``_read_rows`` or ``_read_table``, so the
-file formats are defined here. Ingest's normalized click records and pages
-are column tables, one JSON object of equal-length columns: a stage that
-reads one decodes it once, in one ``json.loads``, and keeps only the columns
-it uses. A row or table that does not fit stops the reading stage with the
-artifact's name and the line or column at fault. The exceptions are the
-checkpoint and vocabulary codecs (``model.save_params``/``load_params``,
-``Vocabulary.save``/``load``): the benchmark's quality scorer reads through
-them too.
+This module writes every stage artifact (``_write_csv``, ``_write_json``,
+``_write_jsonl``, ``_write_table``) and reads back each one a later stage
+takes (``_read_rows``, ``_read_table``). One table, ``_FIELDS``, gives each
+of those its exact fields and the check of each field's values: the writers
+write just those fields, and both readers check a field at a time. Ingest's
+click records and pages are column tables, one JSON object of equal-length
+columns, which a stage decodes once and keeps only the columns it uses. A
+row or table that does not fit stops the reading stage with the artifact's
+name and the line or column at fault. The exceptions are the checkpoint and
+vocabulary codecs (``model.save_params``/``load_params``,
+``Vocabulary.save``/``load``): the benchmark's quality scorer reads them too.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ from typing import Callable
 import yaml
 
 from .config import (DEFAULT_ITEMS_PER_PAGE, DEFAULT_THRESHOLD, FLOAT32_MAX,
-                     ConfigError, ModelConfig, PipelineError, TrainConfig,
-                     check_cluster_threshold, check_dates,
+                     PAGE_TYPES, ConfigError, ModelConfig, PipelineError,
+                     TrainConfig, check_cluster_threshold, check_dates,
                      check_dedup_threshold, check_items_per_page, check_quota,
                      check_traffic, check_window, date_window, dedup_verdict,
                      parse_negative_ratio)
@@ -315,79 +315,122 @@ def _write_curve(path: Path, history: list[dict]) -> None:
 def _write_jsonl(path: Path, rows) -> None:
     # the encoder json.dumps(row, sort_keys=True) would build for every row
     encode = json.JSONEncoder(sort_keys=True).encode
+    keep = _FIELDS.get(f"{path.parent.name}/{path.name}")  # else all keys
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             if not isinstance(row, dict):  # vars() would leave a dict on it
-                row = {f.name: getattr(row, f.name) for f in fields(row)}
+                row = {name: getattr(row, name)
+                       for name in keep or [f.name for f in fields(row)]}
+            elif keep:
+                row = {name: row[name] for name in keep}
             fh.write(encode(row) + "\n")
 
 
-def _read_rows(ctx: PipelineContext, stage: str, name: str, make) -> list:
-    """``make(row)`` for each non-blank JSONL line of ``stage``'s artifact
-    ``name``, decoded. A row that does not fit stops the stage with the
-    file and line."""
-    records, line_no = [], 1
-    with open(ctx.artifact(stage, name), encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    records.append(make(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise PipelineError(f"{stage}/{name} line {line_no}: malformed "
-                                f"row ({type(exc).__name__}: {exc})") from None
-    return records
+def _of(*kinds: type) -> Callable[[list], bool]:
+    """The check that each value's type is in ``kinds`` (a bool's is bool)."""
+    return lambda values: set(map(type, values)).issubset(kinds)
 
 
-def _strings(values: list) -> bool:
-    return set(map(type, values)) <= {str}
-
-
-def _integers(values: list) -> bool:
-    return set(map(type, values)) <= {int}  # a bool's type is bool
+_strings, _integers, _lists = _of(str), _of(int), _of(list)
+_numbers = _of(int, float)
 
 
 def _page_types(values: list) -> bool:
-    from .ingest import PAGE_TYPES
-
     return _strings(values) and set(values) <= set(PAGE_TYPES)
+
+
+def _string_lists(values: list) -> bool:
+    return _lists(values) and _strings([v for row in values for v in row])
 
 
 def _facet_pairs(values: list) -> bool:
     """Whether each value is a list of [name, value] pairs of strings."""
-    pairs = [pair for row in values if type(row) is list for pair in row]
-    return (set(map(type, values)) <= {list} and set(map(type, pairs)) <= {list}
-            and set(map(len, pairs)) <= {2}
-            and _strings([text for pair in pairs for text in pair]))
+    if not _lists(values):
+        return False
+    pairs = [pair for row in values for pair in row]
+    return _string_lists(pairs) and set(map(len, pairs)) <= {2}
 
 
-# ingest's column tables: each column and the check of its values
-_TABLES: dict[str, dict[str, Callable[[list], bool]]] = {
-    "page_catalog.json": {"page_id": _strings, "page_type": _page_types,
-                          "title": _strings, "product_type": _strings,
-                          "facets": _facet_pairs},
-    "click_records.json": {"query": _strings, "page_id": _strings,
-                           "page_type": _page_types, "clicks": _integers,
-                           "impressions": _integers},
+# each artifact a later stage reads, by <stage>/<file>: its fields (a table's
+# columns, in order), each with the check of a list of its values
+_FIELDS: dict[str, dict[str, Callable[[list], bool]]] = {
+    "ingest/page_catalog.json": {"page_id": _strings, "page_type": _page_types,
+                                 "title": _strings, "product_type": _strings,
+                                 "facets": _facet_pairs},
+    "ingest/click_records.json": {"query": _strings, "page_id": _strings,
+                                  "page_type": _page_types,
+                                  "clicks": _integers, "impressions": _integers},
+    "ingest/candidates.jsonl": {"query": _strings, "clicks_total": _integers},
+    "ingest/facet_lexicon.jsonl": {"facet_name": _strings,
+                                   "values": _string_lists},
+    "metric/training_set.jsonl": {"query_a": _strings, "query_b": _strings,
+                                  "interactive": _numbers},
+    "cluster/representatives.jsonl": {
+        "query": _strings, "best_match": _strings, "best_similarity": _numbers,
+        "path": _strings, "facet_pages": _integers, "cluster_id": _strings,
+        "clicks_total": _integers, "product_type": _strings},
+    "dedup/kept.jsonl": {"query": _strings, "cluster_id": _strings,
+                         "product_type": _strings, "clicks_total": _integers},
+    "select/topics.jsonl": {"topic": _strings, "clicks": _integers,
+                            "source_cluster": _strings,
+                            "product_type": _strings},
+    "emit/pages.jsonl": {"topic": _strings, "page_id": _strings,
+                         "item_ids": _string_lists, "source_cluster": _strings,
+                         "product_type": _strings},
 }
+
+
+def _fault(key: str, column: Callable[[str], list]) -> tuple | None:
+    """The first value of artifact ``key`` that fails its field's check, as
+    (field, index, value), checking ``column(field)`` a field at a time."""
+    for name, check in _FIELDS[key].items():
+        if not check(values := column(name)):
+            index = next(i for i, v in enumerate(values) if not check([v]))
+            return name, index, values[index]
+    return None
+
+
+def _read_rows(ctx: PipelineContext, stage: str, name: str) -> list[dict]:
+    """The rows of ``stage``'s JSONL artifact ``name``, one per non-blank
+    line: objects of exactly its ``_FIELDS``, whose values pass their
+    field's checks, or the stage stops naming the file and the line at
+    fault. Each line is decoded alone, so a bad byte is named by its line."""
+    key, line_no, rows = f"{stage}/{name}", 1, {}  # rows by line number
+    fields = _FIELDS[key].keys()
+    with open(ctx.artifact(stage, name), "rb") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if (text := line.decode("utf-8")).strip():
+                    rows[line_no] = row = json.loads(text)
+                    if not (isinstance(row, dict) and row.keys() == fields):
+                        raise ValueError(f"not an object of {', '.join(fields)}")
+            fault = _fault(key, lambda f: [row[f] for row in rows.values()])
+            if fault:
+                column, index, value = fault
+                line_no = list(rows)[index]
+                raise ValueError(f"field {column}: unexpected {value!r}")
+        except (ValueError, RecursionError) as exc:  # UnicodeError included
+            raise PipelineError(f"{key} line {line_no}: malformed row "
+                                f"({type(exc).__name__}: {exc})") from None
+    return list(rows.values())
 
 
 def _write_table(path: Path, rows: list) -> None:
     """``rows`` as the column table ``path`` names: one JSON object of its
-    columns, each the list of the rows' values of that name, in one
-    ``json.dumps``. A set, such as a page's facets, is written as its
-    sorted members."""
+    ``_FIELDS``, each the list of the rows' values, in one ``json.dumps``.
+    A set, such as a page's facets, is written as its sorted members."""
     table = {name: [getattr(row, name) for row in rows]
-             for name in _TABLES[path.name]}
+             for name in _FIELDS[f"{path.parent.name}/{path.name}"]}
     path.write_text(json.dumps(table, default=sorted) + "\n", encoding="utf-8")
 
 
 def _read_table(ctx: PipelineContext, name: str, *wanted: str) -> list[list]:
     """The columns ``wanted`` (all, when none is named) of ingest's column
     table ``name``, decoded in one ``json.loads``. A table that is not one
-    object of exactly its columns, lists of one length whose values each
-    pass their column's check, stops the stage with the file and the column
-    at fault."""
-    columns = _TABLES[name]
+    object of its ``_FIELDS``' equal-length lists, whose values pass their
+    checks, stops the stage with the file and the column at fault."""
+    key = f"ingest/{name}"
+    columns = _FIELDS[key]
     first = next(iter(columns))
     try:
         table = json.loads(ctx.artifact("ingest", name).read_text(
@@ -395,33 +438,19 @@ def _read_table(ctx: PipelineContext, name: str, *wanted: str) -> list[list]:
         if not (isinstance(table, dict) and table.keys() == columns.keys()):
             raise ValueError(f"not one object of the columns "
                              f"{', '.join(columns)}")
-        for column, check in columns.items():
+        for column in columns:
             values = table[column]
             if not (isinstance(values, list)
                     and len(values) == len(table[first])):
                 raise ValueError(f"column {column} is not a list as long as "
                                  f"{first}")
-            if not check(values):
-                row = next(i for i, v in enumerate(values) if not check([v]))
-                raise ValueError(f"column {column}, row {row}: unexpected "
-                                 f"{values[row]!r}")
+        fault = _fault(key, table.__getitem__)
+        if fault:
+            raise ValueError("column {}, row {}: unexpected {!r}".format(*fault))
     except (ValueError, RecursionError) as exc:  # UnicodeError is a ValueError
-        raise PipelineError(f"ingest/{name}: malformed table "
+        raise PipelineError(f"{key}: malformed table "
                             f"({type(exc).__name__}: {exc})") from None
     return [table[column] for column in wanted or columns]
-
-
-def _checked(row: dict, *numbers: str) -> dict:
-    """``row``, once it holds a number other than a bool at each key of
-    ``numbers`` and a string at every other key; any other value raises the
-    ``TypeError`` that makes ``_read_rows`` name the file and line."""
-    for key in (*numbers, *row):
-        value = row[key]
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if key in numbers else str):
-            kind = "a number" if key in numbers else "a string"
-            raise TypeError(f"{key} must be {kind}, got {value!r}")
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +470,7 @@ def _stage_ingest(ctx: PipelineContext, out: Path):
     kept, removed = ingest_mod.filter_negative_queries(candidates, blocklist)
 
     # normalized copies, which later stages take as they are: the click
-    # records and pages as column tables (_read_table), the lexicon as rows
-    # (_lexicon_entry)
+    # records and pages as column tables (_read_table), the rest as rows
     _write_table(out / "click_records.json", records)
     _write_jsonl(out / "candidates.jsonl", kept)
     _write_table(out / "page_catalog.json", pages)
@@ -477,18 +505,6 @@ def _stage_metric(ctx: PipelineContext, out: Path):
     return counts, [], ["training_set.jsonl"]
 
 
-def _lexicon_entry(row: dict) -> tuple[str, set[str]]:
-    """A facet name and its values, from a row of ingest's lexicon copy,
-    which holds them normalized."""
-    name, values = row["facet_name"], row["values"]
-    if not isinstance(name, str):
-        raise TypeError(f"facet_name must be a string, got {name!r}")
-    if not (isinstance(values, list)
-            and all(isinstance(v, str) for v in values)):
-        raise TypeError(f"values must be a list of strings, got {values!r}")
-    return name, set(values)
-
-
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
                      ) -> tuple[dict, ModelConfig, Vocabulary]:
     """A checkpoint with its sidecar, and the vocabulary it was trained on.
@@ -503,7 +519,7 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
         params, cfg = model_mod.load_params(path)
         key = "train/vocab.jsonl"
         vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise PipelineError(f"{key}: malformed "
                             f"({type(exc).__name__}: {exc})") from None
     return params, cfg, vocab
@@ -532,12 +548,12 @@ def _stage_train(ctx: PipelineContext, out: Path):
     from . import train as train_mod
     from .tokenizer import build_vocabulary
 
-    samples = _read_rows(ctx, "metric", "training_set.jsonl", lambda r: (
-        metric_mod.QueryPairSample(**_checked(r, "interactive"))))
+    samples = [metric_mod.QueryPairSample(**row) for row in _read_rows(
+        ctx, "metric", "training_set.jsonl")]
     titles, product_types = _read_table(ctx, "page_catalog.json", "title",
                                         "product_type")
-    lexicon = dict(_read_rows(ctx, "ingest", "facet_lexicon.jsonl",
-                              _lexicon_entry))
+    lexicon = {row["facet_name"]: set(row["values"]) for row in _read_rows(
+        ctx, "ingest", "facet_lexicon.jsonl")}
     texts = [s.query_a for s in samples] + [s.query_b for s in samples]
     texts += titles + product_types
     vocab = build_vocabulary(texts, facet_lexicon=lexicon)
@@ -609,8 +625,8 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     from . import train as train_mod
 
     params, cfg, vocab = _load_checkpoint(ctx, "train", "intention.ckpt")
-    clicks = dict(_read_rows(ctx, "ingest", "candidates.jsonl", lambda r: (
-        _checked(r, "clicks_total")["query"], r["clicks_total"])))
+    clicks = {row["query"]: row["clicks_total"] for row in _read_rows(
+        ctx, "ingest", "candidates.jsonl")}
     encode = partial(train_mod.encode_texts, params, cfg, vocab)
     pages = _page_records(ctx)
     ptypes = {p.product_type for p in pages if p.page_type == "shelf"}
@@ -626,7 +642,7 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
     reps = sorted(result.representatives.items())
     matches = _score_matches(ctx, pages, [q for _, q in reps])
     _write_jsonl(out / "representatives.jsonl",
-                 ({**match, "cluster_id": cid, "clicks_total": clicks[q],
+                 ({**vars(match), "cluster_id": cid, "clicks_total": clicks[q],
                    "product_type": result.assignments[q][0]}
                   for (cid, q), match in zip(reps, matches)))
     _write_jsonl(out / "merge_log.jsonl",
@@ -637,13 +653,6 @@ def _stage_cluster(ctx: PipelineContext, out: Path):
               "distance_evaluations": result.distance_evaluations}
     return counts, [], ["clusters.csv", "representatives.jsonl",
                         "merge_log.jsonl"]
-
-
-# a representative's best match, which no dedup threshold moves: cluster
-# adds these keys to its representatives.jsonl row
-_MATCH_KEYS = ("query", "best_match", "best_similarity", "path", "facet_pages")
-# the representative keys that kept.jsonl passes on to select
-_REP_KEYS = ("query", "cluster_id", "product_type", "clicks_total")
 
 
 def _page_records(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
@@ -658,9 +667,9 @@ def _page_records(ctx: PipelineContext) -> list[ingest_mod.PageRecord]:
 
 
 def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
-                   queries: list[str]) -> list[dict]:
+                   queries: list[str]) -> list[dedup_mod.DedupDecision]:
     """Each query's best shelf or facet page match, in ``queries`` order.
-    The Deduper's default threshold only makes verdicts that are dropped."""
+    Its verdict, at the Deduper's default threshold, is not written."""
     from . import dedup as dedup_mod
     from . import train as train_mod
 
@@ -670,14 +679,11 @@ def _score_matches(ctx: PipelineContext, pages: list[ingest_mod.PageRecord],
     deduper = dedup_mod.Deduper(dedup_mod.build_shelf_index(pages, encode),
                                 dedup_mod.FacetIndex(pages), encode,
                                 vocab.facet_matcher)
-    decisions, _ = dedup_mod.dedup_all(queries, deduper)
-    return [{key: getattr(d, key) for key in _MATCH_KEYS} for d in decisions]
+    return dedup_mod.dedup_all(queries, deduper)[0]
 
 
 def _stage_dedup(ctx: PipelineContext, out: Path):
-    reps = _read_rows(ctx, "cluster", "representatives.jsonl", lambda r: (
-        _checked({key: r[key] for key in _REP_KEYS + _MATCH_KEYS},
-                 "clicks_total", "best_similarity", "facet_pages")))
+    reps = _read_rows(ctx, "cluster", "representatives.jsonl")
     threshold = ctx.settings["dedup"]["threshold"]
     verdicts = [dedup_verdict(r["best_similarity"], threshold) for r in reps]
     _write_csv(out / "decisions.csv",
@@ -685,9 +691,8 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
                ([r["query"], verdict, r["best_match"],
                  f"{r['best_similarity']:.6f}", r["path"]]
                 for r, verdict in zip(reps, verdicts)))
-    _write_jsonl(out / "kept.jsonl",
-                 ({key: r[key] for key in _REP_KEYS}
-                  for r, verdict in zip(reps, verdicts) if verdict == "kept"))
+    _write_jsonl(out / "kept.jsonl", (r for r, verdict in zip(reps, verdicts)
+                                      if verdict == "kept"))
     counts = {"total": len(reps), "kept": verdicts.count("kept"),
               "duplicate": verdicts.count("duplicate"),
               "facet_path_skipped": sum(not r["facet_pages"] for r in reps)}
@@ -697,12 +702,9 @@ def _stage_dedup(ctx: PipelineContext, out: Path):
 def _stage_select(ctx: PipelineContext, out: Path):
     from . import topicpage as topic_mod
 
-    def kept_topic(r: dict) -> topic_mod.SelectedTopic:
-        r = _checked(r, "clicks_total")
-        return topic_mod.SelectedTopic(r["query"], r["clicks_total"],
-                                       r["cluster_id"], r["product_type"])
-
-    kept = _read_rows(ctx, "dedup", "kept.jsonl", kept_topic)
+    kept = [topic_mod.SelectedTopic(r["query"], r["clicks_total"],
+                                    r["cluster_id"], r["product_type"])
+            for r in _read_rows(ctx, "dedup", "kept.jsonl")]
     quota = ctx.settings["select"]["quota"]
     topics = topic_mod.select_topics(kept, quota)
     _write_jsonl(out / "topics.jsonl", topics)
@@ -714,8 +716,8 @@ def _stage_emit(ctx: PipelineContext, out: Path):
     from . import ingest as ingest_mod
     from . import topicpage as topic_mod
 
-    topics = _read_rows(ctx, "select", "topics.jsonl", lambda r: (
-        topic_mod.SelectedTopic(**_checked(r, "clicks"))))
+    topics = [topic_mod.SelectedTopic(**row)
+              for row in _read_rows(ctx, "select", "topics.jsonl")]
     # with no topic there is nothing to retrieve, so the item catalog is
     # neither parsed nor recorded as read
     retriever = topic_mod.TokenOverlapRetriever([])
@@ -738,7 +740,7 @@ def _stage_experiment(ctx: PipelineContext, out: Path):
     e = ctx.settings["experiment"]
     # the treatment is the page group emit shipped: with no page, the A/B
     # test days get no lift
-    pages = len(_read_rows(ctx, "emit", "pages.jsonl", dict))
+    pages = len(_read_rows(ctx, "emit", "pages.jsonl"))
     plan, clicks, report = exp_mod.run_experiment(
         date_window(e["start_date"], e["n_days"]),
         e["base_mean"], e["noise_sd"], e["lift_fraction"] if pages else 0.0,
@@ -834,7 +836,7 @@ def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
     # a missing or malformed manifest or report, or a listed file that is
     # gone: the stage runs, and reports any real problem itself
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ConfigError):
+            RecursionError, ConfigError):
         return None
     _write_json(out / "report.json", asdict(report))
     logger.info("stage %s skipped: nothing it read or wrote changed", stage)

@@ -226,6 +226,19 @@ def test_manifests_list_every_file_a_stage_opens(fixture_dir, tmp_path,
         assert (stage, sorted(written)) == (stage, sorted(manifest["outputs"]))
 
 
+def test_fields_name_every_artifact_a_stage_reads(full_run):
+    # the checkpoint and vocabulary codecs read their own files
+    workdir, read = full_run[1], set()
+    for stage in pipeline.STAGES:
+        read |= set(json.loads(
+            (workdir / stage / "MANIFEST.json").read_text())["inputs"])
+    codec_files = {"train/intention.ckpt", "train/intention.ckpt.json",
+                   "train/vocab.jsonl", "finetune/finetuned.ckpt",
+                   "finetune/finetuned.ckpt.json"}
+    assert codec_files <= read
+    assert sorted(pipeline._FIELDS) == sorted(read - codec_files)
+
+
 def test_missing_checkpoint_sidecar_is_missing_artifact(fixture_dir, full_run,
                                                         tmp_path):
     workdir = tmp_path / "w"
@@ -387,6 +400,9 @@ TABLE_EDITS = {
                         _set("page_type", 2, "aisle")),
 }
 
+# a JSON line that json.loads stops decoding with RecursionError
+NESTED = "[" * 100_000 + "\n"
+
 # edits of a finished run's row artifacts: (artifact, line number, edit)
 COPY_EDITS = {
     # the lexicon copy: a name and a list of strings
@@ -433,8 +449,19 @@ COPY_EDITS = {
                            _number_field("interactive", '"0.5"')),
     "interactive-bool": ("metric/training_set.jsonl", 1,
                          _number_field("interactive", "true")),
+    # a line nested past the decoder's recursion limit
+    "kept-nested": ("dedup/kept.jsonl", 2, lambda line: NESTED),
+    # a byte that is not UTF-8, named by its own line, not one decoded ahead
+    "training-set-not-utf8": ("metric/training_set.jsonl", 300,
+                              lambda line: "\udcff" + line),
+    # a field that no reader of the file takes
+    "kept-extra-field": ("dedup/kept.jsonl", 1,
+                         lambda line: line.replace("{", '{"extra": "x", ', 1)),
+    "page-item-id-number": ("emit/pages.jsonl", 2,
+                            lambda line: line.replace('["sku-', '[5, "sku-', 1)),
     # the codecs name the file, without a line
     "vocab-cut": ("train/vocab.jsonl", 2, _cut),
+    "vocab-nested": ("train/vocab.jsonl", 2, lambda line: line + NESTED),
     "checkpoint-cut": ("finetune/finetuned.ckpt.json", 2, _cut),
 }
 
@@ -460,7 +487,10 @@ COPY_EDITS = {
     ("representative-facet-pages-bool", "dedup"),
     ("kept-clicks-string", "select"), ("kept-clicks-bool", "select"),
     ("topic-clicks-string", "emit"),
-    ("interactive-string", "train"), ("interactive-bool", "train")])
+    ("interactive-string", "train"), ("interactive-bool", "train"),
+    ("kept-nested", "select"), ("training-set-not-utf8", "train"),
+    ("kept-extra-field", "select"), ("page-item-id-number", "experiment"),
+    ("vocab-nested", "cluster")])
 def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
                                                capsys, edit, stage):
     ctx, workdir = full_run[0], tmp_path / "w"
@@ -476,7 +506,9 @@ def test_malformed_ingest_copy_stops_the_stage(full_run, tmp_path, caplog,
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert change(lines[line_no - 1]) != lines[line_no - 1]
         lines[line_no - 1] = change(lines[line_no - 1])
-        path.write_text("".join(lines), encoding="utf-8")
+        # an edit's \udcXX is the byte XX, which is not UTF-8
+        path.write_text("".join(lines), encoding="utf-8",
+                        errors="surrogateescape")
     config = ctx.config_dir / "config.yaml"
     assert cli.main([stage, "--config", str(config),
                      "--workdir", str(workdir)]) == 1
@@ -531,8 +563,8 @@ def test_jsonl_stage_outputs_round_trip(full_run, tmp_path, monkeypatch):
     read = {}
     real = pipeline._read_rows
 
-    def recording(ctx, stage, name, make):
-        read[f"{stage}/{name}"] = real(ctx, stage, name, make)
+    def recording(ctx, stage, name):
+        read[f"{stage}/{name}"] = real(ctx, stage, name)
         return read[f"{stage}/{name}"]
 
     monkeypatch.setattr(pipeline, "_read_rows", recording)
@@ -546,7 +578,7 @@ def test_jsonl_stage_outputs_round_trip(full_run, tmp_path, monkeypatch):
     for key in ("ingest/candidates.jsonl", "metric/training_set.jsonl",
                 "select/topics.jsonl", "emit/pages.jsonl"):
         assert read[key], key
-        pipeline._write_jsonl(tmp_path / "rows.jsonl", map(vars, read[key]))
+        pipeline._write_jsonl(tmp_path / "rows.jsonl", read[key])
         assert ((tmp_path / "rows.jsonl").read_bytes()
                 == (workdir / key).read_bytes()), key
 
@@ -1423,6 +1455,17 @@ def test_hand_edited_output_reruns_its_stage(fixture_dir, full_run, tmp_path,
     assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == ["select"]
     capsys.readouterr()
     assert topics.read_bytes() == (full_run[1] / "select" / "topics.jsonl").read_bytes()
+
+
+def test_nested_manifest_reruns_its_stage(fixture_dir, full_run, tmp_path,
+                                         monkeypatch, capsys):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    (workdir / "select" / "MANIFEST.json").write_text(NESTED, encoding="utf-8")
+    # select's rewritten topics are emit's recorded input again
+    assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == ["select"]
+    capsys.readouterr()
+    assert tree(workdir) == tree(full_run[1])
 
 
 def test_numpy_version_without_a_literal_is_read_from_metadata(
