@@ -4,17 +4,19 @@ The click log, page catalog, blocklist, facet lexicon and item catalog are
 parsed here and nowhere else. Their text is normalized here, once
 (lowercase, punctuation stripped except hyphens, whitespace collapsed), so
 that later joins on text are deterministic; every other module takes
-ingest's text as it is. Every raw input is read through ``_read_lines``: it
-holds one record per line, a line ends only at LF, CR LF or CR, and one
-leading UTF-8 byte-order mark is dropped. Parsers never drop malformed rows
-silently: a bad click log or page catalog row (one that is not UTF-8 text,
-a CSV cell over the csv module's field limit or JSON nested too deeply
-included) is recorded in the accompanying ParseReport. The other raw
-inputs, the blocklist, facet lexicon and item catalog, are strict
-(``_strict_rows``): their first bad line raises PipelineError naming it.
-The pipeline's ingest stage writes what these parsers return as the
-normalized copies later stages take as they are: the click records and
-pages as column tables, the facet lexicon as rows.
+ingest's text as it is. Every raw input is read through ``_read_lines``, a
+line at a time: it holds one record per line, a line ends only at LF, CR LF
+or CR, and one leading UTF-8 byte-order mark is dropped.
+``load_item_catalog`` checks every line of the item catalog but keeps only
+the items whose title shares a token with the keywords it is given. Parsers
+never drop malformed rows silently: a bad click log or page catalog row
+(one that is not UTF-8 text, a CSV cell over the csv module's field limit
+or JSON nested too deeply included) is recorded in the accompanying
+ParseReport. The other raw inputs, the blocklist, facet lexicon and item
+catalog, are strict (``_strict_rows``): their first bad line raises
+PipelineError naming it. The pipeline's ingest stage writes what these
+parsers return as the normalized copies later stages take as they are: the
+click records and pages as column tables, the facet lexicon as rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import PAGE_TYPES, PipelineError
 
@@ -53,15 +55,19 @@ def field_text(value) -> str:
     return "" if value is None else str(value)
 
 
-def _read_lines(path: str | Path, what: str) -> list[bytes]:
-    """The raw input ``path``'s lines, split only at LF, CR LF and CR, after
-    one leading byte-order mark. The pipeline reads its own artifacts,
-    ingest's copies included, through its own readers."""
+def _read_lines(path: str | Path, what: str) -> Iterator[bytes]:
+    """The raw input ``path``'s lines, read a line at a time and split only
+    at LF, CR LF and CR, after one leading byte-order mark: the file's
+    pieces end at LF, and each piece splits at CR LF and CR. The pipeline
+    reads its own artifacts, ingest's copies included, through its own
+    readers."""
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as fh:
+            for n, piece in enumerate(fh):
+                yield from (piece if n else
+                            piece.removeprefix(codecs.BOM_UTF8)).splitlines()
     except OSError as exc:
         raise PipelineError(f"cannot read {what} {path}: {exc}") from exc
-    return data.removeprefix(codecs.BOM_UTF8).splitlines()
 
 
 def _row(line: bytes, make: Callable[[str], object]) -> object:
@@ -125,7 +131,7 @@ class ParseReport:
         return len(self.errors)
 
 
-def _parse_rows(lines: Sequence[bytes], make: Callable[[str], object],
+def _parse_rows(lines: Iterable[bytes], make: Callable[[str], object],
                 first: int = 1) -> tuple[list, ParseReport]:
     """Each :func:`_row` of ``lines`` other than None; a line that raises
     ValueError, numbered from ``first``, becomes an error with the message."""
@@ -183,16 +189,16 @@ def parse_click_log(path: str | Path) -> tuple[list[ClickRecord], ParseReport]:
     not match the documented schema.
     """
     lines = _read_lines(path, "click log")
-    if not lines:
+    if (first := next(lines, None)) is None:
         return [], ParseReport()
     try:
-        header = _cells(lines[0].decode("utf-8", "replace"))
+        header = _cells(first.decode("utf-8", "replace"))
     except ValueError as exc:
         raise PipelineError(f"click log header: {exc}") from None
     if [h.strip() for h in header] != list(CLICK_LOG_FIELDS):
         raise PipelineError(
             f"click log header {header!r} does not match {CLICK_LOG_FIELDS}")
-    return _parse_rows(lines[1:], _click_record, first=2)
+    return _parse_rows(lines, _click_record, first=2)
 
 
 def _page_record(line: str, seen_ids: set[str]) -> PageRecord:
@@ -272,13 +278,20 @@ def load_facet_lexicon(path: str | Path) -> dict[str, set[str]]:
     return lexicon
 
 
-def load_item_catalog(path: str | Path) -> list[tuple[str, str]]:
-    """JSONL rows {item_id, title}, one per item, as (item_id, normalized
-    title) pairs; a malformed row or a repeated item_id raises
-    PipelineError naming its line."""
-    seen_ids: set[str] = set()
+def load_item_catalog(path: str | Path,
+                      keywords: Iterable[str] = ()) -> list[tuple[str, str]]:
+    """JSONL rows {item_id, title}, one per item, read a line at a time: the
+    (item_id, normalized title) pairs, in file order, whose title shares a
+    token with one of ``keywords``, the only items a keyword can retrieve.
+    Every line is checked, with no keyword too: a malformed row or a
+    repeated item_id raises PipelineError naming its line."""
+    wanted = {token for text in keywords for token in tokenize_text(text)}
+    # the ids themselves, not their 8-byte hashes, whose collision would
+    # refuse a valid file, and in a dict: for 20,000 ids a dict takes 1.6
+    # MB, a set 3.3 MB (its table is sparser), and hashes would save 0.3 MB
+    seen_ids: dict[str, None] = {}
 
-    def item(line: str) -> tuple[str, str]:
+    def item(line: str) -> tuple[str, str] | None:
         row = _json_object(line)
         pair = (field_text(row.get("item_id")), field_text(row.get("title")))
         for name, value in zip(("item_id", "title"), pair):
@@ -286,8 +299,11 @@ def load_item_catalog(path: str | Path) -> list[tuple[str, str]]:
                 raise ValueError(f"{name} is missing or empty")
         if pair[0] in seen_ids:
             raise ValueError(f"duplicate item_id {pair[0]!r}")
-        seen_ids.add(pair[0])
-        return pair[0], normalize_query(pair[1])
+        seen_ids[pair[0]] = None
+        title = normalize_query(pair[1])
+        if not wanted.isdisjoint(tokenize_text(title)):
+            return pair[0], title
+        return None
     return _strict_rows(path, "item catalog", item)
 
 

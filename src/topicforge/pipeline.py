@@ -508,7 +508,8 @@ def _stage_metric(ctx: PipelineContext, out: Path):
 def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
                      ) -> tuple[dict, ModelConfig, Vocabulary]:
     """A checkpoint with its sidecar, and the vocabulary it was trained on.
-    A file that does not decode stops the stage with its name."""
+    A file that does not decode, or a vocabulary that is not one token per
+    row of the checkpoint's ``tok_emb``, stops the stage with its name."""
     from . import model as model_mod
     from .tokenizer import Vocabulary
 
@@ -519,6 +520,9 @@ def _load_checkpoint(ctx: PipelineContext, stage: str, name: str
         params, cfg = model_mod.load_params(path)
         key = "train/vocab.jsonl"
         vocab = Vocabulary.load(ctx.artifact("train", "vocab.jsonl"))
+        if vocab.size != cfg.vocab_size:
+            raise ValueError(f"{vocab.size} tokens, not the checkpoint's "
+                             f"{cfg.vocab_size}")
     except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise PipelineError(f"{key}: malformed "
                             f"({type(exc).__name__}: {exc})") from None
@@ -719,11 +723,13 @@ def _stage_emit(ctx: PipelineContext, out: Path):
     topics = [topic_mod.SelectedTopic(**row)
               for row in _read_rows(ctx, "select", "topics.jsonl")]
     # with no topic there is nothing to retrieve, so the item catalog is
-    # neither parsed nor recorded as read
+    # neither parsed nor recorded as read; otherwise only the items that
+    # share a token with a topic are kept and indexed
     retriever = topic_mod.TokenOverlapRetriever([])
     if topics:
         retriever = topic_mod.TokenOverlapRetriever(
-            ingest_mod.load_item_catalog(ctx.path("item_catalog")))
+            ingest_mod.load_item_catalog(ctx.path("item_catalog"),
+                                         [t.topic for t in topics]))
     specs, flagged = topic_mod.emit_pages(
         topics, retriever, ctx.settings["emit"]["items_per_page"])
     _write_jsonl(out / "pages.jsonl", specs)

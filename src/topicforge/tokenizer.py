@@ -16,8 +16,10 @@ the query's length times the few values sharing a first token, not the
 whole lexicon. A :class:`Vocabulary` builds its matcher once, beside its
 facet lexicon; :func:`extract_facets` builds one per call.
 
-A :class:`Vocabulary` is saved as one JSONL row per token and id; its facet
-lexicon is read back from the tokens that start with ``FACET_PREFIX``.
+A :class:`Vocabulary` is saved as one JSONL row per token and id, in id
+order, so loading refuses a row whose id is not its position or a repeated
+token; its facet lexicon is read back from the tokens that start with
+``FACET_PREFIX``.
 """
 
 from __future__ import annotations
@@ -81,11 +83,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        mapping = {}
+        """Read what :meth:`save` wrote. Row i must hold the integer id i
+        and a string token that no earlier row holds; any other row
+        raises ValueError."""
+        mapping: dict[str, int] = {}
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if line.strip():
                 d = json.loads(line)
-                mapping[d["token"]] = int(d["id"])
+                token, idx = d["token"], d["id"]
+                if type(idx) is not int or idx != len(mapping):
+                    raise ValueError(f"row {len(mapping)} has id {idx!r}")
+                if not isinstance(token, str) or token in mapping:
+                    raise ValueError(f"row {idx} repeats or is not a string "
+                                     f"token: {token!r}")
+                mapping[token] = idx
         return cls(mapping)
 
 

@@ -20,6 +20,9 @@ the tensors the model reads (:class:`model.FlatTensors`), from
 it in place. The model writes each step's gradients into one flat vector of
 the same layout, and :class:`Optimizer` runs Adam as about ten whole-vector
 operations on flat moments ``m`` and ``v``, not a loop of them per tensor.
+It writes its update into the gradient vector it is handed and keeps that
+vector as the next step's scratch, so a step holds five parameter-sized
+vectors (the parameters, ``m``, ``v`` and two gradients), not seven.
 Texts are tokenized once, into one id and mask row per distinct text, and
 each step gathers its rows by index (:class:`model.TokenBatch`,
 :class:`model.PairBatch`).
@@ -52,12 +55,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # rows per inference pass and per block of best-match scores. Inference
-# keeps no backward cache, so its memory grows with this block; from 128
-# rows down, a 32-pair training step sets the peak of a dense-sized encoder
-# (model_dim 64), so smaller blocks would save no memory there. One pass
-# over all 1,063 rows of longtail's finetune accuracy check instead peaks at
-# 11.5 MB of activations and 300-class float64 logits (1.4 MB for a block)
-# and raised the run's peak RSS from 47 to 57 MB
+# keeps no backward cache, so its memory grows with this block. For a
+# dense-sized encoder (model_dim 64, 16-token rows) a 128-row pass peaks at
+# 5.8 MB (tracemalloc) and a 32-pair training step at 10.7 MB, so the step
+# sets the peak and smaller blocks would save no memory there; a 256-row
+# pass would peak at 11.6 MB. One pass over all 1,063 rows of longtail's
+# finetune accuracy check peaks at 11.5 MB of activations and 300-class
+# float64 logits (1.4 MB for a block) and raised the run's peak RSS from 47
+# to 57 MB
 ENCODE_BATCH = 128
 TRAIN_DTYPE = np.float32  # parameters, gradients and Adam moments
 
@@ -72,21 +77,26 @@ class LabeledQuery:
 class Optimizer:
     """Adam at a constant learning rate over one flat parameter vector.
 
-    ``m`` and ``v`` are flat like the parameters, created at the first step
-    with two scratch vectors that every step reuses.
+    ``m`` and ``v`` are flat like the parameters, created at the first step.
+    A step writes its update into the gradient vector it is handed and keeps
+    that vector as the next step's scratch, so a step holds the parameters,
+    ``m``, ``v`` and two gradient vectors. Each step is handed a new
+    gradient vector, as each backward pass writes one.
     """
 
     cfg: TrainConfig
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
-    scratch: tuple = field(default=(), repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One Adam step on the flat vector ``params``, in place."""
+        """One Adam step on the flat vector ``params``, in place; ``grads``
+        is overwritten with the update."""
         if self.m is None:
             self.m, self.v = np.zeros_like(grads), np.zeros_like(grads)
-            self.scratch = (np.empty_like(grads), np.empty_like(grads))
+            self.scratch = np.empty_like(grads)
+        tmp = self.scratch
         lr = self.cfg.learning_rate
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -95,7 +105,6 @@ class Optimizer:
         # element by element the same operations, in the same order, as
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        tmp, update = self.scratch
         m *= ADAM_BETA1
         np.multiply(grads, 1 - ADAM_BETA1, out=tmp)
         m += tmp
@@ -106,10 +115,11 @@ class Optimizer:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        np.divide(m, bc1, out=update)
+        update = np.divide(m, bc1, out=grads)  # g is spent: the update
         update *= lr
         update /= tmp
         params -= update
+        self.scratch = update
 
 
 def _stable_hash_fraction(text: str) -> float:

@@ -78,7 +78,70 @@ def test_item_catalog_titles_are_normalized(tmp_path):
                      + "\n" + json.dumps({"item_id": "b", "title": "??"})
                      + "\n", encoding="utf-8")
     # the id is kept as it is; a title with no token never matches
-    assert ingest.load_item_catalog(items) == [("A-1", "red hat"), ("b", "")]
+    assert ingest.load_item_catalog(items, ["hat"]) == [("A-1", "red hat")]
+
+
+def test_item_catalog_keeps_the_items_a_keyword_can_retrieve(tmp_path):
+    items = tmp_path / "items.jsonl"
+    rows = [("c", "Red Hat"), ("a", "blue shoes"), ("b", "red-ish mat"),
+            ("d", "garden hose"), ("e", "blue hat")]
+    items.write_text("".join(json.dumps({"item_id": i, "title": t}) + "\n"
+                             for i, t in rows), encoding="utf-8")
+    # a pair is kept when its title shares a whole token with a keyword,
+    # in file order; with no keyword the file is only checked
+    assert ingest.load_item_catalog(items, ["red shoes", "hose"]) == [
+        ("c", "red hat"), ("a", "blue shoes"), ("d", "garden hose")]
+    assert ingest.load_item_catalog(items, ["hat"]) == [("c", "red hat"),
+                                                        ("e", "blue hat")]
+    assert ingest.load_item_catalog(items, ["submarine"]) == []
+    assert ingest.load_item_catalog(items) == []
+    # a line past every kept pair is still checked
+    with items.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"item_id": "a", "title": "kayak"}) + "\n")
+    with pytest.raises(PipelineError,
+                       match="^item catalog line 6: duplicate item_id 'a'$"):
+        ingest.load_item_catalog(items, ["hat"])
+
+
+@pytest.mark.parametrize("ends", [b"\n", b"\r\n", b"\r", b"\r\r\n\n"])
+def test_streamed_lines_equal_the_whole_file_split(tmp_path, ends):
+    # CR-only, CR LF and mixed line ends, a leading byte-order mark, blank
+    # lines and a last line with no end: read a line at a time, the same
+    # lines as the whole file split
+    path = tmp_path / "items.jsonl"
+    rows = [b'{"item_id": "a", "title": "red hat"}', b"",
+            b'{"item_id": "b", "title": "blue hat"}', b"  ",
+            b'{"item_id": "c", "title": "hat"}']
+    for data in (BOM + ends.join(rows) + ends, ends.join(rows),
+                 ends + ends.join(rows)):
+        path.write_bytes(data)
+        lines = data.removeprefix(BOM).splitlines()
+        assert list(ingest._read_lines(path, "item catalog")) == lines
+        # the same pairs, and a bad row named at the same line
+        assert ingest.load_item_catalog(path, ["hat"]) == [
+            ("a", "red hat"), ("b", "blue hat"), ("c", "hat")]
+        bad = lines.index(rows[2]) + 1
+        path.write_bytes(data.replace(b'"blue hat"', b"null"))
+        with pytest.raises(PipelineError, match=(
+                f"^item catalog line {bad}: title is missing or empty$")):
+            ingest.load_item_catalog(path, ["hat"])
+
+
+@pytest.mark.parametrize("what, parse", [
+    ("click log", ingest.parse_click_log),
+    ("page catalog", ingest.parse_page_catalog),
+    ("blocklist", ingest.load_blocklist),
+    ("facet lexicon", ingest.load_facet_lexicon),
+    ("item catalog", ingest.load_item_catalog)])
+def test_unreadable_input_is_named(tmp_path, what, parse):
+    with pytest.raises(PipelineError, match=f"^cannot read {what} "):
+        parse(tmp_path / "missing")
+
+
+def test_empty_click_log_has_no_header_and_no_rows(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(BOM)
+    assert ingest.parse_click_log(log) == ([], ingest.ParseReport())
 
 
 def test_parse_click_log_csv(tmp_path):
@@ -344,7 +407,7 @@ def test_leading_byte_order_mark_is_dropped(tmp_path):
     assert ingest.load_blocklist(blocklist) == {"replica"}
     items = tmp_path / "items.jsonl"
     items.write_bytes(BOM + b'{"item_id": "a", "title": "red hat"}\n')
-    assert ingest.load_item_catalog(items) == [("a", "red hat")]
+    assert ingest.load_item_catalog(items, ["hat"]) == [("a", "red hat")]
     # only one: a second mark is the first row's text
     log.write_bytes(BOM + BOM + HEADER)
     with pytest.raises(PipelineError, match="^click log header "):

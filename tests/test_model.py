@@ -389,6 +389,31 @@ def test_inference_forward_equals_cached_forward(base, dtype):
     assert np.array_equal(z, z_kept)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_cache_size_matches_the_per_layer_formula(dtype):
+    # per layer: each layer norm's output, xhat and inverse std, the fused
+    # q/k/v weights and projection, the attention weights and context, and
+    # the ffn's pre-activation and gelu factor; backward rebuilds the gelu
+    # output (pre s) from the last two
+    cfg = model.ModelConfig(**{**TOY.to_dict(), "num_layers": 2})
+    params = as_dtype(generic_params(cfg, seed=4), dtype)
+    batch = random_pairs(cfg, np.random.default_rng(4), n_pairs=3, max_len=4)
+    tokens = model.TokenBatch.of([s for pair in batch for s in pair[:2]])
+    _, cache = model._forward(params, cfg, tokens.ids, tokens.mask,
+                              keep_cache=True)
+    b, length = cache[0].shape  # trimmed to the longest row
+    assert length < cfg.seq_len
+    rows, d, f = b * length, cfg.model_dim, cfg.ffn_dim
+    layer = (2 * (2 * rows * d + rows) + 3 * d * d + 3 * rows * d
+             + b * cfg.num_heads * length * length + rows * d + 2 * rows * f)
+    # plus the ids, the mask and its row sums, the final layer norm and
+    # the pooled, pooling and first output vectors
+    rest = b * length + b + rows * d + rows + 3 * b * d
+    itemsize = np.dtype(dtype).itemsize
+    assert sum(a.nbytes for a in arrays(cache)) == (
+        8 * b * length + itemsize * (cfg.num_layers * layer + rest))
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:

@@ -553,6 +553,44 @@ def test_checkpoint_off_its_layout_stops_the_stage(full_run, tmp_path, caplog,
     capsys.readouterr()
 
 
+def _id_of_next_row(lines):
+    # line 6 is given line 7's id
+    lines[5] = lines[5].replace('"id": 5}', '"id": 6}')
+
+
+def _fractional_id(lines):
+    lines[5] = lines[5].replace('"id": 5}', '"id": 5.9}')
+
+
+def _one_token_short(lines):
+    del lines[-1]
+
+
+@pytest.mark.parametrize("edit", [_id_of_next_row, _fractional_id,
+                                  _one_token_short])
+@pytest.mark.parametrize("stage", ["finetune", "cluster"])
+def test_vocabulary_off_its_checkpoint_stops_the_stage(
+        full_run, tmp_path, caplog, capsys, edit, stage):
+    # a vocabulary row's id is its position, and the vocabulary has one
+    # token per row of the checkpoint's tok_emb
+    ctx, workdir = full_run[0], tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    path = workdir / "train" / "vocab.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    edited = list(lines)
+    edit(edited)
+    assert edited != lines
+    path.write_text("".join(edited), encoding="utf-8")
+    config = ctx.config_dir / "config.yaml"
+    assert cli.main([stage, "--config", str(config),
+                     "--workdir", str(workdir)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith("train/vocab.jsonl: malformed (ValueError: ")
+    assert "Traceback" not in caplog.text
+    capsys.readouterr()
+
+
 def test_jsonl_stage_outputs_round_trip(full_run, tmp_path, monkeypatch):
     # the rows of each JSONL artifact written from row dataclasses, read as
     # the stage that consumes it reads them, write the same bytes; cluster

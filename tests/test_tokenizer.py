@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,24 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     vocab.save(path)
     loaded = Vocabulary.load(path)
     assert loaded == vocab
+
+
+@pytest.mark.parametrize("row, message", [
+    # row 2 given row 3's id
+    ('{"token": "red", "id": 3}', "row 2 has id 3"),
+    ('{"token": "red", "id": 2.0}', "row 2 has id 2.0"),
+    ('{"token": "red", "id": 1.9}', "row 2 has id 1.9"),
+    ('{"token": "red", "id": true}', "row 2 has id True"),
+    ('{"token": "red", "id": "2"}', "row 2 has id '2'"),
+    ('{"token": "<unk>", "id": 2}', "row 2 repeats or is not a string token"),
+    ('{"token": 7, "id": 2}', "row 2 repeats or is not a string token")])
+def test_vocabulary_load_rejects_an_id_off_its_row(tmp_path, row, message):
+    # an id is its row's position, counted over the rows that are not blank
+    path = tmp_path / "vocab.jsonl"
+    path.write_text('{"token": "<pad>", "id": 0}\n\n{"token": "<unk>", "id": 1}'
+                    f"\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Vocabulary.load(path)
 
 
 def test_vocabulary_facet_lexicon_survives_save_load(tmp_path):

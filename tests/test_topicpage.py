@@ -6,11 +6,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicforge import topicpage
 from topicforge.config import PipelineError
 from topicforge.pipeline import _write_jsonl
-from topicforge.ingest import load_item_catalog, tokenize_text
+from topicforge.ingest import (load_item_catalog, normalize_query,
+                               tokenize_text)
 from topicforge.topicpage import (SelectedTopic, TokenOverlapRetriever,
                                   emit_pages, page_id_for, select_topics)
 
@@ -55,8 +58,35 @@ def test_retriever_from_jsonl(tmp_path):
     path.write_text(json.dumps({"item_id": "a", "title": "red hat"}) + "\n\n"
                     + json.dumps({"item_id": "b", "title": "blue hat"}) + "\n")
     # as the emit stage builds it
-    retriever = TokenOverlapRetriever(load_item_catalog(path))
+    retriever = TokenOverlapRetriever(load_item_catalog(path, ["hat"]))
     assert retriever("hat", 5) == ["a", "b"]
+
+
+TITLE_WORDS = st.sampled_from(["red", "Red!", "shoes", "hat", "blue-ish",
+                                "x", "??", "run_ning", "running"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(titles=st.lists(st.lists(TITLE_WORDS, min_size=1, max_size=4),
+                       max_size=12),
+       keywords=st.lists(st.lists(TITLE_WORDS, min_size=1, max_size=3),
+                         min_size=1, max_size=4),
+       k=st.integers(1, 6), data=st.data())
+def test_keyword_filtered_retriever_equals_whole_catalog(
+        tmp_path_factory, titles, keywords, k, data):
+    # emit indexes only the items whose title shares a token with a
+    # keyword; every keyword retrieves what an index of every item gives
+    ids = data.draw(st.permutations([f"i{n:02d}" for n in range(len(titles))]))
+    path = tmp_path_factory.mktemp("catalog") / "items.jsonl"
+    path.write_text("".join(
+        json.dumps({"item_id": i, "title": " ".join(words)}) + "\n"
+        for i, words in zip(ids, titles)), encoding="utf-8")
+    keywords = [normalize_query(" ".join(words)) for words in keywords]
+    whole = TokenOverlapRetriever(
+        (i, normalize_query(" ".join(words))) for i, words in zip(ids, titles))
+    filtered = TokenOverlapRetriever(load_item_catalog(path, keywords))
+    for keyword in keywords:
+        assert filtered(keyword, k) == whole(keyword, k)
 
 
 def eager_ranking(items, keyword, k):

@@ -415,8 +415,10 @@ def test_optimizer_step_equals_adam_formula(dtype):
     for t in (1, 2, 3):
         grads = model.FlatTensors.copy_of(
             {k: rng.standard_normal(s) for k, s in shapes.items()}, dtype)
+        # the step writes its update into the gradient vector it is handed
+        handed = {k: g.copy() for k, g in grads.items()}
         opt.step(params.flat, grads.flat)
-        for k, g in grads.items():
+        for k, g in handed.items():
             m[k] = b1 * m[k] + (1 - b1) * g
             v[k] = b2 * v[k] + (1 - b2) * g ** 2
             want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (
