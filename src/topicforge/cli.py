@@ -91,7 +91,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixture":
             from . import fixture as fixture_mod
 
-            paths = fixture_mod.write_fixture(args.out)
+            try:
+                paths = fixture_mod.write_fixture(args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write fixture to {args.out}: "
+                                  f"{exc}") from exc
             print(f"fixture written to {Path(args.out).resolve()}",
                   file=sys.stderr)
             print(str(paths["config"]))

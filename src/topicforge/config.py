@@ -162,10 +162,11 @@ def check_traffic(base_mean: float, noise_sd: float,
                   lift_fraction: float) -> None:
     """Raise ValueError unless daily clicks can be drawn around ``base_mean``
     with standard deviation ``noise_sd``, and scaling them by ``1 +
-    lift_fraction`` keeps them finite and at or above 0."""
+    lift_fraction`` keeps them finite and at or above 0. Without noise every
+    period's t is 0 or infinite, which a JSON report cannot hold."""
     if not (math.isfinite(base_mean) and base_mean > 0):
         raise ValueError("base_mean must be > 0 and finite")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ValueError("noise_sd must be >= 0 and finite")
+    if not (math.isfinite(noise_sd) and noise_sd > 0):
+        raise ValueError("noise_sd must be > 0 and finite")
     if not (math.isfinite(lift_fraction) and lift_fraction >= -1):
         raise ValueError("lift_fraction must be a finite number >= -1")

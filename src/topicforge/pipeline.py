@@ -12,7 +12,9 @@ offsets; `--seed` swaps the master without touching the config file.
 
 ``load_context`` parses the config once, with libyaml's safe loader, into
 the typed and checked values of each section a stage reads
-(``ctx.settings``), so a bad value stops the run before any stage starts.
+(``ctx.settings``), so a bad value stops the run before any stage starts; a
+config nested past ``MAX_CONFIG_DEPTH`` is refused from its parse events
+before libyaml builds it.
 The checks come from :mod:`topicforge.config`, and each stage body imports
 the modules it calls, ``ingest`` and ``topicpage`` as well as the numpy
 ones, so neither parsing the config nor skipping a stage imports any
@@ -86,6 +88,10 @@ SEED_TRAFFIC = 6
 # libyaml's parser, with SafeLoader's constructor and resolver: the same
 # values, parsed about 8 times as fast
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the deepest nesting of mappings and lists a config may have: a valid one
+# nests 2 deep, its sections in the root mapping. libyaml's composer
+# recurses once per level and overflows the C stack between 20,000 and 30,000
+MAX_CONFIG_DEPTH = 10
 
 # the raw input files, by config ``paths`` key
 RAW_INPUTS = ("click_log", "page_catalog", "facet_lexicon", "blocklist",
@@ -143,10 +149,14 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
-        config = yaml.load(config_path.read_text(encoding="utf-8"),
-                           Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        data = config_path.read_bytes()  # libyaml decodes and checks UTF-8
+        _check_depth(data)
+        config = yaml.load(data, Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+    except yaml.YAMLError as exc:  # str() puts each mark on its own line
+        raise ConfigError("config is not valid YAML: " + "; ".join(
+            line.strip() for line in str(exc).splitlines())) from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a mapping")
     config_dir = config_path.parent.resolve()
@@ -163,6 +173,21 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
         raise ConfigError(f"seed must be >= 0, got {master}")
     return PipelineContext(_settings(config), paths, config_dir, Path(workdir),
                            master)
+
+
+def _check_depth(data: bytes) -> None:
+    """Refuse a config nested past ``MAX_CONFIG_DEPTH`` from its parse
+    events, which libyaml emits without recursing, before it is composed."""
+    depth = 0
+    for event in yaml.parse(data, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_CONFIG_DEPTH:
+                raise ConfigError(
+                    f"config nests deeper than {MAX_CONFIG_DEPTH} levels "
+                    f"(line {event.start_mark.line + 1})")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
 
 
 def _section(config: dict, name: str) -> dict:

@@ -16,9 +16,10 @@ the query's length times the few values sharing a first token, not the
 whole lexicon. A :class:`Vocabulary` builds its matcher once, beside its
 facet lexicon; :func:`extract_facets` builds one per call.
 
-A :class:`Vocabulary` is saved as one JSONL row per token and id, in id
-order, so loading refuses a row whose id is not its position or a repeated
-token; its facet lexicon is read back from the tokens that start with
+A :class:`Vocabulary` is its token list: a token's id is its position. It
+is saved as one JSON string per line, in id order, so no id is written and
+loading refuses only a line that is not a string or repeats a token; its
+facet lexicon is read back from the tokens that start with
 ``FACET_PREFIX``.
 """
 
@@ -48,14 +49,18 @@ def facet_token(name: str, value: str) -> str:
 
 @dataclass
 class Vocabulary:
-    """Token -> dense id map. Ids 0/1 are PAD/UNK; facet tokens, the ones
-    that start with ``FACET_PREFIX``, come next, then word tokens."""
+    """Tokens in id order. Ids 0/1 are PAD/UNK; facet tokens, the ones that
+    start with ``FACET_PREFIX``, come next, then word tokens."""
 
-    token_to_id: dict[str, int]
+    tokens: list[str]
 
     @property
     def size(self) -> int:
-        return len(self.token_to_id)
+        return len(self.tokens)
+
+    @cached_property
+    def token_to_id(self) -> dict[str, int]:
+        return {token: idx for idx, token in enumerate(self.tokens)}
 
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -65,7 +70,7 @@ class Vocabulary:
         """Facet name -> values, read back from the facet tokens (normalized
         text holds no ``:`` or ``=``); a name without values made no token."""
         lexicon: dict[str, set[str]] = {}
-        for token in self.token_to_id:
+        for token in self.tokens:
             if token.startswith(FACET_PREFIX):
                 name, _, value = token.removeprefix(FACET_PREFIX).partition("=")
                 lexicon.setdefault(name, set()).add(value)
@@ -78,26 +83,22 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
-            for token, idx in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
-                fh.write(json.dumps({"token": token, "id": idx}) + "\n")
+            fh.writelines(json.dumps(token) + "\n" for token in self.tokens)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read what :meth:`save` wrote. Row i must hold the integer id i
-        and a string token that no earlier row holds; any other row
-        raises ValueError."""
-        mapping: dict[str, int] = {}
+        """Read what :meth:`save` wrote: the strings on the lines that are
+        not blank. A line that is not a string, or repeats an earlier token,
+        raises ValueError naming its row, the id it would have had."""
+        tokens: dict[str, None] = {}  # a set that keeps its order
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if line.strip():
-                d = json.loads(line)
-                token, idx = d["token"], d["id"]
-                if type(idx) is not int or idx != len(mapping):
-                    raise ValueError(f"row {len(mapping)} has id {idx!r}")
-                if not isinstance(token, str) or token in mapping:
-                    raise ValueError(f"row {idx} repeats or is not a string "
-                                     f"token: {token!r}")
-                mapping[token] = idx
-        return cls(mapping)
+                token = json.loads(line)
+                if not isinstance(token, str) or token in tokens:
+                    raise ValueError(f"row {len(tokens)} repeats or is not a "
+                                     f"string token: {token!r}")
+                tokens[token] = None
+        return cls(list(tokens))
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,11 @@ def build_vocabulary(
     words: set[str] = set()
     for query in queries:
         words.update(tokenize_text(query))
-    facet_tokens = []
-    if facet_lexicon:
-        for name in sorted(facet_lexicon):
-            for value in sorted(facet_lexicon[name]):
-                facet_tokens.append(facet_token(name, value))
-
-    mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
-    for tok in facet_tokens:
-        mapping[tok] = len(mapping)
-    for tok in sorted(words):
-        if tok not in mapping:
-            mapping[tok] = len(mapping)
-    return Vocabulary(mapping)
+    facet_lexicon = facet_lexicon or {}
+    head = [PAD_TOKEN, UNK_TOKEN,
+            *(facet_token(name, value) for name in sorted(facet_lexicon)
+              for value in sorted(facet_lexicon[name]))]
+    return Vocabulary([*head, *sorted(words - set(head))])
 
 
 class FacetMatcher:

@@ -65,13 +65,26 @@ def test_date_window_crosses_month_boundary():
 
 
 def test_simulate_traffic_noise_free_lift():
+    # one seed draws the same noise at any lift, so a lifted draw is the
+    # unlifted one multiplied by 1 + lift on the A/B test days and equal on
+    # every other day
     plan = split_dates(date_window("2025-03-01", 8), seed=0)
-    clicks = simulate_traffic(plan, base_mean=100.0, noise_sd=0.0,
+    lifted = simulate_traffic(plan, base_mean=100.0, noise_sd=5.0,
                               lift_fraction=0.11, seed=1)
+    base = simulate_traffic(plan, base_mean=100.0, noise_sd=5.0,
+                            lift_fraction=0.0, seed=1)
+    assert len(set(base.values())) == len(base)
+    days = {True: 0, False: 0}
     for entry in plan.entries:
-        lifted = entry.period == "AB" and entry.arm == "test"
-        want = 111.0 if lifted else 100.0
-        assert clicks[entry.date] == pytest.approx(want, abs=1e-12)
+        ab_test = entry.period == "AB" and entry.arm == "test"
+        days[ab_test] += 1
+        want = base[entry.date] * (1.0 + 0.11) if ab_test else base[entry.date]
+        assert lifted[entry.date] == want
+    assert days[True] and days[False]
+    # a window without noise has no variance to test against
+    with pytest.raises(ValueError, match="noise_sd must be > 0"):
+        simulate_traffic(plan, base_mean=100.0, noise_sd=0.0,
+                         lift_fraction=0.11, seed=1)
 
 
 def test_simulate_traffic_clamps_and_validates():

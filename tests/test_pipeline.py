@@ -553,26 +553,31 @@ def test_checkpoint_off_its_layout_stops_the_stage(full_run, tmp_path, caplog,
     capsys.readouterr()
 
 
-def _id_of_next_row(lines):
-    # line 6 is given line 7's id
-    lines[5] = lines[5].replace('"id": 5}', '"id": 6}')
+def _repeated_token(lines):
+    # line 6 repeats line 5's token
+    lines[5] = lines[4]
 
 
-def _fractional_id(lines):
-    lines[5] = lines[5].replace('"id": 5}', '"id": 5.9}')
+def _object_row(lines):
+    # line 6 holds its token in the {"token", "id"} row of the old format
+    lines[5] = json.dumps({"token": json.loads(lines[5]), "id": 5}) + "\n"
 
 
 def _one_token_short(lines):
     del lines[-1]
 
 
-@pytest.mark.parametrize("edit", [_id_of_next_row, _fractional_id,
-                                  _one_token_short])
+@pytest.mark.parametrize("edit, detail", [
+    pytest.param(_repeated_token, "row 5 repeats or is not a string token: ",
+                 id="_repeated_token"),
+    pytest.param(_object_row, "row 5 repeats or is not a string token: {",
+                 id="_object_row"),
+    pytest.param(_one_token_short, "", id="_one_token_short")])
 @pytest.mark.parametrize("stage", ["finetune", "cluster"])
 def test_vocabulary_off_its_checkpoint_stops_the_stage(
-        full_run, tmp_path, caplog, capsys, edit, stage):
-    # a vocabulary row's id is its position, and the vocabulary has one
-    # token per row of the checkpoint's tok_emb
+        full_run, tmp_path, caplog, capsys, edit, detail, stage):
+    # each vocabulary row is a token no earlier row holds, and the
+    # vocabulary has one token per row of the checkpoint's tok_emb
     ctx, workdir = full_run[0], tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
     path = workdir / "train" / "vocab.jsonl"
@@ -586,7 +591,8 @@ def test_vocabulary_off_its_checkpoint_stops_the_stage(
                      "--workdir", str(workdir)]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
-    assert errors[0].startswith("train/vocab.jsonl: malformed (ValueError: ")
+    assert errors[0].startswith("train/vocab.jsonl: malformed (ValueError: "
+                                + detail)
     assert "Traceback" not in caplog.text
     capsys.readouterr()
 
@@ -1034,7 +1040,7 @@ def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("emit.items_per_page", 0), ("experiment.noise_sd", -1),
     ("experiment.base_mean", 0), ("experiment.n_days", 4),
-    ("experiment.start_date", "soon")])
+    ("experiment.start_date", "soon"), ("experiment.noise_sd", 0)])
 def test_bad_emit_or_experiment_value_is_config_error(
         fixture_dir, full_run, tmp_path, caplog, capsys, key, value):
     stage = key.split(".")[0]
@@ -1083,9 +1089,9 @@ WRONG_TYPED_VALUES = [
     ("experiment", "experiment.base_mean", math.inf,
      "bad experiment config: base_mean must be > 0 and finite"),
     ("experiment", "experiment.noise_sd", math.nan,
-     "bad experiment config: noise_sd must be >= 0 and finite"),
+     "bad experiment config: noise_sd must be > 0 and finite"),
     ("experiment", "experiment.noise_sd", math.inf,
-     "bad experiment config: noise_sd must be >= 0 and finite"),
+     "bad experiment config: noise_sd must be > 0 and finite"),
     ("experiment", "seed", "abc", "config seed must be an integer"),
     ("experiment", "seed", None, "config seed must be an integer"),
     ("experiment", "seed", -2, "config error: seed must be >= 0, got -2"),
@@ -1259,6 +1265,73 @@ def test_cli_exit_codes(fixture_dir, tmp_path, caplog, capsys):
     capsys.readouterr()
 
 
+def _config_not_utf8(fixture_dir, tmp_path):
+    (tmp_path / "c.yaml").write_bytes(b"seed: 1\n\xff\n")
+    return ["all", "--config", str(tmp_path / "c.yaml"),
+            "--workdir", str(tmp_path / "w")]
+
+
+def _config_nested_deep(fixture_dir, tmp_path):
+    # libyaml's composer overflows the C stack on this, killing the process
+    depth = 100_000
+    (tmp_path / "c.yaml").write_text("seed: " + "[" * depth + "]" * depth)
+    return ["all", "--config", str(tmp_path / "c.yaml"),
+            "--workdir", str(tmp_path / "w")]
+
+
+def _fixture_over_a_file(fixture_dir, tmp_path):
+    (tmp_path / "w").write_text("")
+    return ["fixture", "--out", str(tmp_path / "w")]
+
+
+def _config_without_noise(fixture_dir, tmp_path):
+    config = variant_config(fixture_dir, tmp_path, **{"experiment.noise_sd": 0})
+    return ["all", "--config", str(config), "--workdir", str(tmp_path / "w")]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (_config_not_utf8, "config is not valid YAML: unacceptable character "
+                       "#x00ff: invalid leading UTF-8 octet"),
+    (_config_nested_deep, "config nests deeper than 10 levels (line 1)"),
+    (_fixture_over_a_file, "cannot write fixture to "),
+    (_config_without_noise,
+     "bad experiment config: noise_sd must be > 0 and finite")],
+    ids=["config-not-utf8", "config-nested-deep", "fixture-over-a-file",
+         "config-without-noise"])
+def test_config_boundary_errors_are_one_line(fixture_dir, tmp_path,
+                                             make_args, message):
+    # a fresh interpreter, so that a crash fails this case alone
+    args = make_args(fixture_dir, tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-m", "topicforge.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"ERROR topicforge: config error: {message}")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    if args[0] == "all":
+        assert not (tmp_path / "w").exists()
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_json_artifact_is_json(full_run):
+    # RFC 8259 has no NaN or Infinity, which json.dumps writes by default
+    workdir = full_run[1]
+    paths = sorted(workdir.rglob("*.json")) + sorted(workdir.rglob("*.jsonl"))
+    assert workdir / "experiment" / "results.json" in paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        docs = text.splitlines() if path.suffix == ".jsonl" else [text]
+        for doc in docs:
+            if doc.strip():
+                json.loads(doc, parse_constant=_not_json)
+
+
 def test_one_exception_class_per_exit_code():
     # every class the package defines whose bases lead to a builtin exception
     bases = {}
@@ -1346,9 +1419,10 @@ def test_cli_fixture_and_power(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["--seeds", "0"], "n_seeds must be >= 1"),
-    (["--noise-sd", "-1"], "noise_sd must be >= 0"),
+    (["--noise-sd", "-1"], "noise_sd must be > 0"),
     (["--base-mean", "0"], "base_mean must be > 0"),
-    (["--base-mean", "nan"], "base_mean must be > 0")])
+    (["--base-mean", "nan"], "base_mean must be > 0"),
+    (["--noise-sd", "0"], "noise_sd must be > 0")])
 def test_power_bad_number_is_config_error(caplog, capsys, args, message):
     assert cli.main(["power", "--lifts", "0.0,0.5", "--days", "8",
                      "--seeds", "3", *args]) == 2
@@ -1369,7 +1443,8 @@ def test_power_bad_number_is_config_error(caplog, capsys, args, message):
     (["--lifts", "0.0,nan"], "lift_fraction must be a finite number >= -1"),
     (["--lifts", "-2"], "lift_fraction must be a finite number >= -1"),
     (["--base-mean", "inf"], "base_mean must be > 0 and finite"),
-    (["--noise-sd", "inf"], "noise_sd must be >= 0 and finite")])
+    (["--noise-sd", "inf"], "noise_sd must be > 0 and finite"),
+    (["--noise-sd", "0"], "noise_sd must be > 0 and finite")])
 def test_power_checks_its_arguments_before_simulating(
         monkeypatch, caplog, capsys, args, message):
     from topicforge import experiment

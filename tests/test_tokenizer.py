@@ -45,21 +45,29 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     assert loaded == vocab
 
 
-@pytest.mark.parametrize("row, message", [
-    # row 2 given row 3's id
-    ('{"token": "red", "id": 3}', "row 2 has id 3"),
-    ('{"token": "red", "id": 2.0}', "row 2 has id 2.0"),
-    ('{"token": "red", "id": 1.9}', "row 2 has id 1.9"),
-    ('{"token": "red", "id": true}', "row 2 has id True"),
-    ('{"token": "red", "id": "2"}', "row 2 has id '2'"),
-    ('{"token": "<unk>", "id": 2}', "row 2 repeats or is not a string token"),
-    ('{"token": 7, "id": 2}', "row 2 repeats or is not a string token")])
-def test_vocabulary_load_rejects_an_id_off_its_row(tmp_path, row, message):
-    # an id is its row's position, counted over the rows that are not blank
+def test_vocabulary_file_is_its_token_list(tmp_path):
+    # one JSON string per line, in id order: a token's id is its line
+    vocab = build_vocabulary(["red shoes"], LEXICON)
     path = tmp_path / "vocab.jsonl"
-    path.write_text('{"token": "<pad>", "id": 0}\n\n{"token": "<unk>", "id": 1}'
-                    f"\n{row}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+    vocab.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == vocab.tokens
+    assert [vocab.id_for(t) for t in vocab.tokens] == list(range(vocab.size))
+
+
+@pytest.mark.parametrize("row, message", [
+    # a row of the old {"token", "id"} format, valid there
+    ('{"token": "red", "id": 2}',
+     "row 2 repeats or is not a string token: {'token': 'red', 'id': 2}"),
+    ("7", "row 2 repeats or is not a string token: 7"),
+    ('"<pad>"', "row 2 repeats or is not a string token: '<pad>'"),
+    ('"<unk>"', "row 2 repeats or is not a string token: '<unk>'")])
+def test_vocabulary_load_rejects_an_id_off_its_row(tmp_path, row, message):
+    # a token's id is its row, counted over the lines that are not blank,
+    # so a row that is not a new string token names the id it would take
+    path = tmp_path / "vocab.jsonl"
+    path.write_text(f'"<pad>"\n\n"<unk>"\n{row}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Vocabulary.load(path)
 
 
