@@ -162,11 +162,15 @@ def check_traffic(base_mean: float, noise_sd: float,
                   lift_fraction: float) -> None:
     """Raise ValueError unless daily clicks can be drawn around ``base_mean``
     with standard deviation ``noise_sd``, and scaling them by ``1 +
-    lift_fraction`` keeps them finite and at or above 0. Without noise every
-    period's t is 0 or infinite, which a JSON report cannot hold."""
+    lift_fraction`` keeps them finite and at or above 0. With no noise, or
+    one under 1e-9 of ``base_mean`` (a few million float64 steps), an arm's
+    days can tie and a period's t be infinite, which JSON cannot hold."""
     if not (math.isfinite(base_mean) and base_mean > 0):
         raise ValueError("base_mean must be > 0 and finite")
     if not (math.isfinite(noise_sd) and noise_sd > 0):
         raise ValueError("noise_sd must be > 0 and finite")
+    if noise_sd / base_mean < 1e-9:
+        raise ValueError("noise_sd must be at least 1e-9 times base_mean, "
+                         f"got {noise_sd!r}")
     if not (math.isfinite(lift_fraction) and lift_fraction >= -1):
         raise ValueError("lift_fraction must be a finite number >= -1")

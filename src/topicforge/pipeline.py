@@ -28,9 +28,10 @@ sections its stage reads, ``code`` digests the package's sources, and
 move an output.
 
 ``skip_report`` reads a manifest back as a verifying trace: when nothing the
-stage read or wrote has changed, ``topicforge all`` skips the stage. That
-one rule does all reuse. ``cluster`` stores each representative's best page
-match, which no dedup threshold moves, in the representative's own row of
+stage read or wrote has changed, ``topicforge all`` skips the stage and
+writes nothing, its report included. That one rule does all reuse.
+``cluster`` stores each representative's best page match, which no dedup
+threshold moves, in the representative's own row of
 ``cluster/representatives.jsonl``, and ``dedup`` only applies its threshold
 to them. So a rerun that moves only ``dedup.threshold`` skips every stage
 but ``dedup``, and of the package loads only ``cli``, this module and
@@ -57,6 +58,7 @@ import importlib.util
 import json
 import logging
 import re
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -104,7 +106,6 @@ class StageReport:
     counts: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
-    skipped: bool = False
 
 
 @dataclass
@@ -168,7 +169,8 @@ def load_context(config_path: str | Path, workdir: str | Path | None = None,
         workdir = config_dir / paths.get("workdir", "work")
     master = seed if seed is not None else config.get("seed", 0)
     if isinstance(master, bool) or not isinstance(master, int):
-        raise ConfigError(f"config seed must be an integer, got {master!r}")
+        raise ConfigError(f"config seed must be an integer, got "
+                          f"{reprlib.repr(master)}")
     if master < 0:  # each stage seeds numpy with master + its offset
         raise ConfigError(f"seed must be >= 0, got {master}")
     return PipelineContext(_settings(config), paths, config_dir, Path(workdir),
@@ -243,7 +245,8 @@ def _settings(config: dict) -> dict[str, dict]:
     """Each section of ``SECTIONS``: at each key, the config's value or the
     default, as the default's type, once the section's check passes. A
     number is neither a YAML boolean nor, for an integer, a fraction; a
-    string is any value's text (metric's ratio is parsed where it is used)."""
+    string is any scalar's text (metric's ratio is parsed where it is used).
+    ``reprlib`` names a bad value: YAML aliases can nest one thousands deep."""
     settings = {}
     for name, (defaults, check) in SECTIONS.items():
         section, values = _section(config, name), {}
@@ -251,15 +254,17 @@ def _settings(config: dict) -> dict[str, dict]:
             for key, default in defaults.items():
                 value, kind = section.get(key, default), type(default)
                 try:
-                    if kind is not str and isinstance(value, bool) or (
+                    if isinstance(value, (list, dict)) or (
+                            kind is not str and isinstance(value, bool)) or (
                             kind is int and isinstance(value, float)
                             and not value.is_integer()):
                         raise TypeError
                     values[key] = kind(value)
                 except (TypeError, ValueError, OverflowError):
-                    raise ValueError(
-                        f"{key} must be a number of type {kind.__name__}, "
-                        f"got {value!r}") from None
+                    what = "a scalar" if kind is str else (
+                        f"a number of type {kind.__name__}")
+                    raise ValueError(f"{key} must be {what}, got "
+                                     f"{reprlib.repr(value)}") from None
             check(**values)
         except (TypeError, ValueError) as exc:
             # metric's message names its one key by the dotted path
@@ -840,13 +845,12 @@ def run_stage(ctx: PipelineContext, stage: str) -> StageReport:
     return report
 
 
-def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
-    """The previous report of ``stage``, rewritten as skipped, when its
-    manifest still holds: the same ``_fingerprint``, and every listed input,
-    raw input (at the current ``paths.<key>``) and output rehashes to its
-    recorded digest. Otherwise None, and the stage must run. The manifest is
-    left as it is."""
-    started = time.monotonic()
+def skip_report(ctx: PipelineContext, stage: str) -> dict | None:
+    """The ``report.json`` of ``stage``, decoded as its last run wrote it,
+    when the stage's manifest still holds: the same ``_fingerprint``, and
+    every listed input, raw input (at the current ``paths.<key>``) and output
+    rehashes to its recorded digest. Otherwise None, and the stage must run.
+    A pure check: it writes no file."""
     out = ctx.workdir / stage
     try:
         manifest = json.loads((out / "MANIFEST.json").read_text(encoding="utf-8"))
@@ -861,14 +865,12 @@ def skip_report(ctx: PipelineContext, stage: str) -> StageReport | None:
                   for name, digest in manifest["outputs"].items()]
         if any(_sha256(p) != digest for p, digest in files):
             return None
-        previous = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        report = StageReport(stage, previous["counts"], previous["warnings"],
-                             time.monotonic() - started, skipped=True)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        if report.keys() != {f.name for f in fields(StageReport)}:
+            return None
+        return report
     # a missing or malformed manifest or report, or a listed file that is
     # gone: the stage runs, and reports any real problem itself
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError, ConfigError):
         return None
-    _write_json(out / "report.json", asdict(report))
-    logger.info("stage %s skipped: nothing it read or wrote changed", stage)
-    return report

@@ -517,14 +517,16 @@ def _template(message: str) -> str:
 
 def test_parsers_match_their_earlier_form(tmp_path):
     rng = random.Random(23)
-    path = tmp_path / "raw"
     seen = {"click": set(), "catalog": set()}
-    for _ in range(300):
+    for round_no in range(300):
         for kind, text, parse, oracle in [
                 ("click", _click_log_text(rng), ingest.parse_click_log,
                  oracles.parse_click_log),
                 ("catalog", _page_catalog_text(rng),
                  ingest.parse_page_catalog, oracles.parse_page_catalog)]:
+            # a new file for each case: rewriting one file in place can
+            # wait on the disk for each write
+            path = tmp_path / f"{kind}-{round_no}"
             path.write_bytes(text.encode("utf-8"))
             try:
                 expected = oracle(path)

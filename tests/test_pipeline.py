@@ -69,6 +69,11 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# a stage's report.json: what its last run counted and warned, and how long
+# that run took
+REPORT_KEYS = ["counts", "duration_seconds", "stage", "warnings"]
+
+
 def test_all_stages_ran_in_order(full_run):
     _, _, reports = full_run
     assert [r.stage for r in reports] == list(pipeline.STAGES)
@@ -150,8 +155,8 @@ def test_manifests_hash_real_files(full_run):
         # manifests must stay duration-free so reruns compare byte-identical
         assert "duration" not in json.dumps(manifest)
         report = json.loads((workdir / stage / "report.json").read_text())
+        assert sorted(report) == REPORT_KEYS
         assert report["stage"] == stage
-        assert report["skipped"] is False
         assert report["duration_seconds"] >= 0.0
         assert isinstance(report["counts"], dict) and report["counts"]
 
@@ -1040,7 +1045,8 @@ def test_empty_page_text_is_an_ingest_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("emit.items_per_page", 0), ("experiment.noise_sd", -1),
     ("experiment.base_mean", 0), ("experiment.n_days", 4),
-    ("experiment.start_date", "soon"), ("experiment.noise_sd", 0)])
+    ("experiment.start_date", "soon"), ("experiment.noise_sd", 0),
+    ("experiment.noise_sd", 1.0e-20)])
 def test_bad_emit_or_experiment_value_is_config_error(
         fixture_dir, full_run, tmp_path, caplog, capsys, key, value):
     stage = key.split(".")[0]
@@ -1289,15 +1295,47 @@ def _config_without_noise(fixture_dir, tmp_path):
     return ["all", "--config", str(config), "--workdir", str(tmp_path / "w")]
 
 
+def _config_with_noise_below_a_draw(fixture_dir, tmp_path):
+    # 1e-20 cannot move a draw of 1000.0: every day would be 1000.0
+    config = variant_config(fixture_dir, tmp_path,
+                            **{"experiment.noise_sd": 1.0e-20})
+    return ["all", "--config", str(config), "--workdir", str(tmp_path / "w")]
+
+
+def _config_aliased_deep(line: str):
+    """A config that nests 3,000 lists through aliases, each one level of
+    parse events deep, and ``line`` (which aliases the deepest) after them."""
+    def make_args(fixture_dir, tmp_path):
+        chain = ["a0: &a0 []"] + [f"a{i}: &a{i} [*a{i - 1}]"
+                                  for i in range(1, 3000)]
+        (tmp_path / "c.yaml").write_text("\n".join(chain + [line]) + "\n")
+        return ["all", "--config", str(tmp_path / "c.yaml"),
+                "--workdir", str(tmp_path / "w")]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_config_not_utf8, "config is not valid YAML: unacceptable character "
                        "#x00ff: invalid leading UTF-8 octet"),
     (_config_nested_deep, "config nests deeper than 10 levels (line 1)"),
     (_fixture_over_a_file, "cannot write fixture to "),
     (_config_without_noise,
-     "bad experiment config: noise_sd must be > 0 and finite")],
+     "bad experiment config: noise_sd must be > 0 and finite"),
+    (_config_with_noise_below_a_draw,
+     "bad experiment config: noise_sd must be at least 1e-9 times "
+     "base_mean, got 1e-20"),
+    (_config_aliased_deep("seed: *a2999"),
+     "config seed must be an integer, got [[[[[[[...]]]]]]]"),
+    (_config_aliased_deep("train: {epochs: *a2999}"),
+     "bad train config: epochs must be a number of type int, "
+     "got [[[[[[[...]]]]]]]"),
+    (_config_aliased_deep("experiment: {start_date: *a2999}"),
+     "bad experiment config: start_date must be a scalar, "
+     "got [[[[[[[...]]]]]]]")],
     ids=["config-not-utf8", "config-nested-deep", "fixture-over-a-file",
-         "config-without-noise"])
+         "config-without-noise", "config-with-noise-below-a-draw",
+         "config-aliased-deep-seed", "config-aliased-deep-number",
+         "config-aliased-deep-date"])
 def test_config_boundary_errors_are_one_line(fixture_dir, tmp_path,
                                              make_args, message):
     # a fresh interpreter, so that a crash fails this case alone
@@ -1313,6 +1351,18 @@ def test_config_boundary_errors_are_one_line(fixture_dir, tmp_path,
     assert done.stdout == ""
     if args[0] == "all":
         assert not (tmp_path / "w").exists()
+
+
+def test_shallow_config_alias_loads_as_its_copy(tmp_path):
+    # a section aliased whole reads as if it were written out again
+    section = "{epochs: 3, learning_rate: 0.01}"
+    settings = []
+    for text in (f"train: &tr {section}\nfinetune: *tr\n",
+                 f"train: {section}\nfinetune: {section}\n"):
+        (tmp_path / "c.yaml").write_text(text)
+        settings.append(load_context(tmp_path / "c.yaml").settings)
+    assert settings[0] == settings[1]
+    assert settings[0]["finetune"]["epochs"] == 3
 
 
 def _not_json(constant: str):
@@ -1422,7 +1472,9 @@ def test_cli_fixture_and_power(tmp_path, capsys):
     (["--noise-sd", "-1"], "noise_sd must be > 0"),
     (["--base-mean", "0"], "base_mean must be > 0"),
     (["--base-mean", "nan"], "base_mean must be > 0"),
-    (["--noise-sd", "0"], "noise_sd must be > 0")])
+    (["--noise-sd", "0"], "noise_sd must be > 0"),
+    (["--noise-sd", "1e-20"], "noise_sd must be at least 1e-9 times "
+                              "base_mean")])
 def test_power_bad_number_is_config_error(caplog, capsys, args, message):
     assert cli.main(["power", "--lifts", "0.0,0.5", "--days", "8",
                      "--seeds", "3", *args]) == 2
@@ -1444,7 +1496,9 @@ def test_power_bad_number_is_config_error(caplog, capsys, args, message):
     (["--lifts", "-2"], "lift_fraction must be a finite number >= -1"),
     (["--base-mean", "inf"], "base_mean must be > 0 and finite"),
     (["--noise-sd", "inf"], "noise_sd must be > 0 and finite"),
-    (["--noise-sd", "0"], "noise_sd must be > 0 and finite")])
+    (["--noise-sd", "0"], "noise_sd must be > 0 and finite"),
+    (["--noise-sd", "1e-20"],
+     "noise_sd must be at least 1e-9 times base_mean, got 1e-20")])
 def test_power_checks_its_arguments_before_simulating(
         monkeypatch, caplog, capsys, args, message):
     from topicforge import experiment
@@ -1481,30 +1535,73 @@ def run_all(monkeypatch, config, workdir, *args: str) -> list[str]:
     return ran
 
 
+def files(workdir: Path) -> dict:
+    """Every file of a workdir, by relative path."""
+    return {p.relative_to(workdir): p.read_bytes()
+            for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
 def tree(workdir: Path) -> dict:
     """Every file of a workdir but the reports, by relative path."""
-    return {p.relative_to(workdir): p.read_bytes()
-            for p in sorted(workdir.rglob("*"))
-            if p.is_file() and p.name != "report.json"}
+    return {path: data for path, data in files(workdir).items()
+            if path.name != "report.json"}
 
 
 def test_second_all_runs_no_stage(fixture_dir, full_run, tmp_path,
                                   monkeypatch, capsys):
     workdir = tmp_path / "w"
     shutil.copytree(full_run[1], workdir)
-    before = tree(workdir)
-    reports = {stage: json.loads((workdir / stage / "report.json").read_text())
-               for stage in pipeline.STAGES}
+    before = files(workdir)
     assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == []
     out, err = capsys.readouterr()
     assert out == ""  # a skipped experiment prints no table
-    assert tree(workdir) == before
+    # the reports too: each is still that of the run that wrote its stage
+    assert files(workdir) == before
     for stage in pipeline.STAGES:
         assert f"{stage}: skipped" in err
         report = json.loads((workdir / stage / "report.json").read_text())
-        assert report["skipped"] is True
-        assert report["counts"] == reports[stage]["counts"]
-        assert report["warnings"] == reports[stage]["warnings"]
+        assert sorted(report) == REPORT_KEYS
+
+
+def test_skipping_every_stage_opens_no_file_for_writing(
+        fixture_dir, full_run, tmp_path, monkeypatch, capsys):
+    workdir = (tmp_path / "w").resolve()
+    shutil.copytree(full_run[1], workdir)
+    before = files(workdir)
+    written: list[Path] = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if (isinstance(file, (str, Path)) and set(mode) & set("wax+")
+                and Path(file).resolve().is_relative_to(workdir)):
+            written.append(Path(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    # the second run skips what the first skipped, over files it left alone
+    for _ in range(2):
+        assert run_all(monkeypatch, fixture_dir / "config.yaml", workdir) == []
+    capsys.readouterr()
+    assert written == []
+    assert files(workdir) == before
+
+
+def test_skip_report_is_the_report_as_written(fixture_dir, full_run,
+                                              tmp_path):
+    workdir = tmp_path / "w"
+    shutil.copytree(full_run[1], workdir)
+    ctx = load_context(fixture_dir / "config.yaml", workdir)
+    for stage in pipeline.STAGES:
+        path = workdir / stage / "report.json"
+        assert pipeline.skip_report(ctx, stage) == json.loads(path.read_text())
+    # a missing report, or one that is not a report, runs its stage
+    report = workdir / "dedup" / "report.json"
+    for text in ("[]", '{"stage": "dedup"}', "{"):
+        report.write_text(text)
+        assert pipeline.skip_report(ctx, "dedup") is None
+    report.unlink()
+    assert pipeline.skip_report(ctx, "dedup") is None
 
 
 def test_retune_reruns_exactly_dedup(fixture_dir, full_run, tmp_path,
@@ -1757,7 +1854,7 @@ def test_new_seed_or_code_reruns_every_stage(fixture_dir, full_run, tmp_path,
     capsys.readouterr()
     for stage in pipeline.STAGES:
         report = json.loads((workdir / stage / "report.json").read_text())
-        assert report["skipped"] is False
+        assert sorted(report) == REPORT_KEYS
 
 
 def test_single_stage_commands_never_skip(fixture_dir, full_run, tmp_path,
@@ -1769,6 +1866,6 @@ def test_single_stage_commands_never_skip(fixture_dir, full_run, tmp_path,
         assert cli.main([stage, "--config", str(fixture_dir / "config.yaml"),
                          "--workdir", str(workdir)]) == 0
         report = json.loads((workdir / stage / "report.json").read_text())
-        assert report["skipped"] is False
+        assert sorted(report) == REPORT_KEYS
     assert ran == list(pipeline.STAGES)
     assert "Period" in capsys.readouterr().out  # the experiment's table
